@@ -89,8 +89,11 @@ def _apply_overrides(cfg, args):
         kind = args.integrator or cfg.integrator.kind
         eps = args.eps if args.eps is not None else cfg.integrator.eps
         repl["integrator"] = IntegratorConfig(kind, eps)
-    moving_flags = (args.moving, args.cutoff_epsilon, args.pad, args.shift_accuracy)
-    if any(v is not None for v in moving_flags):
+    tuning = (args.cutoff_epsilon, args.pad, args.shift_accuracy)
+    if cfg.moving is None and args.moving is None and any(v is not None for v in tuning):
+        # the model file rejects these keys without a moving count; so does the CLI
+        raise ModelParseError("moving-basis keys need 'moving = <count>'")
+    if args.moving is not None or any(v is not None for v in tuning):
         base = cfg.moving or MovingBasisParams(n_moving=0)
         repl["moving"] = MovingBasisParams(
             n_moving=args.moving if args.moving is not None else base.n_moving,

@@ -97,8 +97,8 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 def used_view(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
     """View of (B, total) amplitudes as (B, u_1, ..., u_M) over used dims.
 
-    The input must be C-contiguous so the reshape is a view; kernels mutate
-    the result in place.
+    The input must be C-contiguous so the reshape is a view; writes to the
+    result go through to the buffer.
     """
     if not amps2d.flags.c_contiguous:
         raise ValueError("amplitude buffer must be C-contiguous")
@@ -108,6 +108,28 @@ def used_view(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
         return full
     ix = (slice(None),) + tuple(slice(0, f.dim_used) for f in freedoms)
     return full[ix]
+
+
+def basis_of(freedoms: list) -> tuple:
+    """What operators depend on: (type, used dimension, center) per freedom."""
+    return tuple([(f.ptype, f.dim_used, f.center) for f in freedoms])
+
+
+def used_block(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
+    """(B, product of used dims) C-contiguous amplitudes of the used block.
+
+    This is the buffer itself when every freedom uses its whole allocation,
+    and a compact copy otherwise; callers must not write to it.
+    """
+    if all(f.dim_used == f.dim_alloc for f in freedoms):
+        return amps2d
+    return np.ascontiguousarray(used_view(amps2d, freedoms)).reshape(amps2d.shape[0], -1)
+
+
+def set_used_block(amps2d: np.ndarray, freedoms: list, block: np.ndarray):
+    """Write a (B, product of used dims) block back into the (B, total) buffer."""
+    view = used_view(amps2d, freedoms)
+    view[...] = block.reshape(view.shape)
 
 
 def _check_same_structure(a: "StateVector", b: "StateVector"):
@@ -183,8 +205,10 @@ class StateVector:
         return complex(row_dot(self.as2d(), other.as2d())[0])
 
     def apply_primary(self, primary, hc: bool = False, t: float = 0.0) -> "StateVector":
-        """Apply a single-freedom primary kernel in place."""
-        primary.apply_to(self.as2d(), self.freedoms, hc, t)
+        """Apply a single-freedom primary operator in place."""
+        from .operators import Primary  # operators imports this module
+
+        Primary(primary, hc).apply_to_state(self, t)
         return self
 
     # -- arithmetic ---------------------------------------------------------

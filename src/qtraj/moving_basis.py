@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOM, FIELD, StateVector, used_view
-from .operators import _ax, _bshape, _sqrt_ladder, destroy
+from .hilbert import ATOM, FIELD, StateVector, row_dot, row_norm2, used_block, used_view
+from .operators import DiagonalOperator, _sqrt_ladder, destroy
 
 __all__ = [
     "MovingBasisParams",
@@ -33,6 +33,18 @@ __all__ = [
 
 _SUBSTEP = 0.5  # displacement magnitude handled per Taylor series
 _MAX_TERMS = 200
+
+
+def _ax(nd: int, axis: int, sl) -> tuple:
+    ix = [slice(None)] * nd
+    ix[axis] = sl
+    return tuple(ix)
+
+
+def _bshape(vec: np.ndarray, nd: int, axis: int) -> np.ndarray:
+    shape = [1] * nd
+    shape[axis] = vec.shape[0]
+    return vec.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -135,13 +147,14 @@ def recenter(state: StateVector, freedom: int, shift_accuracy: float = 1e-6) -> 
     fr = state.freedoms[freedom]
     if fr.ptype is not FIELD:
         raise TypeError("only field freedoms can be recentered")
-    work = state.copy()
-    work.freedoms[freedom].center = 0j  # local annihilation, no offset
-    work.apply_primary(destroy(freedom).op)
-    n2 = state.norm() ** 2
+    local = [f.copy() for f in state.freedoms]
+    local[freedom].center = 0j  # local annihilation, no offset
+    y = used_block(state.as2d(), state.freedoms)
+    n2 = float(row_norm2(y)[0])
     if n2 == 0.0:
         return 0j
-    delta = complex((state.as2d().conj() * work.as2d()).sum()) / n2
+    a_local = DiagonalOperator.compile(destroy(freedom), local)
+    delta = complex(row_dot(y, a_local.apply(y))[0]) / n2
     if abs(delta) < shift_accuracy:
         return 0j
     move_coords(state, delta, freedom, shift_accuracy)

@@ -1,28 +1,51 @@
-"""Operator expressions over single-freedom primary kernels.
+"""Operator expressions over single-freedom primary operators.
 
 Operators are immutable expression trees.  Leaves are primary operators (a
-kernel acting along one freedom's axis, with an optional hermitian-conjugate
-flag); interior nodes are sums, ordered products (applied right to left),
-scalar multiples, time-function multiples and small integer powers.  Nothing
-is simplified automatically -- the tree a user builds is the tree that runs,
-except that adjacent scalar factors are folded into one multiply during
-evaluation.
+ladder, number, quadrature, spin or transition operator on one freedom, with
+an optional hermitian-conjugate flag); interior nodes are sums, ordered
+products (applied right to left), scalar multiples, time-function multiples
+and small integer powers.  Nothing is simplified at construction -- the tree
+a user builds is the tree that gets compiled.
 
-Application is matrix-free: a primary reshapes the flat amplitude buffer to
-expose its freedom's axis and mutates the slice in place, so every other
-freedom rides along.  Field kernels are center-aware: with basis center
-alpha, the physical ladder operator acts as the local one plus alpha.
+Application goes through one compiled form.  For a given basis (the type,
+used dimension and center of every freedom) a tree compiles to offset
+diagonals over the used block of the state, flattened row-major:
+
+    out[:, i] = sum_k d_k[i] * y[:, i + o_k]
+
+A primary on freedom k contributes diagonals at multiples of that freedom's
+stride, written straight from its matrix elements; sums add diagonals,
+products compose them and scalars fold in.  Terms scaled by time functions
+stay in groups of their own, one per distinct product of functions, scaled
+by its value when applied.  Field primaries are center-aware: with basis
+center alpha, the physical ladder operator is the local one plus alpha.
+Every tree keeps the compiled form of the last basis it was applied in, so a
+trajectory on a moving basis recompiles once per basis change, and the
+sweeps touch only the used amplitudes.
+
+`to_dense` builds the same operators from explicit matrices instead, as an
+independent reference for the compiled form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .hilbert import ATOM, FIELD, SPIN, PhysicalType, StateVector, used_view
+from .hilbert import (
+    ATOM,
+    FIELD,
+    SPIN,
+    PhysicalType,
+    StateVector,
+    basis_of,
+    set_used_block,
+    used_block,
+)
 
 __all__ = [
     "Kind",
@@ -43,6 +66,8 @@ __all__ = [
     "sigma_minus",
     "sigma_z",
     "transition",
+    "DiagonalOperator",
+    "compile_operator",
     "apply",
     "apply_in_place",
     "to_dense",
@@ -84,108 +109,9 @@ def _sqrt_ladder(n: int) -> np.ndarray:
     return r
 
 
-def _ax(nd: int, axis: int, sl) -> tuple:
-    ix = [slice(None)] * nd
-    ix[axis] = sl
-    return tuple(ix)
-
-
-def _bshape(vec: np.ndarray, nd: int, axis: int) -> np.ndarray:
-    shape = [1] * nd
-    shape[axis] = vec.shape[0]
-    return vec.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# Kernels.  Each mutates `v` (a view of shape (B, u_1, ..., u_M)) along
-# `axis`, implementing the physical operator for basis center c.
-
-
-def _k_destroy(v, axis, hc, c):
-    n = v.shape[axis]
-    r = _bshape(_sqrt_ladder(n)[1:], v.ndim, axis)
-    if not hc:
-        base = v * c if c else None
-        v[_ax(v.ndim, axis, slice(0, n - 1))] = r * v[_ax(v.ndim, axis, slice(1, n))]
-        v[_ax(v.ndim, axis, slice(n - 1, n))] = 0
-    else:
-        base = v * np.conj(c) if c else None
-        v[_ax(v.ndim, axis, slice(1, n))] = r * v[_ax(v.ndim, axis, slice(0, n - 1))]
-        v[_ax(v.ndim, axis, slice(0, 1))] = 0
-    if base is not None:
-        v += base
-
-
-def _k_number(v, axis, hc, c):
-    n = v.shape[axis]
-    k = np.arange(n, dtype=np.float64)
-    if not c:
-        v *= _bshape(k, v.ndim, axis)
-        return
-    r = _bshape(_sqrt_ladder(n)[1:], v.ndim, axis)
-    lo = _ax(v.ndim, axis, slice(0, n - 1))
-    hi = _ax(v.ndim, axis, slice(1, n))
-    out = v * _bshape(k + abs(c) ** 2, v.ndim, axis)
-    out[hi] += c * r * v[lo]
-    out[lo] += np.conj(c) * r * v[hi]
-    np.copyto(v, out)
-
-
-def _k_position(v, axis, hc, c):
-    n = v.shape[axis]
-    r = _bshape(_sqrt_ladder(n)[1:] / _SQRT2, v.ndim, axis)
-    lo = _ax(v.ndim, axis, slice(0, n - 1))
-    hi = _ax(v.ndim, axis, slice(1, n))
-    out = v * (_SQRT2 * c.real) if c else np.zeros_like(v)
-    out[lo] += r * v[hi]
-    out[hi] += r * v[lo]
-    np.copyto(v, out)
-
-
-def _k_momentum(v, axis, hc, c):
-    n = v.shape[axis]
-    r = _bshape(_sqrt_ladder(n)[1:] * (1j / _SQRT2), v.ndim, axis)
-    lo = _ax(v.ndim, axis, slice(0, n - 1))
-    hi = _ax(v.ndim, axis, slice(1, n))
-    out = v * (_SQRT2 * c.imag) if c else np.zeros_like(v)
-    out[hi] += r * v[lo]
-    out[lo] -= r * v[hi]
-    np.copyto(v, out)
-
-
-def _k_sigma_plus(v, axis, hc, c):
-    up = _ax(v.ndim, axis, 1)
-    dn = _ax(v.ndim, axis, 0)
-    if not hc:
-        v[up] = v[dn]
-        v[dn] = 0
-    else:
-        v[dn] = v[up]
-        v[up] = 0
-
-
-def _k_sigma_minus(v, axis, hc, c):
-    _k_sigma_plus(v, axis, not hc, c)
-
-
-def _k_sigma_z(v, axis, hc, c):
-    v[_ax(v.ndim, axis, 0)] *= -1
-
-
-_KERNELS = {
-    Kind.DESTROY: _k_destroy,
-    Kind.NUMBER: _k_number,
-    Kind.POSITION: _k_position,
-    Kind.MOMENTUM: _k_momentum,
-    Kind.SIGMA_PLUS: _k_sigma_plus,
-    Kind.SIGMA_MINUS: _k_sigma_minus,
-    Kind.SIGMA_Z: _k_sigma_z,
-}
-
-
 @dataclass(frozen=True)
 class PrimaryOperator:
-    """A single-freedom kernel: kind, target freedom, transition levels."""
+    """A single-freedom operator: kind, target freedom, transition levels."""
 
     kind: Kind
     freedom: int
@@ -209,30 +135,8 @@ class PrimaryOperator:
     def ptype(self) -> PhysicalType:
         return _PTYPE_OF[self.kind]
 
-    def apply_to(self, amps2d: np.ndarray, freedoms, hc: bool, t: float):
-        k = self.freedom
-        if k >= len(freedoms):
-            raise ValueError(f"freedom {k} out of range for {len(freedoms)}-freedom state")
-        fr = freedoms[k]
-        if fr.ptype is not self.ptype:
-            raise TypeError(
-                f"{self.kind.name} acts on {self.ptype.value} freedoms, "
-                f"freedom {k} is {fr.ptype.value}"
-            )
-        v = used_view(amps2d, freedoms)
-        axis = 1 + k
-        if self.kind is Kind.TRANSITION:
-            i, j = self.levels if not hc else self.levels[::-1]
-            n = v.shape[axis]
-            src = v[_ax(v.ndim, axis, j)].copy() if j < n else None
-            v[...] = 0
-            if src is not None and i < n:
-                v[_ax(v.ndim, axis, i)] = src
-        else:
-            _KERNELS[self.kind](v, axis, hc, fr.center)
-
     def dense(self, dim: int, center: complex = 0j, hc: bool = False) -> np.ndarray:
-        """Dense matrix of this kernel on a dim-level truncation."""
+        """Dense matrix of this operator on a dim-level truncation."""
         c = complex(center)
         r = _sqrt_ladder(dim)[1:]
         if self.kind is Kind.DESTROY:
@@ -248,15 +152,15 @@ class PrimaryOperator:
             m += _SQRT2 * c.imag * np.eye(dim)
         elif self.kind is Kind.SIGMA_PLUS:
             if dim != 2:
-                raise ValueError("spin kernels need dimension 2")
+                raise ValueError("spin operators need dimension 2")
             m = np.array([[0, 0], [1, 0]], dtype=complex)
         elif self.kind is Kind.SIGMA_MINUS:
             if dim != 2:
-                raise ValueError("spin kernels need dimension 2")
+                raise ValueError("spin operators need dimension 2")
             m = np.array([[0, 1], [0, 0]], dtype=complex)
         elif self.kind is Kind.SIGMA_Z:
             if dim != 2:
-                raise ValueError("spin kernels need dimension 2")
+                raise ValueError("spin operators need dimension 2")
             m = np.diag([-1.0 + 0j, 1.0 + 0j])
         else:
             i, j = self.levels
@@ -316,7 +220,7 @@ class OperatorExpr:
 
     # hook for StateVector.__imul__
     def apply_to_state(self, psi: StateVector, t: float = 0.0):
-        _apply_node(self, psi.as2d(), psi.freedoms, t)
+        apply_in_place(self, psi, t)
 
 
 @dataclass(frozen=True)
@@ -433,71 +337,221 @@ def transition(freedom: int, i: int, j: int) -> Primary:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation to offset diagonals.  While compiling, an operator is a dict
+# {time-function tuple: {offset: diagonal}} with full-length diagonals that
+# are zero wherever the source index i + offset falls outside the block.
 
 
-def _apply_node(node, amps2d, freedoms, t):
-    """Evaluate `node` on the (B, N) buffer in place."""
-    z = None
-    while True:
-        if isinstance(node, ScalarMul):
-            z = node.scalar if z is None else z * node.scalar
-            node = node.child
-        elif isinstance(node, TimeFnMul):
-            w = complex(node.fn(t))
-            z = w if z is None else z * w
-            node = node.child
-        else:
-            break
-
-    if isinstance(node, Primary):
-        node.op.apply_to(amps2d, freedoms, node.conj, t)
-    elif isinstance(node, Product):
-        for child in reversed(node.children):
-            _apply_node(child, amps2d, freedoms, t)
-    elif isinstance(node, Power):
-        for _ in range(node.k):
-            _apply_node(node.child, amps2d, freedoms, t)
-    elif isinstance(node, Sum):
-        cs = node.children
-        if len(cs) == 1:
-            _apply_node(cs[0], amps2d, freedoms, t)
-        else:
-            # one pristine copy of the input; the final term reuses it as its
-            # own workspace, intermediate terms share one scratch buffer
-            original = amps2d.copy()
-            _apply_node(cs[0], amps2d, freedoms, t)
-            if len(cs) > 2:
-                scratch = np.empty_like(amps2d)
-                for child in cs[1:-1]:
-                    np.copyto(scratch, original)
-                    _apply_node(child, scratch, freedoms, t)
-                    amps2d += scratch
-            _apply_node(cs[-1], original, freedoms, t)
-            amps2d += original
+def _shifted(v: np.ndarray, s: int) -> np.ndarray:
+    """w[i] = v[i + s], zero where i + s falls outside v."""
+    if s == 0:
+        return v
+    w = np.zeros_like(v)
+    if s > 0:
+        w[:-s] = v[s:]
     else:
-        raise TypeError(f"not an operator expression: {node!r}")
+        w[-s:] = v[:s]
+    return w
 
-    if z is not None and z != 1:
-        amps2d *= z
+
+def _matrix_elements(dim: int, elements) -> dict:
+    bands = {}
+    for row, col, value in elements:
+        if row < dim and col < dim:
+            bands.setdefault(col - row, np.zeros(dim, dtype=complex))[row] += value
+    return bands
+
+
+def _primary_bands(op: PrimaryOperator, dim: int, c: complex, hc: bool) -> dict:
+    """{offset: diagonal} of a primary on `dim` used levels with center c."""
+    lower = _sqrt_ladder(dim).astype(complex)     # sqrt(n): <n|a+|n-1>
+    upper = _shifted(lower, 1)                     # sqrt(n+1): <n|a|n+1>
+    kind = op.kind
+    if kind is Kind.DESTROY:
+        bands = {1: upper}
+        if c:
+            bands[0] = np.full(dim, c)
+    elif kind is Kind.NUMBER:
+        bands = {0: np.arange(dim) + (abs(c) ** 2 + 0j)}
+        if c:
+            bands[-1] = c * lower
+            bands[1] = np.conj(c) * upper
+    elif kind is Kind.POSITION:
+        bands = {-1: lower / _SQRT2, 1: upper / _SQRT2}
+        if c.real:
+            bands[0] = np.full(dim, _SQRT2 * c.real + 0j)
+    elif kind is Kind.MOMENTUM:
+        bands = {-1: lower * (1j / _SQRT2), 1: upper * (-1j / _SQRT2)}
+        if c.imag:
+            bands[0] = np.full(dim, _SQRT2 * c.imag + 0j)
+    elif kind is Kind.SIGMA_PLUS:
+        bands = _matrix_elements(dim, ((1, 0, 1.0),))
+    elif kind is Kind.SIGMA_MINUS:
+        bands = _matrix_elements(dim, ((0, 1, 1.0),))
+    elif kind is Kind.SIGMA_Z:
+        bands = _matrix_elements(dim, ((0, 0, -1.0), (1, 1, 1.0)))
+    else:
+        i, j = op.levels
+        bands = _matrix_elements(dim, ((i, j, 1.0),))
+    if hc:
+        # <n+o|M+|n> = conj(<n|M|n+o>): offset o becomes -o, rows shift by o
+        bands = {-o: _shifted(d, -o).conj() for o, d in bands.items()}
+    return bands
+
+
+def _add_terms(acc: dict, terms: dict):
+    for fns, bands in terms.items():
+        into = acc.setdefault(fns, {})
+        for o, d in bands.items():
+            into[o] = into[o] + d if o in into else d
+
+
+def _mul_terms(a: dict, b: dict, size: int) -> dict:
+    """Terms of the matrix product a @ b."""
+    out = {}
+    for fa, ba in a.items():
+        for fb, bb in b.items():
+            into = out.setdefault(fa + fb, {})
+            for oa, da in ba.items():
+                for ob, db in bb.items():
+                    o = oa + ob
+                    if abs(o) >= size:
+                        continue
+                    v = da * _shifted(db, oa)
+                    into[o] = into[o] + v if o in into else v
+    return out
+
+
+def _compile_node(node, basis, size) -> dict:
+    if isinstance(node, Primary):
+        k = node.op.freedom
+        if k >= len(basis):
+            raise ValueError(f"freedom {k} out of range for {len(basis)}-freedom state")
+        ptype, dim, center = basis[k]
+        if ptype is not node.op.ptype:
+            raise TypeError(
+                f"{node.op.kind.name} acts on {node.op.ptype.value} freedoms, "
+                f"freedom {k} is {ptype.value}")
+        stride = math.prod(b[1] for b in basis[k + 1:])
+        outer = size // (dim * stride)
+        bands = {}
+        for o, d in _primary_bands(node.op, dim, center, node.conj).items():
+            bands[o * stride] = np.broadcast_to(
+                d[None, :, None], (outer, dim, stride)).reshape(size)
+        return {(): bands}
+    if isinstance(node, Sum):
+        acc = {}
+        for child in node.children:
+            _add_terms(acc, _compile_node(child, basis, size))
+        return acc
+    if isinstance(node, Product):
+        acc = _compile_node(node.children[0], basis, size)
+        for child in node.children[1:]:
+            acc = _mul_terms(acc, _compile_node(child, basis, size), size)
+        return acc
+    if isinstance(node, ScalarMul):
+        z = node.scalar
+        terms = _compile_node(node.child, basis, size)
+        return {fns: {o: z * d for o, d in bands.items()} for fns, bands in terms.items()}
+    if isinstance(node, TimeFnMul):
+        terms = _compile_node(node.child, basis, size)
+        return {(node.fn,) + fns: bands for fns, bands in terms.items()}
+    if isinstance(node, Power):
+        base = _compile_node(node.child, basis, size)
+        acc = base
+        for _ in range(node.k - 1):
+            acc = _mul_terms(acc, base, size)
+        return acc
+    raise TypeError(f"not an operator expression: {node!r}")
+
+
+class DiagonalOperator:
+    """An operator compiled for one basis: offset diagonals over the used block.
+
+    `groups` holds (time functions, bands) pairs; a group's sweep is scaled by
+    the product of its functions at the time of application.  Each band is
+    (out index, in index, d) and adds d * y[in index] to out[out index], with
+    the indices selecting columns lo:hi and lo+offset:hi+offset of a block.
+    """
+
+    __slots__ = ("size", "groups")
+
+    def __init__(self, size: int, groups: tuple):
+        self.size = size
+        self.groups = groups
+
+    @classmethod
+    def compile(cls, expr: OperatorExpr, freedoms) -> "DiagonalOperator":
+        """Compile expr for the used dimensions and centers of freedoms (no cache)."""
+        basis = basis_of(freedoms)
+        size = math.prod(b[1] for b in basis)
+        return cls(size, _groups(_compile_node(expr, basis, size), size))
+
+    def apply(self, y: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """Return the operator applied to every row of a (B, size) block."""
+        if y.ndim != 2 or y.shape[1] != self.size:
+            raise ValueError(f"expected a (B, {self.size}) used block, got shape {y.shape}")
+        out = np.zeros(y.shape, dtype=complex)
+        for fns, bands in self.groups:
+            part = np.zeros(y.shape, dtype=complex) if fns else out
+            for ix_out, ix_in, d in bands:
+                part[ix_out] += d * y[ix_in]
+            if fns:
+                part *= math.prod(complex(fn(t)) for fn in fns)
+                out += part
+        return out
+
+
+def _groups(terms: dict, size: int) -> tuple:
+    """Trim each diagonal to its nonzero span and turn offsets into slices."""
+    groups = []
+    for fns, bands in terms.items():
+        kept = []
+        for o in sorted(bands):
+            d = bands[o]
+            lo, hi = max(0, -o), min(size, size - o)
+            nz = np.flatnonzero(d[lo:hi])
+            if nz.size:
+                lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
+                kept.append(((slice(None), slice(lo, hi)),
+                             (slice(None), slice(lo + o, hi + o)), np.array(d[lo:hi])))
+        if kept:
+            groups.append((fns, tuple(kept)))
+    return tuple(groups)
+
+
+def compile_operator(expr: OperatorExpr, freedoms) -> DiagonalOperator:
+    """Compiled form of expr for the used dimensions and centers of freedoms.
+
+    The expression keeps the compiled form of the last basis it was compiled
+    for, so repeated application in one basis compiles once.
+    """
+    basis = basis_of(freedoms)
+    hit = getattr(expr, "_compiled", None)
+    if hit is not None and hit[0] == basis:
+        return hit[1]
+    op = DiagonalOperator.compile(expr, freedoms)
+    # expression nodes are frozen; the cache is not part of their value
+    object.__setattr__(expr, "_compiled", (basis, op))
+    return op
+
+
+def apply_in_place(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:
+    """Overwrite psi with expr|psi>; amplitudes outside the used block stay zero."""
+    amps = psi.as2d()
+    out = compile_operator(expr, psi.freedoms).apply(used_block(amps, psi.freedoms), t)
+    set_used_block(amps, psi.freedoms, out)
+    return psi
 
 
 def apply(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:
     """Return expr|psi> as a new state."""
-    out = psi.copy()
-    _apply_node(expr, out.as2d(), out.freedoms, t)
-    return out
-
-
-def apply_in_place(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:
-    """Overwrite psi with expr|psi>; a bare primary touches no temporaries."""
-    _apply_node(expr, psi.as2d(), psi.freedoms, t)
-    return psi
+    return apply_in_place(expr, psi.copy(), t)
 
 
 # ---------------------------------------------------------------------------
-# Dense route, built from matrices rather than kernels so the two can be
-# checked against each other.
+# Dense route, built from matrices (PrimaryOperator.dense, np.kron) rather
+# than diagonals so the two can be checked against each other.
 
 
 def _embed(m: np.ndarray, dims, k: int) -> np.ndarray:

@@ -7,9 +7,12 @@ state diffusion adds complex Wiener increments, the jump flavors decide at
 most one jump per coarse step from probabilities evaluated at the step
 start.  Every step ends renormalized.
 
-All stepping code operates on (B, N) amplitude buffers so a whole ensemble
-advances in lockstep through exactly the arithmetic a single trajectory
-(B = 1) would perform.
+All stepping code operates on (B, N) used blocks -- the amplitudes inside
+every freedom's used dimension, flattened -- so a whole ensemble advances in
+lockstep through exactly the arithmetic a single trajectory (B = 1) would
+perform, and a trajectory on a truncated basis does no work on the slots it
+does not use.  The drift applies the compiled effective generator
+-iH - 1/2 sum_j L_j+ L_j once and each compiled L_j once.
 """
 
 from __future__ import annotations
@@ -21,14 +24,23 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import StateVector, row_dot, row_norm, row_norm2
-from .operators import OperatorExpr, _apply_node
+from .hilbert import (
+    StateVector,
+    basis_of,
+    row_dot,
+    row_norm,
+    row_norm2,
+    set_used_block,
+    used_block,
+)
+from .operators import DiagonalOperator, OperatorExpr, Sum
 
 __all__ = [
     "Unraveling",
     "ModelOperators",
     "NoiseSource",
     "StepStats",
+    "StepError",
     "IntegratorConfig",
     "drift",
     "rk4_step",
@@ -62,7 +74,11 @@ class Unraveling(Enum):
 
 
 class ModelOperators:
-    """Hamiltonian (may be None) and Lindblad operators, with cached adjoints."""
+    """Hamiltonian (may be None) and Lindblad operators.
+
+    h_eff is the generator of the non-Hermitian evolution,
+    -iH - 1/2 sum_j L_j+ L_j (None for a model with neither H nor L_j).
+    """
 
     def __init__(self, hamiltonian, lindblads=()):
         if hamiltonian is not None and not isinstance(hamiltonian, OperatorExpr):
@@ -72,8 +88,24 @@ class ModelOperators:
         for l in self.lindblads:
             if not isinstance(l, OperatorExpr):
                 raise TypeError("lindblads must be operator expressions")
-        self.lindblads_hc = tuple(l.hc() for l in self.lindblads)
-        self.lindblad_sq = tuple(lhc * l for lhc, l in zip(self.lindblads_hc, self.lindblads))
+        terms = [-0.5 * (l.hc() * l) for l in self.lindblads]
+        if hamiltonian is not None:
+            terms.insert(0, -1j * hamiltonian)
+        self.h_eff = Sum(tuple(terms)) if terms else None
+        self._compiled = (None, None, ())
+
+    def compiled(self, freedoms):
+        """(h_eff or None, [L_j]) compiled for the basis of freedoms.
+
+        Only the most recent basis is kept, so a moving basis holds one
+        compiled set at a time.
+        """
+        basis = basis_of(freedoms)
+        if basis != self._compiled[0]:
+            compile_ = DiagonalOperator.compile
+            h_eff = None if self.h_eff is None else compile_(self.h_eff, freedoms)
+            self._compiled = (basis, h_eff, [compile_(l, freedoms) for l in self.lindblads])
+        return self._compiled[1:]
 
     @property
     def n_lindblads(self) -> int:
@@ -100,6 +132,14 @@ class NoiseSource:
         return self._rng.random(nsteps)
 
 
+class StepError(RuntimeError):
+    """A step failed in one row of the batch; row is the first failing row."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass
 class StepStats:
     substeps: int = 0
@@ -116,47 +156,46 @@ class StepStats:
 
 
 def _drift2d(y, freedoms, model, unraveling, t):
-    """Deterministic derivative of the unraveling on a (B, N) buffer.
+    """Deterministic derivative of the unraveling on a (B, N) used block.
 
     Expectations are evaluated once per call on the input and divided by the
     squared norm, so slightly unnormalized intermediate states (as produced
     inside RK stages) still see the correct nonlinear coefficients.
     """
-    out = np.zeros_like(y)
+    h_eff, lindblads = model.compiled(freedoms)
+    out = np.zeros_like(y) if h_eff is None else h_eff.apply(y, t)
+    if not lindblads:
+        return out
     n2 = row_norm2(y)
     n2 = np.where(n2 > 0.0, n2, 1.0)
-    if model.hamiltonian is not None:
-        work = y.copy()
-        _apply_node(model.hamiltonian, work, freedoms, t)
-        out += -1j * work
-    for l_expr, lhc_expr in zip(model.lindblads, model.lindblads_hc):
-        ly = y.copy()
-        _apply_node(l_expr, ly, freedoms, t)
-        ll = row_norm2(ly) / n2  # <L+L>
-        if unraveling is not Unraveling.JUMP:
-            lexp = row_dot(y, ly) / n2  # <L>
-        ldly = ly.copy()
-        _apply_node(lhc_expr, ldly, freedoms, t)
+    coef = np.zeros(y.shape[0])  # per-row multiple of y, added once at the end
+    for l_op in lindblads:
+        ly = l_op.apply(y, t)
+        if unraveling is Unraveling.JUMP:
+            coef += 0.5 * (row_norm2(ly) / n2)  # 1/2 <L+L>
+            continue
+        lexp = row_dot(y, ly) / n2  # <L>
+        out += np.conj(lexp)[:, None] * ly
         if unraveling is Unraveling.QSD:
-            out += np.conj(lexp)[:, None] * ly
-            out -= 0.5 * ldly
-            out -= (0.5 * np.abs(lexp) ** 2)[:, None] * y
-        elif unraveling is Unraveling.JUMP:
-            out -= 0.5 * ldly
-            out += (0.5 * ll)[:, None] * y
+            coef -= 0.5 * np.abs(lexp) ** 2
         else:  # orthogonal jumps
-            out += np.conj(lexp)[:, None] * ly
-            out -= 0.5 * ldly
-            out += (0.5 * ll - np.abs(lexp) ** 2)[:, None] * y
+            coef += 0.5 * (row_norm2(ly) / n2) - np.abs(lexp) ** 2
+    out += coef[:, None] * y
+    return out
+
+
+def _with_block(psi, y):
+    """A state in the basis of psi whose used block is y."""
+    out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
+    set_used_block(out.as2d(), out.freedoms, y)
     return out
 
 
 def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
           t: float = 0.0) -> StateVector:
     """Deterministic part of d|psi>/dt for the given unraveling."""
-    out = psi.copy()
-    out.amps = _drift2d(psi.as2d(), psi.freedoms, model, unraveling, t).reshape(-1)
-    return out
+    y = used_block(psi.as2d(), psi.freedoms)
+    return _with_block(psi, _drift2d(y, psi.freedoms, model, unraveling, t))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +304,15 @@ class IntegratorConfig:
 # Steppers
 
 
+def _first_row(mask) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
 def _normalize_rows(y):
     n = row_norm(y)
-    if np.any(n < NORM_COLLAPSE):
-        raise RuntimeError("state norm collapsed during a step")
+    collapsed = n < NORM_COLLAPSE
+    if collapsed.any():
+        raise StepError("state norm collapsed during a step", _first_row(collapsed))
     y /= n[:, None]
     return y
 
@@ -306,9 +350,9 @@ class QsdStepper(_StepperBase):
         y, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(y)
         n2 = np.where(n2 > 0.0, n2, 1.0)
-        for j, l_expr in enumerate(self.model.lindblads):
-            ly = y.copy()
-            _apply_node(l_expr, ly, freedoms, t + self.dt)
+        _, lindblads = self.model.compiled(freedoms)
+        for j, l_op in enumerate(lindblads):
+            ly = l_op.apply(y, t + self.dt)
             lexp = row_dot(y, ly) / n2
             y = y + (ly - lexp[:, None] * y) * dxi[:, j][:, None]
         _normalize_rows(y)
@@ -334,9 +378,9 @@ class JumpStepper(_StepperBase):
         lexps = []
         n2 = row_norm2(y)
         n2 = np.where(n2 > 0.0, n2, 1.0)
-        for j, l_expr in enumerate(self.model.lindblads):
-            ly = y.copy()
-            _apply_node(l_expr, ly, freedoms, t)
+        _, lindblads = self.model.compiled(freedoms)
+        for j, l_op in enumerate(lindblads):
+            ly = l_op.apply(y, t)
             lys.append(ly)
             ll = row_norm2(ly) / n2
             if self.lam:
@@ -347,7 +391,8 @@ class JumpStepper(_StepperBase):
                 p = ll * self.dt
             lexps.append(lexp)
             if np.any(p < P_NEGATIVE):
-                raise RuntimeError("negative jump probability; expectation evaluation is broken")
+                raise StepError("negative jump probability; expectation evaluation is broken",
+                                _first_row(p < P_NEGATIVE))
             probs[:, j] = np.maximum(p, 0.0)
         return probs, lys, lexps
 
@@ -357,8 +402,8 @@ class JumpStepper(_StepperBase):
         ptot = probs.sum(axis=1)
         pmax = float(ptot.max()) if ptot.size else 0.0
         if pmax > P_ERROR:
-            raise RuntimeError(
-                f"total jump probability {pmax:.3g} exceeds {P_ERROR}; reduce dt")
+            raise StepError(f"total jump probability {pmax:.3g} exceeds {P_ERROR}; reduce dt",
+                            _first_row(ptot > P_ERROR))
         if pmax > P_WARN and not self._warned:
             warnings.warn(f"total jump probability {pmax:.3g} exceeds {P_WARN}; "
                           "consider a smaller dt", RuntimeWarning, stacklevel=2)
@@ -379,7 +424,7 @@ class JumpStepper(_StepperBase):
                     row -= lexps[j][b] * y[b:b + 1]
                 nrm = row_norm(row)
                 if nrm[0] < NORM_COLLAPSE:
-                    raise RuntimeError("jump produced a zero-norm state")
+                    raise StepError("jump produced a zero-norm state", int(b))
                 out[b:b + 1] = row / nrm[:, None]
         return out, StepStats(substeps=nsub, jumps=int(jump_rows.size))
 
@@ -399,10 +444,7 @@ def qsd_step(psi: StateVector, model: ModelOperators, dt: float, noise: NoiseSou
     """Advance one state by one QSD coarse step; returns (psi', stats)."""
     stepper = QsdStepper(model, dt, integrator)
     dxi = noise.wiener(1, model.n_lindblads, dt)
-    y, stats = stepper.step(psi.as2d(), psi.freedoms, t, dxi)
-    out = psi.copy()
-    out.amps = np.ascontiguousarray(y.reshape(-1))
-    return out, stats
+    return _step_state(stepper, psi, t, dxi)
 
 
 def jump_step(psi: StateVector, model: ModelOperators, dt: float, noise: NoiseSource,
@@ -410,8 +452,9 @@ def jump_step(psi: StateVector, model: ModelOperators, dt: float, noise: NoiseSo
               integrator: IntegratorConfig = IntegratorConfig()):
     """Advance one state by one jump coarse step; returns (psi', stats)."""
     stepper = JumpStepper(model, dt, lam=lam, integrator=integrator)
-    u = noise.uniforms(1)
-    y, stats = stepper.step(psi.as2d(), psi.freedoms, t, u)
-    out = psi.copy()
-    out.amps = np.ascontiguousarray(y.reshape(-1))
-    return out, stats
+    return _step_state(stepper, psi, t, noise.uniforms(1))
+
+
+def _step_state(stepper, psi, t, noise):
+    y, stats = stepper.step(used_block(psi.as2d(), psi.freedoms), psi.freedoms, t, noise)
+    return _with_block(psi, y), stats

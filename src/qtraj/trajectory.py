@@ -15,7 +15,13 @@ Ensembles run their trajectories in lockstep on one (B, N) buffer whenever
 the configuration allows it (fixed RK4, no moving basis); otherwise
 trajectories run one at a time.  Both orders consume per-trajectory noise
 streams derived from (seed, trajectory index), so they produce identical
-results and may be mixed freely.
+results and may be mixed freely.  A failing step names its trajectory index,
+which is also its noise stream index.
+
+Steppers and observables see only the used block of a state; a trajectory
+on a truncated basis gathers it before each step and writes the result back
+afterwards, so its arithmetic scales with the used dimensions rather than
+the allocated ones.
 """
 
 from __future__ import annotations
@@ -26,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ATOM, FIELD, StateVector, row_dot
+from .hilbert import ATOM, FIELD, StateVector, row_dot, set_used_block, used_block
 from .moving_basis import MovingBasisParams, adjust_cutoff, recenter
-from .operators import OperatorExpr, _apply_node
+from .operators import OperatorExpr, compile_operator
 from .steppers import (
     IntegratorConfig,
     ModelOperators,
     NoiseSource,
+    StepError,
     StepStats,
     Unraveling,
     make_stepper,
@@ -136,18 +143,17 @@ class EnsembleResult:
 # Observables
 
 
-def _observe(amps2d, freedoms, ops, t):
-    """Per-row <O> and <O^2>-<O>^2 for each operator; (n_ops, B) arrays."""
+def _observe(y, freedoms, ops, t):
+    """Per-row <O> and <O^2>-<O>^2 of a (B, N) used block; (n_ops, B) arrays."""
     n_ops = len(ops)
-    b = amps2d.shape[0]
+    b = y.shape[0]
     exps = np.zeros((n_ops, b), dtype=complex)
     vars_ = np.zeros((n_ops, b), dtype=complex)
     for i, op in enumerate(ops):
-        phi = amps2d.copy()
-        _apply_node(op, phi, freedoms, t)
-        e = row_dot(amps2d, phi)
-        _apply_node(op, phi, freedoms, t)
-        e2 = row_dot(amps2d, phi)
+        compiled = compile_operator(op, freedoms)
+        phi = compiled.apply(y, t)
+        e = row_dot(y, phi)
+        e2 = row_dot(y, compiled.apply(phi, t))
         exps[i] = e
         vars_[i] = e2 - e * e
     return exps, vars_
@@ -155,14 +161,13 @@ def _observe(amps2d, freedoms, ops, t):
 
 def expectation(op: OperatorExpr, psi: StateVector, t: float = 0.0) -> complex:
     """<psi|O|psi> (psi need not be normalized; no implicit division)."""
-    phi = psi.copy()
-    _apply_node(op, phi.as2d(), phi.freedoms, t)
-    return complex(row_dot(psi.as2d(), phi.as2d())[0])
+    y = used_block(psi.as2d(), psi.freedoms)
+    return complex(row_dot(y, compile_operator(op, psi.freedoms).apply(y, t))[0])
 
 
 def variance(op: OperatorExpr, psi: StateVector, t: float = 0.0) -> complex:
     """<O^2> - <O>^2; complex in general for non-Hermitian O."""
-    e, v = _observe(psi.as2d(), psi.freedoms, (op,), t)
+    e, v = _observe(used_block(psi.as2d(), psi.freedoms), psi.freedoms, (op,), t)
     return complex(v[0, 0])
 
 
@@ -199,8 +204,9 @@ def _maintain_basis(psi, moving):
             adjust_cutoff(psi, k, moving.cutoff_epsilon, moving.pad_size)
 
 
-def _run_one(psi0, model, cfg, outspec, noise):
-    """One trajectory, one state at a time; supports moving bases."""
+def _run_one(psi0, model, cfg, outspec, stream):
+    """Trajectory `stream` (its noise stream index) alone; supports moving bases."""
+    noise = NoiseSource(cfg.seed, stream)
     psi = psi0.copy()
     _check_normalized(psi)
     _validate_moving(cfg.moving, psi.freedoms)
@@ -215,7 +221,11 @@ def _run_one(psi0, model, cfg, outspec, noise):
     subs = np.zeros(nk + 1, dtype=np.int64)
     jumps = 0
 
-    e, v = _observe(psi.as2d(), psi.freedoms, outspec.operators, 0.0)
+    def observe(t):
+        return _observe(used_block(psi.as2d(), psi.freedoms), psi.freedoms,
+                        outspec.operators, t)
+
+    e, v = observe(0.0)
     exps[:, 0] = e[:, 0]
     vars_[:, 0] = v[:, 0]
     sizes[0] = psi.basis_size()
@@ -228,17 +238,19 @@ def _run_one(psi0, model, cfg, outspec, noise):
         acc = StepStats()
         for s in range(cfg.numdts):
             t = step_index * cfg.dt
+            amps = psi.as2d()
             try:
-                y, stats = stepper.step(psi.as2d(), psi.freedoms, t, block[s:s + 1])
+                y, stats = stepper.step(used_block(amps, psi.freedoms), psi.freedoms, t,
+                                        block[s:s + 1])
             except RuntimeError as err:
-                raise RuntimeError(f"trajectory failed at t={t:.6g}: {err}") from err
-            psi.amps = np.ascontiguousarray(y.reshape(-1))
+                raise RuntimeError(f"trajectory {stream} failed at t={t:.6g}: {err}") from err
+            set_used_block(amps, psi.freedoms, y)
             step_index += 1
             acc += stats
             if maintain:
                 _maintain_basis(psi, moving)
         t = step_index * cfg.dt
-        e, v = _observe(psi.as2d(), psi.freedoms, outspec.operators, t)
+        e, v = observe(t)
         exps[:, k] = e[:, 0]
         vars_[:, k] = v[:, 0]
         sizes[k] = psi.basis_size()
@@ -250,11 +262,11 @@ def _run_one(psi0, model, cfg, outspec, noise):
 
 
 def _run_lockstep(psi0, model, cfg, outspec):
-    """All trajectories advance together on one (B, N) buffer."""
+    """All trajectories advance together on one (B, N) used block."""
     _check_normalized(psi0)
     b = cfg.n_trajectories
-    amps = np.tile(psi0.amps, (b, 1))
     freedoms = [f.copy() for f in psi0.freedoms]
+    amps = np.tile(used_block(psi0.as2d(), freedoms), (b, 1))
     stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator)
     sources = [NoiseSource(cfg.seed, i) for i in range(b)]
     m = model.n_lindblads
@@ -279,6 +291,9 @@ def _run_lockstep(psi0, model, cfg, outspec):
             t = step_index * cfg.dt
             try:
                 amps, stats = stepper.step(amps, freedoms, t, blocks[:, s])
+            except StepError as err:
+                raise RuntimeError(f"ensemble failed at t={t:.6g} in trajectory {err.row}: "
+                                   f"{err}") from err
             except RuntimeError as err:
                 raise RuntimeError(f"ensemble failed at t={t:.6g}: {err}") from err
             if not amps.flags.c_contiguous:
@@ -378,8 +393,7 @@ def _emit(lines, stream):
 def run_single(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
                outspec: OutputSpec, stream=None) -> SingleResult:
     """Run one trajectory (noise stream index 0) and write its outputs."""
-    noise = NoiseSource(cfg.seed, 0)
-    times, exps, vars_, sizes, subs, jumps = _run_one(psi0, model, cfg, outspec, noise)
+    times, exps, vars_, sizes, subs, jumps = _run_one(psi0, model, cfg, outspec, 0)
     lines = _stdout_lines(times, exps, vars_, sizes, subs, outspec.pipe)
     _write_files(outspec, times, exps, vars_)
     _emit(lines, stream)
@@ -421,8 +435,7 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
         jumps = np.zeros(b, dtype=np.int64)
         times = None
         for i in range(b):
-            noise = NoiseSource(cfg.seed, i)
-            times, exps, vars_, szs, sb, jm = _run_one(psi0, model, cfg, outspec, noise)
+            times, exps, vars_, szs, sb, jm = _run_one(psi0, model, cfg, outspec, i)
             wexp.update(exps)
             wvar.update(vars_)
             np.maximum(sizes, szs, out=sizes)

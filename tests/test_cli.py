@@ -183,3 +183,28 @@ def test_module_entry_point(atom_model, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 2
+
+
+def test_moving_basis_flags_need_a_moving_count(atom_model, tmp_path, capsys):
+    # same rule and message as the model file's run section
+    for flag, value in (("--cutoff-epsilon", "0.05"), ("--pad", "3"),
+                        ("--shift-accuracy", "1e-5")):
+        rc = main(["run", "--model", atom_model, "--out-dir", str(tmp_path), flag, value])
+        assert rc == 2
+        assert "moving-basis keys need 'moving = <count>'" in capsys.readouterr().err
+    rc = main(["run", "--model", atom_model, "--out-dir", str(tmp_path),
+               "--moving", "0", "--cutoff-epsilon", "0.05"])
+    assert rc == 0
+
+
+def test_cli_run_does_not_import_scipy(atom_model, tmp_path):
+    # scipy is a test dependency only; importing it would dominate start-up
+    code = ("import sys\n"
+            "from qtraj import cli\n"
+            "rc = cli.main(['run', '--model', sys.argv[1], '--out-dir', sys.argv[2],"
+            " '--numsteps', '1'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code, atom_model, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

@@ -1,14 +1,16 @@
-"""Primary kernels and expression trees against an independent dense route.
+"""Primary operators and expression trees against an independent dense route.
 
-Every kernel and tree shape is cross-checked by building the same operator
+Every primary and tree shape is cross-checked by building the same operator
 as an explicit matrix (np.diag / np.kron) and comparing matrix @ vec with
-the strided in-place application.
+the application of the compiled offset diagonals.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtraj
 from qtraj import (
@@ -32,6 +34,7 @@ from qtraj import (
     to_dense,
     transition,
 )
+from qtraj.hilbert import used_view
 from qtraj.operators import MAX_POWER, Power, Primary, Product, ScalarMul, Sum, TimeFnMul
 
 
@@ -288,3 +291,68 @@ def test_random_trees_adjoint_identity():
         rhs = np.conj(psi.inner(apply(expr.hc(), phi)))
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+# --- compiled form on truncated, displaced bases (property test) ------------
+#
+# Freedoms: field (alloc 4), atom (alloc 3), spin, field (alloc 4).  Trees
+# are applied with used dims below the allocation and nonzero field centers,
+# the case a moving-basis trajectory runs, and compared with to_dense on the
+# used dims.  The same tree is then applied in a second basis and at a second
+# time, so a stale compiled form or a stale time factor would show.
+
+_PROP_ALLOC = (4, 3, 2, 4)
+_PROP_LEAVES = (
+    destroy(0), create(0), number(0), position(0), momentum(0),
+    transition(1, 0, 1), transition(1, 2, 0), sigma_plus(2), sigma_minus(2),
+    sigma_z(2), destroy(3), create(3), number(3), position(3), momentum(3),
+)
+_TIME_FNS = (lambda t: math.cos(2.0 * t), lambda t: (0.5 - 1.0j) * t + 0.25j)
+
+_scalars = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda p: p[0] + p[1]),
+        st.tuples(children, children).map(lambda p: p[0] * p[1]),
+        st.tuples(_scalars, children).map(lambda p: ScalarMul(p[0], p[1])),
+        st.tuples(st.sampled_from(_TIME_FNS), children).map(lambda p: TimeFnMul(*p)),
+        st.tuples(children, st.integers(1, 3)).map(lambda p: p[0] ** p[1]),
+        children.map(lambda e: e.hc()),
+    )
+
+
+_trees = st.recursive(st.sampled_from(_PROP_LEAVES), _extend, max_leaves=6)
+_centers = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                              allow_nan=False, allow_infinity=False)
+
+
+def _check_against_dense(expr, used, centers, t, rng):
+    frs = [FreedomSpec(FIELD, 4, used[0], centers[0]), FreedomSpec(ATOM, 3, used[1]),
+           FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 4, used[2], centers[1])]
+    dims = tuple(f.dim_used for f in frs)
+    block = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    psi = StateVector(frs, np.zeros(math.prod(_PROP_ALLOC), dtype=complex))
+    used_view(psi.as2d(), psi.freedoms)[0] = block
+    out = apply(expr, psi, t)
+    got = used_view(out.as2d(), out.freedoms)[0].reshape(-1)
+    mat = to_dense(expr, dims, (centers[0], 0, 0, centers[1]), t)
+    want = mat @ block.reshape(-1)
+    scale = 1.0 + np.abs(mat).sum(axis=1).max() * np.abs(block).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    rest = out.as2d().copy()
+    used_view(rest, frs)[...] = 0
+    assert not rest.any()  # slots outside the used block stay zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=_trees, used=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       centers=st.tuples(_centers, _centers), times=st.sampled_from(((0.0, 0.7), (1.3, -0.4))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_matches_dense_on_truncated_displaced_basis(expr, used, centers, times, seed):
+    rng = np.random.default_rng(seed)
+    _check_against_dense(expr, used, centers, times[0], rng)
+    _check_against_dense(expr, used, centers, times[1], rng)
+    moved = (centers[0] + 0.25, centers[1] - 0.5j)
+    _check_against_dense(expr, (used[0] + 1, used[1], used[2]), moved, times[0], rng)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qtraj import (
     FIELD,
     SPIN,
+    ATOM,
     FreedomSpec,
     IntegratorConfig,
     ModelOperators,
@@ -28,8 +30,10 @@ from qtraj import (
     run_single,
     sigma_minus,
     sigma_plus,
+    transition,
     variance,
 )
+from qtraj.trajectory import _run_one
 
 
 def damped_cavity(dim=6, gamma=0.5):
@@ -244,6 +248,63 @@ def test_lockstep_equals_serial_exactly(unr):
     assert np.array_equal(lock.se_im, ser.se_im)
     assert np.array_equal(lock.jumps_per_trajectory, ser.jumps_per_trajectory)
     assert lock.stdout_lines == ser.stdout_lines
+
+
+@pytest.mark.parametrize("unr", list(Unraveling))
+def test_lockstep_equals_serial_jaynes_cummings(unr):
+    # two freedoms with a Hamiltonian: the construction of acceptance 2, N=16
+    g, gam = 0.5, 0.25
+    h = g * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1))
+    model = ModelOperators(h, [math.sqrt(2 * gam) * destroy(1)])
+    psi = product_state([basis_state(2, 1, SPIN), basis_state(8, 0)])
+    spec = OutputSpec(operators=(number(1), sigma_plus(0) * sigma_minus(0)))
+    cfg = RunConfig(dt=0.01, numdts=30, numsteps=10, seed=23, n_trajectories=16,
+                    unraveling=unr)
+    lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
+    ser = run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
+    assert np.array_equal(lock.mean_expectations, ser.mean_expectations)
+    assert np.array_equal(lock.mean_variances, ser.mean_variances)
+    assert np.array_equal(lock.se_re, ser.se_re)
+    assert np.array_equal(lock.se_im, ser.se_im)
+    assert np.array_equal(lock.jumps_per_trajectory, ser.jumps_per_trajectory)
+    assert lock.stdout_lines == ser.stdout_lines
+    if unr is not Unraveling.QSD:
+        assert lock.jumps_per_trajectory.sum() > 0
+
+
+def test_failures_name_the_trajectory():
+    # level 1 decays to level 0 with p = 0.05 per step; level 0 is pumped to
+    # level 2 with p = 0.6, so the step after a trajectory's first jump fails
+    dt = 0.1
+    model = ModelOperators(None, [math.sqrt(0.5) * transition(0, 0, 1),
+                                  math.sqrt(6.0) * transition(0, 2, 0)])
+    psi = basis_state(3, 1, ATOM)
+    spec = OutputSpec(operators=(transition(0, 0, 1),))
+    cfg = RunConfig(dt=dt, numdts=1, numsteps=20, seed=4, n_trajectories=8,
+                    unraveling=Unraveling.JUMP)
+
+    fail_at = {}  # trajectory -> time its own run fails, replayed alone
+    for i in range(cfg.n_trajectories):
+        try:
+            _run_one(psi, model, cfg, spec, i)
+        except RuntimeError as err:
+            m = re.match(rf"trajectory {i} failed at t=(\S+): total jump probability",
+                         str(err))
+            assert m, str(err)
+            fail_at[i] = float(m[1])
+    assert 0 < len(fail_at) < cfg.n_trajectories
+
+    with pytest.raises(RuntimeError) as lock_err:
+        run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
+    first = min(fail_at, key=lambda i: (fail_at[i], i))
+    assert re.match(rf"ensemble failed at t={fail_at[first]:.6g} in trajectory {first}: ",
+                    str(lock_err.value))
+
+    with pytest.raises(RuntimeError) as serial_err:
+        run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
+    lowest = min(fail_at)
+    assert str(serial_err.value).startswith(
+        f"trajectory {lowest} failed at t={fail_at[lowest]:.6g}: ")
 
 
 def test_auto_mode_picks_lockstep_result():
