@@ -2,33 +2,31 @@
 
 Exit codes: 0 success, 1 validation failure (non-Hermitian Hamiltonian,
 failed oracle comparison, a run aborting), 2 usage or parse errors.
-The default output directory comes from QTRAJ_OUT_DIR when --out-dir is
-not given.
+Run-key flags (--dt, --moving, --pipe, ...) override the model file's run
+section and are read and checked by the same rules, so an invalid value is
+a usage error as it would be in the file.  The default output directory
+comes from QTRAJ_OUT_DIR when --out-dir is not given.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from .modelfile import (
+    RUN_KEYS,
     ModelParseError,
     ModelValidationError,
     build_model,
+    override_run,
     parse_model,
     print_model,
 )
-from .moving_basis import MovingBasisParams
 from .oracle import compare_ensemble, oracle_expectations
-from .steppers import IntegratorConfig, Unraveling
-from .trajectory import OutputSpec, run_ensemble, run_single
+from .trajectory import run_ensemble, run_single
 
 __all__ = ["main"]
-
-_UNRAVELING_NAMES = {"qsd": Unraveling.QSD, "jump": Unraveling.JUMP,
-                     "orthojump": Unraveling.ORTHO_JUMP}
 
 
 def _build_parser():
@@ -42,23 +40,20 @@ def _build_parser():
     common.add_argument("--out-dir", default=None,
                         help="directory for output files "
                              "(default: $QTRAJ_OUT_DIR or current directory)")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--trajectories", type=int, default=None)
-    common.add_argument("--unraveling", choices=sorted(_UNRAVELING_NAMES),
-                        default=None)
-    common.add_argument("--dt", type=float, default=None)
-    common.add_argument("--numdts", type=int, default=None)
-    common.add_argument("--numsteps", type=int, default=None)
-    common.add_argument("--integrator", choices=("rk4", "adaptive"), default=None)
-    common.add_argument("--eps", type=float, default=None,
-                        help="adaptive integrator accuracy")
-    common.add_argument("--moving", type=int, default=None,
-                        help="number of leading field freedoms to recenter")
-    common.add_argument("--cutoff-epsilon", type=float, default=None)
-    common.add_argument("--pad", type=int, default=None)
-    common.add_argument("--shift-accuracy", type=float, default=None)
-    common.add_argument("--pipe", type=int, nargs=4, default=None,
-                        metavar=("C1", "C2", "C3", "C4"))
+    # run-key flags stay text: override_run checks them as run-section lines
+    common.add_argument("--seed")
+    common.add_argument("--trajectories")
+    common.add_argument("--unraveling", help="qsd, jump or orthojump")
+    common.add_argument("--dt")
+    common.add_argument("--numdts")
+    common.add_argument("--numsteps")
+    common.add_argument("--integrator", help="rk4 or adaptive")
+    common.add_argument("--eps", help="adaptive integrator accuracy")
+    common.add_argument("--moving", help="number of leading field freedoms to recenter")
+    common.add_argument("--cutoff-epsilon")
+    common.add_argument("--pad")
+    common.add_argument("--shift-accuracy")
+    common.add_argument("--pipe", nargs=4, metavar=("C1", "C2", "C3", "C4"))
 
     sub.add_parser("run", parents=[common],
                    help="single trajectory (noise stream 0)")
@@ -76,35 +71,6 @@ def _build_parser():
     return top
 
 
-def _apply_overrides(cfg, args):
-    repl = {}
-    for attr, key in (("dt", "dt"), ("numdts", "numdts"), ("numsteps", "numsteps"),
-                      ("trajectories", "n_trajectories"), ("seed", "seed")):
-        v = getattr(args, attr)
-        if v is not None:
-            repl[key] = v
-    if args.unraveling is not None:
-        repl["unraveling"] = _UNRAVELING_NAMES[args.unraveling]
-    if args.integrator is not None or args.eps is not None:
-        kind = args.integrator or cfg.integrator.kind
-        eps = args.eps if args.eps is not None else cfg.integrator.eps
-        repl["integrator"] = IntegratorConfig(kind, eps)
-    tuning = (args.cutoff_epsilon, args.pad, args.shift_accuracy)
-    if cfg.moving is None and args.moving is None and any(v is not None for v in tuning):
-        # the model file rejects these keys without a moving count; so does the CLI
-        raise ModelParseError("moving-basis keys need 'moving = <count>'")
-    if args.moving is not None or any(v is not None for v in tuning):
-        base = cfg.moving or MovingBasisParams(n_moving=0)
-        repl["moving"] = MovingBasisParams(
-            n_moving=args.moving if args.moving is not None else base.n_moving,
-            cutoff_epsilon=(args.cutoff_epsilon if args.cutoff_epsilon is not None
-                            else base.cutoff_epsilon),
-            pad_size=args.pad if args.pad is not None else base.pad_size,
-            shift_accuracy=(args.shift_accuracy if args.shift_accuracy is not None
-                            else base.shift_accuracy))
-    return dataclasses.replace(cfg, **repl) if repl else cfg
-
-
 def _load(args):
     with open(args.model, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -112,14 +78,14 @@ def _load(args):
 
 
 def _prepare(args):
-    mf = _load(args)
+    flags = {key: getattr(args, key) for key in RUN_KEYS}
+    if flags["pipe"] is not None:
+        flags["pipe"] = " ".join(flags["pipe"])
+    mf = override_run(_load(args), flags)
     out_dir = args.out_dir if args.out_dir is not None else os.environ.get("QTRAJ_OUT_DIR")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     model, psi0, cfg, outspec = build_model(mf, out_dir=out_dir)
-    cfg = _apply_overrides(cfg, args)
-    if args.pipe is not None:
-        outspec = OutputSpec(outspec.operators, outspec.file_names, tuple(args.pipe))
     return mf, model, psi0, cfg, outspec
 
 

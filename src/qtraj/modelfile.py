@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,7 @@ __all__ = [
     "ModelValidationError",
     "ModelFile",
     "parse_model",
+    "override_run",
     "build_model",
     "print_model",
     "load_model",
@@ -629,9 +630,9 @@ def _print_node(node, minprec=0):
 _PTYPE_NAMES = {"field": FIELD, "spin": SPIN, "atom": ATOM}
 _SECTION_NAMES = ("freedoms", "params", "hamiltonian", "lindblads",
                   "initial", "output", "run")
-_RUN_KEYS = ("dt", "numdts", "numsteps", "trajectories", "seed", "unraveling",
-             "integrator", "eps", "moving", "cutoff_epsilon", "pad",
-             "shift_accuracy", "pipe")
+RUN_KEYS = ("dt", "numdts", "numsteps", "trajectories", "seed", "unraveling",
+            "integrator", "eps", "moving", "cutoff_epsilon", "pad",
+            "shift_accuracy", "pipe")
 _UNRAVELINGS = {"qsd": Unraveling.QSD, "jump": Unraveling.JUMP,
                 "orthojump": Unraveling.ORTHO_JUMP}
 
@@ -658,7 +659,7 @@ class ModelFile:
     lindblads: tuple
     initial: tuple
     outputs: tuple         # ((filename, ast), ...)
-    run: tuple             # ((key, normalized value), ...) sorted by _RUN_KEYS
+    run: tuple             # ((key, normalized value), ...) sorted by RUN_KEYS
 
     def run_dict(self):
         return dict(self.run)
@@ -826,7 +827,7 @@ def _parse_run(body):
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _RUN_KEYS:
+        if key not in RUN_KEYS:
             raise ModelParseError(f"unknown run key '{key}'", lineno, 1)
         if key in raw:
             raise ModelParseError(f"duplicate run key '{key}'", lineno, 1)
@@ -835,7 +836,7 @@ def _parse_run(body):
 
 
 def _normalize_run(raw):
-    """Fill defaults, coerce types; returns ((key, value), ...) in _RUN_KEYS order."""
+    """Fill defaults, coerce types; returns ((key, value), ...) in RUN_KEYS order."""
     def number(key, default=None, required=False):
         if key not in raw:
             if required:
@@ -876,19 +877,22 @@ def _normalize_run(raw):
         raise ModelParseError("dt must be positive", raw["dt"][1], 1)
     out["numdts"] = integer("numdts", required=True, minimum=1)
     out["numsteps"] = integer("numsteps", required=True, minimum=0)
-    out["trajectories"] = integer("trajectories", default=1, minimum=1)
-    out["seed"] = integer("seed", default=0)
+    out["trajectories"] = integer("trajectories", default=RunConfig.n_trajectories,
+                                  minimum=1)
+    out["seed"] = integer("seed", default=RunConfig.seed)
     out["unraveling"] = word("unraveling", "qsd", _UNRAVELINGS)
-    out["integrator"] = word("integrator", "rk4", ("rk4", "adaptive"))
-    out["eps"] = number("eps", default=1e-6)
+    out["integrator"] = word("integrator", IntegratorConfig.kind, ("rk4", "adaptive"))
+    out["eps"] = number("eps", default=IntegratorConfig.eps)
     moving = integer("moving", default=None, minimum=0)
     if moving is None and any(k in raw for k in ("cutoff_epsilon", "pad", "shift_accuracy")):
         raise ModelParseError("moving-basis keys need 'moving = <count>'")
     if moving is not None:
         out["moving"] = moving
-        out["cutoff_epsilon"] = number("cutoff_epsilon", default=0.01)
-        out["pad"] = integer("pad", default=2, minimum=1)
-        out["shift_accuracy"] = number("shift_accuracy", default=1e-6)
+        out["cutoff_epsilon"] = number("cutoff_epsilon",
+                                       default=MovingBasisParams.cutoff_epsilon)
+        out["pad"] = integer("pad", default=MovingBasisParams.pad_size, minimum=1)
+        out["shift_accuracy"] = number("shift_accuracy",
+                                       default=MovingBasisParams.shift_accuracy)
     if "pipe" in raw:
         text, lineno = raw["pipe"]
         parts = text.split()
@@ -899,8 +903,38 @@ def _normalize_run(raw):
         except ValueError:
             raise ModelParseError("pipe indices must be integers", lineno, 1)
     else:
-        out["pipe"] = (1, 2, 3, 4)
-    return tuple((k, out[k]) for k in _RUN_KEYS if k in out)
+        out["pipe"] = OutputSpec.pipe
+    return tuple((k, out[k]) for k in RUN_KEYS if k in out)
+
+
+def _check_pipe(run, n_outputs):
+    hi = 4 * n_outputs
+    for p in dict(run)["pipe"]:
+        if not 1 <= p <= hi:
+            raise ModelParseError(f"pipe index {p} outside 1..{hi}")
+
+
+def _run_text(key, val):
+    """A normalized run value as the right-hand side of its run line."""
+    if key == "pipe":
+        return " ".join(str(p) for p in val)
+    if isinstance(val, (int, str)):
+        return str(val)
+    return _fmt_num(val)
+
+
+def override_run(mf: ModelFile, overrides: dict) -> ModelFile:
+    """`mf` with the given run keys replaced, validated as the run section is.
+
+    overrides maps run keys to the text of their run line's right-hand side;
+    keys mapped to None keep the model file's value.
+    """
+    raw = {key: (_run_text(key, val), None) for key, val in mf.run}
+    raw.update((key, (text.strip(), None)) for key, text in overrides.items()
+               if text is not None)
+    run = _normalize_run(raw)
+    _check_pipe(run, len(mf.outputs))
+    return replace(mf, run=run)
 
 
 # ---------------------------------------------------------------------------
@@ -963,12 +997,7 @@ def parse_model(text: str) -> ModelFile:
         raise ModelParseError("the output section must list at least one "
                               "'filename expression' line")
 
-    run_d = dict(run)
-    hi = 4 * len(outputs)
-    for p in run_d["pipe"]:
-        if not 1 <= p <= hi:
-            raise ModelParseError(f"pipe index {p} outside 1..{hi}")
-
+    _check_pipe(run, len(outputs))
     return ModelFile(freedoms, params, ham_ast, tuple(lindblad_asts),
                      initial, tuple(outputs), run)
 
@@ -1179,12 +1208,5 @@ def print_model(mf: ModelFile) -> str:
     out.append("")
     out.append("run:")
     for key, val in mf.run:
-        if key == "pipe":
-            out.append(f"  pipe = {' '.join(str(p) for p in val)}")
-        elif key in ("unraveling", "integrator"):
-            out.append(f"  {key} = {val}")
-        elif isinstance(val, int):
-            out.append(f"  {key} = {val}")
-        else:
-            out.append(f"  {key} = {_fmt_num(val)}")
+        out.append(f"  {key} = {_run_text(key, val)}")
     return "\n".join(out) + "\n"

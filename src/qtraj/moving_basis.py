@@ -54,7 +54,7 @@ class MovingBasisParams:
     n_moving: int
     cutoff_epsilon: float = 0.01
     pad_size: int = 2
-    shift_accuracy: float = 1e-4
+    shift_accuracy: float = 1e-6
 
     def __post_init__(self):
         if self.n_moving < 0:

@@ -11,22 +11,22 @@ with var = <O^2> - <O>^2.  Stdout gets one line of seven numbers per output
 time: t, four pipe-selected values, the product of used dimensions, and the
 deterministic substeps accepted since the last output.
 
-Ensembles run their trajectories in lockstep on one (B, N) buffer whenever
-the configuration allows it (fixed RK4, no moving basis); otherwise
-trajectories run one at a time.  Both orders consume per-trajectory noise
-streams derived from (seed, trajectory index), so they produce identical
-results and may be mixed freely.  A failing step names its trajectory index,
-which is also its noise stream index.
-
-Steppers and observables see only the used block of a state; a trajectory
-on a truncated basis gathers it before each step and writes the result back
-afterwards, so its arithmetic scales with the used dimensions rather than
-the allocated ones.
+One engine steps every run: it advances a chunk of B trajectories together
+on one (B, N) used block, so its arithmetic scales with the used dimensions
+rather than the allocated ones.  A single run is a chunk of one.  An
+ensemble is either one chunk of all its trajectories (lockstep) or one
+chunk per trajectory (serial); lockstep needs fixed RK4 and no moving
+basis, because the adaptive step size and the cutoff upkeep are per
+trajectory.  Basis upkeep scatters the block into the state, recenters and
+adjusts the cutoff, then gathers the block again.  Every chunk draws from
+per-trajectory noise streams derived from (seed, trajectory index) and is
+folded into the averages in index order, so all chunkings give bitwise
+identical results.  A failing step names its trajectory index, which is
+also its noise stream index.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -39,8 +39,6 @@ from .steppers import (
     IntegratorConfig,
     ModelOperators,
     NoiseSource,
-    StepError,
-    StepStats,
     Unraveling,
     make_stepper,
 )
@@ -204,113 +202,61 @@ def _maintain_basis(psi, moving):
             adjust_cutoff(psi, k, moving.cutoff_epsilon, moving.pad_size)
 
 
-def _run_one(psi0, model, cfg, outspec, stream):
-    """Trajectory `stream` (its noise stream index) alone; supports moving bases."""
-    noise = NoiseSource(cfg.seed, stream)
-    psi = psi0.copy()
-    _check_normalized(psi)
-    _validate_moving(cfg.moving, psi.freedoms)
-    stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator)
-    m = model.n_lindblads
-    nk = cfg.numsteps
-    n_ops = len(outspec.operators)
+def _run(psi0, model, cfg, outspec, streams):
+    """Trajectories `streams` (noise stream indices) stepped together on one block.
 
-    exps = np.zeros((n_ops, nk + 1), dtype=complex)
-    vars_ = np.zeros((n_ops, nk + 1), dtype=complex)
-    sizes = np.zeros(nk + 1, dtype=np.int64)
-    subs = np.zeros(nk + 1, dtype=np.int64)
-    jumps = 0
-
-    def observe(t):
-        return _observe(used_block(psi.as2d(), psi.freedoms), psi.freedoms,
-                        outspec.operators, t)
-
-    e, v = observe(0.0)
-    exps[:, 0] = e[:, 0]
-    vars_[:, 0] = v[:, 0]
-    sizes[0] = psi.basis_size()
-
-    step_index = 0
-    moving = cfg.moving
-    maintain = moving is not None
-    for k in range(1, nk + 1):
-        block = _draw_block(noise, cfg.unraveling, cfg.numdts, m, cfg.dt)
-        acc = StepStats()
-        for s in range(cfg.numdts):
-            t = step_index * cfg.dt
-            amps = psi.as2d()
-            try:
-                y, stats = stepper.step(used_block(amps, psi.freedoms), psi.freedoms, t,
-                                        block[s:s + 1])
-            except RuntimeError as err:
-                raise RuntimeError(f"trajectory {stream} failed at t={t:.6g}: {err}") from err
-            set_used_block(amps, psi.freedoms, y)
-            step_index += 1
-            acc += stats
-            if maintain:
-                _maintain_basis(psi, moving)
-        t = step_index * cfg.dt
-        e, v = observe(t)
-        exps[:, k] = e[:, 0]
-        vars_[:, k] = v[:, 0]
-        sizes[k] = psi.basis_size()
-        subs[k] = acc.substeps
-        jumps += acc.jumps
-
-    times = np.array([(i * cfg.numdts) * cfg.dt for i in range(nk + 1)])
-    return times, exps, vars_, sizes, subs, jumps
-
-
-def _run_lockstep(psi0, model, cfg, outspec):
-    """All trajectories advance together on one (B, N) used block."""
+    Returns times, (n_ops, numsteps+1, B) expectations and variances, the
+    basis size and the substeps summed over rows per output time, and the
+    jumps of each row.  Basis upkeep (cfg.moving) needs B = 1: it scatters
+    the block into psi, maintains the basis and gathers the block again.
+    """
     _check_normalized(psi0)
-    b = cfg.n_trajectories
-    freedoms = [f.copy() for f in psi0.freedoms]
-    amps = np.tile(used_block(psi0.as2d(), freedoms), (b, 1))
+    _validate_moving(cfg.moving, psi0.freedoms)
+    psi = psi0.copy()
+    b = len(streams)
+    y = np.tile(used_block(psi.as2d(), psi.freedoms), (b, 1))
     stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator)
-    sources = [NoiseSource(cfg.seed, i) for i in range(b)]
+    sources = [NoiseSource(cfg.seed, i) for i in streams]
     m = model.n_lindblads
     nk = cfg.numsteps
     n_ops = len(outspec.operators)
 
     exps = np.zeros((n_ops, nk + 1, b), dtype=complex)
     vars_ = np.zeros((n_ops, nk + 1, b), dtype=complex)
+    sizes = np.zeros(nk + 1, dtype=np.int64)
     subs = np.zeros(nk + 1, dtype=np.int64)
     jumps = np.zeros(b, dtype=np.int64)
 
-    e, v = _observe(amps, freedoms, outspec.operators, 0.0)
-    exps[:, 0] = e
-    vars_[:, 0] = v
+    def observe(k, t):
+        exps[:, k], vars_[:, k] = _observe(y, psi.freedoms, outspec.operators, t)
+        sizes[k] = psi.basis_size()
 
+    observe(0, 0.0)
     step_index = 0
     for k in range(1, nk + 1):
         blocks = np.stack([_draw_block(src, cfg.unraveling, cfg.numdts, m, cfg.dt)
                            for src in sources])
-        acc_sub = 0
         for s in range(cfg.numdts):
             t = step_index * cfg.dt
             try:
-                amps, stats = stepper.step(amps, freedoms, t, blocks[:, s])
-            except StepError as err:
-                raise RuntimeError(f"ensemble failed at t={t:.6g} in trajectory {err.row}: "
-                                   f"{err}") from err
+                y, stats = stepper.step(y, psi.freedoms, t, blocks[:, s])
             except RuntimeError as err:
-                raise RuntimeError(f"ensemble failed at t={t:.6g}: {err}") from err
-            if not amps.flags.c_contiguous:
-                amps = np.ascontiguousarray(amps)
+                stream = streams[getattr(err, "row", 0)]
+                raise RuntimeError(f"trajectory {stream} failed at t={t:.6g}: {err}") from err
+            if not y.flags.c_contiguous:
+                y = np.ascontiguousarray(y)
             step_index += 1
-            acc_sub += stats.substeps * b
+            subs[k] += stats.substeps * b
             if stats.jumps:
                 jumps[stepper.last_jump_rows] += 1
-        t = step_index * cfg.dt
-        e, v = _observe(amps, freedoms, outspec.operators, t)
-        exps[:, k] = e
-        vars_[:, k] = v
-        subs[k] = acc_sub
+            if cfg.moving is not None:
+                set_used_block(psi.as2d(), psi.freedoms, y)
+                _maintain_basis(psi, cfg.moving)
+                y = used_block(psi.as2d(), psi.freedoms)
+        observe(k, step_index * cfg.dt)
 
     times = np.array([(i * cfg.numdts) * cfg.dt for i in range(nk + 1)])
-    size = math.prod(f.dim_used for f in freedoms)
-    return times, exps, vars_, size, subs, jumps
+    return times, exps, vars_, sizes, subs, jumps
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +304,8 @@ def _stdout_lines(times, exps, vars_, sizes, subs, pipe):
     lines = []
     for k in range(len(times)):
         vals = _pipe_values(exps, vars_, pipe, k)
-        size = sizes[k] if np.ndim(sizes) else sizes
         lines.append(" ".join([_fmt(times[k])] + [_fmt(x) for x in vals]
-                              + [str(int(size)), str(int(subs[k]))]))
+                              + [str(int(sizes[k])), str(int(subs[k]))]))
     return lines
 
 
@@ -393,54 +338,52 @@ def _emit(lines, stream):
 def run_single(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
                outspec: OutputSpec, stream=None) -> SingleResult:
     """Run one trajectory (noise stream index 0) and write its outputs."""
-    times, exps, vars_, sizes, subs, jumps = _run_one(psi0, model, cfg, outspec, 0)
+    times, exps, vars_, sizes, subs, jumps = _run(psi0, model, cfg, outspec, [0])
+    exps, vars_ = exps[:, :, 0], vars_[:, :, 0]
     lines = _stdout_lines(times, exps, vars_, sizes, subs, outspec.pipe)
     _write_files(outspec, times, exps, vars_)
     _emit(lines, stream)
-    return SingleResult(times, exps, vars_, sizes, subs, jumps, lines)
+    return SingleResult(times, exps, vars_, sizes, subs, int(jumps[0]), lines)
 
 
 def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
                  outspec: OutputSpec, stream=None, mode: str = "auto") -> EnsembleResult:
     """Run n_trajectories independent trajectories and average the observables.
 
-    mode: 'lockstep' batches all trajectories through one buffer, 'serial'
-    runs them one at a time, 'auto' picks lockstep when the configuration
-    allows it (fixed RK4, no moving basis).  All modes give identical
-    results because noise streams are derived from (seed, index).
+    mode only chooses how the trajectories are chunked through the engine:
+    'lockstep' steps all of them together on one (B, N) block, 'serial' one
+    per chunk, and 'auto' picks lockstep when the configuration allows it.
+    Lockstep needs fixed RK4 and no basis upkeep (moving is None), since an
+    adaptive step size and a cutoff are per trajectory.  Chunks are folded
+    into the averages in trajectory-index order and noise streams are
+    derived from (seed, index), so all modes give bitwise identical results.
     """
     if mode not in ("auto", "lockstep", "serial"):
         raise ValueError("mode must be 'auto', 'lockstep' or 'serial'")
-    lockstep_ok = cfg.integrator.kind == "rk4" and (
-        cfg.moving is None or cfg.moving.n_moving == 0)
+    lockstep_ok = cfg.integrator.kind == "rk4" and cfg.moving is None
     if mode == "lockstep" and not lockstep_ok:
         raise ValueError("lockstep mode needs fixed rk4 and no moving basis")
-    use_lockstep = lockstep_ok if mode == "auto" else (mode == "lockstep")
-
     b = cfg.n_trajectories
+    if lockstep_ok and mode != "serial":
+        chunks = [list(range(b))]
+    else:
+        chunks = [[i] for i in range(b)]
+
     nk = cfg.numsteps
     n_ops = len(outspec.operators)
     wexp = _Welford((n_ops, nk + 1))
     wvar = _Welford((n_ops, nk + 1))
-
-    if use_lockstep:
-        times, exps, vars_, size, subs, jumps = _run_lockstep(psi0, model, cfg, outspec)
-        for i in range(b):
-            wexp.update(exps[:, :, i])
-            wvar.update(vars_[:, :, i])
-        sizes = np.full(nk + 1, size, dtype=np.int64)
-    else:
-        sizes = np.zeros(nk + 1, dtype=np.int64)
-        subs = np.zeros(nk + 1, dtype=np.int64)
-        jumps = np.zeros(b, dtype=np.int64)
-        times = None
-        for i in range(b):
-            times, exps, vars_, szs, sb, jm = _run_one(psi0, model, cfg, outspec, i)
-            wexp.update(exps)
-            wvar.update(vars_)
-            np.maximum(sizes, szs, out=sizes)
-            subs += sb
-            jumps[i] = jm
+    sizes = np.zeros(nk + 1, dtype=np.int64)
+    subs = np.zeros(nk + 1, dtype=np.int64)
+    jumps = np.zeros(b, dtype=np.int64)
+    for chunk in chunks:
+        times, exps, vars_, szs, sb, jm = _run(psi0, model, cfg, outspec, chunk)
+        for r in range(len(chunk)):
+            wexp.update(exps[:, :, r])
+            wvar.update(vars_[:, :, r])
+        np.maximum(sizes, szs, out=sizes)
+        subs += sb
+        jumps[chunk] = jm
 
     se = wexp.se()
     lines = _stdout_lines(times, wexp.mean, wvar.mean, sizes, subs, outspec.pipe)

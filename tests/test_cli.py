@@ -1,5 +1,6 @@
 """Command line interface: subcommands, overrides, exit codes."""
 
+import re
 import subprocess
 import sys
 import textwrap
@@ -208,3 +209,70 @@ def test_cli_run_does_not_import_scipy(atom_model, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+CAVITY_RUN = {"dt": "0.01", "numdts": "5", "numsteps": "3", "trajectories": "4"}
+
+
+def cavity_model(run):
+    lines = "".join(f"  {key} = {value}\n" for key, value in run.items())
+    return textwrap.dedent("""\
+        freedoms:
+          m field 12
+
+        hamiltonian:
+          1.5i*(adag(m) - a(m))
+
+        lindblads:
+          sqrt(2)*a(m)
+
+        initial:
+          m fock 0
+
+        output:
+          n.out n(m)
+          a.out a(m)
+
+        run:
+        """) + lines
+
+
+def _outcome(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    # the file names its model path and the line of the key; the flag has neither
+    err = re.sub(r"^qtraj: \S+: (line \d+, col \d+: )?", "qtraj: ", err)
+    return rc, out, err
+
+
+@pytest.mark.parametrize("keys", [
+    {"dt": "0.02"}, {"dt": "-1"}, {"dt": "abc"},
+    {"numdts": "3"}, {"numdts": "0"}, {"numdts": "2.5"},
+    {"numsteps": "0"}, {"numsteps": "-1"},
+    {"trajectories": "2"}, {"trajectories": "0"},
+    {"seed": "5"}, {"seed": "1e3"}, {"seed": "1.5"},
+    {"unraveling": "jump"}, {"unraveling": "bogus"},
+    {"integrator": "adaptive"}, {"integrator": "euler"},
+    {"integrator": "adaptive", "eps": "1e-4"}, {"eps": "0"},
+    {"moving": "1"}, {"moving": "0"}, {"moving": "-1"}, {"moving": "2"},
+    {"moving": "1", "cutoff_epsilon": "0.05"}, {"cutoff_epsilon": "0.05"},
+    {"moving": "1", "pad": "3"}, {"moving": "1", "pad": "0"}, {"pad": "3"},
+    {"moving": "1", "shift_accuracy": "1e-3"}, {"shift_accuracy": "1e-3"},
+    {"pipe": "5 6 7 8"}, {"pipe": "1 2 3 9"},
+], ids=lambda keys: " ".join(f"{k}={v}" for k, v in keys.items()))
+def test_flags_match_model_file_run_keys(keys, tmp_path, capsys):
+    # a run-key flag and the same key in the run section give the same run,
+    # or fail with the same exit code and message
+    base = tmp_path / "base.qt"
+    base.write_text(cavity_model(CAVITY_RUN))
+    edited = tmp_path / "edited.qt"
+    edited.write_text(cavity_model({**CAVITY_RUN, **keys}))
+    flags = []
+    for key, value in keys.items():
+        flags += ["--" + key.replace("_", "-")] + value.split()
+    common = ["ensemble", "--seed", "3"] if "seed" not in keys else ["ensemble"]
+    by_flag = _outcome(common + ["--model", str(base), "--out-dir", str(tmp_path / "flag")]
+                       + flags, capsys)
+    by_file = _outcome(common + ["--model", str(edited),
+                                 "--out-dir", str(tmp_path / "file")], capsys)
+    assert by_flag == by_file

@@ -33,7 +33,7 @@ from qtraj import (
     transition,
     variance,
 )
-from qtraj.trajectory import _run_one
+from qtraj.trajectory import _run
 
 
 def damped_cavity(dim=6, gamma=0.5):
@@ -286,7 +286,7 @@ def test_failures_name_the_trajectory():
     fail_at = {}  # trajectory -> time its own run fails, replayed alone
     for i in range(cfg.n_trajectories):
         try:
-            _run_one(psi, model, cfg, spec, i)
+            _run(psi, model, cfg, spec, [i])
         except RuntimeError as err:
             m = re.match(rf"trajectory {i} failed at t=(\S+): total jump probability",
                          str(err))
@@ -297,8 +297,8 @@ def test_failures_name_the_trajectory():
     with pytest.raises(RuntimeError) as lock_err:
         run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
     first = min(fail_at, key=lambda i: (fail_at[i], i))
-    assert re.match(rf"ensemble failed at t={fail_at[first]:.6g} in trajectory {first}: ",
-                    str(lock_err.value))
+    assert str(lock_err.value).startswith(
+        f"trajectory {first} failed at t={fail_at[first]:.6g}: ")
 
     with pytest.raises(RuntimeError) as serial_err:
         run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
@@ -314,6 +314,26 @@ def test_auto_mode_picks_lockstep_result():
     auto = run_ensemble(psi, model, cfg, spec, mode="auto", **quiet())
     lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
     assert np.array_equal(auto.mean_expectations, lock.mean_expectations)
+
+
+def test_auto_mode_keeps_cutoff_upkeep_without_moving_freedoms():
+    # moving = 0 recenters nothing but still adjusts every field cutoff, which
+    # is per trajectory; auto must run it exactly as serial does
+    g, gam = 0.5, 0.25
+    h = g * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1))
+    model = ModelOperators(h, [math.sqrt(2 * gam) * destroy(1)])
+    psi = product_state([basis_state(2, 1, SPIN), basis_state(30, 0)])
+    spec = OutputSpec(operators=(number(1), sigma_plus(0) * sigma_minus(0)))
+    cfg = RunConfig(dt=0.01, numdts=10, numsteps=4, seed=5, n_trajectories=4,
+                    moving=MovingBasisParams(n_moving=0, cutoff_epsilon=0.01))
+    auto = run_ensemble(psi, model, cfg, spec, mode="auto", **quiet())
+    ser = run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
+    assert np.array_equal(auto.basis_sizes, ser.basis_sizes)
+    assert auto.basis_sizes[1:].max() < 60  # the cutoff has trimmed the field
+    assert np.array_equal(auto.mean_expectations, ser.mean_expectations)
+    assert np.array_equal(auto.mean_variances, ser.mean_variances)
+    assert np.array_equal(auto.se_re, ser.se_re)
+    assert auto.stdout_lines == ser.stdout_lines
 
 
 # --- statistics ----------------------------------------------------------------
