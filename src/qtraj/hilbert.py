@@ -77,17 +77,35 @@ class FreedomSpec:
 # ---------------------------------------------------------------------------
 # Row helpers shared by the whole package.  Everything numerical runs through
 # these so a batch of trajectories (shape (B, N)) and a single state (B=1)
-# take literally the same code path, element for element.
+# take literally the same code path, element for element.  The per-row
+# arithmetic is independent of B and of the strides: inputs are made
+# C-contiguous, and np.einsum sums each row in one call of its inner kernel.
+# einsum hands that kernel at most one iterator buffer of _EINSUM_ROW_MAX
+# elements at a time (np.setbufsize does not change it); a longer row would
+# be cut at borders that move with B, so such rows take the pairwise .sum,
+# which is per row too but much slower on short rows.
+
+_EINSUM_ROW_MAX = 8192
+
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row inner product conj(x).y for (B, N) arrays."""
-    return (x.conj() * y).sum(axis=-1)
+    xc = np.ascontiguousarray(x).conj()
+    y = np.ascontiguousarray(y)
+    if y.shape[-1] > _EINSUM_ROW_MAX:
+        return (xc * y).sum(axis=-1)
+    return np.einsum("ij,ij->i", xc, y)
 
 
 def row_norm2(x: np.ndarray) -> np.ndarray:
-    xr = x.real
-    xi = x.imag
-    return (xr * xr + xi * xi).sum(axis=-1)
+    """Per-row squared norm of a (B, N) complex array."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    if 2 * x.shape[-1] > _EINSUM_ROW_MAX:
+        xr = x.real
+        xi = x.imag
+        return (xr * xr + xi * xi).sum(axis=-1)
+    v = x.view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from .hilbert import (
 from .moving_basis import MovingBasisParams
 from .operators import (
     DiagonalOperator,
-    OperatorExpr,
     Power,
     ScalarMul,
     TimeFnMul,
@@ -871,6 +870,13 @@ def _normalize_run(raw):
                 lineno, 1)
         return text
 
+    def check(key, config, **values):
+        # the config dataclass's own range check, reported at the key's line
+        try:
+            config(**values)
+        except ValueError as err:
+            raise ModelParseError(str(err), raw[key][1], 1) from None
+
     out = {}
     out["dt"] = number("dt", required=True)
     if out["dt"] <= 0:
@@ -883,6 +889,7 @@ def _normalize_run(raw):
     out["unraveling"] = word("unraveling", "qsd", _UNRAVELINGS)
     out["integrator"] = word("integrator", IntegratorConfig.kind, ("rk4", "adaptive"))
     out["eps"] = number("eps", default=IntegratorConfig.eps)
+    check("eps", IntegratorConfig, kind=out["integrator"], eps=out["eps"])
     moving = integer("moving", default=None, minimum=0)
     if moving is None and any(k in raw for k in ("cutoff_epsilon", "pad", "shift_accuracy")):
         raise ModelParseError("moving-basis keys need 'moving = <count>'")
@@ -893,6 +900,8 @@ def _normalize_run(raw):
         out["pad"] = integer("pad", default=MovingBasisParams.pad_size, minimum=1)
         out["shift_accuracy"] = number("shift_accuracy",
                                        default=MovingBasisParams.shift_accuracy)
+        for key in ("cutoff_epsilon", "shift_accuracy"):
+            check(key, MovingBasisParams, n_moving=moving, **{key: out[key]})
     if "pipe" in raw:
         text, lineno = raw["pipe"]
         parts = text.split()

@@ -123,13 +123,25 @@ class NoiseSource:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
-    def wiener(self, nsteps: int, m: int, dt: float) -> np.ndarray:
-        """(nsteps, m) complex increments with M dxi = 0, M dxi_i* dxi_j = delta_ij dt."""
-        g = self._rng.standard_normal(size=(nsteps, m, 2))
-        return (g[..., 0] + 1j * g[..., 1]) * np.sqrt(0.5 * dt)
+    def wiener(self, nsteps: int, m: int, dt: float, out: np.ndarray = None) -> np.ndarray:
+        """(nsteps, m) complex increments with M dxi = 0, M dxi_i* dxi_j = delta_ij dt.
 
-    def uniforms(self, nsteps: int) -> np.ndarray:
-        return self._rng.random(nsteps)
+        Real and imaginary parts are consecutive standard normals scaled by
+        sqrt(dt/2).  out, if given, is a C-contiguous complex (nsteps, m)
+        array filled in place through its float64 view.
+        """
+        if out is None:
+            out = np.empty((nsteps, m), dtype=np.complex128)
+        g = out.view(np.float64)
+        self._rng.standard_normal(out=g)
+        g *= np.sqrt(0.5 * dt)
+        return out
+
+    def uniforms(self, nsteps: int, out: np.ndarray = None) -> np.ndarray:
+        """nsteps uniforms on [0, 1); out, if given, is a float64 (nsteps,) array."""
+        if out is None:
+            return self._rng.random(nsteps)
+        return self._rng.random(out=out)
 
 
 class StepError(RuntimeError):

@@ -19,10 +19,14 @@ chunk per trajectory (serial); lockstep needs fixed RK4 and no moving
 basis, because the adaptive step size and the cutoff upkeep are per
 trajectory.  Basis upkeep scatters the block into the state, recenters and
 adjusts the cutoff, then gathers the block again.  Every chunk draws from
-per-trajectory noise streams derived from (seed, trajectory index) and is
-folded into the averages in index order, so all chunkings give bitwise
-identical results.  A failing step names its trajectory index, which is
-also its noise stream index.
+per-trajectory noise streams derived from (seed, trajectory index), each
+output interval into one preallocated block whose row r is filled in place
+by stream r.  Ensemble averages keep sums shifted by trajectory 0's sample
+and fold each chunk into them with np.cumsum, one addition per trajectory
+in index order; cumsum is strictly sequential, so every chunking performs
+the same additions and all chunkings give bitwise identical results.  A
+failing step names its trajectory index, which is also its noise stream
+index.
 """
 
 from __future__ import annotations
@@ -188,12 +192,6 @@ def _validate_moving(moving, freedoms):
             raise ValueError("moving freedoms must be the leading field freedoms")
 
 
-def _draw_block(noise, unraveling, numdts, m, dt):
-    if unraveling is Unraveling.QSD:
-        return noise.wiener(numdts, m, dt)
-    return noise.uniforms(numdts)
-
-
 def _maintain_basis(psi, moving):
     for k in range(moving.n_moving):
         recenter(psi, k, moving.shift_accuracy)
@@ -231,15 +229,22 @@ def _run(psi0, model, cfg, outspec, streams):
         exps[:, k], vars_[:, k] = _observe(y, psi.freedoms, outspec.operators, t)
         sizes[k] = psi.basis_size()
 
+    # one output interval of noise, row r drawn in place from stream streams[r]
+    qsd = cfg.unraveling is Unraveling.QSD
+    noise = np.empty((b, cfg.numdts, m), dtype=complex) if qsd else np.empty((b, cfg.numdts))
+
     observe(0, 0.0)
     step_index = 0
     for k in range(1, nk + 1):
-        blocks = np.stack([_draw_block(src, cfg.unraveling, cfg.numdts, m, cfg.dt)
-                           for src in sources])
+        for src, row in zip(sources, noise):
+            if qsd:
+                src.wiener(cfg.numdts, m, cfg.dt, out=row)
+            else:
+                src.uniforms(cfg.numdts, out=row)
         for s in range(cfg.numdts):
             t = step_index * cfg.dt
             try:
-                y, stats = stepper.step(y, psi.freedoms, t, blocks[:, s])
+                y, stats = stepper.step(y, psi.freedoms, t, noise[:, s])
             except RuntimeError as err:
                 stream = streams[getattr(err, "row", 0)]
                 raise RuntimeError(f"trajectory {stream} failed at t={t:.6g}: {err}") from err
@@ -264,27 +269,50 @@ def _run(psi0, model, cfg, outspec, streams):
 
 
 class _Welford:
-    """One-pass mean and M2 accumulator over complex sample arrays."""
+    """Streaming mean and standard error of complex samples, in index order.
+
+    Keeps sums shifted by the first sample c: S1 = sum(x - c) and, for the
+    real and imaginary parts separately, S2 = sum((x - c)^2), each folded
+    with np.cumsum over [carry, row 0, row 1, ...].  mean = c + S1/n and
+    M2 = max(S2 - S1^2/n, 0); the shift keeps that difference from
+    cancelling when the spread is small next to the mean.
+    """
 
     def __init__(self, shape):
         self.n = 0
-        self.mean = np.zeros(shape, dtype=complex)
-        self.m2_re = np.zeros(shape)
-        self.m2_im = np.zeros(shape)
+        self.shift = np.zeros(shape, dtype=complex)
+        self.s1 = np.zeros(shape, dtype=complex)
+        self.s2_re = np.zeros(shape)
+        self.s2_im = np.zeros(shape)
 
     def update(self, x):
-        self.n += 1
-        d = x - self.mean
-        self.mean += d / self.n
-        d2 = x - self.mean
-        self.m2_re += d.real * d2.real
-        self.m2_im += d.imag * d2.imag
+        """Fold the samples x[..., r] for r = 0, 1, ... after those seen so far."""
+        x = np.moveaxis(x, -1, 0)
+        if self.n == 0:
+            self.shift = x[0].copy()
+        d = x - self.shift
+        self.s1 = _fold(self.s1, d)
+        self.s2_re = _fold(self.s2_re, d.real * d.real)
+        self.s2_im = _fold(self.s2_im, d.imag * d.imag)
+        self.n += len(d)
+
+    @property
+    def mean(self):
+        return self.shift + self.s1 / self.n
 
     def se(self):
         if self.n < 2:
-            return np.zeros_like(self.m2_re), np.zeros_like(self.m2_im)
+            return np.zeros_like(self.s2_re), np.zeros_like(self.s2_im)
         f = self.n * (self.n - 1)
-        return np.sqrt(self.m2_re / f), np.sqrt(self.m2_im / f)
+        s1 = self.s1
+        m2_re = np.maximum(self.s2_re - s1.real * s1.real / self.n, 0.0)
+        m2_im = np.maximum(self.s2_im - s1.imag * s1.imag / self.n, 0.0)
+        return np.sqrt(m2_re / f), np.sqrt(m2_im / f)
+
+
+def _fold(carry, rows):
+    """carry + rows[0] + rows[1] + ..., added strictly in that order."""
+    return np.cumsum(np.concatenate([carry[None], rows]), axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +382,11 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     'lockstep' steps all of them together on one (B, N) block, 'serial' one
     per chunk, and 'auto' picks lockstep when the configuration allows it.
     Lockstep needs fixed RK4 and no basis upkeep (moving is None), since an
-    adaptive step size and a cutoff are per trajectory.  Chunks are folded
-    into the averages in trajectory-index order and noise streams are
-    derived from (seed, index), so all modes give bitwise identical results.
+    adaptive step size and a cutoff are per trajectory.  Noise streams are
+    derived from (seed, index), and each chunk's samples are folded into
+    sums shifted by trajectory 0's sample with a sequential np.cumsum, in
+    trajectory-index order.  Any chunking adds the same numbers in the same
+    order, so all modes give bitwise identical results.
     """
     if mode not in ("auto", "lockstep", "serial"):
         raise ValueError("mode must be 'auto', 'lockstep' or 'serial'")
@@ -378,9 +408,8 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     jumps = np.zeros(b, dtype=np.int64)
     for chunk in chunks:
         times, exps, vars_, szs, sb, jm = _run(psi0, model, cfg, outspec, chunk)
-        for r in range(len(chunk)):
-            wexp.update(exps[:, :, r])
-            wvar.update(vars_[:, :, r])
+        wexp.update(exps)
+        wvar.update(vars_)
         np.maximum(sizes, szs, out=sizes)
         subs += sb
         jumps[chunk] = jm

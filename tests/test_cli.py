@@ -258,6 +258,7 @@ def _outcome(argv, capsys):
     {"moving": "1", "cutoff_epsilon": "0.05"}, {"cutoff_epsilon": "0.05"},
     {"moving": "1", "pad": "3"}, {"moving": "1", "pad": "0"}, {"pad": "3"},
     {"moving": "1", "shift_accuracy": "1e-3"}, {"shift_accuracy": "1e-3"},
+    {"moving": "1", "cutoff_epsilon": "0.7"}, {"moving": "1", "shift_accuracy": "0"},
     {"pipe": "5 6 7 8"}, {"pipe": "1 2 3 9"},
 ], ids=lambda keys: " ".join(f"{k}={v}" for k, v in keys.items()))
 def test_flags_match_model_file_run_keys(keys, tmp_path, capsys):
@@ -276,3 +277,25 @@ def test_flags_match_model_file_run_keys(keys, tmp_path, capsys):
     by_file = _outcome(common + ["--model", str(edited),
                                  "--out-dir", str(tmp_path / "file")], capsys)
     assert by_flag == by_file
+
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"eps": "0"}, "integrator eps must be positive"),
+    ({"moving": "1", "cutoff_epsilon": "0.7"}, "cutoff_epsilon must lie in (0, 0.5)"),
+    ({"moving": "1", "shift_accuracy": "0"}, "shift_accuracy must be positive"),
+], ids=["eps", "cutoff_epsilon", "shift_accuracy"])
+def test_out_of_range_run_values_exit_2(keys, message, tmp_path, capsys):
+    # values the config dataclasses reject are model errors, as pad = 0 is:
+    # exit 2 with the dataclass's message, at the key's line in a file
+    edited = tmp_path / "edited.qt"
+    edited.write_text(cavity_model({**CAVITY_RUN, **keys}))
+    key, value = list(keys.items())[-1]
+    lineno = edited.read_text().splitlines().index(f"  {key} = {value}") + 1
+    assert main(["run", "--model", str(edited), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"qtraj: {edited}: line {lineno}, col 1: {message}\n"
+    base = tmp_path / "base.qt"
+    base.write_text(cavity_model(CAVITY_RUN))
+    flags = [arg for k, v in keys.items() for arg in ("--" + k.replace("_", "-"), v)]
+    assert main(["run", "--model", str(base), "--out-dir", str(tmp_path)] + flags) == 2
+    assert capsys.readouterr().err == f"qtraj: {base}: {message}\n"

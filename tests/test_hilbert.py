@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtraj import (
     ATOM,
@@ -165,6 +167,57 @@ def test_row_helpers_match_definitions():
     assert np.allclose(row_dot(x, y), want, atol=1e-14)
     assert np.allclose(row_norm2(x), np.abs(x) ** 2 @ np.ones(5), atol=1e-14)
     assert np.allclose(row_norm(x), np.sqrt(row_norm2(x)), atol=1e-15)
+
+
+def _block(rng, b, n, layout):
+    """A (b, n) complex block laid out as C, Fortran, every other row, or a column slice."""
+    def draw(shape):
+        scale = 10.0 ** rng.uniform(-3, 3, size=(shape[0], 1))
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    if layout == "f":
+        return np.asfortranarray(draw((b, n)))
+    if layout == "row_step":
+        return draw((2 * b, n))[::2]
+    if layout == "col_slice":
+        return draw((b, n + 3))[:, 1:n + 1]
+    return draw((b, n))
+
+
+def _assert_rowwise(x, y):
+    """Block helpers equal, bit for bit, the same helper on each row copied out."""
+    n2, nrm, dot = row_norm2(x), row_norm(x), row_dot(x, y)
+    assert n2.shape == nrm.shape == dot.shape == (x.shape[0],)
+    one = lambda f, *rows: f(*(r[None].copy() for r in rows))[0]
+    assert np.array_equal(n2, [one(row_norm2, r) for r in x])
+    assert np.array_equal(nrm, [one(row_norm, r) for r in x])
+    assert np.array_equal(dot, [one(row_dot, r, s) for r, s in zip(x, y)])
+    return n2, nrm, dot
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=st.integers(1, 300), n=st.one_of(st.integers(1, 64), st.just(300)),
+       layout=st.sampled_from(["c", "f", "row_step", "col_slice"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_helpers_are_per_row_whatever_b_and_strides(b, n, layout, seed):
+    # lockstep == serial rests on this: a row's bits never depend on B or
+    # on how the block is laid out in memory
+    rng = np.random.default_rng(seed)
+    x, y = _block(rng, b, n, layout), _block(rng, b, n, layout)
+    n2, nrm, dot = _assert_rowwise(x, y)
+    want_norm = np.linalg.norm(x, axis=1)
+    want_dot = np.array([np.vdot(r, s) for r, s in zip(x, y)])
+    scale = want_norm * np.linalg.norm(y, axis=1)
+    assert np.all(np.abs(nrm - want_norm) <= 1e-14 * want_norm)
+    assert np.all(np.abs(n2 - want_norm ** 2) <= 1e-14 * want_norm ** 2)
+    assert np.all(np.abs(dot - want_dot) <= 1e-14 * scale)
+
+
+def test_row_helpers_are_per_row_on_long_rows():
+    # rows longer than one einsum buffer take the pairwise sum
+    rng = np.random.default_rng(11)
+    for n in (4096, 4097, 8192, 9000):
+        _assert_rowwise(_block(rng, 3, n, "c"), _block(rng, 3, n, "row_step"))
 
 
 def test_amps_coerced_contiguous_complex():

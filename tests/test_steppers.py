@@ -156,6 +156,25 @@ def test_noise_streams_reproducible_and_independent():
     assert np.all((u1 >= 0) & (u1 < 1))
 
 
+def test_noise_draws_into_given_buffers_as_fresh_draws():
+    # the determinism contract: increments are consecutive standard normals
+    # (re, im) scaled by sqrt(dt/2), uniforms are Generator.random, whether
+    # drawn fresh or into a row of a preallocated block
+    seed, k, dt = 21, 4, 0.03
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+    g = np.random.Generator(np.random.PCG64(ss)).standard_normal((5, 3, 2))
+    want = (g[..., 0] + 1j * g[..., 1]) * np.sqrt(0.5 * dt)
+    block = np.zeros((2, 5, 3), dtype=complex)
+    out = NoiseSource(seed, k).wiener(5, 3, dt, out=block[1])
+    assert np.shares_memory(out, block[1])
+    assert block[1].tobytes() == want.tobytes()
+    assert NoiseSource(seed, k).wiener(5, 3, dt).tobytes() == want.tobytes()
+    assert not block[0].any()
+    rows = np.zeros((3, 7))
+    NoiseSource(seed, k).uniforms(7, out=rows[2])
+    assert rows[2].tobytes() == NoiseSource(seed, k).uniforms(7).tobytes()
+
+
 # --- integrators ------------------------------------------------------------
 
 

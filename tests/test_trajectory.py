@@ -15,6 +15,7 @@ from qtraj import (
     IntegratorConfig,
     ModelOperators,
     MovingBasisParams,
+    NoiseSource,
     OutputSpec,
     RunConfig,
     StateVector,
@@ -33,7 +34,8 @@ from qtraj import (
     transition,
     variance,
 )
-from qtraj.trajectory import _run
+from qtraj import trajectory
+from qtraj.trajectory import _Welford, _run
 
 
 def damped_cavity(dim=6, gamma=0.5):
@@ -350,6 +352,78 @@ def test_standard_error_shrinks_with_ensemble_size():
         ses.append(res.se_re[0, mid])
     ratio = ses[0] / ses[1]
     assert 1.4 < ratio < 2.8  # ~2 expected, wide statistical margin
+
+
+def _fold(x, cuts):
+    """_Welford over the samples x[..., r], fed in chunks split at cuts."""
+    w = _Welford(x.shape[:-1])
+    edges = [0, *cuts, x.shape[-1]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        w.update(x[..., lo:hi])
+    return w
+
+
+def test_chunk_fold_is_chunking_invariant_and_matches_two_pass():
+    rng = np.random.default_rng(17)
+    n = 257
+    shape = (2, 3, n)
+    x = 1e3 + 0.5j + rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x[1] *= 1e-4  # a spread far below the mean of the first block
+    whole = _fold(x, [])
+    one_by_one = _fold(x, range(1, n))
+    split = _fold(x, sorted(rng.choice(np.arange(1, n), size=12, replace=False)))
+    for w in (one_by_one, split):
+        assert w.n == n
+        assert np.array_equal(w.mean, whole.mean)
+        assert all(np.array_equal(a, b) for a, b in zip(w.se(), whole.se()))
+    np.testing.assert_allclose(whole.mean, x.mean(axis=-1), rtol=1e-12, atol=0)
+    se_re, se_im = whole.se()
+    root_n = math.sqrt(n)
+    np.testing.assert_allclose(se_re, x.real.std(axis=-1, ddof=1) / root_n, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(se_im, x.imag.std(axis=-1, ddof=1) / root_n, rtol=1e-12, atol=0)
+
+
+def test_chunk_fold_se_is_zero_for_one_or_identical_samples():
+    one = _fold(np.full((2, 3, 1), 0.3 - 0.7j), [])
+    same = _fold(np.full((2, 3, 40), 0.3 - 0.7j), [7, 8, 30])
+    for w in (one, same):
+        assert np.all(w.mean == 0.3 - 0.7j)
+        se_re, se_im = w.se()
+        assert np.all(se_re == 0.0) and np.all(se_im == 0.0)
+
+
+@pytest.mark.parametrize("unr", [Unraveling.QSD, Unraveling.JUMP])
+def test_noise_block_rows_equal_per_stream_draws(unr, monkeypatch):
+    # the engine draws each output interval into one (B, numdts[, m]) block;
+    # row r must carry exactly the draws of stream streams[r]
+    model = ModelOperators(number(0), [destroy(0), 0.3 * number(0)])
+    psi = basis_state(6, 1)
+    seen = []
+    make = trajectory.make_stepper
+
+    def recording(*args, **kwargs):
+        stepper = make(*args, **kwargs)
+        step = stepper.step
+
+        def step_and_record(y, freedoms, t, noise):
+            seen.append(noise.copy())
+            return step(y, freedoms, t, noise)
+
+        stepper.step = step_and_record
+        return stepper
+
+    monkeypatch.setattr(trajectory, "make_stepper", recording)
+    cfg = RunConfig(dt=0.01, numdts=4, numsteps=3, seed=13, unraveling=unr)
+    streams = [5, 0, 2]
+    _run(psi, model, cfg, OutputSpec(operators=(number(0),)), streams)
+    got = np.stack(seen, axis=1)  # (B, numsteps * numdts[, m])
+    for row, k in zip(got, streams):
+        src = NoiseSource(13, k)
+        if unr is Unraveling.QSD:
+            want = [src.wiener(4, 2, 0.01) for _ in range(3)]
+        else:
+            want = [src.uniforms(4) for _ in range(3)]
+        assert row.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_jump_ensemble_tracks_exponential_decay():
