@@ -17,11 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import ATOM, FIELD, StateVector, row_dot, row_norm2, used_block, used_view
-from .operators import DiagonalOperator, _sqrt_ladder, destroy
+from .operators import _sqrt_ladder, compile_operator, destroy
 
 __all__ = [
     "MovingBasisParams",
@@ -139,6 +140,12 @@ def move_coords(state: StateVector, displacement: complex, freedom: int,
     fr.center = fr.center + d
 
 
+@lru_cache(maxsize=None)
+def _destroy(freedom: int):
+    """One tree per freedom, so recenter reuses its compiled forms."""
+    return destroy(freedom)
+
+
 def recenter(state: StateVector, freedom: int, shift_accuracy: float = 1e-6) -> complex:
     """Move the basis center onto the local <a>; returns the shift applied.
 
@@ -153,7 +160,7 @@ def recenter(state: StateVector, freedom: int, shift_accuracy: float = 1e-6) -> 
     n2 = float(row_norm2(y)[0])
     if n2 == 0.0:
         return 0j
-    a_local = DiagonalOperator.compile(destroy(freedom), local)
+    a_local = compile_operator(_destroy(freedom), local)
     delta = complex(row_dot(y, a_local.apply(y))[0]) / n2
     if abs(delta) < shift_accuracy:
         return 0j
@@ -179,11 +186,13 @@ def adjust_cutoff(state: StateVector, freedom: int, epsilon: float, pad_size: in
     if pad_size < 1:
         raise ValueError("pad_size must be at least 1")
 
-    b = state.as2d()
-    full = b.reshape((1,) + tuple(f.dim_alloc for f in state.freedoms))
+    # amplitudes outside the used block are zero, so only its slots can
+    # carry probability; the slots above dim_used stay 0 in slotp
+    view = used_view(state.as2d(), state.freedoms)
     axis = 1 + freedom
-    sumaxes = tuple(i for i in range(full.ndim) if i != axis)
-    slotp = (full.real ** 2 + full.imag ** 2).sum(axis=sumaxes)
+    sumaxes = tuple(i for i in range(view.ndim) if i != axis)
+    slotp = np.zeros(fr.dim_alloc)
+    slotp[:fr.dim_used] = (view.real ** 2 + view.imag ** 2).sum(axis=sumaxes)
     total = float(slotp.sum())
     if total == 0.0:
         return fr.dim_used
@@ -206,7 +215,7 @@ def adjust_cutoff(state: StateVector, freedom: int, epsilon: float, pad_size: in
         d -= 1
 
     if d < fr.dim_used:
-        full[_ax(full.ndim, axis, slice(d, fr.dim_used))] = 0
+        view[_ax(view.ndim, axis, slice(d, None))] = 0
         fr.dim_used = d
         if discarded > 0.0:
             state.normalize()

@@ -8,8 +8,8 @@ and small integer powers.  Nothing is simplified at construction -- the tree
 a user builds is the tree that gets compiled.
 
 Application goes through one compiled form.  For a given basis (the type,
-used dimension and center of every freedom) a tree compiles to offset
-diagonals over the used block of the state, flattened row-major:
+used dimension and center of every freedom) a tree becomes offset diagonals
+over the used block of the state, flattened row-major:
 
     out[:, i] = sum_k d_k[i] * y[:, i + o_k]
 
@@ -19,9 +19,14 @@ products compose them and scalars fold in.  Terms scaled by time functions
 stay in groups of their own, one per distinct product of functions, scaled
 by its value when applied.  Field primaries are center-aware: with basis
 center alpha, the physical ladder operator is the local one plus alpha.
-Every tree keeps the compiled form of the last basis it was applied in, so a
-trajectory on a moving basis recompiles once per basis change, and the
-sweeps touch only the used amplitudes.
+Centers enter as symbolic scalar factors of their terms, the way time
+functions do, so a tree compiles once per basis shape (the type and used
+dimension of every freedom) and is bound to centers afterwards: binding
+evaluates the factors, sums each offset's terms and trims the diagonals.
+A trajectory on a moving basis therefore walks each tree once per used
+shape and only rebinds after a recenter, a basis whose centers are all 0
+skips every center-carrying term, and the sweeps touch only the used
+amplitudes.
 
 `to_dense` builds the same operators from explicit matrices instead, as an
 independent reference for the compiled form.
@@ -42,7 +47,6 @@ from .hilbert import (
     SPIN,
     PhysicalType,
     StateVector,
-    basis_of,
     set_used_block,
     used_block,
 )
@@ -338,8 +342,11 @@ def transition(freedom: int, i: int, j: int) -> Primary:
 
 # ---------------------------------------------------------------------------
 # Compilation to offset diagonals.  While compiling, an operator is a dict
-# {time-function tuple: {offset: diagonal}} with full-length diagonals that
-# are zero wherever the source index i + offset falls outside the block.
+# {(time functions, center factors): {offset: diagonal}} with full-length
+# diagonals that are zero wherever the source index i + offset falls outside
+# the block.  Center factors are a sorted tuple of (freedom, conjugated)
+# pairs that stand for the product of the field centers c_k (or c_k*) they
+# name; the diagonals themselves do not depend on any center.
 
 
 def _shifted(v: np.ndarray, s: int) -> np.ndarray:
@@ -362,46 +369,50 @@ def _matrix_elements(dim: int, elements) -> dict:
     return bands
 
 
-def _primary_bands(op: PrimaryOperator, dim: int, c: complex, hc: bool) -> dict:
-    """{offset: diagonal} of a primary on `dim` used levels with center c."""
+def _primary_terms(op: PrimaryOperator, dim: int, hc: bool) -> dict:
+    """{center factors: {offset: diagonal}} of a primary on `dim` used levels.
+
+    With basis center c the physical ladder operator is the local one plus
+    c, so a -> a + c, n -> n + c a+ + c* a + c c*, x -> x + (c + c*)/sqrt2
+    and p -> p + i(c* - c)/sqrt2.
+    """
     lower = _sqrt_ladder(dim).astype(complex)     # sqrt(n): <n|a+|n-1>
     upper = _shifted(lower, 1)                     # sqrt(n+1): <n|a|n+1>
+    c, cc = ((op.freedom, False),), ((op.freedom, True),)
+    ones = np.ones(dim, dtype=complex)
     kind = op.kind
     if kind is Kind.DESTROY:
-        bands = {1: upper}
-        if c:
-            bands[0] = np.full(dim, c)
+        terms = {(): {1: upper}, c: {0: ones}}
     elif kind is Kind.NUMBER:
-        bands = {0: np.arange(dim) + (abs(c) ** 2 + 0j)}
-        if c:
-            bands[-1] = c * lower
-            bands[1] = np.conj(c) * upper
+        terms = {(): {0: np.arange(dim) + 0j}, c: {-1: lower}, cc: {1: upper},
+                 c + cc: {0: ones}}
     elif kind is Kind.POSITION:
-        bands = {-1: lower / _SQRT2, 1: upper / _SQRT2}
-        if c.real:
-            bands[0] = np.full(dim, _SQRT2 * c.real + 0j)
+        terms = {(): {-1: lower / _SQRT2, 1: upper / _SQRT2},
+                 c: {0: ones / _SQRT2}, cc: {0: ones / _SQRT2}}
     elif kind is Kind.MOMENTUM:
-        bands = {-1: lower * (1j / _SQRT2), 1: upper * (-1j / _SQRT2)}
-        if c.imag:
-            bands[0] = np.full(dim, _SQRT2 * c.imag + 0j)
+        terms = {(): {-1: lower * (1j / _SQRT2), 1: upper * (-1j / _SQRT2)},
+                 c: {0: ones * (-1j / _SQRT2)}, cc: {0: ones * (1j / _SQRT2)}}
     elif kind is Kind.SIGMA_PLUS:
-        bands = _matrix_elements(dim, ((1, 0, 1.0),))
+        terms = {(): _matrix_elements(dim, ((1, 0, 1.0),))}
     elif kind is Kind.SIGMA_MINUS:
-        bands = _matrix_elements(dim, ((0, 1, 1.0),))
+        terms = {(): _matrix_elements(dim, ((0, 1, 1.0),))}
     elif kind is Kind.SIGMA_Z:
-        bands = _matrix_elements(dim, ((0, 0, -1.0), (1, 1, 1.0)))
+        terms = {(): _matrix_elements(dim, ((0, 0, -1.0), (1, 1, 1.0)))}
     else:
         i, j = op.levels
-        bands = _matrix_elements(dim, ((i, j, 1.0),))
+        terms = {(): _matrix_elements(dim, ((i, j, 1.0),))}
     if hc:
-        # <n+o|M+|n> = conj(<n|M|n+o>): offset o becomes -o, rows shift by o
-        bands = {-o: _shifted(d, -o).conj() for o, d in bands.items()}
-    return bands
+        # <n+o|M+|n> = conj(<n|M|n+o>): offset o becomes -o, rows shift by o,
+        # and each center factor c becomes c*
+        terms = {tuple(sorted((k, not cj) for k, cj in f)):
+                 {-o: _shifted(d, -o).conj() for o, d in bands.items()}
+                 for f, bands in terms.items()}
+    return terms
 
 
 def _add_terms(acc: dict, terms: dict):
-    for fns, bands in terms.items():
-        into = acc.setdefault(fns, {})
+    for key, bands in terms.items():
+        into = acc.setdefault(key, {})
         for o, d in bands.items():
             into[o] = into[o] + d if o in into else d
 
@@ -409,9 +420,9 @@ def _add_terms(acc: dict, terms: dict):
 def _mul_terms(a: dict, b: dict, size: int) -> dict:
     """Terms of the matrix product a @ b."""
     out = {}
-    for fa, ba in a.items():
-        for fb, bb in b.items():
-            into = out.setdefault(fa + fb, {})
+    for (fa, ca), ba in a.items():
+        for (fb, cb), bb in b.items():
+            into = out.setdefault((fa + fb, tuple(sorted(ca + cb))), {})
             for oa, da in ba.items():
                 for ob, db in bb.items():
                     o = oa + ob
@@ -422,47 +433,53 @@ def _mul_terms(a: dict, b: dict, size: int) -> dict:
     return out
 
 
-def _compile_node(node, basis, size) -> dict:
+def _compile_node(node, shape, size) -> dict:
     if isinstance(node, Primary):
         k = node.op.freedom
-        if k >= len(basis):
-            raise ValueError(f"freedom {k} out of range for {len(basis)}-freedom state")
-        ptype, dim, center = basis[k]
+        if k >= len(shape):
+            raise ValueError(f"freedom {k} out of range for {len(shape)}-freedom state")
+        ptype, dim = shape[k]
         if ptype is not node.op.ptype:
             raise TypeError(
                 f"{node.op.kind.name} acts on {node.op.ptype.value} freedoms, "
                 f"freedom {k} is {ptype.value}")
-        stride = math.prod(b[1] for b in basis[k + 1:])
+        stride = math.prod(b[1] for b in shape[k + 1:])
         outer = size // (dim * stride)
-        bands = {}
-        for o, d in _primary_bands(node.op, dim, center, node.conj).items():
-            bands[o * stride] = np.broadcast_to(
-                d[None, :, None], (outer, dim, stride)).reshape(size)
-        return {(): bands}
+        terms = {}
+        for factors, bands in _primary_terms(node.op, dim, node.conj).items():
+            terms[(), factors] = {
+                o * stride: np.broadcast_to(d[None, :, None], (outer, dim, stride)).reshape(size)
+                for o, d in bands.items()}
+        return terms
     if isinstance(node, Sum):
         acc = {}
         for child in node.children:
-            _add_terms(acc, _compile_node(child, basis, size))
+            _add_terms(acc, _compile_node(child, shape, size))
         return acc
     if isinstance(node, Product):
-        acc = _compile_node(node.children[0], basis, size)
+        acc = _compile_node(node.children[0], shape, size)
         for child in node.children[1:]:
-            acc = _mul_terms(acc, _compile_node(child, basis, size), size)
+            acc = _mul_terms(acc, _compile_node(child, shape, size), size)
         return acc
     if isinstance(node, ScalarMul):
         z = node.scalar
-        terms = _compile_node(node.child, basis, size)
-        return {fns: {o: z * d for o, d in bands.items()} for fns, bands in terms.items()}
+        terms = _compile_node(node.child, shape, size)
+        return {key: {o: z * d for o, d in bands.items()} for key, bands in terms.items()}
     if isinstance(node, TimeFnMul):
-        terms = _compile_node(node.child, basis, size)
-        return {(node.fn,) + fns: bands for fns, bands in terms.items()}
+        terms = _compile_node(node.child, shape, size)
+        return {((node.fn,) + fns, f): bands for (fns, f), bands in terms.items()}
     if isinstance(node, Power):
-        base = _compile_node(node.child, basis, size)
+        base = _compile_node(node.child, shape, size)
         acc = base
         for _ in range(node.k - 1):
             acc = _mul_terms(acc, base, size)
         return acc
     raise TypeError(f"not an operator expression: {node!r}")
+
+
+def _shape_of(freedoms) -> tuple:
+    """What a compiled form depends on: (type, used dimension) per freedom."""
+    return tuple([(f.ptype, f.dim_used) for f in freedoms])
 
 
 class DiagonalOperator:
@@ -483,9 +500,7 @@ class DiagonalOperator:
     @classmethod
     def compile(cls, expr: OperatorExpr, freedoms) -> "DiagonalOperator":
         """Compile expr for the used dimensions and centers of freedoms (no cache)."""
-        basis = basis_of(freedoms)
-        size = math.prod(b[1] for b in basis)
-        return cls(size, _groups(_compile_node(expr, basis, size), size))
+        return CenteredForm(expr, _shape_of(freedoms)).bind([f.center for f in freedoms])
 
     def apply(self, y: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Return the operator applied to every row of a (B, size) block."""
@@ -502,38 +517,99 @@ class DiagonalOperator:
         return out
 
 
-def _groups(terms: dict, size: int) -> tuple:
-    """Trim each diagonal to its nonzero span and turn offsets into slices."""
-    groups = []
-    for fns, bands in terms.items():
-        kept = []
-        for o in sorted(bands):
-            d = bands[o]
-            lo, hi = max(0, -o), min(size, size - o)
-            nz = np.flatnonzero(d[lo:hi])
-            if nz.size:
-                lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
-                kept.append(((slice(None), slice(lo, hi)),
-                             (slice(None), slice(lo + o, hi + o)), np.array(d[lo:hi])))
-        if kept:
-            groups.append((fns, tuple(kept)))
-    return tuple(groups)
+class CenteredForm:
+    """An expression compiled for one basis shape, with the centers left symbolic.
+
+    `groups` holds (time functions, offsets) pairs, and each offset holds the
+    (center factors, diagonal) terms whose sum, with every factor evaluated
+    at the basis centers, is the diagonal at that offset.  `bind` evaluates
+    the factors, sums the terms and trims each diagonal to its nonzero span;
+    terms whose factors vanish are skipped, so a basis with every center 0
+    gets the local diagonals unchanged.  The form keeps the operator of the
+    last centers it was bound to, keyed on the centers it reads.
+    """
+
+    __slots__ = ("size", "groups", "centered", "_bound")
+
+    def __init__(self, expr: OperatorExpr, shape: tuple):
+        size = math.prod(b[1] for b in shape)
+        groups = {}
+        terms = _compile_node(expr, shape, size)
+        for (fns, factors), bands in terms.items():
+            offsets = groups.setdefault(fns, {})
+            for o, d in bands.items():
+                offsets.setdefault(o, []).append((factors, d))
+        self.size = size
+        self.groups = tuple((fns, tuple((o, tuple(offsets[o])) for o in sorted(offsets)))
+                            for fns, offsets in groups.items())
+        self.centered = tuple(sorted({k for _, factors in terms for k, _ in factors}))
+        self._bound = None
+
+    def bind(self, centers) -> DiagonalOperator:
+        """The operator at the given per-freedom centers."""
+        key = tuple([complex(centers[k]) for k in self.centered])
+        if self._bound is None or self._bound[0] != key:
+            values = dict(zip(self.centered, key))
+            self._bound = (key, DiagonalOperator(self.size, self._bound_groups(values)))
+        return self._bound[1]
+
+    def _bound_groups(self, centers: dict) -> tuple:
+        size = self.size
+        factor_values = {}
+        groups = []
+        for fns, offsets in self.groups:
+            kept = []
+            for o, terms in offsets:
+                d = None
+                for factors, diag in terms:
+                    if factors:
+                        z = factor_values.get(factors)
+                        if z is None:
+                            z = factor_values[factors] = math.prod(
+                                [centers[k].conjugate() if cj else centers[k]
+                                 for k, cj in factors])
+                        if not z:
+                            continue
+                        diag = z * diag
+                    d = diag if d is None else d + diag
+                if d is None:
+                    continue
+                lo, hi = max(0, -o), min(size, size - o)
+                nz = np.flatnonzero(d[lo:hi])
+                if nz.size:
+                    lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
+                    kept.append(((slice(None), slice(lo, hi)),
+                                 (slice(None), slice(lo + o, hi + o)), np.array(d[lo:hi])))
+            if kept:
+                groups.append((fns, tuple(kept)))
+        return tuple(groups)
+
+
+# Basis shapes whose compiled forms one expression keeps
+FORMS_KEPT = 16
 
 
 def compile_operator(expr: OperatorExpr, freedoms) -> DiagonalOperator:
     """Compiled form of expr for the used dimensions and centers of freedoms.
 
-    The expression keeps the compiled form of the last basis it was compiled
-    for, so repeated application in one basis compiles once.
+    The expression compiles once per basis shape (the type and used
+    dimension of every freedom) and keeps the forms of its last FORMS_KEPT
+    shapes.  A change of centers alone, as a recenter makes, only rebinds
+    the kept form: its diagonals are recombined with the new center values
+    and trimmed again, without walking the tree.
     """
-    basis = basis_of(freedoms)
-    hit = getattr(expr, "_compiled", None)
-    if hit is not None and hit[0] == basis:
-        return hit[1]
-    op = DiagonalOperator.compile(expr, freedoms)
-    # expression nodes are frozen; the cache is not part of their value
-    object.__setattr__(expr, "_compiled", (basis, op))
-    return op
+    shape = _shape_of(freedoms)
+    forms = getattr(expr, "_forms", None)
+    if forms is None:
+        forms = {}
+        # expression nodes are frozen; the cache is not part of their value
+        object.__setattr__(expr, "_forms", forms)
+    form = forms.get(shape)
+    if form is None:
+        if len(forms) >= FORMS_KEPT:
+            del forms[next(iter(forms))]
+        form = forms[shape] = CenteredForm(expr, shape)
+    return form.bind([f.center for f in freedoms])
 
 
 def apply_in_place(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:

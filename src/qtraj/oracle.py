@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import StateVector, used_view
-from .operators import OperatorExpr, Sum, Product, ScalarMul, TimeFnMul, Power, to_dense
+from .operators import Sum, Product, ScalarMul, TimeFnMul, Power, to_dense
 
 __all__ = [
     "MAX_ORACLE_DIM",

@@ -33,7 +33,7 @@ from .hilbert import (
     set_used_block,
     used_block,
 )
-from .operators import DiagonalOperator, OperatorExpr, Sum
+from .operators import OperatorExpr, Sum, compile_operator
 
 __all__ = [
     "Unraveling",
@@ -97,14 +97,14 @@ class ModelOperators:
     def compiled(self, freedoms):
         """(h_eff or None, [L_j]) compiled for the basis of freedoms.
 
-        Only the most recent basis is kept, so a moving basis holds one
-        compiled set at a time.
+        Each tree compiles once per basis shape (compile_operator); a basis
+        that only moved its centers rebinds the kept forms.
         """
         basis = basis_of(freedoms)
         if basis != self._compiled[0]:
-            compile_ = DiagonalOperator.compile
-            h_eff = None if self.h_eff is None else compile_(self.h_eff, freedoms)
-            self._compiled = (basis, h_eff, [compile_(l, freedoms) for l in self.lindblads])
+            h_eff = None if self.h_eff is None else compile_operator(self.h_eff, freedoms)
+            self._compiled = (basis, h_eff,
+                              [compile_operator(l, freedoms) for l in self.lindblads])
         return self._compiled[1:]
 
     @property

@@ -18,15 +18,16 @@ ensemble is either one chunk of all its trajectories (lockstep) or one
 chunk per trajectory (serial); lockstep needs fixed RK4 and no moving
 basis, because the adaptive step size and the cutoff upkeep are per
 trajectory.  Basis upkeep scatters the block into the state, recenters and
-adjusts the cutoff, then gathers the block again.  Every chunk draws from
-per-trajectory noise streams derived from (seed, trajectory index), each
-output interval into one preallocated block whose row r is filled in place
-by stream r.  Ensemble averages keep sums shifted by trajectory 0's sample
-and fold each chunk into them with np.cumsum, one addition per trajectory
-in index order; cumsum is strictly sequential, so every chunking performs
-the same additions and all chunkings give bitwise identical results.  A
-failing step names its trajectory index, which is also its noise stream
-index.
+adjusts the cutoff, then gathers the block again; it runs after the t = 0
+observation and after every step, so the first step already runs on the
+trimmed basis.  Every chunk draws from per-trajectory noise streams derived
+from (seed, trajectory index), each output interval into one preallocated
+block whose row r is filled in place by stream r.  Ensemble averages keep
+sums shifted by trajectory 0's sample and fold each chunk into them with
+np.cumsum, one addition per trajectory in index order; cumsum is strictly
+sequential, so every chunking performs the same additions and all
+chunkings give bitwise identical results.  A failing step names its
+trajectory index, which is also its noise stream index.
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ def _run(psi0, model, cfg, outspec, streams):
     Returns times, (n_ops, numsteps+1, B) expectations and variances, the
     basis size and the substeps summed over rows per output time, and the
     jumps of each row.  Basis upkeep (cfg.moving) needs B = 1: it scatters
-    the block into psi, maintains the basis and gathers the block again.
+    the block into psi, maintains the basis and gathers the block again,
+    once after the t = 0 observation and after every step, so every step
+    runs on a trimmed basis while row 0 reports the allocated one.
     """
     _check_normalized(psi0)
     _validate_moving(cfg.moving, psi0.freedoms)
@@ -229,11 +232,18 @@ def _run(psi0, model, cfg, outspec, streams):
         exps[:, k], vars_[:, k] = _observe(y, psi.freedoms, outspec.operators, t)
         sizes[k] = psi.basis_size()
 
+    def maintained(y):
+        set_used_block(psi.as2d(), psi.freedoms, y)
+        _maintain_basis(psi, cfg.moving)
+        return used_block(psi.as2d(), psi.freedoms)
+
     # one output interval of noise, row r drawn in place from stream streams[r]
     qsd = cfg.unraveling is Unraveling.QSD
     noise = np.empty((b, cfg.numdts, m), dtype=complex) if qsd else np.empty((b, cfg.numdts))
 
     observe(0, 0.0)
+    if cfg.moving is not None:
+        y = maintained(y)  # the first step runs on the trimmed basis
     step_index = 0
     for k in range(1, nk + 1):
         for src, row in zip(sources, noise):
@@ -255,9 +265,7 @@ def _run(psi0, model, cfg, outspec, streams):
             if stats.jumps:
                 jumps[stepper.last_jump_rows] += 1
             if cfg.moving is not None:
-                set_used_block(psi.as2d(), psi.freedoms, y)
-                _maintain_basis(psi, cfg.moving)
-                y = used_block(psi.as2d(), psi.freedoms)
+                y = maintained(y)
         observe(k, step_index * cfg.dt)
 
     times = np.array([(i * cfg.numdts) * cfg.dt for i in range(nk + 1)])

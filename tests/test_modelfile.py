@@ -16,13 +16,11 @@ from qtraj import (
     Power,
     TimeFnMul,
     Unraveling,
-    basis_state,
     build_model,
     coherent_state,
     create,
     destroy,
     load_model,
-    number,
     parse_model,
     print_model,
     sigma_minus,

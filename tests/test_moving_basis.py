@@ -5,7 +5,6 @@ the analytic coherent-state amplitudes and scipy's dense matrix exponential
 of delta*adag - conj(delta)*a.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from scipy.linalg import expm
 
 from qtraj import (
-    ATOM,
     FIELD,
     SPIN,
     FreedomSpec,
@@ -203,3 +201,60 @@ def test_large_displacement_uses_substeps():
     c0 = math.exp(-4.5)
     assert abs(v[0] - c0) < 1e-9
     assert abs(np.linalg.norm(v) - 1.0) < 1e-8
+
+
+def _full_scan_cutoff(state, freedom, epsilon, pad_size):
+    """adjust_cutoff's rule evaluated on slot sums over the whole allocation."""
+    fr = state.freedoms[freedom]
+    full = state.amps.reshape(tuple(f.dim_alloc for f in state.freedoms))
+    others = tuple(i for i in range(full.ndim) if i != freedom)
+    slotp = (np.abs(full) ** 2).sum(axis=others)
+    thresh = epsilon * slotp.sum()
+
+    def top(d):
+        return slotp[max(0, d - pad_size):d].sum()
+
+    d = fr.dim_used
+    while d < fr.dim_alloc and top(d) > thresh:
+        d = min(d + pad_size, fr.dim_alloc)
+    discarded = 0.0
+    while d > 1 and top(d - 1) <= thresh and discarded + slotp[d - 1] <= thresh:
+        discarded += slotp[d - 1]
+        d -= 1
+    ix = [slice(None)] * full.ndim
+    ix[freedom] = slice(d, None)
+    full[tuple(ix)] = 0
+    fr.dim_used = d
+    if discarded > 0.0:
+        state.normalize()
+    return d
+
+
+def test_adjust_cutoff_on_used_block_equals_full_allocation_scan():
+    # only the used block can carry probability, so scanning it alone must
+    # pick the same dimension and leave the same state as a full scan
+    rng = np.random.default_rng(77)
+    changed = 0
+    for _ in range(300):
+        alloc = (int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 9)))
+        frs = [FreedomSpec(FIELD, alloc[0], int(rng.integers(1, alloc[0] + 1)), 0.3 - 0.1j),
+               FreedomSpec(FIELD, alloc[1], int(rng.integers(1, alloc[1] + 1))),
+               FreedomSpec(FIELD, alloc[2], int(rng.integers(1, alloc[2] + 1)))]
+        used = tuple(f.dim_used for f in frs)
+        # geometric fall-off along each freedom, so both growth and shrinking occur
+        rates = rng.uniform(0.05, 1.5, size=3)
+        profile = np.einsum("i,j,k->ijk", *(r ** np.arange(u) for r, u in zip(rates, used)))
+        block = profile * (rng.standard_normal(used) + 1j * rng.standard_normal(used))
+        psi = StateVector(frs, np.zeros(math.prod(alloc), dtype=complex))
+        psi.amps.reshape(alloc)[: used[0], : used[1], : used[2]] = block
+        psi.normalize()
+        freedom = int(rng.integers(0, 3))
+        eps = float(rng.choice([1e-6, 1e-3, 0.01, 0.2]))
+        pad = int(rng.integers(1, 4))
+        ref = psi.copy()
+        d = adjust_cutoff(psi, freedom, eps, pad)
+        assert d == _full_scan_cutoff(ref, freedom, eps, pad)
+        assert [f.dim_used for f in psi.freedoms] == [f.dim_used for f in ref.freedoms]
+        assert np.array_equal(psi.amps, ref.amps)
+        changed += d != used[freedom]
+    assert changed > 100

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qtraj
 from qtraj import (
     ATOM,
     FIELD,
@@ -35,7 +34,17 @@ from qtraj import (
     transition,
 )
 from qtraj.hilbert import used_view
-from qtraj.operators import MAX_POWER, Power, Primary, Product, ScalarMul, Sum, TimeFnMul
+from qtraj.operators import (
+    MAX_POWER,
+    CenteredForm,
+    DiagonalOperator,
+    Power,
+    Product,
+    ScalarMul,
+    Sum,
+    TimeFnMul,
+    compile_operator,
+)
 
 
 def rand_state(rng, dims, ptypes=None):
@@ -356,3 +365,64 @@ def test_compiled_matches_dense_on_truncated_displaced_basis(expr, used, centers
     _check_against_dense(expr, used, centers, times[1], rng)
     moved = (centers[0] + 0.25, centers[1] - 0.5j)
     _check_against_dense(expr, (used[0] + 1, used[1], used[2]), moved, times[0], rng)
+
+
+# --- rebinding centers (property test) ---------------------------------------
+#
+# A compiled form depends on the types and used dimensions only; the centers
+# are bound afterwards.  Binding a form to new centers must give what the
+# dense route and a fresh compile give at those centers, and the cache must
+# rebind rather than compile again when only the centers moved.
+
+_maybe_centers = st.one_of(st.just(0j), _centers)
+
+
+def _prop_freedoms(used, centers):
+    return [FreedomSpec(FIELD, 4, used[0], centers[0]), FreedomSpec(ATOM, 3, used[1]),
+            FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 4, used[2], centers[1])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=_trees, used=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4)),
+       first=st.tuples(_maybe_centers, _maybe_centers),
+       second=st.tuples(_maybe_centers, _maybe_centers),
+       t=st.sampled_from((0.0, 0.7, -1.3)), seed=st.integers(0, 2 ** 32 - 1))
+def test_rebound_centers_match_dense_and_fresh_compile(expr, used, first, second, t, seed):
+    rng = np.random.default_rng(seed)
+    frs = _prop_freedoms(used, first)
+    dims = tuple(f.dim_used for f in frs)
+    y = rng.standard_normal((2, math.prod(dims))) + 1j * rng.standard_normal((2, math.prod(dims)))
+    compile_operator(expr, frs).apply(y, t)
+    forms = dict(expr._forms)
+
+    moved = _prop_freedoms(used, second)
+    got = compile_operator(expr, moved).apply(y, t)
+    assert expr._forms == forms  # rebound, not compiled again
+    mat = to_dense(expr, dims, (second[0], 0, 0, second[1]), t)
+    want = y @ mat.T
+    scale = 1.0 + np.abs(mat).sum(axis=1).max() * np.abs(y).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    fresh = DiagonalOperator.compile(expr, moved).apply(y, t)
+    assert np.abs(got - fresh).max() <= 1e-12 * scale
+
+    # one form, bound back and forth, gives the same bits each time
+    form = CenteredForm(expr, tuple((f.ptype, f.dim_used) for f in frs))
+    back = form.bind([f.center for f in frs]).apply(y, t)
+    again = form.bind([f.center for f in moved]).apply(y, t)
+    assert np.array_equal(again, got)
+    assert np.array_equal(form.bind([f.center for f in frs]).apply(y, t), back)
+
+
+def test_zero_centers_skip_every_center_term():
+    # with every center 0 a bound form holds only the local diagonals
+    expr = number(0) * position(1) + momentum(0) ** 2 + create(1) * destroy(0)
+    frs = [FreedomSpec(FIELD, 5, 4), FreedomSpec(FIELD, 3)]
+    form = CenteredForm(expr, tuple((f.ptype, f.dim_used) for f in frs))
+    assert form.centered == (0, 1)
+    local = form.bind([0j, 0j])
+    nonlocal_ = form.bind([0.3j, -0.2])
+    assert (sum(len(b) for _, b in local.groups)
+            < sum(len(b) for _, b in nonlocal_.groups))
+    mat = to_dense(expr, (4, 3))
+    y = np.arange(12.0)[None, :] * (1 + 0.5j)
+    assert np.abs(local.apply(y) - y @ mat.T).max() <= 1e-12 * np.abs(mat).sum()

@@ -13,7 +13,6 @@ from qtraj import (
     basis_state,
     coherent_state,
     compare_ensemble,
-    create,
     density_from_state,
     dense_model,
     destroy,

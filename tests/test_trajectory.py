@@ -1,24 +1,23 @@
 """Driver loop: observables, output formats, ensembles, reproducibility."""
 
+import dataclasses
 import io
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
 from qtraj import (
-    FIELD,
     SPIN,
     ATOM,
-    FreedomSpec,
     IntegratorConfig,
     ModelOperators,
     MovingBasisParams,
     NoiseSource,
     OutputSpec,
     RunConfig,
-    StateVector,
     Unraveling,
     basis_state,
     coherent_state,
@@ -34,7 +33,8 @@ from qtraj import (
     transition,
     variance,
 )
-from qtraj import trajectory
+from qtraj import operators, steppers, trajectory
+from qtraj.modelfile import load_model
 from qtraj.trajectory import _Welford, _run
 
 
@@ -484,3 +484,71 @@ def test_multi_freedom_run_with_spin_field():
     cfg = RunConfig(dt=0.005, numdts=20, numsteps=4)
     res = run_single(psi, model, cfg, spec, **quiet())
     assert np.abs(res.expectations[0] - 1.0).max() < 1e-9
+
+
+# --- moving basis: trimmed first step, one compile per basis shape ------------
+
+SHG = pathlib.Path(__file__).resolve().parents[1] / "models" / "shg.qt"
+
+
+def shg_run(numdts, numsteps):
+    """The shg.qt model on a shorter grid, writing no files."""
+    _, model, psi0, cfg, spec = load_model(str(SHG))
+    cfg = dataclasses.replace(cfg, numdts=numdts, numsteps=numsteps)
+    return model, psi0, cfg, OutputSpec(spec.operators, pipe=spec.pipe)
+
+
+def test_moving_run_steps_a_trimmed_block_from_the_first_step(monkeypatch):
+    model, psi0, cfg, spec = shg_run(numdts=2, numsteps=1)
+    widths = []
+    make = trajectory.make_stepper
+
+    def recording(*args, **kwargs):
+        stepper = make(*args, **kwargs)
+        step = stepper.step
+
+        def step_and_record(y, freedoms, t, noise):
+            widths.append((y.shape[1], math.prod(f.dim_used for f in freedoms)))
+            return step(y, freedoms, t, noise)
+
+        stepper.step = step_and_record
+        return stepper
+
+    monkeypatch.setattr(trajectory, "make_stepper", recording)
+    res = run_single(psi0, model, cfg, spec, **quiet())
+    assert res.stdout_lines[0].split()[5] == "5000"  # row 0 reports the allocation
+    # both fields start in vacuum: 1 level plus a pad of 2 each, times the spin
+    assert widths[0] == (18, 18)
+    assert len(widths) == 2
+
+
+def test_moving_run_compiles_h_eff_once_per_basis_shape(monkeypatch):
+    model, psi0, cfg, spec = shg_run(numdts=10, numsteps=2)
+    compiles = []
+    compile_node = operators._compile_node
+
+    def counting(node, shape, size):
+        if node is model.h_eff:
+            compiles.append(tuple(dim for _, dim in shape))
+        return compile_node(node, shape, size)
+
+    shapes = set()
+    drift = steppers._drift2d
+
+    def drift_and_record(y, freedoms, *args):
+        shapes.add(tuple(f.dim_used for f in freedoms))
+        return drift(y, freedoms, *args)
+
+    shifts = []
+    recenter = trajectory.recenter
+
+    def recenter_and_record(*args):
+        shifts.append(recenter(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(operators, "_compile_node", counting)
+    monkeypatch.setattr(steppers, "_drift2d", drift_and_record)
+    monkeypatch.setattr(trajectory, "recenter", recenter_and_record)
+    run_single(psi0, model, cfg, spec, **quiet())
+    assert sorted(compiles) == sorted(shapes)  # each shape compiled exactly once
+    assert sum(s != 0 for s in shifts) > 2 * len(compiles)
