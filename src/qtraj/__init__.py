@@ -55,9 +55,7 @@ from .steppers import (
     StepStats,
     Unraveling,
     drift,
-    jump_step,
     make_stepper,
-    qsd_step,
     rk4_step,
     rkck_adaptive,
 )
@@ -104,8 +102,7 @@ __all__ = [
     "MovingBasisParams", "adjust_cutoff", "displace_slice", "move_coords",
     "recenter",
     "IntegratorConfig", "ModelOperators", "NoiseSource", "StepStats",
-    "Unraveling", "drift", "jump_step", "make_stepper", "qsd_step",
-    "rk4_step", "rkck_adaptive",
+    "Unraveling", "drift", "make_stepper", "rk4_step", "rkck_adaptive",
     "EnsembleResult", "OutputSpec", "RunConfig", "SingleResult",
     "expectation", "run_ensemble", "run_single", "variance",
     "MAX_ORACLE_DIM", "ComparisonReport", "compare_ensemble", "dense_model",

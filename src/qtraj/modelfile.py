@@ -18,18 +18,21 @@ freedoms: a(f), adag(f), n(f), x(f), p(f) on fields, sp(f), sm(f), sz(f) on
 spins, tr(f,i,j) on atoms.  Precedence: ^ above unary minus above * above
 + -; binary operators associate left.
 
-Parse and type errors raise ModelParseError with a line:column location;
-semantic rejections after a clean parse (a non-Hermitian Hamiltonian, an
-out-of-range level) raise ModelValidationError.  The Hamiltonian check is
-numerical on the declared truncation: random-vector adjointness with the top
-level of every field freedom masked, since a ladder truncation only respects
-hermiticity on the lower block.
+Parsing lowers every expression once, to the operator trees a run applies;
+the parsed model keeps them for building.  Parse and type errors, an
+out-of-range tr() level among them, raise ModelParseError with a
+line:column location; semantic rejections after a clean parse (a
+non-Hermitian Hamiltonian, an out-of-range initial level) raise
+ModelValidationError.  The Hamiltonian check is exact on the declared
+truncation: the compiled offset diagonals must satisfy
+<i|H|j> = conj(<j|H|i>) wherever neither i nor j is the top level of a field
+freedom, since a ladder truncation only respects hermiticity on the lower
+block.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -44,7 +47,6 @@ from .hilbert import (
     basis_state,
     coherent_state,
     product_state,
-    row_dot,
 )
 from .moving_basis import MovingBasisParams
 from .operators import (
@@ -405,7 +407,7 @@ class _Lowerer:
     """Turns ASTs into scalars, time functions, or operator expressions."""
 
     def __init__(self, freedoms, params, allow_time=True):
-        self.freedoms = freedoms  # name -> (index, ptype)
+        self.freedoms = freedoms  # name -> (index, ptype, dim)
         self.params = params      # name -> complex
         self.allow_time = allow_time
 
@@ -532,11 +534,11 @@ class _Lowerer:
             _err(f"{opname}() expects a freedom name", arg if isinstance(arg, Node) else node)
         if arg.name not in self.freedoms:
             _err(f"unknown freedom '{arg.name}'", arg)
-        idx, ptype = self.freedoms[arg.name]
+        idx, ptype, dim = self.freedoms[arg.name]
         if ptype is not want_ptype:
             _err(f"{opname}() needs a {want_ptype.name.lower()} freedom, "
                  f"'{arg.name}' is {ptype.name.lower()}", arg)
-        return idx
+        return idx, dim
 
     def _int_arg(self, node, arg, opname):
         if not isinstance(arg, Num) or arg.value != int(arg.value):
@@ -549,9 +551,13 @@ class _Lowerer:
         if name == "tr":
             if len(node.args) != 3:
                 _err("tr() takes (freedom, i, j)", node)
-            idx = self._freedom_arg(node, node.args[0], ATOM, "tr")
+            idx, dim = self._freedom_arg(node, node.args[0], ATOM, "tr")
             i = self._int_arg(node, node.args[1], "tr")
             j = self._int_arg(node, node.args[2], "tr")
+            for level in (i, j):
+                if level >= dim:
+                    _err(f"tr() level {level} outside freedom '{node.args[0].name}' "
+                         f"dimension {dim}", node)
             try:
                 return transition(idx, i, j)
             except ValueError as e:
@@ -559,7 +565,7 @@ class _Lowerer:
         builder, want = _PRIMARIES[name]
         if len(node.args) != 1:
             _err(f"{name}() takes one freedom argument", node)
-        idx = self._freedom_arg(node, node.args[0], want, name)
+        idx, _ = self._freedom_arg(node, node.args[0], want, name)
         return builder(idx)
 
 
@@ -659,6 +665,8 @@ class ModelFile:
     initial: tuple
     outputs: tuple         # ((filename, ast), ...)
     run: tuple             # ((key, normalized value), ...) sorted by RUN_KEYS
+    # the lowered operators: (hamiltonian or None, lindblads, outputs)
+    lowered: tuple = field(compare=False, repr=False)
 
     def run_dict(self):
         return dict(self.run)
@@ -739,10 +747,8 @@ def _parse_freedoms(body):
     return tuple(decls)
 
 
-def _parse_params(body, freedoms):
-    names = {d.name for d in freedoms}
+def _parse_params(body, env):
     # freedoms stay visible so `k = a(m)` gets a type error, not a name error
-    env = {d.name: (k, _PTYPE_NAMES[d.ptype_name]) for k, d in enumerate(freedoms)}
     params = []
     values = {}
     for lineno, line in body:
@@ -755,7 +761,7 @@ def _parse_params(body, freedoms):
             raise ModelParseError(f"bad parameter name '{name}'", lineno, 1)
         if name in _RESERVED:
             raise ModelParseError(f"'{name}' shadows a builtin", lineno, 1)
-        if name in names or name in values:
+        if name in env or name in values:
             raise ModelParseError(f"'{name}' is already defined", lineno, 1)
         ast = _parse_expression(rhs, lineno)
         low = _Lowerer(env, values, allow_time=False)
@@ -885,7 +891,7 @@ def _normalize_run(raw):
     out["numsteps"] = integer("numsteps", required=True, minimum=0)
     out["trajectories"] = integer("trajectories", default=RunConfig.n_trajectories,
                                   minimum=1)
-    out["seed"] = integer("seed", default=RunConfig.seed)
+    out["seed"] = integer("seed", default=RunConfig.seed, minimum=0)
     out["unraveling"] = word("unraveling", "qsd", _UNRAVELINGS)
     out["integrator"] = word("integrator", IntegratorConfig.kind, ("rk4", "adaptive"))
     out["eps"] = number("eps", default=IntegratorConfig.eps)
@@ -962,15 +968,14 @@ def parse_model(text: str) -> ModelFile:
         if required not in sections:
             raise ModelParseError(f"missing required section '{required}'")
     freedoms = _parse_freedoms(sections["freedoms"])
-    params, param_values = _parse_params(sections.get("params", ()), freedoms)
+    env = {d.name: (k, _PTYPE_NAMES[d.ptype_name], d.dim)
+           for k, d in enumerate(freedoms)}
+    params, param_values = _parse_params(sections.get("params", ()), env)
     initial = _parse_initial(sections["initial"], freedoms)
     run = _normalize_run(_parse_run(sections["run"]))
-
-    env = {d.name: (k, _PTYPE_NAMES[d.ptype_name])
-           for k, d in enumerate(freedoms)}
     low = _Lowerer(env, param_values)
 
-    ham_ast = None
+    ham_ast = hamiltonian = None
     if "hamiltonian" in sections and sections["hamiltonian"]:
         body = sections["hamiltonian"]
         chunks = []
@@ -980,15 +985,17 @@ def parse_model(text: str) -> ModelFile:
             chunks.append(line)
             prev = lineno
         ham_ast = _parse_expression("".join(chunks), body[0][0])
-        low.operator(ham_ast)
+        hamiltonian = low.operator(ham_ast)
 
     lindblad_asts = []
+    lindblads = []
     for lineno, line in sections.get("lindblads", ()):
         ast = _parse_expression(line, lineno)
-        low.operator(ast)
+        lindblads.append(low.operator(ast))
         lindblad_asts.append(ast)
 
     outputs = []
+    output_ops = []
     seen_files = set()
     for lineno, line in sections.get("output", ()):
         w = line.split(None, 1)
@@ -1000,7 +1007,7 @@ def parse_model(text: str) -> ModelFile:
             raise ModelParseError(f"duplicate output file '{fname}'", lineno, 1)
         seen_files.add(fname)
         ast = _parse_expression(expr_text, lineno)
-        low.operator(ast)
+        output_ops.append(low.operator(ast))
         outputs.append((fname, ast))
     if not outputs:
         raise ModelParseError("the output section must list at least one "
@@ -1008,7 +1015,8 @@ def parse_model(text: str) -> ModelFile:
 
     _check_pipe(run, len(outputs))
     return ModelFile(freedoms, params, ham_ast, tuple(lindblad_asts),
-                     initial, tuple(outputs), run)
+                     initial, tuple(outputs), run,
+                     (hamiltonian, tuple(lindblads), tuple(output_ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -1045,76 +1053,50 @@ def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
     raise AssertionError(decl.ctor)
 
 
-def _check_hermitian(h_expr, freedoms, timedep):
-    """Random-vector adjointness on the truncation, top field level masked."""
-    rng = np.random.Generator(np.random.PCG64(0x5EED))
-    dims = tuple(f.dim_used for f in freedoms)
-    total = math.prod(dims)
+def _check_hermitian(h_expr, freedoms):
+    """Exact adjointness of the compiled diagonals, top field levels masked.
+
+    Entry i of offset o is <i|H|i+o>; it must equal conj(<i+o|H|i>), entry
+    i+o of offset -o, wherever rows i and i+o both lie below the top level
+    of every field freedom.  A Hamiltonian with time functions is checked at
+    several times.
+    """
     # not cached on h_expr: runs apply the effective generator, never H alone
     h = DiagonalOperator.compile(h_expr, freedoms)
-
-    def mask_top(buf):
-        view = buf.reshape((1,) + dims)
-        for k, fr in enumerate(freedoms):
-            if fr.ptype is FIELD and fr.dim_used > 1:
-                idx = [slice(None)] * view.ndim
-                idx[1 + k] = fr.dim_used - 1
-                view[tuple(idx)] = 0.0
-
-    def rand_state():
-        g = rng.standard_normal((2, total))
-        buf = np.ascontiguousarray((g[0] + 1j * g[1]).reshape(1, total))
-        mask_top(buf)
-        return buf
-
-    times = (0.0, 0.5, 1.0) if timedep else (0.0,)
-    for t in times:
-        for _ in range(2):
-            psi = rand_state()
-            phi = rand_state()
-            hpsi = h.apply(psi, t)
-            hphi = h.apply(phi, t)
-            mask_top(hpsi)
-            mask_top(hphi)
-            a = complex(row_dot(phi, hpsi)[0])
-            b = complex(row_dot(psi, hphi)[0])
-            defect = abs(a - b.conjugate()) / max(1.0, abs(a), abs(b))
-            if defect > 1e-8:
-                raise ModelValidationError(
-                    "hamiltonian is not Hermitian on the truncated space "
-                    f"(adjointness defect {defect:.3g} at t={t})")
-
-
-def _contains_timevar(node):
-    if isinstance(node, TimeVar):
-        return True
-    if isinstance(node, (Neg, Pow, Hc)):
-        return _contains_timevar(node.child)
-    if isinstance(node, Bin):
-        return _contains_timevar(node.left) or _contains_timevar(node.right)
-    if isinstance(node, Call):
-        return any(_contains_timevar(a) for a in node.args)
-    return False
+    lower = np.ones(tuple(f.dim_used for f in freedoms), dtype=bool)
+    for k, fr in enumerate(freedoms):
+        if fr.ptype is FIELD and fr.dim_used > 1:
+            lower[(slice(None),) * k + (fr.dim_used - 1,)] = False
+    lower = lower.reshape(-1)
+    size = h.size
+    timedep = any(fns for fns, _ in h.groups)
+    for t in (0.0, 0.5, 1.0) if timedep else (0.0,):
+        diags = h.diagonals(t)
+        scale = max([1.0] + [float(np.abs(d).max()) for d in diags.values()])
+        defect = 0.0
+        for o, d in diags.items():
+            lo, hi = max(0, -o), min(size, size - o)
+            mirror = diags[-o][lo + o:hi + o].conj() if -o in diags else 0.0
+            both = lower[lo:hi] & lower[lo + o:hi + o]
+            defect = max(defect, float(np.abs(d[lo:hi] - mirror)[both].max(initial=0.0)))
+        defect /= scale
+        if defect > 1e-8:
+            raise ModelValidationError(
+                "hamiltonian is not Hermitian on the truncated space "
+                f"(adjointness defect {defect:.3g} at t={t})")
 
 
 def build_model(mf: ModelFile, out_dir: str = None):
-    """Lower a parsed model to (ModelOperators, psi0, RunConfig, OutputSpec)."""
-    env = {d.name: (k, _PTYPE_NAMES[d.ptype_name])
-           for k, d in enumerate(mf.freedoms)}
-    _, param_values = _parse_params_from(mf)
-    low = _Lowerer(env, param_values)
-
-    hamiltonian = low.operator(mf.hamiltonian) if mf.hamiltonian is not None else None
-    lindblads = tuple(low.operator(ast) for ast in mf.lindblads)
+    """Build a parsed model's (ModelOperators, psi0, RunConfig, OutputSpec)."""
+    hamiltonian, lindblads, output_ops = mf.lowered
     model = ModelOperators(hamiltonian, lindblads)
 
     parts = [_initial_state(decl, fdecl)
              for decl, fdecl in zip(mf.initial, mf.freedoms)]
-    psi0 = product_state(parts)
-
     if hamiltonian is not None:
-        _check_hermitian(hamiltonian, psi0.freedoms,
-                         _contains_timevar(mf.hamiltonian))
+        # the check reads only the basis, so it runs before the product state exists
+        _check_hermitian(hamiltonian, [fr for part in parts for fr in part.freedoms])
+    psi0 = product_state(parts)
 
     run = mf.run_dict()
     moving = None
@@ -1136,24 +1118,10 @@ def build_model(mf: ModelFile, out_dir: str = None):
         integrator=IntegratorConfig(run["integrator"], run["eps"]),
         moving=moving)
 
-    names = []
-    ops = []
-    for fname, ast in mf.outputs:
-        if out_dir:
-            fname = os.path.join(out_dir, fname)
-        names.append(fname)
-        ops.append(low.operator(ast))
-    outspec = OutputSpec(tuple(ops), tuple(names), run["pipe"])
+    names = tuple(os.path.join(out_dir, fname) if out_dir else fname
+                  for fname, _ in mf.outputs)
+    outspec = OutputSpec(output_ops, names, run["pipe"])
     return model, psi0, cfg, outspec
-
-
-def _parse_params_from(mf):
-    env = {d.name: (k, _PTYPE_NAMES[d.ptype_name])
-           for k, d in enumerate(mf.freedoms)}
-    values = {}
-    for name, ast in mf.params:
-        values[name] = _Lowerer(env, values, allow_time=False).scalar(ast)
-    return mf.params, values
 
 
 def load_model(path: str, out_dir: str = None):

@@ -516,6 +516,20 @@ class DiagonalOperator:
                 out += part
         return out
 
+    def diagonals(self, t: float = 0.0) -> dict:
+        """{offset o: d} at time t, summed over groups, with d[i] = <i|op|i+o>.
+
+        Every d has the full length `size` and is zero where i + o falls
+        outside the block or the operator has no entry.
+        """
+        out = {}
+        for fns, bands in self.groups:
+            z = math.prod(complex(fn(t)) for fn in fns)
+            for (_, rows), (_, cols), d in bands:
+                full = out.setdefault(cols.start - rows.start, np.zeros(self.size, dtype=complex))
+                full[rows] += z * d
+        return out
+
 
 class CenteredForm:
     """An expression compiled for one basis shape, with the centers left symbolic.

@@ -48,8 +48,6 @@ __all__ = [
     "QsdStepper",
     "JumpStepper",
     "make_stepper",
-    "qsd_step",
-    "jump_step",
 ]
 
 NORM_COLLAPSE = 1e-12
@@ -62,15 +60,6 @@ class Unraveling(Enum):
     QSD = "qsd"
     JUMP = "jump"
     ORTHO_JUMP = "orthojump"
-
-    @property
-    def lam(self):
-        """Jump-rate parameter: 0 for plain jumps, 1 for orthogonal jumps."""
-        if self is Unraveling.JUMP:
-            return 0
-        if self is Unraveling.ORTHO_JUMP:
-            return 1
-        return None
 
 
 class ModelOperators:
@@ -157,11 +146,6 @@ class StepStats:
     substeps: int = 0
     jumps: int = 0
 
-    def __iadd__(self, other):
-        self.substeps += other.substeps
-        self.jumps += other.jumps
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Drift
@@ -196,18 +180,13 @@ def _drift2d(y, freedoms, model, unraveling, t):
     return out
 
 
-def _with_block(psi, y):
-    """A state in the basis of psi whose used block is y."""
-    out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
-    set_used_block(out.as2d(), out.freedoms, y)
-    return out
-
-
 def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
           t: float = 0.0) -> StateVector:
     """Deterministic part of d|psi>/dt for the given unraveling."""
     y = used_block(psi.as2d(), psi.freedoms)
-    return _with_block(psi, _drift2d(y, psi.freedoms, model, unraveling, t))
+    out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
+    set_used_block(out.as2d(), out.freedoms, _drift2d(y, psi.freedoms, model, unraveling, t))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +351,13 @@ class QsdStepper(_StepperBase):
 
 
 class JumpStepper(_StepperBase):
-    """Jump unravelings: lam=0 plain quantum jumps, lam=1 orthogonal jumps."""
+    """Jump unravelings: plain quantum jumps or orthogonal jumps."""
 
-    def __init__(self, model, dt, lam=0, integrator=IntegratorConfig()):
-        if lam not in (0, 1):
-            raise ValueError("lam must be 0 or 1")
-        unr = Unraveling.JUMP if lam == 0 else Unraveling.ORTHO_JUMP
-        super().__init__(model, unr, dt, integrator)
-        self.lam = lam
+    def __init__(self, model, dt, unraveling=Unraveling.JUMP, integrator=IntegratorConfig()):
+        if unraveling not in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
+            raise ValueError("JumpStepper needs the jump or orthojump unraveling")
+        super().__init__(model, unraveling, dt, integrator)
+        self._orthogonal = unraveling is Unraveling.ORTHO_JUMP
         self._warned = False
 
     def _jump_probabilities(self, y, freedoms, t):
@@ -395,7 +373,7 @@ class JumpStepper(_StepperBase):
             ly = l_op.apply(y, t)
             lys.append(ly)
             ll = row_norm2(ly) / n2
-            if self.lam:
+            if self._orthogonal:
                 lexp = row_dot(y, ly) / n2
                 p = (ll - np.abs(lexp) ** 2) * self.dt
             else:
@@ -432,7 +410,7 @@ class JumpStepper(_StepperBase):
                 j = int(np.searchsorted(cum[b], u[b], side="right"))
                 j = min(j, self.model.n_lindblads - 1)
                 row = lys[j][b:b + 1].copy()
-                if self.lam:
+                if self._orthogonal:
                     row -= lexps[j][b] * y[b:b + 1]
                 nrm = row_norm(row)
                 if nrm[0] < NORM_COLLAPSE:
@@ -445,28 +423,4 @@ def make_stepper(model: ModelOperators, unraveling: Unraveling, dt: float,
                  integrator: IntegratorConfig = IntegratorConfig()):
     if unraveling is Unraveling.QSD:
         return QsdStepper(model, dt, integrator)
-    return JumpStepper(model, dt, lam=unraveling.lam, integrator=integrator)
-
-
-# -- single-state conveniences ------------------------------------------------
-
-
-def qsd_step(psi: StateVector, model: ModelOperators, dt: float, noise: NoiseSource,
-             t: float = 0.0, integrator: IntegratorConfig = IntegratorConfig()):
-    """Advance one state by one QSD coarse step; returns (psi', stats)."""
-    stepper = QsdStepper(model, dt, integrator)
-    dxi = noise.wiener(1, model.n_lindblads, dt)
-    return _step_state(stepper, psi, t, dxi)
-
-
-def jump_step(psi: StateVector, model: ModelOperators, dt: float, noise: NoiseSource,
-              lam: int = 0, t: float = 0.0,
-              integrator: IntegratorConfig = IntegratorConfig()):
-    """Advance one state by one jump coarse step; returns (psi', stats)."""
-    stepper = JumpStepper(model, dt, lam=lam, integrator=integrator)
-    return _step_state(stepper, psi, t, noise.uniforms(1))
-
-
-def _step_state(stepper, psi, t, noise):
-    y, stats = stepper.step(used_block(psi.as2d(), psi.freedoms), psi.freedoms, t, noise)
-    return _with_block(psi, y), stats
+    return JumpStepper(model, dt, unraveling, integrator)

@@ -115,6 +115,8 @@ class RunConfig:
             raise ValueError("numsteps must be non-negative")
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -284,7 +284,8 @@ def test_flags_match_model_file_run_keys(keys, tmp_path, capsys):
     ({"eps": "0"}, "integrator eps must be positive"),
     ({"moving": "1", "cutoff_epsilon": "0.7"}, "cutoff_epsilon must lie in (0, 0.5)"),
     ({"moving": "1", "shift_accuracy": "0"}, "shift_accuracy must be positive"),
-], ids=["eps", "cutoff_epsilon", "shift_accuracy"])
+    ({"seed": "-1"}, "run key 'seed' must be >= 0"),
+], ids=["eps", "cutoff_epsilon", "shift_accuracy", "seed"])
 def test_out_of_range_run_values_exit_2(keys, message, tmp_path, capsys):
     # values the config dataclasses reject are model errors, as pad = 0 is:
     # exit 2 with the dataclass's message, at the key's line in a file

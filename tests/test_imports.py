@@ -1,9 +1,13 @@
-"""No dead imports in the package: an ast scan of src/qtraj/*.py.
+"""No dead imports or private helpers in the package: ast scans of src/qtraj/*.py.
 
 An imported name counts as used when the module reads it (a bare name, the
 base of an attribute chain, or a name inside a quoted annotation) or lists
 it in __all__.  `from __future__` imports and the re-exports of __init__.py
-are skipped.  Standard library only.
+are skipped.  A private module-level name (a def, class or assignment whose
+name starts with one underscore) counts as used when some statement other
+than its own definition reads it, as a bare name or an attribute, in any
+module of the package; a helper that only calls itself is dead.  Standard
+library only.
 """
 
 import ast
@@ -80,4 +84,59 @@ def test_package_has_no_unused_imports():
         if dead:
             found[path.name] = dead
     assert not found, f"unused imports (line, name): {found}"
+    assert time.perf_counter() - start < 0.5
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources):
+    """Sorted (module, name) of private module-level names nobody else reads.
+
+    sources maps module names to their source text.
+    """
+    defined = {}   # (module, name) -> index of the defining top-level statement
+    reads = {}     # name -> {(module, index of the reading top-level statement)}
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update(((module, n), i) for n in names if _private(n))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, set()).add((module, i))
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, set()).add((module, i))
+    return sorted((module, name) for (module, name), i in defined.items()
+                  if not reads.get(name, set()) - {(module, i)})
+
+
+def test_private_scanner_flags_only_unread_names():
+    sources = {
+        "a": ("_LIMIT = 3\n"
+              "_unused = 1\n"
+              "def _walk(n):\n"
+              "    return _walk(n - 1) if n else 0\n"
+              "def _used():\n"
+              "    return _LIMIT\n"
+              "class _Box:\n"
+              "    pass\n"
+              "__all__ = []\n"),
+        "b": "from . import a\nx = a._used() + a._Box\n",
+    }
+    assert unread_private_names(sources) == [("a", "_unused"), ("a", "_walk")]
+
+
+def test_package_private_names_are_read():
+    start = time.perf_counter()
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    dead = unread_private_names(sources)
+    assert not dead, f"private names defined but never read (module, name): {dead}"
     assert time.perf_counter() - start < 0.5

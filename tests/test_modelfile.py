@@ -350,6 +350,45 @@ def test_atom_transition_model():
                     .replace("s down", "s2 level 0"))
 
 
+def test_atom_transition_level_out_of_range():
+    # a tr() level at or above the atom's dimension is an error at the call
+    text = mk().replace("s spin", "q atom 2").replace("s down", "q level 0") \
+        .replace("n.out n(m)", "n.out n(m)\n  q.out tr(q, 5, 0)")
+    with pytest.raises(ModelParseError) as err:
+        parse_model(text)
+    assert str(err.value) == "line 14, col 1: tr() level 5 outside freedom 'q' dimension 2"
+    with pytest.raises(ModelParseError, match="level 2 outside freedom 'q' dimension 2"):
+        parse_model(text.replace("tr(q, 5, 0)", "tr(q, 0, 2)"))
+
+
+# Hamiltonians beyond test_hermiticity_check, with the verdict of the check:
+# exact on the compiled diagonals, top field level masked
+HERMITICITY_CASES = [
+    ("x(m)*p(m)", False),
+    ("x(m)*p(m) + p(m)*x(m)", True),
+    ("n(m) + 1e-6i*sz(s)", False),
+    ("0.5*(sp(s)*a(m) + sm(s)*adag(m))", True),   # Jaynes-Cummings
+    ("sin(t)*a(m) + sin(t)*adag(m)", True),       # one time group per term
+    ("models/shg.qt", True),
+]
+
+
+@pytest.mark.parametrize("ham, hermitian", HERMITICITY_CASES,
+                         ids=[ham for ham, _ in HERMITICITY_CASES])
+def test_hermiticity_parity(ham, hermitian):
+    if ham.endswith(".qt"):
+        with open(ham) as fh:
+            text = fh.read()
+    else:
+        text = mk(ham)
+    mf = parse_model(text)
+    if hermitian:
+        build_model(mf)
+    else:
+        with pytest.raises(ModelValidationError, match="Hermitian"):
+            build_model(mf)
+
+
 def test_run_key_handling():
     runs = textwrap.dedent("""\
         run:

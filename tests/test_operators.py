@@ -353,6 +353,10 @@ def _check_against_dense(expr, used, centers, t, rng):
     rest = out.as2d().copy()
     used_view(rest, frs)[...] = 0
     assert not rest.any()  # slots outside the used block stay zero
+    n = len(want)
+    diags = compile_operator(expr, frs).diagonals(t)
+    assert all(np.abs(diags.get(o, np.zeros(n))[max(0, -o):n - max(0, o)]
+                      - np.diagonal(mat, o)).max() <= 1e-12 * scale for o in range(1 - n, n))
 
 
 @settings(max_examples=100, deadline=None)

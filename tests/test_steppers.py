@@ -21,18 +21,16 @@ from qtraj import (
     basis_state,
     destroy,
     drift,
-    jump_step,
     make_stepper,
     number,
     position,
-    qsd_step,
     rk4_step,
     rkck_adaptive,
     sigma_minus,
     sigma_plus,
     to_dense,
 )
-from qtraj.steppers import StepStats, _drift2d
+from qtraj.steppers import _drift2d
 
 
 def dense_drift(y, hmat, lmats, unraveling):
@@ -326,19 +324,3 @@ def test_batched_rows_equal_individual_rows():
             si = make_stepper(model, unr, 0.01)
             row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, u[i:i + 1])
             assert np.array_equal(batch[i], row[0])
-
-
-def test_step_stats_accumulate():
-    s = StepStats()
-    s += StepStats(substeps=3, jumps=1)
-    s += StepStats(substeps=2)
-    assert s.substeps == 5 and s.jumps == 1
-
-
-def test_convenience_wrappers():
-    model = decaying_atom()
-    psi = basis_state(2, 1, SPIN)
-    out, stats = qsd_step(psi, model, 0.001, NoiseSource(1, 0))
-    assert abs(out.norm() - 1.0) < 1e-12
-    out2, stats2 = jump_step(psi, model, 0.001, NoiseSource(1, 0), lam=1)
-    assert abs(out2.norm() - 1.0) < 1e-12

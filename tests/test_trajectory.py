@@ -91,6 +91,12 @@ def test_runconfig_validation():
         RunConfig(dt=0.1, numdts=1, numsteps=1, n_trajectories=0)
 
 
+def test_runconfig_rejects_negative_seed():
+    # a seed names the noise streams, and stream seeds are non-negative
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        RunConfig(dt=0.1, numdts=1, numsteps=1, seed=-1)
+
+
 def test_outputspec_validation():
     n = number(0)
     with pytest.raises(ValueError):
