@@ -23,7 +23,6 @@ from .operators import (
     OperatorExpr,
     Power,
     Primary,
-    PrimaryOperator,
     Product,
     ScalarMul,
     Sum,
@@ -95,7 +94,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOM", "FIELD", "SPIN", "FreedomSpec", "PhysicalType", "StateVector",
     "basis_state", "coherent_state", "inner_product", "product_state",
-    "OperatorExpr", "Primary", "PrimaryOperator", "Sum", "Product",
+    "OperatorExpr", "Primary", "Sum", "Product",
     "ScalarMul", "TimeFnMul", "Power", "apply", "apply_in_place",
     "create", "destroy", "momentum", "number", "position",
     "sigma_minus", "sigma_plus", "sigma_z", "to_dense", "transition",

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure (non-Hermitian Hamiltonian,
 failed oracle comparison, a run aborting), 2 usage or parse errors.
-Run-key flags (--dt, --moving, --pipe, ...) override the model file's run
-section and are read and checked by the same rules, so an invalid value is
-a usage error as it would be in the file.  The default output directory
+Each run key of the model file has one flag (--dt, --moving, --pipe, ...,
+made from RUN_KEYS) that overrides the run section; its value is read and
+checked by the same rules, so an invalid value is a usage error as it would
+be in the file.  The default output directory
 comes from QTRAJ_OUT_DIR when --out-dir is not given.
 """
 
@@ -40,20 +41,14 @@ def _build_parser():
     common.add_argument("--out-dir", default=None,
                         help="directory for output files "
                              "(default: $QTRAJ_OUT_DIR or current directory)")
-    # run-key flags stay text: override_run checks them as run-section lines
-    common.add_argument("--seed")
-    common.add_argument("--trajectories")
-    common.add_argument("--unraveling", help="qsd, jump or orthojump")
-    common.add_argument("--dt")
-    common.add_argument("--numdts")
-    common.add_argument("--numsteps")
-    common.add_argument("--integrator", help="rk4 or adaptive")
-    common.add_argument("--eps", help="adaptive integrator accuracy")
-    common.add_argument("--moving", help="number of leading field freedoms to recenter")
-    common.add_argument("--cutoff-epsilon")
-    common.add_argument("--pad")
-    common.add_argument("--shift-accuracy")
-    common.add_argument("--pipe", nargs=4, metavar=("C1", "C2", "C3", "C4"))
+    # one flag per run key; its text goes through override_run as a run line
+    run_keys = common.add_argument_group(
+        "run-key overrides",
+        "each flag replaces the model file's run key of the same name and is "
+        "checked by the same rules")
+    for key in RUN_KEYS:
+        values = {"nargs": 4, "metavar": ("C1", "C2", "C3", "C4")} if key == "pipe" else {}
+        run_keys.add_argument("--" + key.replace("_", "-"), **values)
 
     sub.add_parser("run", parents=[common],
                    help="single trajectory (noise stream 0)")

@@ -10,6 +10,7 @@ amplitudes refer to.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -222,13 +223,6 @@ class StateVector:
         _check_same_structure(self, other)
         return complex(row_dot(self.as2d(), other.as2d())[0])
 
-    def apply_primary(self, primary, hc: bool = False, t: float = 0.0) -> "StateVector":
-        """Apply a single-freedom primary operator in place."""
-        from .operators import Primary  # operators imports this module
-
-        Primary(primary, hc).apply_to_state(self, t)
-        return self
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -256,12 +250,11 @@ class StateVector:
         if isinstance(other, (int, float, complex, np.number)):
             self.amps *= complex(other)
             return self
-        # operator expressions know how to apply themselves in place
-        applier = getattr(other, "apply_to_state", None)
-        if applier is None:
+        from .operators import OperatorExpr, apply_in_place  # operators imports this module
+
+        if not isinstance(other, OperatorExpr):
             return NotImplemented
-        applier(self)
-        return self
+        return apply_in_place(other, self)
 
     def __repr__(self):
         dims = "x".join(str(f.dim_alloc) for f in self.freedoms)
@@ -285,18 +278,24 @@ def basis_state(dim: int, n: int = 0, ptype: PhysicalType = FIELD) -> StateVecto
 def coherent_state(dim: int, alpha: complex) -> StateVector:
     """Coherent state |alpha> of a field mode, renormalized on the truncation.
 
-    Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), evaluated
-    iteratively, then rescaled so the truncated vector has unit norm.
+    Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!).  Their
+    magnitudes peak at n = |alpha|^2 (or at the top level, if that is
+    lower); the recurrence |c_n+1| = |c_n| |alpha| / sqrt(n+1) runs both ways
+    from the peak, set to 1, so no amplitude the state holds underflows on
+    the way.  The phases are n arg(alpha), and the vector is then rescaled
+    to unit norm.
     """
     alpha = complex(alpha)
-    fr = FreedomSpec(FIELD, dim)
-    amps = np.zeros(dim, dtype=np.complex128)
-    c = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(dim):
-        amps[n] = c
-        c = c * alpha / math.sqrt(n + 1)
-    state = StateVector([fr], amps)
-    return state.normalize()
+    r = abs(alpha)
+    peak = min(int(r * r), dim - 1)
+    mags = np.zeros(dim)
+    mags[peak] = 1.0
+    for n in range(peak, dim - 1):
+        mags[n + 1] = mags[n] * r / math.sqrt(n + 1)
+    for n in range(peak, 0, -1):
+        mags[n - 1] = mags[n] * math.sqrt(n) / r
+    amps = mags * np.exp(1j * cmath.phase(alpha) * np.arange(dim))
+    return StateVector([FreedomSpec(FIELD, dim)], amps).normalize()
 
 
 def product_state(parts) -> StateVector:

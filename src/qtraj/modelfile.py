@@ -18,31 +18,39 @@ freedoms: a(f), adag(f), n(f), x(f), p(f) on fields, sp(f), sm(f), sz(f) on
 spins, tr(f,i,j) on atoms.  Precedence: ^ above unary minus above * above
 + -; binary operators associate left.
 
+Primary names are the values of operators.Kind plus adag; freedom types
+and unravelings are the values of PhysicalType and Unraveling, and the
+integrator kinds are steppers.INTEGRATOR_KINDS.  Run checks that the
+library also makes -- value ranges, the pipe range, which freedoms may
+move -- are the owning class's or function's own checks, re-raised as
+model errors.
+
 Parsing lowers every expression once, to the operator trees a run applies;
 the parsed model keeps them for building.  Parse and type errors, an
 out-of-range tr() level among them, raise ModelParseError with a
 line:column location; semantic rejections after a clean parse (a
-non-Hermitian Hamiltonian, an out-of-range initial level) raise
-ModelValidationError.  The Hamiltonian check is exact on the declared
-truncation: the compiled offset diagonals must satisfy
-<i|H|j> = conj(<j|H|i>) wherever neither i nor j is the top level of a field
-freedom, since a ladder truncation only respects hermiticity on the lower
-block.
+non-Hermitian Hamiltonian, an out-of-range initial level, a moving count
+that reaches past the leading field freedoms) raise ModelValidationError.
+The Hamiltonian check is exact on the declared truncation: the compiled
+offset diagonals must satisfy <i|H|j> = conj(<j|H|i>) wherever neither i
+nor j is the top level of a field freedom, since a ladder truncation only
+respects hermiticity on the lower block.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .hilbert import (
-    ATOM,
     FIELD,
     SPIN,
     FreedomSpec,
+    PhysicalType,
     StateVector,
     basis_state,
     coherent_state,
@@ -51,21 +59,14 @@ from .hilbert import (
 from .moving_basis import MovingBasisParams
 from .operators import (
     DiagonalOperator,
+    Kind,
     Power,
+    Primary,
     ScalarMul,
     TimeFnMul,
-    create,
-    destroy,
-    momentum,
-    number,
-    position,
-    sigma_minus,
-    sigma_plus,
-    sigma_z,
-    transition,
 )
-from .steppers import IntegratorConfig, ModelOperators, Unraveling
-from .trajectory import OutputSpec, RunConfig
+from .steppers import INTEGRATOR_KINDS, IntegratorConfig, ModelOperators, Unraveling
+from .trajectory import OutputSpec, RunConfig, _fmt, _validate_moving
 
 __all__ = [
     "ModelError",
@@ -383,20 +384,11 @@ def _parse_expression(text, first_line=1):
 # Lowering typed values: ("c", complex) | ("f", t->complex) | ("o", OperatorExpr)
 
 
-_PRIMARIES = {
-    "a": (destroy, FIELD),
-    "adag": (create, FIELD),
-    "n": (number, FIELD),
-    "x": (position, FIELD),
-    "p": (momentum, FIELD),
-    "sp": (sigma_plus, SPIN),
-    "sm": (sigma_minus, SPIN),
-    "sz": (sigma_z, SPIN),
-}
+# a primary's name is its Kind's value; adag names the conjugated ladder
+_PRIMARIES = {kind.value: (kind, False) for kind in Kind} | {"adag": (Kind.DESTROY, True)}
 _SCALAR_FUNCS = {"sqrt": cmath.sqrt, "sin": cmath.sin, "cos": cmath.cos,
                  "exp": cmath.exp}
-_RESERVED = (set(_PRIMARIES) | set(_SCALAR_FUNCS)
-             | {"tr", "hc", "i", "t"})
+_RESERVED = set(_PRIMARIES) | set(_SCALAR_FUNCS) | {"hc", "i", "t"}
 
 
 def _err(msg, node):
@@ -525,7 +517,7 @@ class _Lowerer:
             if kind == "f":
                 return ("f", lambda t, f=val, g=fn: g(f(t)))
             _err(f"{name}() applies to scalars, not operators", node)
-        if name in _PRIMARIES or name == "tr":
+        if name in _PRIMARIES:
             return ("o", self._primary(node))
         _err(f"unknown function '{name}'", node)
 
@@ -548,10 +540,11 @@ class _Lowerer:
 
     def _primary(self, node):
         name = node.name
-        if name == "tr":
+        kind, conj = _PRIMARIES[name]
+        if kind is Kind.TRANSITION:
             if len(node.args) != 3:
                 _err("tr() takes (freedom, i, j)", node)
-            idx, dim = self._freedom_arg(node, node.args[0], ATOM, "tr")
+            idx, dim = self._freedom_arg(node, node.args[0], kind.ptype, "tr")
             i = self._int_arg(node, node.args[1], "tr")
             j = self._int_arg(node, node.args[2], "tr")
             for level in (i, j):
@@ -559,22 +552,17 @@ class _Lowerer:
                     _err(f"tr() level {level} outside freedom '{node.args[0].name}' "
                          f"dimension {dim}", node)
             try:
-                return transition(idx, i, j)
+                return Primary(kind, idx, (i, j))
             except ValueError as e:
                 _err(str(e), node)
-        builder, want = _PRIMARIES[name]
         if len(node.args) != 1:
             _err(f"{name}() takes one freedom argument", node)
-        idx, _ = self._freedom_arg(node, node.args[0], want, name)
-        return builder(idx)
+        idx, _ = self._freedom_arg(node, node.args[0], kind.ptype, name)
+        return Primary(kind, idx, conj=conj)
 
 
 # ---------------------------------------------------------------------------
 # Canonical printing (inverse of parsing up to normalization)
-
-
-def _fmt_num(v: float) -> str:
-    return repr(float(v))
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_POSTFIX, _PREC_ATOM = 1, 2, 3, 4, 5, 6
@@ -594,9 +582,9 @@ def _node_prec(node):
 
 def _print_node(node, minprec=0):
     if isinstance(node, Num):
-        s = _fmt_num(node.value)
+        s = _fmt(node.value)
     elif isinstance(node, Imag):
-        s = _fmt_num(node.value) + "i"
+        s = _fmt(node.value) + "i"
     elif isinstance(node, Ref):
         s = node.name
     elif isinstance(node, TimeVar):
@@ -632,14 +620,11 @@ def _print_node(node, minprec=0):
 # Section-level parsing
 
 
-_PTYPE_NAMES = {"field": FIELD, "spin": SPIN, "atom": ATOM}
 _SECTION_NAMES = ("freedoms", "params", "hamiltonian", "lindblads",
                   "initial", "output", "run")
 RUN_KEYS = ("dt", "numdts", "numsteps", "trajectories", "seed", "unraveling",
             "integrator", "eps", "moving", "cutoff_epsilon", "pad",
             "shift_accuracy", "pipe")
-_UNRAVELINGS = {"qsd": Unraveling.QSD, "jump": Unraveling.JUMP,
-                "orthojump": Unraveling.ORTHO_JUMP}
 
 
 @dataclass(frozen=True)
@@ -722,7 +707,7 @@ def _parse_freedoms(body):
             raise ModelParseError(f"'{name}' shadows a builtin", lineno, 1)
         if name in seen:
             raise ModelParseError(f"duplicate freedom '{name}'", lineno, 1)
-        if tname not in _PTYPE_NAMES:
+        if tname not in {p.value for p in PhysicalType}:
             raise ModelParseError(f"unknown freedom type '{tname}' "
                                   "(expected field, spin or atom)", lineno, 1)
         if tname == "spin":
@@ -892,8 +877,9 @@ def _normalize_run(raw):
     out["trajectories"] = integer("trajectories", default=RunConfig.n_trajectories,
                                   minimum=1)
     out["seed"] = integer("seed", default=RunConfig.seed, minimum=0)
-    out["unraveling"] = word("unraveling", "qsd", _UNRAVELINGS)
-    out["integrator"] = word("integrator", IntegratorConfig.kind, ("rk4", "adaptive"))
+    out["unraveling"] = word("unraveling", RunConfig.unraveling.value,
+                             [u.value for u in Unraveling])
+    out["integrator"] = word("integrator", IntegratorConfig.kind, INTEGRATOR_KINDS)
     out["eps"] = number("eps", default=IntegratorConfig.eps)
     check("eps", IntegratorConfig, kind=out["integrator"], eps=out["eps"])
     moving = integer("moving", default=None, minimum=0)
@@ -922,11 +908,12 @@ def _normalize_run(raw):
     return tuple((k, out[k]) for k in RUN_KEYS if k in out)
 
 
-def _check_pipe(run, n_outputs):
-    hi = 4 * n_outputs
-    for p in dict(run)["pipe"]:
-        if not 1 <= p <= hi:
-            raise ModelParseError(f"pipe index {p} outside 1..{hi}")
+def _check_pipe(run, operators):
+    """OutputSpec's pipe-range rule for the output operators, as a parse error."""
+    try:
+        OutputSpec(operators, pipe=dict(run)["pipe"])
+    except ValueError as err:
+        raise ModelParseError(str(err)) from None
 
 
 def _run_text(key, val):
@@ -935,7 +922,7 @@ def _run_text(key, val):
         return " ".join(str(p) for p in val)
     if isinstance(val, (int, str)):
         return str(val)
-    return _fmt_num(val)
+    return _fmt(val)
 
 
 def override_run(mf: ModelFile, overrides: dict) -> ModelFile:
@@ -948,7 +935,7 @@ def override_run(mf: ModelFile, overrides: dict) -> ModelFile:
     raw.update((key, (text.strip(), None)) for key, text in overrides.items()
                if text is not None)
     run = _normalize_run(raw)
-    _check_pipe(run, len(mf.outputs))
+    _check_pipe(run, mf.lowered[2])
     return replace(mf, run=run)
 
 
@@ -968,7 +955,7 @@ def parse_model(text: str) -> ModelFile:
         if required not in sections:
             raise ModelParseError(f"missing required section '{required}'")
     freedoms = _parse_freedoms(sections["freedoms"])
-    env = {d.name: (k, _PTYPE_NAMES[d.ptype_name], d.dim)
+    env = {d.name: (k, PhysicalType(d.ptype_name), d.dim)
            for k, d in enumerate(freedoms)}
     params, param_values = _parse_params(sections.get("params", ()), env)
     initial = _parse_initial(sections["initial"], freedoms)
@@ -1013,7 +1000,7 @@ def parse_model(text: str) -> ModelFile:
         raise ModelParseError("the output section must list at least one "
                               "'filename expression' line")
 
-    _check_pipe(run, len(outputs))
+    _check_pipe(run, output_ops)
     return ModelFile(freedoms, params, ham_ast, tuple(lindblad_asts),
                      initial, tuple(outputs), run,
                      (hamiltonian, tuple(lindblads), tuple(output_ops)))
@@ -1024,7 +1011,7 @@ def parse_model(text: str) -> ModelFile:
 
 
 def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
-    ptype = _PTYPE_NAMES[fdecl.ptype_name]
+    ptype = PhysicalType(fdecl.ptype_name)
     if decl.ctor == "fock" or decl.ctor == "level":
         n = decl.args[0]
         if not 0 <= n < fdecl.dim:
@@ -1053,13 +1040,19 @@ def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
     raise AssertionError(decl.ctor)
 
 
+# Times at which a time-dependent Hamiltonian is checked.  The last two are
+# irrational, so a factor such as sin(2*pi*t/T) with a rational period T
+# cannot vanish at all of them.
+_HERMITIAN_TIMES = (0.0, 0.5, 1.0, 1 / math.sqrt(2), math.pi / 4)
+
+
 def _check_hermitian(h_expr, freedoms):
     """Exact adjointness of the compiled diagonals, top field levels masked.
 
     Entry i of offset o is <i|H|i+o>; it must equal conj(<i+o|H|i>), entry
     i+o of offset -o, wherever rows i and i+o both lie below the top level
     of every field freedom.  A Hamiltonian with time functions is checked at
-    several times.
+    each of _HERMITIAN_TIMES.
     """
     # not cached on h_expr: runs apply the effective generator, never H alone
     h = DiagonalOperator.compile(h_expr, freedoms)
@@ -1070,7 +1063,7 @@ def _check_hermitian(h_expr, freedoms):
     lower = lower.reshape(-1)
     size = h.size
     timedep = any(fns for fns, _ in h.groups)
-    for t in (0.0, 0.5, 1.0) if timedep else (0.0,):
+    for t in _HERMITIAN_TIMES if timedep else (0.0,):
         diags = h.diagonals(t)
         scale = max([1.0] + [float(np.abs(d).max()) for d in diags.values()])
         defect = 0.0
@@ -1106,15 +1099,14 @@ def build_model(mf: ModelFile, out_dir: str = None):
             cutoff_epsilon=run["cutoff_epsilon"],
             pad_size=run["pad"],
             shift_accuracy=run["shift_accuracy"])
-        n_fields = sum(1 for d in mf.freedoms if d.ptype_name == "field")
-        lead = [d.ptype_name for d in mf.freedoms[:run["moving"]]]
-        if run["moving"] > n_fields or any(p != "field" for p in lead):
-            raise ModelValidationError(
-                "moving count must cover only the leading field freedoms")
+        try:
+            _validate_moving(moving, psi0.freedoms)
+        except ValueError as err:
+            raise ModelValidationError(str(err)) from None
     cfg = RunConfig(
         dt=run["dt"], numdts=run["numdts"], numsteps=run["numsteps"],
         n_trajectories=run["trajectories"], seed=run["seed"],
-        unraveling=_UNRAVELINGS[run["unraveling"]],
+        unraveling=Unraveling(run["unraveling"]),
         integrator=IntegratorConfig(run["integrator"], run["eps"]),
         moving=moving)
 
@@ -1139,11 +1131,11 @@ def load_model(path: str, out_dir: str = None):
 def _fmt_complex(z: complex) -> str:
     z = complex(z)
     if z.imag == 0:
-        return _fmt_num(z.real)
+        return _fmt(z.real)
     if z.real == 0:
-        return _fmt_num(z.imag) + "i"
+        return _fmt(z.imag) + "i"
     sign = "+" if z.imag >= 0 else "-"
-    return f"{_fmt_num(z.real)} {sign} {_fmt_num(abs(z.imag))}i"
+    return f"{_fmt(z.real)} {sign} {_fmt(abs(z.imag))}i"
 
 
 def print_model(mf: ModelFile) -> str:

@@ -1,11 +1,12 @@
 """Operator expressions over single-freedom primary operators.
 
-Operators are immutable expression trees.  Leaves are primary operators (a
-ladder, number, quadrature, spin or transition operator on one freedom, with
-an optional hermitian-conjugate flag); interior nodes are sums, ordered
-products (applied right to left), scalar multiples, time-function multiples
-and small integer powers.  Nothing is simplified at construction -- the tree
-a user builds is the tree that gets compiled.
+Operators are immutable expression trees.  Leaves are `Primary` operators:
+a ladder, number, quadrature, spin or transition operator on one freedom,
+with a hermitian-conjugate flag, whose `Kind` names the type of freedom it
+acts on.  Interior nodes are sums, ordered products (applied right to
+left), scalar multiples, time-function multiples and small integer powers.
+Nothing is simplified at construction -- the tree a user builds is the tree
+that gets compiled.
 
 Application goes through one compiled form.  For a given basis (the type,
 used dimension and center of every freedom) a tree becomes offset diagonals
@@ -26,7 +27,8 @@ evaluates the factors, sums each offset's terms and trims the diagonals.
 A trajectory on a moving basis therefore walks each tree once per used
 shape and only rebinds after a recenter, a basis whose centers are all 0
 skips every center-carrying term, and the sweeps touch only the used
-amplitudes.
+amplitudes.  `apply`, `apply_in_place` and `psi *= expr` all go through
+this form.
 
 `to_dense` builds the same operators from explicit matrices instead, as an
 independent reference for the compiled form.
@@ -35,7 +37,7 @@ independent reference for the compiled form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, reduce
 
@@ -53,7 +55,6 @@ from .hilbert import (
 
 __all__ = [
     "Kind",
-    "PrimaryOperator",
     "OperatorExpr",
     "Primary",
     "Sum",
@@ -93,17 +94,14 @@ class Kind(Enum):
     SIGMA_Z = "sz"
     TRANSITION = "tr"
 
-
-_PTYPE_OF = {
-    Kind.DESTROY: FIELD,
-    Kind.NUMBER: FIELD,
-    Kind.POSITION: FIELD,
-    Kind.MOMENTUM: FIELD,
-    Kind.SIGMA_PLUS: SPIN,
-    Kind.SIGMA_MINUS: SPIN,
-    Kind.SIGMA_Z: SPIN,
-    Kind.TRANSITION: ATOM,
-}
+    @property
+    def ptype(self) -> PhysicalType:
+        """The type of freedom this kind of primary acts on."""
+        if self is Kind.TRANSITION:
+            return ATOM
+        if self in (Kind.SIGMA_PLUS, Kind.SIGMA_MINUS, Kind.SIGMA_Z):
+            return SPIN
+        return FIELD
 
 
 @lru_cache(maxsize=None)
@@ -111,67 +109,6 @@ def _sqrt_ladder(n: int) -> np.ndarray:
     r = np.sqrt(np.arange(n, dtype=np.float64))
     r.flags.writeable = False
     return r
-
-
-@dataclass(frozen=True)
-class PrimaryOperator:
-    """A single-freedom operator: kind, target freedom, transition levels."""
-
-    kind: Kind
-    freedom: int
-    levels: tuple = ()
-
-    def __post_init__(self):
-        if self.freedom < 0:
-            raise ValueError("freedom index must be non-negative")
-        if self.kind is Kind.TRANSITION:
-            if len(self.levels) != 2:
-                raise ValueError("transition needs two level indices")
-            i, j = self.levels
-            if i < 0 or j < 0:
-                raise ValueError("transition levels must be non-negative")
-            if i == j:
-                raise ValueError("transition levels must differ")
-        elif self.levels:
-            raise ValueError(f"{self.kind.name} takes no level indices")
-
-    @property
-    def ptype(self) -> PhysicalType:
-        return _PTYPE_OF[self.kind]
-
-    def dense(self, dim: int, center: complex = 0j, hc: bool = False) -> np.ndarray:
-        """Dense matrix of this operator on a dim-level truncation."""
-        c = complex(center)
-        r = _sqrt_ladder(dim)[1:]
-        if self.kind is Kind.DESTROY:
-            m = np.diag(r, 1).astype(complex) + c * np.eye(dim)
-        elif self.kind is Kind.NUMBER:
-            m = np.diag(np.arange(dim) + abs(c) ** 2).astype(complex)
-            m += c * np.diag(r, -1) + np.conj(c) * np.diag(r, 1)
-        elif self.kind is Kind.POSITION:
-            m = (np.diag(r, 1) + np.diag(r, -1)) / _SQRT2 + _SQRT2 * c.real * np.eye(dim)
-            m = m.astype(complex)
-        elif self.kind is Kind.MOMENTUM:
-            m = 1j * (np.diag(r, -1) - np.diag(r, 1)) / _SQRT2
-            m += _SQRT2 * c.imag * np.eye(dim)
-        elif self.kind is Kind.SIGMA_PLUS:
-            if dim != 2:
-                raise ValueError("spin operators need dimension 2")
-            m = np.array([[0, 0], [1, 0]], dtype=complex)
-        elif self.kind is Kind.SIGMA_MINUS:
-            if dim != 2:
-                raise ValueError("spin operators need dimension 2")
-            m = np.array([[0, 1], [0, 0]], dtype=complex)
-        elif self.kind is Kind.SIGMA_Z:
-            if dim != 2:
-                raise ValueError("spin operators need dimension 2")
-            m = np.diag([-1.0 + 0j, 1.0 + 0j])
-        else:
-            i, j = self.levels
-            m = np.zeros((dim, dim), dtype=complex)
-            if i < dim and j < dim:
-                m[i, j] = 1.0
-        return m.conj().T if hc else m
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +159,69 @@ class OperatorExpr:
     def __pow__(self, k):
         return Power(self, k)
 
-    # hook for StateVector.__imul__
-    def apply_to_state(self, psi: StateVector, t: float = 0.0):
-        apply_in_place(self, psi, t)
-
 
 @dataclass(frozen=True)
 class Primary(OperatorExpr):
-    op: PrimaryOperator
+    """A single-freedom operator: kind, target freedom, transition levels.
+
+    conj marks the hermitian conjugate, so a+ is the conjugated DESTROY.
+    """
+
+    kind: Kind
+    freedom: int
+    levels: tuple = ()
     conj: bool = False
 
+    def __post_init__(self):
+        if self.freedom < 0:
+            raise ValueError("freedom index must be non-negative")
+        if self.kind is Kind.TRANSITION:
+            if len(self.levels) != 2:
+                raise ValueError("transition needs two level indices")
+            i, j = self.levels
+            if i < 0 or j < 0:
+                raise ValueError("transition levels must be non-negative")
+            if i == j:
+                raise ValueError("transition levels must differ")
+        elif self.levels:
+            raise ValueError(f"{self.kind.name} takes no level indices")
+
+    @property
+    def ptype(self) -> PhysicalType:
+        return self.kind.ptype
+
     def hc(self):
-        return Primary(self.op, not self.conj)
+        return replace(self, conj=not self.conj)
+
+    def dense(self, dim: int, center: complex = 0j) -> np.ndarray:
+        """Dense matrix of this operator on a dim-level truncation."""
+        if self.ptype is SPIN and dim != 2:
+            raise ValueError("spin operators need dimension 2")
+        c = complex(center)
+        r = _sqrt_ladder(dim)[1:]
+        if self.kind is Kind.DESTROY:
+            m = np.diag(r, 1).astype(complex) + c * np.eye(dim)
+        elif self.kind is Kind.NUMBER:
+            m = np.diag(np.arange(dim) + abs(c) ** 2).astype(complex)
+            m += c * np.diag(r, -1) + np.conj(c) * np.diag(r, 1)
+        elif self.kind is Kind.POSITION:
+            m = (np.diag(r, 1) + np.diag(r, -1)) / _SQRT2 + _SQRT2 * c.real * np.eye(dim)
+            m = m.astype(complex)
+        elif self.kind is Kind.MOMENTUM:
+            m = 1j * (np.diag(r, -1) - np.diag(r, 1)) / _SQRT2
+            m += _SQRT2 * c.imag * np.eye(dim)
+        elif self.kind is Kind.SIGMA_PLUS:
+            m = np.array([[0, 0], [1, 0]], dtype=complex)
+        elif self.kind is Kind.SIGMA_MINUS:
+            m = np.array([[0, 1], [0, 0]], dtype=complex)
+        elif self.kind is Kind.SIGMA_Z:
+            m = np.diag([-1.0 + 0j, 1.0 + 0j])
+        else:
+            i, j = self.levels
+            m = np.zeros((dim, dim), dtype=complex)
+            if i < dim and j < dim:
+                m[i, j] = 1.0
+        return m.conj().T if self.conj else m
 
 
 @dataclass(frozen=True)
@@ -305,39 +293,39 @@ class Power(OperatorExpr):
 
 
 def destroy(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.DESTROY, freedom))
+    return Primary(Kind.DESTROY, freedom)
 
 
 def create(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.DESTROY, freedom), conj=True)
+    return Primary(Kind.DESTROY, freedom, conj=True)
 
 
 def number(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.NUMBER, freedom))
+    return Primary(Kind.NUMBER, freedom)
 
 
 def position(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.POSITION, freedom))
+    return Primary(Kind.POSITION, freedom)
 
 
 def momentum(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.MOMENTUM, freedom))
+    return Primary(Kind.MOMENTUM, freedom)
 
 
 def sigma_plus(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.SIGMA_PLUS, freedom))
+    return Primary(Kind.SIGMA_PLUS, freedom)
 
 
 def sigma_minus(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.SIGMA_MINUS, freedom))
+    return Primary(Kind.SIGMA_MINUS, freedom)
 
 
 def sigma_z(freedom: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.SIGMA_Z, freedom))
+    return Primary(Kind.SIGMA_Z, freedom)
 
 
 def transition(freedom: int, i: int, j: int) -> Primary:
-    return Primary(PrimaryOperator(Kind.TRANSITION, freedom, (int(i), int(j))))
+    return Primary(Kind.TRANSITION, freedom, (int(i), int(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +357,7 @@ def _matrix_elements(dim: int, elements) -> dict:
     return bands
 
 
-def _primary_terms(op: PrimaryOperator, dim: int, hc: bool) -> dict:
+def _primary_terms(op: Primary, dim: int) -> dict:
     """{center factors: {offset: diagonal}} of a primary on `dim` used levels.
 
     With basis center c the physical ladder operator is the local one plus
@@ -401,7 +389,7 @@ def _primary_terms(op: PrimaryOperator, dim: int, hc: bool) -> dict:
     else:
         i, j = op.levels
         terms = {(): _matrix_elements(dim, ((i, j, 1.0),))}
-    if hc:
+    if op.conj:
         # <n+o|M+|n> = conj(<n|M|n+o>): offset o becomes -o, rows shift by o,
         # and each center factor c becomes c*
         terms = {tuple(sorted((k, not cj) for k, cj in f)):
@@ -435,18 +423,18 @@ def _mul_terms(a: dict, b: dict, size: int) -> dict:
 
 def _compile_node(node, shape, size) -> dict:
     if isinstance(node, Primary):
-        k = node.op.freedom
+        k = node.freedom
         if k >= len(shape):
             raise ValueError(f"freedom {k} out of range for {len(shape)}-freedom state")
         ptype, dim = shape[k]
-        if ptype is not node.op.ptype:
+        if ptype is not node.ptype:
             raise TypeError(
-                f"{node.op.kind.name} acts on {node.op.ptype.value} freedoms, "
+                f"{node.kind.name} acts on {node.ptype.value} freedoms, "
                 f"freedom {k} is {ptype.value}")
         stride = math.prod(b[1] for b in shape[k + 1:])
         outer = size // (dim * stride)
         terms = {}
-        for factors, bands in _primary_terms(node.op, dim, node.conj).items():
+        for factors, bands in _primary_terms(node, dim).items():
             terms[(), factors] = {
                 o * stride: np.broadcast_to(d[None, :, None], (outer, dim, stride)).reshape(size)
                 for o, d in bands.items()}
@@ -508,12 +496,11 @@ class DiagonalOperator:
             raise ValueError(f"expected a (B, {self.size}) used block, got shape {y.shape}")
         out = np.zeros(y.shape, dtype=complex)
         for fns, bands in self.groups:
-            part = np.zeros(y.shape, dtype=complex) if fns else out
-            for ix_out, ix_in, d in bands:
-                part[ix_out] += d * y[ix_in]
             if fns:
-                part *= math.prod(complex(fn(t)) for fn in fns)
-                out += part
+                z = math.prod(complex(fn(t)) for fn in fns)
+                bands = [(ix_out, ix_in, z * d) for ix_out, ix_in, d in bands]
+            for ix_out, ix_in, d in bands:
+                out[ix_out] += d * y[ix_in]
         return out
 
     def diagonals(self, t: float = 0.0) -> dict:
@@ -640,7 +627,7 @@ def apply(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Dense route, built from matrices (PrimaryOperator.dense, np.kron) rather
+# Dense route, built from matrices (Primary.dense, np.kron) rather
 # than diagonals so the two can be checked against each other.
 
 
@@ -652,11 +639,10 @@ def _embed(m: np.ndarray, dims, k: int) -> np.ndarray:
 
 def _dense_node(node, dims, centers, t):
     if isinstance(node, Primary):
-        k = node.op.freedom
+        k = node.freedom
         if k >= len(dims):
             raise ValueError(f"freedom {k} out of range")
-        m = node.op.dense(dims[k], centers[k], node.conj)
-        return _embed(m, dims, k)
+        return _embed(node.dense(dims[k], centers[k]), dims, k)
     if isinstance(node, Sum):
         return sum(_dense_node(c, dims, centers, t) for c in node.children)
     if isinstance(node, Product):

@@ -277,6 +277,9 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
     return y, nacc, h
 
 
+INTEGRATOR_KINDS = ("rk4", "adaptive")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Deterministic-part integrator: fixed 'rk4' or 'adaptive' Cash-Karp."""
@@ -285,7 +288,7 @@ class IntegratorConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.kind not in ("rk4", "adaptive"):
+        if self.kind not in INTEGRATOR_KINDS:
             raise ValueError("integrator kind must be 'rk4' or 'adaptive'")
         if self.eps <= 0:
             raise ValueError("integrator eps must be positive")

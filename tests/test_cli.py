@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qtraj.cli import main
+from qtraj.modelfile import RUN_KEYS
 
 ATOM_MODEL = textwrap.dedent("""\
     freedoms:
@@ -245,7 +246,7 @@ def _outcome(argv, capsys):
     return rc, out, err
 
 
-@pytest.mark.parametrize("keys", [
+FLAG_CASES = [
     {"dt": "0.02"}, {"dt": "-1"}, {"dt": "abc"},
     {"numdts": "3"}, {"numdts": "0"}, {"numdts": "2.5"},
     {"numsteps": "0"}, {"numsteps": "-1"},
@@ -260,7 +261,11 @@ def _outcome(argv, capsys):
     {"moving": "1", "shift_accuracy": "1e-3"}, {"shift_accuracy": "1e-3"},
     {"moving": "1", "cutoff_epsilon": "0.7"}, {"moving": "1", "shift_accuracy": "0"},
     {"pipe": "5 6 7 8"}, {"pipe": "1 2 3 9"},
-], ids=lambda keys: " ".join(f"{k}={v}" for k, v in keys.items()))
+]
+
+
+@pytest.mark.parametrize("keys", FLAG_CASES,
+                         ids=lambda keys: " ".join(f"{k}={v}" for k, v in keys.items()))
 def test_flags_match_model_file_run_keys(keys, tmp_path, capsys):
     # a run-key flag and the same key in the run section give the same run,
     # or fail with the same exit code and message
@@ -278,6 +283,15 @@ def test_flags_match_model_file_run_keys(keys, tmp_path, capsys):
                                  "--out-dir", str(tmp_path / "file")], capsys)
     assert by_flag == by_file
 
+
+def test_every_run_key_has_one_flag_and_a_flag_case(capsys):
+    # a new run key cannot land without its flag and a flag-versus-file case
+    assert {key for keys in FLAG_CASES for key in keys} == set(RUN_KEYS)
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    flags = re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    run_flags = [f for f in flags if f not in ("--help", "--model", "--out-dir")]
+    assert sorted(run_flags) == sorted("--" + key.replace("_", "-") for key in RUN_KEYS)
 
 
 @pytest.mark.parametrize("keys, message", [

@@ -65,6 +65,18 @@ def test_coherent_state_amplitudes():
         assert abs(psi.amps[n] - expected) < 1e-10
 
 
+def test_large_coherent_state():
+    # exp(-|alpha|^2/2) underflows to 0 for |alpha| > 38.6, so the amplitudes
+    # must not be built up from n = 0
+    psi = coherent_state(5000, 40)
+    a = psi.amps
+    n = np.arange(5000)
+    a_mean = np.vdot(a[:-1], np.sqrt(n[1:]) * a[1:])
+    assert psi.norm() == pytest.approx(1.0, rel=1e-12)
+    assert abs(a_mean - 40) <= 40e-9
+    assert abs(np.vdot(a, n * a) - 1600) <= 1600e-9
+
+
 def test_freedom_spec_validation():
     with pytest.raises(ValueError):
         FreedomSpec(SPIN, 3)

@@ -369,6 +369,7 @@ HERMITICITY_CASES = [
     ("n(m) + 1e-6i*sz(s)", False),
     ("0.5*(sp(s)*a(m) + sm(s)*adag(m))", True),   # Jaynes-Cummings
     ("sin(t)*a(m) + sin(t)*adag(m)", True),       # one time group per term
+    ("n(m) + sin(6.283185307179586*t)*i*n(m)", False),  # zero at t = 0, 0.5, 1
     ("models/shg.qt", True),
 ]
 

@@ -220,6 +220,23 @@ def test_apply_in_place_matches_apply():
     assert np.array_equal(ref.amps, psi2.amps)
 
 
+def test_imul_applies_in_place():
+    rng = np.random.default_rng(6)
+    psi = rand_state(rng, (4, 3), (FIELD, FIELD))
+    expr = destroy(0) * create(1) + 0.7j * number(1)
+    ref = apply(expr, psi)
+    same = psi
+    psi *= expr
+    assert psi is same
+    assert np.array_equal(psi.amps, ref.amps)
+    buf = psi.amps
+    psi *= 2.0
+    assert psi is same and psi.amps is buf
+    assert np.array_equal(psi.amps, 2.0 * ref.amps)
+    with pytest.raises(TypeError):
+        psi *= "x"
+
+
 def test_linearity():
     rng = np.random.default_rng(9)
     a = rand_state(rng, (4,))

@@ -21,10 +21,12 @@ from qtraj import (
     Unraveling,
     basis_state,
     coherent_state,
+    compare_ensemble,
     create,
     destroy,
     expectation,
     number,
+    oracle_expectations,
     product_state,
     run_ensemble,
     run_single,
@@ -451,6 +453,25 @@ def test_jump_ensemble_tracks_exponential_decay():
     mean_jumps = res.jumps_per_trajectory.mean()
     se = res.jumps_per_trajectory.std(ddof=1) / math.sqrt(len(res.jumps_per_trajectory))
     assert abs(mean_jumps - want_jumps) < 3 * se + 1e-3
+
+
+@pytest.mark.parametrize("unr", list(Unraveling), ids=lambda u: u.value)
+def test_driven_atom_matches_oracle(unr):
+    # the drive keeps <sigma-> nonzero, so the orthogonal jump's projection
+    # on <L> changes the jumped state here (it is exactly 0 for an undriven
+    # atom); every unraveling must agree with the density-matrix oracle
+    gamma = 0.5
+    model = ModelOperators(sigma_plus(0) + sigma_minus(0),
+                           [math.sqrt(2 * gamma) * sigma_minus(0)])
+    psi0 = basis_state(2, 1, SPIN)
+    ops = (sigma_plus(0) * sigma_minus(0), sigma_minus(0))
+    cfg = RunConfig(dt=2e-3, numdts=100, numsteps=10, n_trajectories=2000, seed=11,
+                    unraveling=unr)
+    res = run_ensemble(psi0, model, cfg, OutputSpec(ops), **quiet())
+    oracle = oracle_expectations(psi0, model, ops, res.times, dt_oracle=1e-3)
+    rep = compare_ensemble(res.times, res.mean_expectations, res.se_re, res.se_im,
+                           oracle, z=3.0)
+    assert rep.passed, rep.table
 
 
 def test_moving_basis_run_matches_fixed_basis():
