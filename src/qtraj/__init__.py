@@ -16,7 +16,6 @@ from .hilbert import (
     StateVector,
     basis_state,
     coherent_state,
-    inner_product,
     product_state,
 )
 from .operators import (
@@ -93,7 +92,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOM", "FIELD", "SPIN", "FreedomSpec", "PhysicalType", "StateVector",
-    "basis_state", "coherent_state", "inner_product", "product_state",
+    "basis_state", "coherent_state", "product_state",
     "OperatorExpr", "Primary", "Sum", "Product",
     "ScalarMul", "TimeFnMul", "Power", "apply", "apply_in_place",
     "create", "destroy", "momentum", "number", "position",

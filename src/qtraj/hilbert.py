@@ -27,7 +27,6 @@ __all__ = [
     "basis_state",
     "coherent_state",
     "product_state",
-    "inner_product",
 ]
 
 
@@ -310,6 +309,3 @@ def product_state(parts) -> StateVector:
         amps = p.amps.copy() if amps is None else np.kron(amps, p.amps)
     return StateVector(freedoms, amps)
 
-
-def inner_product(bra: StateVector, ket: StateVector) -> complex:
-    return bra.inner(ket)

@@ -25,12 +25,17 @@ library also makes -- value ranges, the pipe range, which freedoms may
 move -- are the owning class's or function's own checks, re-raised as
 model errors.
 
-Parsing lowers every expression once, to the operator trees a run applies;
-the parsed model keeps them for building.  Parse and type errors, an
-out-of-range tr() level among them, raise ModelParseError with a
-line:column location; semantic rejections after a clean parse (a
-non-Hermitian Hamiltonian, an out-of-range initial level, a moving count
-that reaches past the leading field freedoms) raise ModelValidationError.
+Each expression is parsed in one recursive-descent pass that builds its
+value -- a constant, a time function or the operator tree a run applies --
+together with its canonical text: parenthesized only where precedence
+requires, numbers written by repr.  The parsed model keeps the text, which
+print_model echoes and equality compares, and the operators, which
+build_model uses.  Parse and type errors, an out-of-range tr() level among
+them, raise ModelParseError with a line:column location; a syntax error
+anywhere in an expression is reported before any lowering error in it.
+Semantic rejections after a clean parse (a non-Hermitian Hamiltonian, an
+out-of-range initial level, a moving count that reaches past the leading
+field freedoms) raise ModelValidationError.
 The Hamiltonian check is exact on the declared truncation: the compiled
 offset diagonals must satisfy <i|H|j> = conj(<j|H|i>) wherever neither i
 nor j is the top level of a field freedom, since a ladder truncation only
@@ -43,6 +48,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,72 +100,6 @@ class ModelParseError(ModelError):
 
 class ModelValidationError(ModelError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Expression AST (positions excluded from equality for round-trip checks)
-
-
-@dataclass(frozen=True)
-class Node:
-    pass
-
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Imag(Node):
-    value: float
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Ref(Node):
-    name: str
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class TimeVar(Node):
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    child: Node
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Bin(Node):
-    op: str
-    left: Node
-    right: Node
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Pow(Node):
-    child: Node
-    exponent: int
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Hc(Node):
-    child: Node
-    pos: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    name: str
-    args: tuple
-    pos: tuple = field(default=(0, 0), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +194,122 @@ def _tokenize(text, first_line=1):
 
 
 # ---------------------------------------------------------------------------
-# Recursive-descent expression parser
+# One-pass expression parser: every parse method lowers and prints its part
 
+
+# a primary's name is its Kind's value; adag names the conjugated ladder
+_PRIMARIES = {kind.value: (kind, False) for kind in Kind} | {"adag": (Kind.DESTROY, True)}
+_SCALAR_FUNCS = {"sqrt": cmath.sqrt, "sin": cmath.sin, "cos": cmath.cos,
+                 "exp": cmath.exp}
+_RESERVED = set(_PRIMARIES) | set(_SCALAR_FUNCS) | {"hc", "i", "t"}
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_POSTFIX, _PREC_ATOM = 1, 2, 3, 4, 5, 6
 _MAX_DEPTH = 120
 
 
+class _Val(NamedTuple):
+    """One parsed subexpression.
+
+    kind is "c" (val a complex constant), "f" (val a function t -> complex),
+    "o" (val an OperatorExpr), "name" (a bare identifier, resolved only when
+    an operator needs its value, so that a primary can take it as its
+    freedom argument) or "error" (val the ModelParseError its lowering
+    raised).  text is the canonical text, prec the precedence of its
+    outermost operator, pos the (line, col) its errors point at, and
+    literal the token kind ("NUM" or "IMAG") of a bare number literal.
+    """
+
+    kind: str
+    val: object
+    text: str
+    prec: int
+    pos: tuple
+    literal: str = None
+
+
+def _err(msg, at):
+    raise ModelParseError(msg, at.pos[0], at.pos[1])
+
+
+def _wrap(v, minprec):
+    return f"({v.text})" if v.prec < minprec else v.text
+
+
+def _negate(v):
+    if v.kind == "c":
+        return "c", -v.val
+    if v.kind == "f":
+        return "f", lambda t, f=v.val: -f(t)
+    return "o", ScalarMul(-1.0, v.val)
+
+
+def _adjoint(v):
+    if v.kind == "c":
+        return "c", v.val.conjugate()
+    if v.kind == "f":
+        return "f", lambda t, f=v.val: complex(f(t)).conjugate()
+    return "o", v.val.hc()
+
+
+def _power(v, k, at):
+    if v.kind == "c":
+        return "c", v.val ** k
+    if v.kind == "f":
+        return "f", lambda t, f=v.val, e=k: f(t) ** e
+    try:
+        return "o", Power(v.val, k)
+    except ValueError as e:
+        _err(str(e), at)
+
+
+def _combine(op, left, right, at):
+    lk, lv, rk, rv = left.kind, left.val, right.kind, right.val
+    if op in ("+", "-"):
+        if lk == "o" and rk == "o":
+            return "o", lv + rv if op == "+" else lv - rv
+        if "o" in (lk, rk):
+            _err("cannot add a scalar and an operator", at)
+        if lk == "c" and rk == "c":
+            return "c", lv + rv if op == "+" else lv - rv
+        lf = lv if lk == "f" else (lambda t, z=lv: z)
+        rf = rv if rk == "f" else (lambda t, z=rv: z)
+        if op == "+":
+            return "f", lambda t, f=lf, g=rf: f(t) + g(t)
+        return "f", lambda t, f=lf, g=rf: f(t) - g(t)
+    # multiplication
+    if lk == "o" and rk == "o":
+        return "o", lv * rv
+    if lk == "c" and rk == "c":
+        return "c", lv * rv
+    if lk == "f" and rk == "f":
+        return "f", lambda t, f=lv, g=rv: f(t) * g(t)
+    if "o" in (lk, rk):
+        oval, skind, sval = (lv, rk, rv) if lk == "o" else (rv, lk, lv)
+        return "o", ScalarMul(sval, oval) if skind == "c" else TimeFnMul(sval, oval)
+    # const * timefn
+    f = lv if lk == "f" else rv
+    z = lv if lk == "c" else rv
+    return "f", lambda t, g=f, w=z: w * g(t)
+
+
 class _ExprParser:
-    def __init__(self, toks):
+    """Recursive descent over one expression, lowering and printing as it goes.
+
+    freedoms maps names to (index, ptype, dim) and params names to their
+    complex values; allow_time says whether `t` may appear.  A lowering
+    error travels up as an "error" value and is raised only once the whole
+    expression has parsed, so a syntax error anywhere in it wins, and of
+    several lowering errors the first one a walk of the finished parse tree
+    would meet wins.
+    """
+
+    def __init__(self, toks, freedoms, params, allow_time):
         self.toks = toks
         self.i = 0
         self.depth = 0
+        self.freedoms = freedoms
+        self.params = params
+        self.allow_time = allow_time
 
     def peek(self):
         return self.toks[self.i]
@@ -283,11 +329,32 @@ class _ExprParser:
         return self.advance()
 
     def parse_full(self):
-        node = self.parse_expr()
+        v = self.parse_expr()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ModelParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
-        return node
+        return self.value(v)
+
+    def value(self, v):
+        """v with a bare name resolved to its parameter; raises a carried error."""
+        if v.kind == "error":
+            raise v.val
+        if v.kind != "name":
+            return v
+        if v.text in self.params:
+            return v._replace(kind="c", val=self.params[v.text])
+        if v.text in self.freedoms:
+            _err(f"freedom '{v.text}' used without an operator "
+                 "(write a(...), sp(...), ...)", v)
+        _err(f"unknown identifier '{v.text}'", v)
+
+    def lowered(self, fn, operands, text, prec, pos):
+        """fn applied to the operands' values, or the first error on the way."""
+        try:
+            kind, val = fn(*[self.value(v) for v in operands])
+        except ModelParseError as err:
+            return _Val("error", err, text, prec, pos)
+        return _Val(kind, val, text, prec, pos)
 
     def parse_expr(self):
         self.depth += 1
@@ -295,43 +362,50 @@ class _ExprParser:
             tok = self.peek()
             raise ModelParseError("expression nested too deeply", tok.line, tok.col)
         try:
-            node = self.parse_term()
+            v = self.parse_term()
             while self.peek().kind in ("+", "-"):
-                optok = self.advance()
-                right = self.parse_term()
-                node = Bin(optok.kind, node, right, pos=optok.pos)
-            return node
+                v = self.binary(self.advance(), v, self.parse_term())
+            return v
         finally:
             self.depth -= 1
 
     def parse_term(self):
-        node = self.parse_unary()
+        v = self.parse_unary()
         while self.peek().kind == "*":
-            optok = self.advance()
-            right = self.parse_unary()
-            node = Bin("*", node, right, pos=optok.pos)
-        return node
+            v = self.binary(self.advance(), v, self.parse_unary())
+        return v
+
+    def binary(self, optok, left, right):
+        op = optok.kind
+        prec = _PREC_MUL if op == "*" else _PREC_ADD
+        sep = op if op == "*" else f" {op} "
+        return self.lowered(lambda l, r: _combine(op, l, r, optok), (left, right),
+                            _wrap(left, prec) + sep + _wrap(right, prec + 1),
+                            prec, optok.pos)
 
     def parse_unary(self):
         tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return Neg(self.parse_unary(), pos=tok.pos)
-        return self.parse_power()
+        if tok.kind != "-":
+            return self.parse_power()
+        self.advance()
+        v = self.parse_unary()
+        return self.lowered(_negate, (v,), "-" + _wrap(v, _PREC_NEG), _PREC_NEG, tok.pos)
 
     def parse_power(self):
-        node = self.parse_postfix()
+        v = self.parse_postfix()
         while self.peek().kind == "^":
             optok = self.advance()
             etok = self.expect("NUM")
             if etok.value != int(etok.value) or "." in etok.text or "e" in etok.text.lower():
                 raise ModelParseError("exponent must be an integer literal",
                                       etok.line, etok.col)
-            node = Pow(node, int(etok.value), pos=optok.pos)
-        return node
+            k = int(etok.value)
+            v = self.lowered(lambda b: _power(b, k, optok), (v,),
+                             f"{_wrap(v, _PREC_POSTFIX)}^{k}", _PREC_POW, optok.pos)
+        return v
 
     def parse_postfix(self):
-        node = self.parse_atom()
+        v = self.parse_atom()
         while self.peek().kind == ".":
             dot = self.advance()
             name = self.expect("IDENT")
@@ -340,28 +414,32 @@ class _ExprParser:
                                       name.line, name.col)
             self.expect("(")
             self.expect(")")
-            node = Hc(node, pos=dot.pos)
-        return node
+            # a trailing .hc() after a bare number would lex as part of the
+            # literal, so literals get parenthesized too
+            child = f"({v.text})" if v.literal else _wrap(v, _PREC_POSTFIX)
+            v = self.lowered(_adjoint, (v,), child + ".hc()", _PREC_POSTFIX, dot.pos)
+        return v
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Num(tok.value, pos=tok.pos)
+            return _Val("c", complex(tok.value), _fmt(tok.value), _PREC_ATOM, tok.pos, "NUM")
         if tok.kind == "IMAG":
             self.advance()
-            return Imag(tok.value, pos=tok.pos)
+            return _Val("c", complex(0.0, tok.value), _fmt(tok.value) + "i", _PREC_ATOM,
+                        tok.pos, "IMAG")
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            v = self.parse_expr()
             self.expect(")")
-            return node
+            return v
         if tok.kind == "IDENT":
             self.advance()
             if tok.text == "i":
-                return Imag(1.0, pos=tok.pos)
+                return _Val("c", 1j, _fmt(1.0) + "i", _PREC_ATOM, tok.pos, "IMAG")
             if tok.text == "t":
-                return TimeVar(pos=tok.pos)
+                return self.lowered(lambda: self.time(tok), (), "t", _PREC_ATOM, tok.pos)
             if self.peek().kind == "(":
                 self.advance()
                 args = [self.parse_expr()]
@@ -369,251 +447,90 @@ class _ExprParser:
                     self.advance()
                     args.append(self.parse_expr())
                 self.expect(")")
-                return Call(tok.text, tuple(args), pos=tok.pos)
-            return Ref(tok.text, pos=tok.pos)
+                return self.lowered(lambda: self.call(tok, args), (),
+                                    f"{tok.text}({', '.join(a.text for a in args)})",
+                                    _PREC_ATOM, tok.pos)
+            return _Val("name", None, tok.text, _PREC_ATOM, tok.pos)
         raise ModelParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
             tok.line, tok.col)
 
+    def time(self, tok):
+        if not self.allow_time:
+            _err("'t' is not allowed in this context", tok)
+        return "f", lambda t: complex(t)
 
-def _parse_expression(text, first_line=1):
-    return _ExprParser(_tokenize(text, first_line)).parse_full()
-
-
-# ---------------------------------------------------------------------------
-# Lowering typed values: ("c", complex) | ("f", t->complex) | ("o", OperatorExpr)
-
-
-# a primary's name is its Kind's value; adag names the conjugated ladder
-_PRIMARIES = {kind.value: (kind, False) for kind in Kind} | {"adag": (Kind.DESTROY, True)}
-_SCALAR_FUNCS = {"sqrt": cmath.sqrt, "sin": cmath.sin, "cos": cmath.cos,
-                 "exp": cmath.exp}
-_RESERVED = set(_PRIMARIES) | set(_SCALAR_FUNCS) | {"hc", "i", "t"}
-
-
-def _err(msg, node):
-    raise ModelParseError(msg, node.pos[0], node.pos[1])
-
-
-class _Lowerer:
-    """Turns ASTs into scalars, time functions, or operator expressions."""
-
-    def __init__(self, freedoms, params, allow_time=True):
-        self.freedoms = freedoms  # name -> (index, ptype, dim)
-        self.params = params      # name -> complex
-        self.allow_time = allow_time
-
-    def scalar(self, node):
-        kind, val = self.lower(node)
-        if kind != "c":
-            _err("expected a constant scalar here", node)
-        return val
-
-    def operator(self, node):
-        kind, val = self.lower(node)
-        if kind == "o":
-            return val
-        _err("expected an operator expression here", node)
-
-    def lower(self, node):
-        if isinstance(node, Num):
-            return ("c", complex(node.value))
-        if isinstance(node, Imag):
-            return ("c", complex(0.0, node.value))
-        if isinstance(node, TimeVar):
-            if not self.allow_time:
-                _err("'t' is not allowed in this context", node)
-            return ("f", lambda t: complex(t))
-        if isinstance(node, Ref):
-            if node.name in self.params:
-                return ("c", self.params[node.name])
-            if node.name in self.freedoms:
-                _err(f"freedom '{node.name}' used without an operator "
-                     "(write a(...), sp(...), ...)", node)
-            _err(f"unknown identifier '{node.name}'", node)
-        if isinstance(node, Neg):
-            return self._neg(self.lower(node.child), node)
-        if isinstance(node, Bin):
-            return self._bin(node)
-        if isinstance(node, Pow):
-            return self._pow(node)
-        if isinstance(node, Hc):
-            return self._hc(self.lower(node.child), node)
-        if isinstance(node, Call):
-            return self._call(node)
-        raise AssertionError(f"unhandled node {node!r}")
-
-    def _neg(self, v, node):
-        kind, val = v
-        if kind == "c":
-            return ("c", -val)
-        if kind == "f":
-            return ("f", lambda t, f=val: -f(t))
-        return ("o", ScalarMul(-1.0, val))
-
-    def _hc(self, v, node):
-        kind, val = v
-        if kind == "c":
-            return ("c", val.conjugate())
-        if kind == "f":
-            return ("f", lambda t, f=val: complex(f(t)).conjugate())
-        return ("o", val.hc())
-
-    def _bin(self, node):
-        lk, lv = self.lower(node.left)
-        rk, rv = self.lower(node.right)
-        op = node.op
-        if op in ("+", "-"):
-            if lk == "o" and rk == "o":
-                return ("o", lv + rv if op == "+" else lv - rv)
-            if "o" in (lk, rk):
-                _err("cannot add a scalar and an operator", node)
-            if lk == "c" and rk == "c":
-                return ("c", lv + rv if op == "+" else lv - rv)
-            lf = lv if lk == "f" else (lambda t, z=lv: z)
-            rf = rv if rk == "f" else (lambda t, z=rv: z)
-            if op == "+":
-                return ("f", lambda t, f=lf, g=rf: f(t) + g(t))
-            return ("f", lambda t, f=lf, g=rf: f(t) - g(t))
-        # multiplication
-        if lk == "o" and rk == "o":
-            return ("o", lv * rv)
-        if lk == "c" and rk == "c":
-            return ("c", lv * rv)
-        if lk == "f" and rk == "f":
-            return ("f", lambda t, f=lv, g=rv: f(t) * g(t))
-        if "o" in (lk, rk):
-            okind, oval = (lk, lv) if lk == "o" else (rk, rv)
-            skind, sval = (rk, rv) if lk == "o" else (lk, lv)
-            if skind == "c":
-                return ("o", ScalarMul(sval, oval))
-            return ("o", TimeFnMul(sval, oval))
-        # const * timefn
-        f = lv if lk == "f" else rv
-        z = lv if lk == "c" else rv
-        return ("f", lambda t, g=f, w=z: w * g(t))
-
-    def _pow(self, node):
-        kind, val = self.lower(node.child)
-        k = node.exponent
-        if kind == "c":
-            return ("c", val ** k)
-        if kind == "f":
-            return ("f", lambda t, f=val, e=k: f(t) ** e)
-        try:
-            return ("o", Power(val, k))
-        except ValueError as e:
-            _err(str(e), node)
-
-    def _call(self, node):
-        name = node.name
+    def call(self, tok, args):
+        name = tok.text
         if name in _SCALAR_FUNCS:
-            if len(node.args) != 1:
-                _err(f"{name}() takes one argument", node)
-            kind, val = self.lower(node.args[0])
+            if len(args) != 1:
+                _err(f"{name}() takes one argument", tok)
+            v = self.value(args[0])
             fn = _SCALAR_FUNCS[name]
-            if kind == "c":
-                return ("c", fn(val))
-            if kind == "f":
-                return ("f", lambda t, f=val, g=fn: g(f(t)))
-            _err(f"{name}() applies to scalars, not operators", node)
+            if v.kind == "c":
+                return "c", fn(v.val)
+            if v.kind == "f":
+                return "f", lambda t, f=v.val, g=fn: g(f(t))
+            _err(f"{name}() applies to scalars, not operators", tok)
         if name in _PRIMARIES:
-            return ("o", self._primary(node))
-        _err(f"unknown function '{name}'", node)
+            return "o", self.primary(tok, args)
+        _err(f"unknown function '{name}'", tok)
 
-    def _freedom_arg(self, node, arg, want_ptype, opname):
-        if not isinstance(arg, Ref):
-            _err(f"{opname}() expects a freedom name", arg if isinstance(arg, Node) else node)
-        if arg.name not in self.freedoms:
-            _err(f"unknown freedom '{arg.name}'", arg)
-        idx, ptype, dim = self.freedoms[arg.name]
-        if ptype is not want_ptype:
-            _err(f"{opname}() needs a {want_ptype.name.lower()} freedom, "
-                 f"'{arg.name}' is {ptype.name.lower()}", arg)
-        return idx, dim
-
-    def _int_arg(self, node, arg, opname):
-        if not isinstance(arg, Num) or arg.value != int(arg.value):
-            _err(f"{opname}() level arguments must be integer literals",
-                 arg if isinstance(arg, Node) else node)
-        return int(arg.value)
-
-    def _primary(self, node):
-        name = node.name
+    def primary(self, call, args):
+        name = call.text
         kind, conj = _PRIMARIES[name]
         if kind is Kind.TRANSITION:
-            if len(node.args) != 3:
-                _err("tr() takes (freedom, i, j)", node)
-            idx, dim = self._freedom_arg(node, node.args[0], kind.ptype, "tr")
-            i = self._int_arg(node, node.args[1], "tr")
-            j = self._int_arg(node, node.args[2], "tr")
+            if len(args) != 3:
+                _err("tr() takes (freedom, i, j)", call)
+            idx, dim = self.freedom_arg(args[0], kind.ptype, "tr")
+            i = _int_arg(args[1], "tr")
+            j = _int_arg(args[2], "tr")
             for level in (i, j):
                 if level >= dim:
-                    _err(f"tr() level {level} outside freedom '{node.args[0].name}' "
-                         f"dimension {dim}", node)
+                    _err(f"tr() level {level} outside freedom '{args[0].text}' "
+                         f"dimension {dim}", call)
             try:
                 return Primary(kind, idx, (i, j))
             except ValueError as e:
-                _err(str(e), node)
-        if len(node.args) != 1:
-            _err(f"{name}() takes one freedom argument", node)
-        idx, _ = self._freedom_arg(node, node.args[0], kind.ptype, name)
+                _err(str(e), call)
+        if len(args) != 1:
+            _err(f"{name}() takes one freedom argument", call)
+        idx, _ = self.freedom_arg(args[0], kind.ptype, name)
         return Primary(kind, idx, conj=conj)
 
-
-# ---------------------------------------------------------------------------
-# Canonical printing (inverse of parsing up to normalization)
-
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_POSTFIX, _PREC_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _node_prec(node):
-    if isinstance(node, Bin):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    if isinstance(node, Hc):
-        return _PREC_POSTFIX
-    return _PREC_ATOM
+    def freedom_arg(self, arg, want_ptype, opname):
+        if arg.kind != "name":
+            _err(f"{opname}() expects a freedom name", arg)
+        if arg.text not in self.freedoms:
+            _err(f"unknown freedom '{arg.text}'", arg)
+        idx, ptype, dim = self.freedoms[arg.text]
+        if ptype is not want_ptype:
+            _err(f"{opname}() needs a {want_ptype.name.lower()} freedom, "
+                 f"'{arg.text}' is {ptype.name.lower()}", arg)
+        return idx, dim
 
 
-def _print_node(node, minprec=0):
-    if isinstance(node, Num):
-        s = _fmt(node.value)
-    elif isinstance(node, Imag):
-        s = _fmt(node.value) + "i"
-    elif isinstance(node, Ref):
-        s = node.name
-    elif isinstance(node, TimeVar):
-        s = "t"
-    elif isinstance(node, Call):
-        s = f"{node.name}({', '.join(_print_node(a) for a in node.args)})"
-    elif isinstance(node, Hc):
-        # a trailing .hc() after a bare number would lex as part of the
-        # literal, so literals get parenthesized too
-        child = _print_node(node.child, _PREC_POSTFIX)
-        if isinstance(node.child, (Num, Imag)):
-            child = f"({child})"
-        s = child + ".hc()"
-    elif isinstance(node, Pow):
-        s = _print_node(node.child, _PREC_POSTFIX) + "^" + str(node.exponent)
-    elif isinstance(node, Neg):
-        s = "-" + _print_node(node.child, _PREC_NEG)
-    elif isinstance(node, Bin):
-        p = _node_prec(node)
-        if node.op in "+-":
-            s = (_print_node(node.left, p) + " " + node.op + " "
-                 + _print_node(node.right, p + 1))
-        else:
-            s = _print_node(node.left, p) + node.op + _print_node(node.right, p + 1)
-    else:
-        raise AssertionError(f"unhandled node {node!r}")
-    if _node_prec(node) < minprec:
-        return f"({s})"
-    return s
+def _int_arg(arg, opname):
+    if arg.literal != "NUM" or arg.val.real != int(arg.val.real):
+        _err(f"{opname}() level arguments must be integer literals", arg)
+    return int(arg.val.real)
+
+
+def _parse_expression(text, first_line, freedoms, params, allow_time=True):
+    """One expression parsed and lowered: a _Val holding its value and text."""
+    return _ExprParser(_tokenize(text, first_line), freedoms, params, allow_time).parse_full()
+
+
+def _scalar(v):
+    if v.kind != "c":
+        _err("expected a constant scalar here", v)
+    return v.val
+
+
+def _operator(v):
+    if v.kind != "o":
+        _err("expected an operator expression here", v)
+    return v.val
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +560,18 @@ class InitialDecl:
 
 @dataclass(frozen=True)
 class ModelFile:
+    """A parsed model; every expression is kept as its canonical text.
+
+    Canonical text parenthesizes exactly where precedence requires and
+    writes numbers by repr, so equal text means equal parse trees.
+    """
+
     freedoms: tuple
-    params: tuple          # ((name, ast), ...)
-    hamiltonian: Node
-    lindblads: tuple
+    params: tuple          # ((name, text), ...)
+    hamiltonian: str       # None without a hamiltonian section
+    lindblads: tuple       # (text, ...)
     initial: tuple
-    outputs: tuple         # ((filename, ast), ...)
+    outputs: tuple         # ((filename, text), ...)
     run: tuple             # ((key, normalized value), ...) sorted by RUN_KEYS
     # the lowered operators: (hamiltonian or None, lindblads, outputs)
     lowered: tuple = field(compare=False, repr=False)
@@ -665,7 +588,6 @@ def _strip_comment(line):
 def _split_sections(text):
     sections = {}
     current = None
-    order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         stripped = line.strip()
@@ -679,7 +601,6 @@ def _split_sections(text):
             if name in sections:
                 raise ModelParseError(f"duplicate section '{name}'", lineno, 1)
             sections[name] = []
-            order.append(name)
             current = name
             continue
         if current is None:
@@ -748,10 +669,9 @@ def _parse_params(body, env):
             raise ModelParseError(f"'{name}' shadows a builtin", lineno, 1)
         if name in env or name in values:
             raise ModelParseError(f"'{name}' is already defined", lineno, 1)
-        ast = _parse_expression(rhs, lineno)
-        low = _Lowerer(env, values, allow_time=False)
-        values[name] = low.scalar(ast)
-        params.append((name, ast))
+        v = _parse_expression(rhs, lineno, env, values, allow_time=False)
+        values[name] = _scalar(v)
+        params.append((name, v.text))
     return tuple(params), values
 
 
@@ -805,8 +725,7 @@ def _parse_int(text, lineno):
 
 
 def _parse_scalar_literal(text, lineno):
-    ast = _parse_expression(text, lineno)
-    return _Lowerer({}, {}, allow_time=False).scalar(ast)
+    return _scalar(_parse_expression(text, lineno, {}, {}, allow_time=False))
 
 
 def _parse_run(body):
@@ -960,9 +879,12 @@ def parse_model(text: str) -> ModelFile:
     params, param_values = _parse_params(sections.get("params", ()), env)
     initial = _parse_initial(sections["initial"], freedoms)
     run = _normalize_run(_parse_run(sections["run"]))
-    low = _Lowerer(env, param_values)
 
-    ham_ast = hamiltonian = None
+    def parse_op(text, first_line):
+        v = _parse_expression(text, first_line, env, param_values)
+        return _operator(v), v.text
+
+    ham_text = hamiltonian = None
     if "hamiltonian" in sections and sections["hamiltonian"]:
         body = sections["hamiltonian"]
         chunks = []
@@ -971,15 +893,9 @@ def parse_model(text: str) -> ModelFile:
             chunks.append("\n" * (lineno - prev))
             chunks.append(line)
             prev = lineno
-        ham_ast = _parse_expression("".join(chunks), body[0][0])
-        hamiltonian = low.operator(ham_ast)
+        hamiltonian, ham_text = parse_op("".join(chunks), body[0][0])
 
-    lindblad_asts = []
-    lindblads = []
-    for lineno, line in sections.get("lindblads", ()):
-        ast = _parse_expression(line, lineno)
-        lindblads.append(low.operator(ast))
-        lindblad_asts.append(ast)
+    lindblads = [parse_op(line, lineno) for lineno, line in sections.get("lindblads", ())]
 
     outputs = []
     output_ops = []
@@ -993,17 +909,17 @@ def parse_model(text: str) -> ModelFile:
         if fname in seen_files:
             raise ModelParseError(f"duplicate output file '{fname}'", lineno, 1)
         seen_files.add(fname)
-        ast = _parse_expression(expr_text, lineno)
-        output_ops.append(low.operator(ast))
-        outputs.append((fname, ast))
+        op, text = parse_op(expr_text, lineno)
+        output_ops.append(op)
+        outputs.append((fname, text))
     if not outputs:
         raise ModelParseError("the output section must list at least one "
                               "'filename expression' line")
 
     _check_pipe(run, output_ops)
-    return ModelFile(freedoms, params, ham_ast, tuple(lindblad_asts),
+    return ModelFile(freedoms, params, ham_text, tuple(text for _, text in lindblads),
                      initial, tuple(outputs), run,
-                     (hamiltonian, tuple(lindblads), tuple(output_ops)))
+                     (hamiltonian, tuple(op for op, _ in lindblads), tuple(output_ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -1147,17 +1063,17 @@ def print_model(mf: ModelFile) -> str:
     if mf.params:
         out.append("")
         out.append("params:")
-        for name, ast in mf.params:
-            out.append(f"  {name} = {_print_node(ast)}")
+        for name, text in mf.params:
+            out.append(f"  {name} = {text}")
     if mf.hamiltonian is not None:
         out.append("")
         out.append("hamiltonian:")
-        out.append(f"  {_print_node(mf.hamiltonian)}")
+        out.append(f"  {mf.hamiltonian}")
     if mf.lindblads:
         out.append("")
         out.append("lindblads:")
-        for ast in mf.lindblads:
-            out.append(f"  {_print_node(ast)}")
+        for text in mf.lindblads:
+            out.append(f"  {text}")
     out.append("")
     out.append("initial:")
     for decl in mf.initial:
@@ -1172,8 +1088,8 @@ def print_model(mf: ModelFile) -> str:
             out.append(f"  {decl.freedom} amps {amps}")
     out.append("")
     out.append("output:")
-    for fname, ast in mf.outputs:
-        out.append(f"  {fname} {_print_node(ast)}")
+    for fname, text in mf.outputs:
+        out.append(f"  {fname} {text}")
     out.append("")
     out.append("run:")
     for key, val in mf.run:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 NORM_COLLAPSE = 1e-12
+NORM2_MAX = 2.0
 P_WARN = 0.1
 P_ERROR = 0.5
 P_NEGATIVE = -1e-12
@@ -143,8 +144,14 @@ class StepError(RuntimeError):
 
 @dataclass
 class StepStats:
+    """What one coarse step did: accepted substeps and the rows that jumped."""
+
     substeps: int = 0
-    jumps: int = 0
+    jump_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+
+    @property
+    def jumps(self) -> int:
+        return len(self.jump_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,9 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
             break
         h = min(h, remaining)
         if h < dt * _UNDERFLOW:
-            raise RuntimeError("adaptive step underflow; the problem looks stiff")
+            # one substep size serves the whole block, so the failure is
+            # reported on row 0; the engine steps adaptive runs one row at a time
+            raise StepError("adaptive step underflow; the problem looks stiff", 0)
         y5, err = _rkck_substep(f, y, t + done, h)
         scale = np.abs(y) + 1e-10
         ratio = float((np.abs(err) / scale).max()) / eps
@@ -303,12 +312,29 @@ def _first_row(mask) -> int:
 
 
 def _normalize_rows(y):
+    """Divide each row of y by its norm, in place; returns the norms."""
     n = row_norm(y)
     collapsed = n < NORM_COLLAPSE
     if collapsed.any():
         raise StepError("state norm collapsed during a step", _first_row(collapsed))
     y /= n[:, None]
-    return y
+    return n
+
+
+def _check_stable(n2, dt):
+    """Fail the rows whose squared norm the deterministic advance blew up.
+
+    The exact deterministic flow never increases the norm -- for qsd
+    d|y|^2/dt = -(<L+L> - |<L>|^2) |y|^2 <= 0, for the jump flavors it is 0
+    -- and every step starts normalized, so a squared norm past NORM2_MAX
+    can only come from an integrator outside its stability region, which
+    the renormalization that ends the step would otherwise hide.
+    """
+    grown = n2 > NORM2_MAX
+    if grown.any():
+        raise StepError(f"squared norm grew to {float(n2.max()):.3g} in one deterministic "
+                        f"advance; the integrator is unstable at dt={dt:.3g}, reduce dt",
+                        _first_row(grown))
 
 
 class _StepperBase:
@@ -323,7 +349,6 @@ class _StepperBase:
         self.dt = dt
         self.integrator = integrator
         self._h = None  # adaptive substep carried between coarse steps
-        self.last_jump_rows = np.zeros(0, dtype=np.intp)  # rows that jumped
 
     def _advance_det(self, y, freedoms, t):
         f = lambda v, s: _drift2d(v, freedoms, self.model, self.unraveling, s)
@@ -343,6 +368,7 @@ class QsdStepper(_StepperBase):
         """dxi: (B, m) complex Wiener increments for this coarse step."""
         y, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(y)
+        _check_stable(n2, self.dt)
         n2 = np.where(n2 > 0.0, n2, 1.0)
         _, lindblads = self.model.compiled(freedoms)
         for j, l_op in enumerate(lindblads):
@@ -402,10 +428,9 @@ class JumpStepper(_StepperBase):
                           "consider a smaller dt", RuntimeWarning, stacklevel=2)
             self._warned = True
         jump_rows = np.nonzero(u < ptot)[0]
-        self.last_jump_rows = jump_rows
 
         out, nsub = self._advance_det(y, freedoms, t)
-        _normalize_rows(out)
+        _check_stable(_normalize_rows(out) ** 2, self.dt)
 
         if jump_rows.size:
             cum = np.cumsum(probs, axis=1)
@@ -419,7 +444,7 @@ class JumpStepper(_StepperBase):
                 if nrm[0] < NORM_COLLAPSE:
                     raise StepError("jump produced a zero-norm state", int(b))
                 out[b:b + 1] = row / nrm[:, None]
-        return out, StepStats(substeps=nsub, jumps=int(jump_rows.size))
+        return out, StepStats(nsub, jump_rows)
 
 
 def make_stepper(model: ModelOperators, unraveling: Unraveling, dt: float,

@@ -44,6 +44,7 @@ from .steppers import (
     IntegratorConfig,
     ModelOperators,
     NoiseSource,
+    StepError,
     Unraveling,
     make_stepper,
 )
@@ -257,15 +258,12 @@ def _run(psi0, model, cfg, outspec, streams):
             t = step_index * cfg.dt
             try:
                 y, stats = stepper.step(y, psi.freedoms, t, noise[:, s])
-            except RuntimeError as err:
-                stream = streams[getattr(err, "row", 0)]
-                raise RuntimeError(f"trajectory {stream} failed at t={t:.6g}: {err}") from err
-            if not y.flags.c_contiguous:
-                y = np.ascontiguousarray(y)
+            except StepError as err:
+                raise RuntimeError(f"trajectory {streams[err.row]} failed at t={t:.6g}: "
+                                   f"{err}") from err
             step_index += 1
             subs[k] += stats.substeps * b
-            if stats.jumps:
-                jumps[stepper.last_jump_rows] += 1
+            jumps[stats.jump_rows] += 1
             if cfg.moving is not None:
                 y = maintained(y)
         observe(k, step_index * cfg.dt)

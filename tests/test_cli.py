@@ -314,3 +314,42 @@ def test_out_of_range_run_values_exit_2(keys, message, tmp_path, capsys):
     flags = [arg for k, v in keys.items() for arg in ("--" + k.replace("_", "-"), v)]
     assert main(["run", "--model", str(base), "--out-dir", str(tmp_path)] + flags) == 2
     assert capsys.readouterr().err == f"qtraj: {base}: {message}\n"
+
+
+UNSTABLE_MODEL = textwrap.dedent("""\
+    freedoms:
+      m field 3000
+
+    hamiltonian:
+      n(m)
+
+    initial:
+      m coherent 40
+
+    output:
+      n.out n(m)
+
+    run:
+      dt = 0.01
+      numdts = 2
+      numsteps = 5
+    """)
+
+
+def test_unstable_rk4_step_fails_instead_of_renormalizing(tmp_path, capsys):
+    # omega*dt reaches 30 on the upper levels, far outside RK4's stability
+    # region; renormalizing after each step used to hide the blow-up and
+    # report a drifting <n> that H = n(m) conserves
+    path = tmp_path / "unstable.qt"
+    path.write_text(UNSTABLE_MODEL)
+    rc = main(["run", "--model", str(path), "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "trajectory 0 failed at t=0: " in captured.err
+    assert "reduce dt" in captured.err
+    assert captured.out == ""
+    rc = main(["run", "--model", str(path), "--out-dir", str(tmp_path), "--dt", "1e-4"])
+    assert rc == 0
+    n = np.loadtxt(tmp_path / "n.out")[:, 1]
+    assert len(n) == 6
+    assert np.abs(n / 1600 - 1).max() < 1e-4

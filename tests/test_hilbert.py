@@ -20,7 +20,6 @@ from qtraj import (
     StateVector,
     basis_state,
     coherent_state,
-    inner_product,
     product_state,
 )
 from qtraj.hilbert import row_dot, row_norm, row_norm2, used_view
@@ -31,7 +30,7 @@ def test_superposition_norm_and_overlap():
     psi = 0.5 * basis_state(8, 0) - basis_state(8, 3)
     assert psi.norm() == pytest.approx(1.118033988749895, abs=1e-15)
     psi.normalize()
-    ov = inner_product(basis_state(8, 3), psi)
+    ov = basis_state(8, 3).inner(psi)
     assert ov.real == pytest.approx(-0.8944271909999159, abs=1e-15)
     assert ov.imag == 0.0
 
@@ -146,7 +145,7 @@ def test_structure_mismatch_raises():
     spin_a = basis_state(2, 0, SPIN)
     field_a = basis_state(2, 0, FIELD)
     with pytest.raises(ValueError):
-        inner_product(spin_a, field_a)
+        spin_a.inner(field_a)
 
 
 def test_center_mismatch_raises():

@@ -11,6 +11,7 @@ library only.
 """
 
 import ast
+import re
 import time
 from pathlib import Path
 
@@ -140,3 +141,46 @@ def test_package_private_names_are_read():
     dead = unread_private_names(sources)
     assert not dead, f"private names defined but never read (module, name): {dead}"
     assert time.perf_counter() - start < 0.5
+
+
+ROOT = SRC.parents[1]
+
+
+def _code_reads(paths, imports=False):
+    """Names the code in paths reads (bare names and attributes), plus, with
+    imports, the names its `from` imports bind."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif imports and isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def readme_code_names(text):
+    """Identifiers inside the fenced blocks and inline code spans of markdown."""
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    inline = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", text, flags=re.M | re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", "\n".join(fenced + inline)))
+
+
+def test_readme_scanner_reads_spans_and_blocks():
+    text = "Use `run_single(x)` or\n```python\nfrom q import drift\n```\nnot plain_name.\n"
+    assert readme_code_names(text) == {"run_single", "x", "from", "q", "import", "drift"}
+
+
+def test_every_export_has_a_reader():
+    # an export earns its place when the package itself, the benchmark code
+    # or the README's code uses it; one that only tests use is dead weight
+    import qtraj
+
+    package = _code_reads(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    bench = _code_reads((ROOT / "perfbench").glob("*.py"), imports=True)
+    readme = readme_code_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    unread = sorted(name for name in qtraj.__all__ if name != "__version__"
+                    and name not in package | bench | readme)
+    assert not unread, f"exports read by no package code, benchmark code or README: {unread}"

@@ -181,7 +181,7 @@ def test_dissipative_model_without_hamiltonian():
 # --- expression-level errors ------------------------------------------------------
 
 
-@pytest.mark.parametrize("ham,msg", [
+EXPRESSION_ERRORS = [
     ("q(m)", "unknown function"),
     ("foo", "unknown identifier"),
     ("m", "without an operator"),
@@ -204,10 +204,61 @@ def test_dissipative_model_without_hamiltonian():
     ("a(m)^0", "power"),
     ("@", "unexpected character"),
     ("a(2)", "freedom name"),
-])
+]
+
+
+@pytest.mark.parametrize("ham,msg", EXPRESSION_ERRORS)
 def test_expression_errors(ham, msg):
     with pytest.raises(ModelParseError, match=msg):
         build_model(parse_model(mk(ham)))
+
+
+# the whole message of every EXPRESSION_ERRORS case, location included: a
+# syntax error anywhere in an expression wins over a lowering error, and of
+# several lowering errors the first one a walk of the parse tree meets wins
+EXPRESSION_ERROR_MESSAGES = {
+    "q(m)": "line 6, col 3: unknown function 'q'",
+    "foo": "line 6, col 3: unknown identifier 'foo'",
+    "m": "line 6, col 3: freedom 'm' used without an operator (write a(...), sp(...), ...)",
+    "sp(m)": "line 6, col 6: sp() needs a spin freedom, 'm' is field",
+    "a(s)": "line 6, col 5: a() needs a field freedom, 's' is spin",
+    "a(z)": "line 6, col 5: unknown freedom 'z'",
+    "2 + a(m)": "line 6, col 5: cannot add a scalar and an operator",
+    "a(m) - 2": "line 6, col 8: cannot add a scalar and an operator",
+    "a(m)^1.5": "line 6, col 8: exponent must be an integer literal",
+    "a(m)^-2": "line 6, col 8: expected 'NUM', found '-'",
+    "a(m)^k": "line 6, col 8: expected 'NUM', found 'k'",
+    "(a(m)": "line 6, col 8: expected ')', found 'end of input'",
+    "a(m))": "line 6, col 7: unexpected trailing ')'",
+    "a(m) n(m)": "line 6, col 8: unexpected trailing 'n'",
+    "sin(a(m))": "line 6, col 3: sin() applies to scalars, not operators",
+    "sqrt(2, 3)": "line 6, col 3: sqrt() takes one argument",
+    "tr(s, 0, 1)": "line 6, col 6: tr() needs a atom freedom, 's' is spin",
+    "tr(m)": "line 6, col 3: tr() takes (freedom, i, j)",
+    "a(m).foo()": "line 6, col 8: unknown postfix '.foo'",
+    "a(m)^0": "line 6, col 7: power exponent must be in 1..32",
+    "@": "line 6, col 3: unexpected character '@'",
+    "a(2)": "line 6, col 5: a() expects a freedom name",
+    # two errors each: the syntax error comes later in the text but wins
+    "foo + (": "line 6, col 10: expected a value, found 'end of input'",
+    "a(m + 1)": "line 6, col 7: a() expects a freedom name",
+    "q(foo + 1": "line 6, col 12: expected ')', found 'end of input'",
+    "2*t + a(m)) ": "line 6, col 13: unexpected trailing ')'",
+    # two lowering errors: the call's own check comes before its argument's
+    "sqrt(foo, 1)": "line 6, col 3: sqrt() takes one argument",
+    "tr(m + foo)": "line 6, col 3: tr() takes (freedom, i, j)",
+}
+
+
+def test_expression_error_messages_cover_every_case():
+    assert {ham for ham, _ in EXPRESSION_ERRORS} <= set(EXPRESSION_ERROR_MESSAGES)
+
+
+@pytest.mark.parametrize("ham", list(EXPRESSION_ERROR_MESSAGES))
+def test_expression_error_messages(ham):
+    with pytest.raises(ModelParseError) as err:
+        parse_model(mk(ham))
+    assert str(err.value) == EXPRESSION_ERROR_MESSAGES[ham]
 
 
 def test_error_location_points_at_hamiltonian_line():
@@ -488,6 +539,114 @@ def test_round_trip_parse_print_parse(text):
     again = parse_model(echoed)
     assert again == mf
     assert print_model(again) == echoed
+
+
+# expression -> canonical text: parentheses only where precedence needs them
+# (^ above unary minus above * above + -, binary operators left-associative),
+# numbers by repr, number literals parenthesized before .hc()
+CANONICAL_TEXT = [
+    ("-n(m)^2", "-n(m)^2"),
+    ("(-a(m))^2", "(-a(m))^2"),
+    ("a(m) - (n(m) - x(m))", "a(m) - (n(m) - x(m))"),
+    ("(a(m) - n(m)) - x(m)", "a(m) - n(m) - x(m)"),
+    ("a(m)*(n(m)*x(m))", "a(m)*(n(m)*x(m))"),
+    ("(a(m)*n(m))*x(m)", "a(m)*n(m)*x(m)"),
+    ("-(-a(m))", "--a(m)"),
+    ("-a(m)*n(m)", "-a(m)*n(m)"),
+    ("-(a(m)*n(m))", "-(a(m)*n(m))"),
+    ("(a(m)*n(m))^2", "(a(m)*n(m))^2"),
+    ("x(m)^2^3", "(x(m)^2)^3"),
+    ("-a(m).hc()", "-a(m).hc()"),
+    ("(-a(m)).hc()", "(-a(m)).hc()"),
+    ("(a(m)^2).hc()", "(a(m)^2).hc()"),
+    ("(a(m) + n(m)).hc()", "(a(m) + n(m)).hc()"),
+    ("2*-a(m)", "2.0*-a(m)"),
+    ("a(m) - -n(m)", "a(m) - -n(m)"),
+    ("(2 - 0.5i)*a(m)", "(2.0 - 0.5i)*a(m)"),
+    ("cos(3*t)*(p(m) + p(m).hc())", "cos(3.0*t)*(p(m) + p(m).hc())"),
+    ("tr(q, 1, 0)", "tr(q, 1.0, 0.0)"),
+    ("(2).hc()", "(2.0).hc()"),
+    ("i.hc()", "(1.0i).hc()"),
+    ("(u).hc()", "u.hc()"),
+    ("1e-3i", "0.001i"),
+    ("2.5e2", "250.0"),
+    ("(2)^2", "2.0^2"),
+    ("exp(-(u))", "exp(-u)"),
+    ("sqrt(2*u)", "sqrt(2.0*u)"),
+]
+
+CANONICAL_MODEL = """\
+freedoms:
+  m field 4
+  s spin
+  q atom 3
+
+params:
+  u = 2
+  k = {scalar}
+
+initial:
+  m fock 0
+  s down
+  q level 0
+
+output:
+  o.out {op}
+
+run:
+  dt = 0.01
+  numdts = 1
+  numsteps = 1
+"""
+
+
+@pytest.mark.parametrize("expr, text", CANONICAL_TEXT, ids=[e for e, _ in CANONICAL_TEXT])
+def test_canonical_text(expr, text):
+    # operator expressions go to the output line, scalars to a param
+    scalar = not any(c in expr for c in ("(m)", "(q"))
+    mf = parse_model(CANONICAL_MODEL.format(scalar=expr if scalar else "1",
+                                            op="n(m)" if scalar else expr))
+    assert (mf.params[1][1] if scalar else mf.outputs[0][1]) == text
+    echoed = print_model(mf)
+    assert (f"  k = {text}\n" if scalar else f"  o.out {text}\n") in echoed
+    assert parse_model(echoed) == mf
+
+
+_SCALARS = st.recursive(
+    st.sampled_from(["2", "0.5", "1.5e-1", "3i", "i", "u", "1e-3i", ".25", "t"]),
+    lambda s: st.one_of(
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]), s).map("{0[0]}({0[1]})".format),
+        s.map("-({})".format),
+        st.tuples(s, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
+        s.map("({}).hc()".format),
+        st.tuples(s, st.sampled_from(["+", "-", "*"]), s).map("({0[0]}) {0[1]} ({0[2]})".format),
+    ),
+    max_leaves=4)
+_OPERATORS = st.recursive(
+    st.sampled_from(["a(m)", "adag(m)", "n(m)", "x(m)", "p(m)", "sp(s)", "sm(s)", "sz(s)",
+                     "tr(q, 0, 1)", "tr(q, 2, 1)"]),
+    lambda o: st.one_of(
+        st.tuples(o, st.sampled_from(["+", "-", "*"]), o).map("({0[0]}) {0[1]} ({0[2]})".format),
+        st.tuples(_SCALARS, o).map("({0[0]})*({0[1]})".format),
+        st.tuples(o, _SCALARS).map("({0[0]})*({0[1]})".format),
+        o.map("-({})".format),
+        st.tuples(o, st.integers(1, 3)).map("({0[0]})^{0[1]}".format),
+        o.map("({}).hc()".format),
+    ),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPERATORS)
+def test_print_parse_is_idempotent_and_keeps_operators(expr):
+    mf = parse_model(CANONICAL_MODEL.format(scalar="1", op=expr))
+    echoed = print_model(mf)
+    again = parse_model(echoed)
+    assert print_model(again) == echoed
+    assert again == mf
+    (got,), (want,) = again.lowered[2], mf.lowered[2]
+    for t in (0.0, 0.37):
+        assert to_dense(got, (4, 2, 3), t=t).tobytes() == to_dense(want, (4, 2, 3), t=t).tobytes()
 
 
 @pytest.mark.parametrize("path", ["models/shg.qt", "models/damped_atom.qt"])

@@ -19,6 +19,7 @@ from qtraj import (
     Unraveling,
     apply,
     basis_state,
+    coherent_state,
     destroy,
     drift,
     make_stepper,
@@ -30,7 +31,7 @@ from qtraj import (
     sigma_plus,
     to_dense,
 )
-from qtraj.steppers import _drift2d
+from qtraj.steppers import StepError, _drift2d
 
 
 def dense_drift(y, hmat, lmats, unraveling):
@@ -224,6 +225,46 @@ def test_rkck_step_underflow_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError):
             rkck_adaptive(f, y, 0.0, 1.0, 1e-10)
+
+
+def test_rkck_underflow_fails_row_0():
+    f = lambda y, t: 1e280 * y
+    y = np.ones((1, 2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepError) as err:
+            rkck_adaptive(f, y, 0.0, 1.0, 1e-10)
+    assert err.value.row == 0
+
+
+@pytest.mark.parametrize("unr", list(Unraveling))
+def test_unstable_deterministic_advance_fails_its_row(unr):
+    # H = n: row 0 (vacuum) does not move, row 1 (a coherent state with
+    # levels up to ~45) sees omega*dt up to ~22, far outside RK4's
+    # stability region, so its squared norm explodes in one step
+    model = ModelOperators(number(0), [1e-3 * destroy(0)])
+    vac, coh = basis_state(60, 0), coherent_state(60, 5.0)
+    y = np.stack([vac.amps, coh.amps])
+    stepper = make_stepper(model, unr, 0.5)
+    noise = np.zeros((2, 1), dtype=complex) if unr is Unraveling.QSD else np.ones(2)
+    with pytest.raises(StepError, match="reduce dt") as err:
+        stepper.step(y, vac.freedoms, 0.0, noise)
+    assert err.value.row == 1
+    # the same rows at a stable step size pass, row norms untouched by the check
+    out, _ = make_stepper(model, unr, 1e-3).step(y.copy(), vac.freedoms, 0.0, noise)
+    assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
+
+
+def test_step_stats_list_the_rows_that_jumped():
+    model = decaying_atom()
+    psi = basis_state(2, 1, SPIN)
+    y = np.tile(psi.as2d(), (3, 1))
+    stepper = make_stepper(model, Unraveling.JUMP, 0.001)
+    _, stats = stepper.step(y, psi.freedoms, 0.0, np.array([0.999, 1e-9, 1e-9]))
+    assert stats.jump_rows.tolist() == [1, 2]
+    assert stats.jumps == 2
+    _, stats = make_stepper(model, Unraveling.QSD, 0.001).step(
+        y, psi.freedoms, 0.0, np.zeros((3, 1), dtype=complex))
+    assert stats.jumps == 0 and stats.jump_rows.size == 0
 
 
 def test_rkck_input_validation():
