@@ -128,11 +128,6 @@ def used_view(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
     return full[ix]
 
 
-def basis_of(freedoms: list) -> tuple:
-    """What operators depend on: (type, used dimension, center) per freedom."""
-    return tuple([(f.ptype, f.dim_used, f.center) for f in freedoms])
-
-
 def used_block(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
     """(B, product of used dims) C-contiguous amplitudes of the used block.
 
@@ -286,7 +281,7 @@ def coherent_state(dim: int, alpha: complex) -> StateVector:
     """
     alpha = complex(alpha)
     r = abs(alpha)
-    peak = min(int(r * r), dim - 1)
+    peak = int(min(r * r, dim - 1))  # clamped first: r * r may overflow to inf
     mags = np.zeros(dim)
     mags[peak] = 1.0
     for n in range(peak, dim - 1):

@@ -64,12 +64,12 @@ from .hilbert import (
 )
 from .moving_basis import MovingBasisParams
 from .operators import (
-    DiagonalOperator,
     Kind,
     Power,
     Primary,
     ScalarMul,
     TimeFnMul,
+    compile_operator,
 )
 from .steppers import INTEGRATOR_KINDS, IntegratorConfig, ModelOperators, Unraveling
 from .trajectory import OutputSpec, RunConfig, _fmt, _validate_moving
@@ -109,15 +109,12 @@ class ModelValidationError(ModelError):
 _OPCHARS = set("+-*^(),=.")
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "value", "line", "col")
-
-    def __init__(self, kind, text, value, line, col):
-        self.kind = kind
-        self.text = text
-        self.value = value
-        self.line = line
-        self.col = col
+class _Tok(NamedTuple):
+    kind: str
+    text: str
+    value: float
+    line: int
+    col: int
 
     @property
     def pos(self):
@@ -167,6 +164,8 @@ def _tokenize(text, first_line=1):
                 val = float(lit)
             except ValueError:
                 raise ModelParseError(f"bad number literal '{lit}'", line, start_col)
+            if not math.isfinite(val):
+                raise ModelParseError(f"number literal '{lit}' overflows", line, start_col)
             kind = "NUM"
             if j < n and text[j] == "i" and (j + 1 >= n or not (text[j + 1].isalnum() or text[j + 1] == "_")):
                 kind = "IMAG"
@@ -352,8 +351,12 @@ class _ExprParser:
         """fn applied to the operands' values, or the first error on the way."""
         try:
             kind, val = fn(*[self.value(v) for v in operands])
+            if kind == "c" and not cmath.isfinite(val):  # 1e308*10 overflows silently
+                raise OverflowError
         except ModelParseError as err:
             return _Val("error", err, text, prec, pos)
+        except OverflowError:
+            return _Val("error", ModelParseError("value overflows", *pos), text, prec, pos)
         return _Val(kind, val, text, prec, pos)
 
     def parse_expr(self):
@@ -609,15 +612,11 @@ def _split_sections(text):
     return sections
 
 
-def _words(line):
-    return line.split()
-
-
 def _parse_freedoms(body):
     decls = []
     seen = set()
     for lineno, line in body:
-        w = _words(line)
+        w = line.split()
         if len(w) < 2:
             raise ModelParseError("freedom declaration needs 'name type [dim]'",
                                   lineno, 1)
@@ -679,7 +678,7 @@ def _parse_initial(body, freedoms):
     byname = {d.name: d for d in freedoms}
     decls = {}
     for lineno, line in body:
-        w = _words(line)
+        w = line.split()
         if len(w) < 2:
             raise ModelParseError("initial lines look like 'freedom ctor [args]'",
                                   lineno, 1)
@@ -962,16 +961,17 @@ def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
 _HERMITIAN_TIMES = (0.0, 0.5, 1.0, 1 / math.sqrt(2), math.pi / 4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite elements are reported, not warned
 def _check_hermitian(h_expr, freedoms):
     """Exact adjointness of the compiled diagonals, top field levels masked.
 
     Entry i of offset o is <i|H|i+o>; it must equal conj(<i+o|H|i>), entry
     i+o of offset -o, wherever rows i and i+o both lie below the top level
     of every field freedom.  A Hamiltonian with time functions is checked at
-    each of _HERMITIAN_TIMES.
+    each of _HERMITIAN_TIMES.  An element that is infinite or NaN, or a time
+    function that overflows, fails the check.
     """
-    # not cached on h_expr: runs apply the effective generator, never H alone
-    h = DiagonalOperator.compile(h_expr, freedoms)
+    h = compile_operator(h_expr, freedoms)
     lower = np.ones(tuple(f.dim_used for f in freedoms), dtype=bool)
     for k, fr in enumerate(freedoms):
         if fr.ptype is FIELD and fr.dim_used > 1:
@@ -980,8 +980,15 @@ def _check_hermitian(h_expr, freedoms):
     size = h.size
     timedep = any(fns for fns, _ in h.groups)
     for t in _HERMITIAN_TIMES if timedep else (0.0,):
-        diags = h.diagonals(t)
-        scale = max([1.0] + [float(np.abs(d).max()) for d in diags.values()])
+        try:
+            diags = h.diagonals(t)
+        except OverflowError as err:
+            raise ModelValidationError(f"hamiltonian: {err}") from None
+        # np.max keeps a NaN where the builtin max would drop it
+        scale = np.max([1.0] + [np.abs(d).max() for d in diags.values()])
+        if not scale < math.inf:
+            raise ModelValidationError(
+                f"hamiltonian has a matrix element that is not finite at t={t}")
         defect = 0.0
         for o, d in diags.items():
             lo, hi = max(0, -o), min(size, size - o)

@@ -7,7 +7,8 @@ compact, so the used dimension can be cut down aggressively:
 
   * move_coords shifts the center and re-expresses the amplitudes so the
     physical state is unchanged (including its global phase),
-  * recenter moves the center onto <a_local>,
+  * recenter moves the center onto <a_local>, read along the freedom's
+    axis with the same ladder as the displacement series,
   * adjust_cutoff grows or shrinks the used dimension so the top pad_size
     slots hold at most a fraction epsilon of the probability.
 """
@@ -17,12 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .hilbert import ATOM, FIELD, StateVector, row_dot, row_norm2, used_block, used_view
-from .operators import _sqrt_ladder, compile_operator, destroy
+from .operators import _sqrt_ladder
 
 __all__ = [
     "MovingBasisParams",
@@ -46,6 +46,14 @@ def _bshape(vec: np.ndarray, nd: int, axis: int) -> np.ndarray:
     shape = [1] * nd
     shape[axis] = vec.shape[0]
     return vec.reshape(shape)
+
+
+def _ladder(view: np.ndarray, axis: int):
+    """(r, lo, hi): sqrt(m+1) broadcast along axis, and the index tuples of
+    levels 0..n-2 and 1..n-1, so that (a v)[lo] = r * v[hi]."""
+    n = view.shape[axis]
+    return (_bshape(_sqrt_ladder(n)[1:], view.ndim, axis),
+            _ax(view.ndim, axis, slice(0, n - 1)), _ax(view.ndim, axis, slice(1, n)))
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,7 @@ def _apply_displacement(view: np.ndarray, axis: int, delta: complex, accuracy: f
     """
     if delta == 0:
         return
-    n = view.shape[axis]
-    r = _bshape(_sqrt_ladder(n)[1:], view.ndim, axis)
-    lo = _ax(view.ndim, axis, slice(0, n - 1))
-    hi = _ax(view.ndim, axis, slice(1, n))
+    r, lo, hi = _ladder(view, axis)
     nsub = max(1, math.ceil(abs(delta) / _SUBSTEP))
     d = delta / nsub
     dc = np.conj(d)
@@ -140,12 +145,6 @@ def move_coords(state: StateVector, displacement: complex, freedom: int,
     fr.center = fr.center + d
 
 
-@lru_cache(maxsize=None)
-def _destroy(freedom: int):
-    """One tree per freedom, so recenter reuses its compiled forms."""
-    return destroy(freedom)
-
-
 def recenter(state: StateVector, freedom: int, shift_accuracy: float = 1e-6) -> complex:
     """Move the basis center onto the local <a>; returns the shift applied.
 
@@ -154,14 +153,15 @@ def recenter(state: StateVector, freedom: int, shift_accuracy: float = 1e-6) -> 
     fr = state.freedoms[freedom]
     if fr.ptype is not FIELD:
         raise TypeError("only field freedoms can be recentered")
-    local = [f.copy() for f in state.freedoms]
-    local[freedom].center = 0j  # local annihilation, no offset
     y = used_block(state.as2d(), state.freedoms)
     n2 = float(row_norm2(y)[0])
     if n2 == 0.0:
         return 0j
-    a_local = compile_operator(_destroy(freedom), local)
-    delta = complex(row_dot(y, a_local.apply(y))[0]) / n2
+    view = y.reshape((1,) + state.used_dims())
+    r, lo, hi = _ladder(view, 1 + freedom)
+    ay = np.zeros_like(view)  # the local annihilation operator applied to y
+    ay[lo] = r * view[hi]
+    delta = complex(row_dot(y, ay.reshape(y.shape))[0]) / n2
     if abs(delta) < shift_accuracy:
         return 0j
     move_coords(state, delta, freedom, shift_accuracy)

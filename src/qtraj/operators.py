@@ -21,14 +21,13 @@ stay in groups of their own, one per distinct product of functions, scaled
 by its value when applied.  Field primaries are center-aware: with basis
 center alpha, the physical ladder operator is the local one plus alpha.
 Centers enter as symbolic scalar factors of their terms, the way time
-functions do, so a tree compiles once per basis shape (the type and used
-dimension of every freedom) and is bound to centers afterwards: binding
-evaluates the factors, sums each offset's terms and trims the diagonals.
-A trajectory on a moving basis therefore walks each tree once per used
-shape and only rebinds after a recenter, a basis whose centers are all 0
-skips every center-carrying term, and the sweeps touch only the used
-amplitudes.  `apply`, `apply_in_place` and `psi *= expr` all go through
-this form.
+functions do: a `CenteredForm` is a tree compiled for one basis shape (the
+type and used dimension of every freedom), and binding it to centers
+evaluates the factors, sums each offset's terms, skips the terms of zero
+centers and trims the diagonals.  Trees hold no compiled state.
+`compile_operator`, which `apply`, `apply_in_place` and `psi *= expr` go
+through, compiles afresh on every call; a caller that applies a tree again
+keeps what it compiled, as `steppers.ModelOperators` keeps its forms.
 
 `to_dense` builds the same operators from explicit matrices instead, as an
 independent reference for the compiled form.
@@ -36,6 +35,7 @@ independent reference for the compiled form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -116,7 +116,7 @@ def _sqrt_ladder(n: int) -> np.ndarray:
 
 
 class OperatorExpr:
-    """Base class; all nodes are immutable."""
+    """Base class; all nodes are immutable, slotted and hold nothing but their fields."""
 
     __slots__ = ()
 
@@ -160,7 +160,7 @@ class OperatorExpr:
         return Power(self, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Primary(OperatorExpr):
     """A single-freedom operator: kind, target freedom, transition levels.
 
@@ -224,7 +224,7 @@ class Primary(OperatorExpr):
         return m.conj().T if self.conj else m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(OperatorExpr):
     children: tuple
 
@@ -236,7 +236,7 @@ class Sum(OperatorExpr):
         return Sum(tuple(c.hc() for c in self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product(OperatorExpr):
     """Ordered product; children are applied right to left."""
 
@@ -250,7 +250,7 @@ class Product(OperatorExpr):
         return Product(tuple(c.hc() for c in reversed(self.children)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarMul(OperatorExpr):
     scalar: complex
     child: OperatorExpr
@@ -262,7 +262,7 @@ class ScalarMul(OperatorExpr):
         return ScalarMul(np.conj(self.scalar), self.child.hc())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeFnMul(OperatorExpr):
     """Scalar coefficient that depends on the trajectory time."""
 
@@ -274,7 +274,7 @@ class TimeFnMul(OperatorExpr):
         return TimeFnMul(lambda t: np.conj(f(t)), self.child.hc())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Power(OperatorExpr):
     child: OperatorExpr
     k: int
@@ -470,13 +470,25 @@ def _shape_of(freedoms) -> tuple:
     return tuple([(f.ptype, f.dim_used) for f in freedoms])
 
 
+def _time_factor(fns, t: float) -> complex:
+    """Product of a group's time functions at t; OverflowError unless finite."""
+    try:
+        z = math.prod(complex(fn(t)) for fn in fns)
+        if cmath.isfinite(z):
+            return z
+    except OverflowError:
+        pass
+    raise OverflowError(f"a time-dependent factor overflows at t={t:.6g}")
+
+
 class DiagonalOperator:
     """An operator compiled for one basis: offset diagonals over the used block.
 
     `groups` holds (time functions, bands) pairs; a group's sweep is scaled by
-    the product of its functions at the time of application.  Each band is
-    (out index, in index, d) and adds d * y[in index] to out[out index], with
-    the indices selecting columns lo:hi and lo+offset:hi+offset of a block.
+    the product of its functions at the time of application, and a product
+    that is not finite raises OverflowError.  Each band is (out index, in
+    index, d) and adds d * y[in index] to out[out index], with the indices
+    selecting columns lo:hi and lo+offset:hi+offset of a block.
     """
 
     __slots__ = ("size", "groups")
@@ -485,11 +497,6 @@ class DiagonalOperator:
         self.size = size
         self.groups = groups
 
-    @classmethod
-    def compile(cls, expr: OperatorExpr, freedoms) -> "DiagonalOperator":
-        """Compile expr for the used dimensions and centers of freedoms (no cache)."""
-        return CenteredForm(expr, _shape_of(freedoms)).bind([f.center for f in freedoms])
-
     def apply(self, y: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Return the operator applied to every row of a (B, size) block."""
         if y.ndim != 2 or y.shape[1] != self.size:
@@ -497,7 +504,7 @@ class DiagonalOperator:
         out = np.zeros(y.shape, dtype=complex)
         for fns, bands in self.groups:
             if fns:
-                z = math.prod(complex(fn(t)) for fn in fns)
+                z = _time_factor(fns, t)
                 bands = [(ix_out, ix_in, z * d) for ix_out, ix_in, d in bands]
             for ix_out, ix_in, d in bands:
                 out[ix_out] += d * y[ix_in]
@@ -511,7 +518,7 @@ class DiagonalOperator:
         """
         out = {}
         for fns, bands in self.groups:
-            z = math.prod(complex(fn(t)) for fn in fns)
+            z = _time_factor(fns, t)
             for (_, rows), (_, cols), d in bands:
                 full = out.setdefault(cols.start - rows.start, np.zeros(self.size, dtype=complex))
                 full[rows] += z * d
@@ -526,11 +533,11 @@ class CenteredForm:
     at the basis centers, is the diagonal at that offset.  `bind` evaluates
     the factors, sums the terms and trims each diagonal to its nonzero span;
     terms whose factors vanish are skipped, so a basis with every center 0
-    gets the local diagonals unchanged.  The form keeps the operator of the
-    last centers it was bound to, keyed on the centers it reads.
+    gets the local diagonals unchanged.  `centered` lists the freedoms
+    whose centers the form reads.
     """
 
-    __slots__ = ("size", "groups", "centered", "_bound")
+    __slots__ = ("size", "groups", "centered")
 
     def __init__(self, expr: OperatorExpr, shape: tuple):
         size = math.prod(b[1] for b in shape)
@@ -544,17 +551,10 @@ class CenteredForm:
         self.groups = tuple((fns, tuple((o, tuple(offsets[o])) for o in sorted(offsets)))
                             for fns, offsets in groups.items())
         self.centered = tuple(sorted({k for _, factors in terms for k, _ in factors}))
-        self._bound = None
 
     def bind(self, centers) -> DiagonalOperator:
         """The operator at the given per-freedom centers."""
-        key = tuple([complex(centers[k]) for k in self.centered])
-        if self._bound is None or self._bound[0] != key:
-            values = dict(zip(self.centered, key))
-            self._bound = (key, DiagonalOperator(self.size, self._bound_groups(values)))
-        return self._bound[1]
-
-    def _bound_groups(self, centers: dict) -> tuple:
+        values = {k: complex(centers[k]) for k in self.centered}
         size = self.size
         factor_values = {}
         groups = []
@@ -567,7 +567,7 @@ class CenteredForm:
                         z = factor_values.get(factors)
                         if z is None:
                             z = factor_values[factors] = math.prod(
-                                [centers[k].conjugate() if cj else centers[k]
+                                [values[k].conjugate() if cj else values[k]
                                  for k, cj in factors])
                         if not z:
                             continue
@@ -583,34 +583,15 @@ class CenteredForm:
                                  (slice(None), slice(lo + o, hi + o)), np.array(d[lo:hi])))
             if kept:
                 groups.append((fns, tuple(kept)))
-        return tuple(groups)
-
-
-# Basis shapes whose compiled forms one expression keeps
-FORMS_KEPT = 16
+        return DiagonalOperator(size, tuple(groups))
 
 
 def compile_operator(expr: OperatorExpr, freedoms) -> DiagonalOperator:
     """Compiled form of expr for the used dimensions and centers of freedoms.
 
-    The expression compiles once per basis shape (the type and used
-    dimension of every freedom) and keeps the forms of its last FORMS_KEPT
-    shapes.  A change of centers alone, as a recenter makes, only rebinds
-    the kept form: its diagonals are recombined with the new center values
-    and trimmed again, without walking the tree.
+    Nothing is cached: hold the result to apply it again on the same basis.
     """
-    shape = _shape_of(freedoms)
-    forms = getattr(expr, "_forms", None)
-    if forms is None:
-        forms = {}
-        # expression nodes are frozen; the cache is not part of their value
-        object.__setattr__(expr, "_forms", forms)
-    form = forms.get(shape)
-    if form is None:
-        if len(forms) >= FORMS_KEPT:
-            del forms[next(iter(forms))]
-        form = forms[shape] = CenteredForm(expr, shape)
-    return form.bind([f.center for f in freedoms])
+    return CenteredForm(expr, _shape_of(freedoms)).bind([f.center for f in freedoms])
 
 
 def apply_in_place(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:

@@ -26,14 +26,13 @@ import numpy as np
 
 from .hilbert import (
     StateVector,
-    basis_of,
     row_dot,
     row_norm,
     row_norm2,
     set_used_block,
     used_block,
 )
-from .operators import OperatorExpr, Sum, compile_operator
+from .operators import CenteredForm, OperatorExpr, Sum, _shape_of
 
 __all__ = [
     "Unraveling",
@@ -63,6 +62,10 @@ class Unraveling(Enum):
     ORTHO_JUMP = "orthojump"
 
 
+# Basis shapes whose compiled forms a model keeps
+FORMS_KEPT = 16
+
+
 class ModelOperators:
     """Hamiltonian (may be None) and Lindblad operators.
 
@@ -82,19 +85,27 @@ class ModelOperators:
         if hamiltonian is not None:
             terms.insert(0, -1j * hamiltonian)
         self.h_eff = Sum(tuple(terms)) if terms else None
+        self._shapes = {}  # basis shape -> forms of h_eff (if any) and each L_j, oldest first
         self._compiled = (None, None, ())
 
     def compiled(self, freedoms):
         """(h_eff or None, [L_j]) compiled for the basis of freedoms.
 
-        Each tree compiles once per basis shape (compile_operator); a basis
-        that only moved its centers rebinds the kept forms.
+        The forms of the last FORMS_KEPT basis shapes are kept, so a basis
+        that only moved its centers is rebound, not compiled again.
         """
-        basis = basis_of(freedoms)
+        basis = [(f.ptype, f.dim_used, f.center) for f in freedoms]  # all an operator reads
         if basis != self._compiled[0]:
-            h_eff = None if self.h_eff is None else compile_operator(self.h_eff, freedoms)
-            self._compiled = (basis, h_eff,
-                              [compile_operator(l, freedoms) for l in self.lindblads])
+            shape = _shape_of(freedoms)
+            if shape not in self._shapes:
+                if len(self._shapes) >= FORMS_KEPT:
+                    del self._shapes[next(iter(self._shapes))]
+                # h_eff is None only for a model with no operators at all
+                trees = () if self.h_eff is None else (self.h_eff,) + self.lindblads
+                self._shapes[shape] = [CenteredForm(tree, shape) for tree in trees]
+            centers = [f.center for f in freedoms]
+            ops = [form.bind(centers) for form in self._shapes[shape]]
+            self._compiled = (basis, ops[0] if ops else None, ops[1:])
         return self._compiled[1:]
 
     @property
@@ -330,7 +341,7 @@ def _check_stable(n2, dt):
     can only come from an integrator outside its stability region, which
     the renormalization that ends the step would otherwise hide.
     """
-    grown = n2 > NORM2_MAX
+    grown = ~(n2 <= NORM2_MAX)  # a NaN norm fails too
     if grown.any():
         raise StepError(f"squared norm grew to {float(n2.max()):.3g} in one deterministic "
                         f"advance; the integrator is unstable at dt={dt:.3g}, reduce dt",
@@ -420,9 +431,9 @@ class JumpStepper(_StepperBase):
         probs, lys, lexps = self._jump_probabilities(y, freedoms, t)
         ptot = probs.sum(axis=1)
         pmax = float(ptot.max()) if ptot.size else 0.0
-        if pmax > P_ERROR:
+        if not pmax <= P_ERROR:  # max is NaN if any row is, and NaN fails too
             raise StepError(f"total jump probability {pmax:.3g} exceeds {P_ERROR}; reduce dt",
-                            _first_row(ptot > P_ERROR))
+                            _first_row(~(ptot <= P_ERROR)))
         if pmax > P_WARN and not self._warned:
             warnings.warn(f"total jump probability {pmax:.3g} exceeds {P_WARN}; "
                           "consider a smaller dt", RuntimeWarning, stacklevel=2)

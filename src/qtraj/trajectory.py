@@ -182,7 +182,7 @@ def variance(op: OperatorExpr, psi: StateVector, t: float = 0.0) -> complex:
 
 
 def _check_normalized(psi):
-    if abs(psi.norm() - 1.0) > 1e-8:
+    if not abs(psi.norm() - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError("initial state must be normalized")
 
 
@@ -244,29 +244,32 @@ def _run(psi0, model, cfg, outspec, streams):
     qsd = cfg.unraveling is Unraveling.QSD
     noise = np.empty((b, cfg.numdts, m), dtype=complex) if qsd else np.empty((b, cfg.numdts))
 
-    observe(0, 0.0)
-    if cfg.moving is not None:
-        y = maintained(y)  # the first step runs on the trimmed basis
-    step_index = 0
-    for k in range(1, nk + 1):
-        for src, row in zip(sources, noise):
-            if qsd:
-                src.wiener(cfg.numdts, m, cfg.dt, out=row)
-            else:
-                src.uniforms(cfg.numdts, out=row)
-        for s in range(cfg.numdts):
-            t = step_index * cfg.dt
-            try:
+    t = 0.0  # the time a failure is reported at
+    try:
+        observe(0, t)
+        if cfg.moving is not None:
+            y = maintained(y)  # the first step runs on the trimmed basis
+        step_index = 0
+        for k in range(1, nk + 1):
+            for src, row in zip(sources, noise):
+                if qsd:
+                    src.wiener(cfg.numdts, m, cfg.dt, out=row)
+                else:
+                    src.uniforms(cfg.numdts, out=row)
+            for s in range(cfg.numdts):
+                t = step_index * cfg.dt
                 y, stats = stepper.step(y, psi.freedoms, t, noise[:, s])
-            except StepError as err:
-                raise RuntimeError(f"trajectory {streams[err.row]} failed at t={t:.6g}: "
-                                   f"{err}") from err
-            step_index += 1
-            subs[k] += stats.substeps * b
-            jumps[stats.jump_rows] += 1
-            if cfg.moving is not None:
-                y = maintained(y)
-        observe(k, step_index * cfg.dt)
+                step_index += 1
+                subs[k] += stats.substeps * b
+                jumps[stats.jump_rows] += 1
+                if cfg.moving is not None:
+                    y = maintained(y)
+            t = step_index * cfg.dt
+            observe(k, t)
+    except StepError as err:
+        raise RuntimeError(f"trajectory {streams[err.row]} failed at t={t:.6g}: {err}") from err
+    except OverflowError as err:  # a time function overflowed: every row fails alike
+        raise RuntimeError(f"trajectory {streams[0]} failed at t={t:.6g}: {err}") from err
 
     times = np.array([(i * cfg.numdts) * cfg.dt for i in range(nk + 1)])
     return times, exps, vars_, sizes, subs, jumps

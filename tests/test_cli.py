@@ -353,3 +353,94 @@ def test_unstable_rk4_step_fails_instead_of_renormalizing(tmp_path, capsys):
     n = np.loadtxt(tmp_path / "n.out")[:, 1]
     assert len(n) == 6
     assert np.abs(n / 1600 - 1).max() < 1e-4
+
+
+def finite_model(hamiltonian="n(m)", params="", initial="m fock 0", run="", numdts=1,
+                 numsteps=1):
+    text = textwrap.dedent("""\
+        freedoms:
+          m field 4
+        """)
+    if params:
+        text += f"params:\n  {params}\n"
+    return text + textwrap.dedent(f"""\
+        hamiltonian:
+          {hamiltonian}
+
+        initial:
+          {initial}
+
+        output:
+          n.out n(m)
+
+        run:
+          dt = 0.01
+          numdts = {numdts}
+          numsteps = {numsteps}
+        """) + run
+
+
+@pytest.mark.parametrize("model, where, message", [
+    (finite_model("exp(1000)*n(m)"), "line 4, col 3", "value overflows"),
+    (finite_model("2^99999*n(m)"), "line 4, col 4", "value overflows"),
+    (finite_model("a(m)^1e999"), "line 4, col 8", "number literal '1e999' overflows"),
+    (finite_model("k*n(m)", params="k = exp(800)"), "line 4, col 2", "value overflows"),
+    (finite_model(initial="m coherent 1e999"), "line 7, col 1",
+     "number literal '1e999' overflows"),
+    (finite_model(run="  seed = 1e999\n"), "line 16, col 1",
+     "number literal '1e999' overflows"),
+    (finite_model(run="  trajectories = 1e999\n"), "line 16, col 1",
+     "number literal '1e999' overflows"),
+    (finite_model(run="  moving = 1e999\n"), "line 16, col 1",
+     "number literal '1e999' overflows"),
+    (finite_model("1e999*n(m)"), "line 4, col 3", "number literal '1e999' overflows"),
+    (finite_model("(1e308*10)*n(m)"), "line 4, col 9", "value overflows"),
+], ids=["exp", "power", "exponent", "param", "coherent", "seed", "trajectories",
+        "moving", "literal", "product"])
+def test_numbers_that_overflow_are_parse_errors(model, where, message, tmp_path, capsys):
+    # every number a model file holds must be finite; an overflow is a
+    # located parse error, never a traceback or an echo that cannot be read back
+    path = tmp_path / "overflow.qt"
+    path.write_text(model)
+    for command in ("print-model", "run"):
+        argv = [command, "--model", str(path)]
+        if command == "run":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"qtraj: {path}: {where}: {message}\n"
+        assert captured.out == ""
+
+
+def test_coherent_amplitude_past_overflow_of_its_square_builds(tmp_path, capsys):
+    # |alpha|^2 overflows to inf; the peak level is clamped before int()
+    path = tmp_path / "coherent.qt"
+    path.write_text(finite_model(initial="m coherent 1e200"))
+    assert main(["run", "--model", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert np.loadtxt(tmp_path / "n.out")[0, 1] == 3.0  # all weight on the top level
+
+
+@pytest.mark.parametrize("hamiltonian, message", [
+    ("1e308*n(m) + 1e308*n(m)", "hamiltonian has a matrix element that is not finite at t=0.0"),
+    ("exp(1000*t)*n(m)", "hamiltonian: a time-dependent factor overflows at t=1"),
+], ids=["infinite-element", "time-function"])
+def test_non_finite_hamiltonian_is_a_validation_error(hamiltonian, message, tmp_path, capsys):
+    # with finite literals H can still hold inf; its adjointness defect was
+    # NaN, which passed the check, and the run wrote nan rows
+    path = tmp_path / "nonfinite.qt"
+    path.write_text(finite_model(hamiltonian))
+    assert main(["run", "--model", str(path), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"qtraj: {path}: {message}\n"
+    assert captured.out == ""
+
+
+def test_time_function_overflow_fails_the_run_at_its_time(tmp_path, capsys):
+    # exp(400*t) overflows at t = 709.78/400 = 1.7745; the vacuum never
+    # feels the growing H = exp(400 t) n, so the run gets that far
+    path = tmp_path / "late.qt"
+    path.write_text(finite_model("exp(400*t)*n(m)", numdts=100, numsteps=2))
+    assert main(["run", "--model", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("qtraj: trajectory 0 failed at t=1.77: "
+                   "a time-dependent factor overflows at t=1.775\n")

@@ -12,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from qtraj import (
+    ATOM,
     FIELD,
     SPIN,
     FreedomSpec,
@@ -28,6 +29,8 @@ from qtraj import (
     product_state,
     recenter,
 )
+from qtraj.hilbert import row_dot, row_norm2, used_block, used_view
+from qtraj.operators import compile_operator
 
 
 def displacement_matrix(dim, delta):
@@ -258,3 +261,47 @@ def test_adjust_cutoff_on_used_block_equals_full_allocation_scan():
         assert np.array_equal(psi.amps, ref.amps)
         changed += d != used[freedom]
     assert changed > 100
+
+
+def _compiled_recenter(state, freedom, shift_accuracy):
+    """recenter as it was computed through a compiled destroy(freedom)."""
+    local = [f.copy() for f in state.freedoms]
+    local[freedom].center = 0j  # local annihilation, no offset
+    y = used_block(state.as2d(), state.freedoms)
+    n2 = float(row_norm2(y)[0])
+    if n2 == 0.0:
+        return 0j
+    a_local = compile_operator(destroy(freedom), local)
+    delta = complex(row_dot(y, a_local.apply(y))[0]) / n2
+    if abs(delta) < shift_accuracy:
+        return 0j
+    move_coords(state, delta, freedom, shift_accuracy)
+    return delta
+
+
+def test_recenter_matches_compiled_destroy_bit_for_bit():
+    # the ladder along the freedom's axis must give the shift, and so the
+    # amplitudes, that applying a compiled local destroy operator gave
+    rng = np.random.default_rng(31)
+    shifted = 0
+    for _ in range(300):
+        frs = [FreedomSpec(FIELD, int(rng.integers(1, 8)), -1,
+                           complex(rng.standard_normal(), rng.standard_normal())),
+               FreedomSpec(SPIN, 2),
+               FreedomSpec(ATOM, 3, int(rng.integers(1, 4))),
+               FreedomSpec(FIELD, int(rng.integers(2, 7)), -1, 0.4 - 0.3j)]
+        for f in (frs[0], frs[3]):
+            f.dim_used = int(rng.integers(1, f.dim_alloc + 1))
+        psi = StateVector(frs, np.zeros(math.prod(f.dim_alloc for f in frs), dtype=complex))
+        view = used_view(psi.as2d(), psi.freedoms)
+        view[...] = rng.standard_normal(view.shape) + 1j * rng.standard_normal(view.shape)
+        freedom = int(rng.choice([0, 3]))
+        accuracy = float(rng.choice([1e-9, 1e-3, 0.5]))
+        ref = psi.copy()
+        want = _compiled_recenter(ref, freedom, accuracy)
+        got = recenter(psi, freedom, accuracy)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert np.array_equal(psi.amps, ref.amps)
+        assert [f.center for f in psi.freedoms] == [f.center for f in ref.freedoms]
+        shifted += got != 0
+    assert shifted > 100

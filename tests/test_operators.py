@@ -6,6 +6,7 @@ the application of the compiled offset diagonals.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from qtraj import (
     apply,
     apply_in_place,
     basis_state,
+    coherent_state,
     create,
     destroy,
+    expectation,
     momentum,
     number,
     position,
@@ -37,8 +40,8 @@ from qtraj.hilbert import used_view
 from qtraj.operators import (
     MAX_POWER,
     CenteredForm,
-    DiagonalOperator,
     Power,
+    Primary,
     Product,
     ScalarMul,
     Sum,
@@ -392,8 +395,9 @@ def test_compiled_matches_dense_on_truncated_displaced_basis(expr, used, centers
 #
 # A compiled form depends on the types and used dimensions only; the centers
 # are bound afterwards.  Binding a form to new centers must give what the
-# dense route and a fresh compile give at those centers, and the cache must
-# rebind rather than compile again when only the centers moved.
+# dense route and a fresh compile give at those centers.  That a model
+# rebinds rather than compiles again when only the centers moved is
+# tested with ModelOperators in test_steppers.py.
 
 _maybe_centers = st.one_of(st.just(0j), _centers)
 
@@ -413,17 +417,14 @@ def test_rebound_centers_match_dense_and_fresh_compile(expr, used, first, second
     frs = _prop_freedoms(used, first)
     dims = tuple(f.dim_used for f in frs)
     y = rng.standard_normal((2, math.prod(dims))) + 1j * rng.standard_normal((2, math.prod(dims)))
-    compile_operator(expr, frs).apply(y, t)
-    forms = dict(expr._forms)
 
     moved = _prop_freedoms(used, second)
     got = compile_operator(expr, moved).apply(y, t)
-    assert expr._forms == forms  # rebound, not compiled again
     mat = to_dense(expr, dims, (second[0], 0, 0, second[1]), t)
     want = y @ mat.T
     scale = 1.0 + np.abs(mat).sum(axis=1).max() * np.abs(y).max()
     assert np.abs(got - want).max() <= 1e-12 * scale
-    fresh = DiagonalOperator.compile(expr, moved).apply(y, t)
+    fresh = compile_operator(expr, moved).apply(y, t)
     assert np.abs(got - fresh).max() <= 1e-12 * scale
 
     # one form, bound back and forth, gives the same bits each time
@@ -447,3 +448,34 @@ def test_zero_centers_skip_every_center_term():
     mat = to_dense(expr, (4, 3))
     y = np.arange(12.0)[None, :] * (1 + 0.5j)
     assert np.abs(local.apply(y) - y @ mat.T).max() <= 1e-12 * np.abs(mat).sum()
+
+
+# --- trees are plain values ----------------------------------------------------
+
+
+def _nodes(expr):
+    yield expr
+    for child in getattr(expr, "children", ()) + ((expr.child,) if hasattr(expr, "child") else ()):
+        yield from _nodes(child)
+
+
+def test_compiling_and_applying_leave_a_tree_unchanged():
+    # a tree holds no compile state: compiling, applying and measuring it
+    # leave its pickle as it was, and no node has a __dict__ to hold any
+    expr = (0.5 * (create(0) * destroy(0) ** 2) + sigma_z(1)
+            - 1j * position(0).hc() + math.cos * number(0))
+    psi = product_state([coherent_state(6, 0.4), basis_state(2, 1, SPIN)])
+    psi.freedoms[0].center = 0.3 - 0.2j
+    psi.freedoms[0].dim_used = 5
+    psi.as2d().reshape(1, 6, 2)[:, 5] = 0  # amplitudes above dim_used stay zero
+    size = len(pickle.dumps(expr))
+    compile_operator(expr, psi.freedoms)
+    apply(expr, psi, 0.4)
+    expectation(expr, psi, 0.4)
+    psi *= expr
+    assert len(pickle.dumps(expr)) == size
+    assert pickle.loads(pickle.dumps(expr)) == expr
+    nodes = list(_nodes(expr))
+    assert {type(node) for node in nodes} == {Sum, Product, ScalarMul, TimeFnMul, Power,
+                                             Primary}
+    assert not any(hasattr(node, "__dict__") for node in nodes)

@@ -31,6 +31,7 @@ from qtraj import (
     sigma_plus,
     to_dense,
 )
+from qtraj.operators import CenteredForm, compile_operator
 from qtraj.steppers import StepError, _drift2d
 
 
@@ -333,6 +334,84 @@ def test_jump_channel_selection():
     probs, lys, lexps = stepper._jump_probabilities(psi.as2d().copy(),
                                                     psi.freedoms, 0.0)
     assert probs[0, 1] > probs[0, 0] * 1000
+
+
+@pytest.mark.parametrize("unr", list(Unraveling))
+def test_nan_row_fails_its_own_row(unr):
+    # every comparison with NaN is False, so a guard written as "fail if
+    # x > bound" lets a NaN row through; the guards must fail it instead
+    model, dims = example_model()
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((3, math.prod(dims))) + 1j * rng.standard_normal((3, math.prod(dims)))
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    y[1, 3] = np.nan
+    freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
+    noise = np.zeros((3, 2), dtype=complex) if unr is Unraveling.QSD else np.full(3, 0.5)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StepError) as err:
+            make_stepper(model, unr, 1e-3).step(y, freedoms, 0.0, noise)
+    assert err.value.row == 1
+
+
+# --- compiled forms kept by the model ----------------------------------------
+
+
+def test_model_builds_one_form_per_shape_and_rebinds_moved_centers(monkeypatch):
+    # shapes A -> B -> A, the second A with moved centers: h_eff and each L_j
+    # compile once per shape, every basis change rebinds, and asking for the
+    # last basis again does neither
+    built, bound = [], []
+    init, bind = CenteredForm.__init__, CenteredForm.bind
+
+    def counted_init(self, expr, shape):
+        built.append(shape)
+        init(self, expr, shape)
+
+    def counted_bind(self, centers):
+        bound.append(tuple(centers))
+        return bind(self, centers)
+
+    h = number(0) * position(1) + 0.4 * (sigma_plus(2) * sigma_minus(2))
+    model = ModelOperators(h, [0.8 * destroy(0), (0.3 - 0.2j) * destroy(1)])
+
+    def basis(used, centers):
+        return [FreedomSpec(FIELD, 6, used, centers[0]), FreedomSpec(FIELD, 4, 3, centers[1]),
+                FreedomSpec(SPIN, 2)]
+
+    a1 = basis(4, (0.3j, 0j))
+    b = basis(5, (0.3j, 0j))
+    a2 = basis(4, (-0.7 + 0.1j, 0.25))
+    monkeypatch.setattr(CenteredForm, "__init__", counted_init)
+    monkeypatch.setattr(CenteredForm, "bind", counted_bind)
+    got = [model.compiled(frs) for frs in (a1, b, a2)]
+    again = model.compiled(a2)
+    monkeypatch.undo()
+
+    shape_a = tuple((f.ptype, f.dim_used) for f in a1)
+    shape_b = tuple((f.ptype, f.dim_used) for f in b)
+    assert built == [shape_a] * 3 + [shape_b] * 3
+    assert len(bound) == 9
+    assert again[0] is got[2][0] and again[1] == got[2][1]
+    # a rebound form gives the bits a fresh compile gives
+    rng = np.random.default_rng(2)
+    for frs, (h_eff, lindblads) in zip((a1, b, a2), got):
+        n = math.prod(f.dim_used for f in frs)
+        y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
+        for l_op, l_expr in zip(lindblads, model.lindblads):
+            assert np.array_equal(l_op.apply(y), compile_operator(l_expr, frs).apply(y))
+
+
+def test_model_keeps_the_forms_of_its_last_shapes():
+    from qtraj.steppers import FORMS_KEPT
+
+    model = ModelOperators(number(0), [destroy(0)])
+    frs = [FreedomSpec(FIELD, FORMS_KEPT + 2, 1)]
+    for used in range(1, FORMS_KEPT + 3):
+        frs[0].dim_used = used
+        model.compiled(frs)
+    assert len(model._shapes) == FORMS_KEPT
+    assert min(shape[0][1] for shape in model._shapes) == 3  # the oldest two went
 
 
 # --- batch parity (the lockstep ensembles rely on this) ---------------------
