@@ -955,10 +955,33 @@ def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
     raise AssertionError(decl.ctor)
 
 
-# Times at which a time-dependent Hamiltonian is checked.  The last two are
+# Times at which a time-dependent operator is checked.  The last two are
 # irrational, so a factor such as sin(2*pi*t/T) with a rational period T
 # cannot vanish at all of them.
-_HERMITIAN_TIMES = (0.0, 0.5, 1.0, 1 / math.sqrt(2), math.pi / 4)
+_CHECK_TIMES = (0.0, 0.5, 1.0, 1 / math.sqrt(2), math.pi / 4)
+
+
+def _finite_diagonals(name, expr, freedoms):
+    """Yield (t, size, diagonals, scale) of expr compiled for freedoms.
+
+    An operator with time functions is read at each of _CHECK_TIMES; scale
+    is at least 1 and at least every element's modulus.  An element that is
+    infinite or NaN, or a time function that overflows, is a
+    ModelValidationError that names the operator.
+    """
+    op = compile_operator(expr, freedoms)
+    timedep = any(fns for fns, _ in op.groups)
+    for t in _CHECK_TIMES if timedep else (0.0,):
+        try:
+            diags = op.diagonals(t)
+        except OverflowError as err:
+            raise ModelValidationError(f"{name}: {err}") from None
+        # np.max keeps a NaN where the builtin max would drop it
+        scale = np.max([1.0] + [np.abs(d).max() for d in diags.values()])
+        if not scale < math.inf:
+            raise ModelValidationError(
+                f"{name} has a matrix element that is not finite at t={t}")
+        yield t, op.size, diags, scale
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite elements are reported, not warned
@@ -967,28 +990,15 @@ def _check_hermitian(h_expr, freedoms):
 
     Entry i of offset o is <i|H|i+o>; it must equal conj(<i+o|H|i>), entry
     i+o of offset -o, wherever rows i and i+o both lie below the top level
-    of every field freedom.  A Hamiltonian with time functions is checked at
-    each of _HERMITIAN_TIMES.  An element that is infinite or NaN, or a time
-    function that overflows, fails the check.
+    of every field freedom.  The diagonals must be finite
+    (_finite_diagonals).
     """
-    h = compile_operator(h_expr, freedoms)
     lower = np.ones(tuple(f.dim_used for f in freedoms), dtype=bool)
     for k, fr in enumerate(freedoms):
         if fr.ptype is FIELD and fr.dim_used > 1:
             lower[(slice(None),) * k + (fr.dim_used - 1,)] = False
     lower = lower.reshape(-1)
-    size = h.size
-    timedep = any(fns for fns, _ in h.groups)
-    for t in _HERMITIAN_TIMES if timedep else (0.0,):
-        try:
-            diags = h.diagonals(t)
-        except OverflowError as err:
-            raise ModelValidationError(f"hamiltonian: {err}") from None
-        # np.max keeps a NaN where the builtin max would drop it
-        scale = np.max([1.0] + [np.abs(d).max() for d in diags.values()])
-        if not scale < math.inf:
-            raise ModelValidationError(
-                f"hamiltonian has a matrix element that is not finite at t={t}")
+    for t, size, diags, scale in _finite_diagonals("hamiltonian", h_expr, freedoms):
         defect = 0.0
         for o, d in diags.items():
             lo, hi = max(0, -o), min(size, size - o)
@@ -1002,6 +1012,14 @@ def _check_hermitian(h_expr, freedoms):
                 f"(adjointness defect {defect:.3g} at t={t})")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite elements are reported, not warned
+def _check_lindblads(texts, lindblads, freedoms):
+    """Every L_j has finite diagonals; a failure names L_j by number and text."""
+    for j, (text, l_expr) in enumerate(zip(texts, lindblads), start=1):
+        for _ in _finite_diagonals(f"lindblad {j} ({text})", l_expr, freedoms):
+            pass  # the generator raises at the first time that fails
+
+
 def build_model(mf: ModelFile, out_dir: str = None):
     """Build a parsed model's (ModelOperators, psi0, RunConfig, OutputSpec)."""
     hamiltonian, lindblads, output_ops = mf.lowered
@@ -1009,9 +1027,11 @@ def build_model(mf: ModelFile, out_dir: str = None):
 
     parts = [_initial_state(decl, fdecl)
              for decl, fdecl in zip(mf.initial, mf.freedoms)]
+    # the checks read only the basis, so they run before the product state exists
+    freedoms = [fr for part in parts for fr in part.freedoms]
     if hamiltonian is not None:
-        # the check reads only the basis, so it runs before the product state exists
-        _check_hermitian(hamiltonian, [fr for part in parts for fr in part.freedoms])
+        _check_hermitian(hamiltonian, freedoms)
+    _check_lindblads(mf.lindblads, lindblads, freedoms)
     psi0 = product_state(parts)
 
     run = mf.run_dict()

@@ -17,6 +17,7 @@ does not use.  The drift applies the compiled effective generator
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -85,14 +86,18 @@ class ModelOperators:
         if hamiltonian is not None:
             terms.insert(0, -1j * hamiltonian)
         self.h_eff = Sum(tuple(terms)) if terms else None
-        self._shapes = {}  # basis shape -> forms of h_eff (if any) and each L_j, oldest first
+        # basis shape -> [form, centers read, bound operator] for h_eff (if any)
+        # and each L_j, oldest shape first
+        self._shapes = {}
         self._compiled = (None, None, ())
 
     def compiled(self, freedoms):
         """(h_eff or None, [L_j]) compiled for the basis of freedoms.
 
-        The forms of the last FORMS_KEPT basis shapes are kept, so a basis
-        that only moved its centers is rebound, not compiled again.
+        The forms of the last FORMS_KEPT basis shapes are kept, each with
+        the operator it last bound, so a basis that only moved its centers
+        is not compiled again, and a form is rebound only when a center it
+        reads (CenteredForm.centered) moved.
         """
         basis = [(f.ptype, f.dim_used, f.center) for f in freedoms]  # all an operator reads
         if basis != self._compiled[0]:
@@ -102,9 +107,13 @@ class ModelOperators:
                     del self._shapes[next(iter(self._shapes))]
                 # h_eff is None only for a model with no operators at all
                 trees = () if self.h_eff is None else (self.h_eff,) + self.lindblads
-                self._shapes[shape] = [CenteredForm(tree, shape) for tree in trees]
+                self._shapes[shape] = [[CenteredForm(tree, shape), None, None] for tree in trees]
             centers = [f.center for f in freedoms]
-            ops = [form.bind(centers) for form in self._shapes[shape]]
+            for entry in self._shapes[shape]:  # [form, centers it read, bound operator]
+                read = [centers[k] for k in entry[0].centered]
+                if read != entry[1]:  # None before the first bind
+                    entry[1:] = read, entry[0].bind(centers)
+            ops = [op for _, _, op in self._shapes[shape]]
             self._compiled = (basis, ops[0] if ops else None, ops[1:])
         return self._compiled[1:]
 
@@ -113,16 +122,124 @@ class ModelOperators:
         return len(self.lindblads)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe with a 4-word pool)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(n: int) -> list:
+    """Little-endian 32-bit words of a non-negative int; [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """numpy's hashmix over uint32 arrays; its constant advances on every call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const  # uint32 arrays wrap modulo 2^32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _stream_states(seed: int, streams) -> np.ndarray:
+    """(len(streams), 4) uint64 PCG64 seed words, row r for stream streams[r].
+
+    Row r equals SeedSequence(entropy=seed, spawn_key=(streams[r],))
+    .generate_state(4, np.uint64): numpy's hash, run in uint32 arithmetic
+    over all streams at once.  The entropy is the seed's words padded to the
+    pool size, then the stream index's words.  The hash constant advances
+    the same way in every row, so an index with fewer words than another
+    simply stops mixing once its words run out.
+    """
+    top = max(streams)
+    if seed < 0 or min(streams) < 0:
+        raise ValueError("seed and stream indices must be non-negative")
+    # indices below 2^32, all an ensemble uses, stay in the hash's own uint32
+    k = np.asarray(streams, dtype=object if top >> 32 else np.uint32)
+    b = len(k)
+    run = _words32(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [(np.full(b, w, dtype=np.uint32), None) for w in run]
+    for i in range(len(_words32(top))):
+        part = k >> (32 * i)
+        entropy.append(((part & _MASK32).astype(np.uint32), part != 0 if i else None))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w, _ in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w, active in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            mixed = _mix(pool[dst], hashmix(w))
+            pool[dst] = mixed if active is None else np.where(active, mixed, pool[dst])
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((b, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        state[:, i] = hashmix(pool[i % _POOL_SIZE])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _stream_seed_type():
+    """An ISeedSequence that hands PCG64 one row of _stream_states.
+
+    Made on first use, so importing qtraj does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if np.dtype(dtype) != np.uint64 or n_words > _POOL_SIZE:
+                raise ValueError("a stream seed holds at most 4 uint64 words")
+            return self.words[:n_words]
+
+    return StreamSeed
+
+
 class NoiseSource:
     """Reproducible per-trajectory random stream.
 
-    Streams are derived from (seed, stream index) so trajectories can be
-    generated in any order, or in lockstep, with identical results.
+    Stream k of seed s is numpy's PCG64 seeded by
+    SeedSequence(entropy=s, spawn_key=(k,)), so trajectories can be generated
+    in any order, or in lockstep, with identical results.  The seed words
+    come from _stream_states, which runs numpy's hash for many streams in
+    one vectorized pass; `for_streams` derives a whole chunk's at once.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-        self._rng = np.random.Generator(np.random.PCG64(ss))
+    def __init__(self, seed: int, stream: int = 0, words: np.ndarray = None):
+        """words: this stream's (4,) uint64 seed words, derived here when None."""
+        if words is None:
+            words = _stream_states(seed, [stream])[0]
+        self._rng = np.random.Generator(np.random.PCG64(_stream_seed_type()(words)))
+
+    @classmethod
+    def for_streams(cls, seed: int, streams) -> list:
+        """One source per stream index, their seed words derived in one pass."""
+        return [cls(seed, k, words) for k, words in zip(streams, _stream_states(seed, streams))]
 
     def wiener(self, nsteps: int, m: int, dt: float, out: np.ndarray = None) -> np.ndarray:
         """(nsteps, m) complex increments with M dxi = 0, M dxi_i* dxi_j = delta_ij dt.
@@ -444,17 +561,28 @@ class JumpStepper(_StepperBase):
         _check_stable(_normalize_rows(out) ** 2, self.dt)
 
         if jump_rows.size:
-            cum = np.cumsum(probs, axis=1)
-            for b in jump_rows:
-                j = int(np.searchsorted(cum[b], u[b], side="right"))
-                j = min(j, self.model.n_lindblads - 1)
-                row = lys[j][b:b + 1].copy()
+            # channel j fires where u falls in [cum_{j-1}, cum_j) of the row's
+            # cumulative probabilities; rows are gathered per channel, with a
+            # mask rather than np.unique, which would import numpy.ma
+            cum = np.cumsum(probs[jump_rows], axis=1)
+            m = self.model.n_lindblads
+            channel = np.minimum((cum <= u[jump_rows, None]).sum(axis=1), m - 1)
+            jumped = np.empty((jump_rows.size, y.shape[1]), dtype=y.dtype)
+            for j in range(m):
+                fired = channel == j
+                if not fired.any():
+                    continue
+                rows = jump_rows[fired]
+                block = lys[j][rows]
                 if self._orthogonal:
-                    row -= lexps[j][b] * y[b:b + 1]
-                nrm = row_norm(row)
-                if nrm[0] < NORM_COLLAPSE:
-                    raise StepError("jump produced a zero-norm state", int(b))
-                out[b:b + 1] = row / nrm[:, None]
+                    block -= lexps[j][rows, None] * y[rows]
+                jumped[fired] = block
+            nrm = row_norm(jumped)
+            collapsed = nrm < NORM_COLLAPSE
+            if collapsed.any():
+                raise StepError("jump produced a zero-norm state",
+                                int(jump_rows[_first_row(collapsed)]))
+            out[jump_rows] = jumped / nrm[:, None]
         return out, StepStats(nsub, jump_rows)
 
 

@@ -20,9 +20,12 @@ basis, because the adaptive step size and the cutoff upkeep are per
 trajectory.  Basis upkeep scatters the block into the state, recenters and
 adjusts the cutoff, then gathers the block again; it runs after the t = 0
 observation and after every step, so the first step already runs on the
-trimmed basis.  Every chunk draws from per-trajectory noise streams derived
-from (seed, trajectory index), each output interval into one preallocated
-block whose row r is filled in place by stream r.  Ensemble averages keep
+trimmed basis.  Every chunk draws from per-trajectory noise streams: stream
+k is PCG64 seeded by numpy's SeedSequence(entropy=seed, spawn_key=(k,)),
+and the seed words of all of a chunk's streams come from one vectorized
+pass of that hash (NoiseSource.for_streams).  Each output interval is
+drawn into one preallocated block whose row r is filled in place by
+stream r.  Ensemble averages keep
 sums shifted by trajectory 0's sample and fold each chunk into them with
 np.cumsum, one addition per trajectory in index order; cumsum is strictly
 sequential, so every chunking performs the same additions and all
@@ -220,7 +223,7 @@ def _run(psi0, model, cfg, outspec, streams):
     b = len(streams)
     y = np.tile(used_block(psi.as2d(), psi.freedoms), (b, 1))
     stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator)
-    sources = [NoiseSource(cfg.seed, i) for i in streams]
+    sources = NoiseSource.for_streams(cfg.seed, streams)
     m = model.n_lindblads
     nk = cfg.numsteps
     n_ops = len(outspec.operators)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,25 @@ def test_non_finite_hamiltonian_is_a_validation_error(hamiltonian, message, tmp_
     path = tmp_path / "nonfinite.qt"
     path.write_text(finite_model(hamiltonian))
     assert main(["run", "--model", str(path), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"qtraj: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lindblad, message", [
+    ("1e200*(1e200*sm(s))",
+     "lindblad 1 (1e+200*(1e+200*sm(s))) has a matrix element that is not finite at t=0.0"),
+    ("exp(1000*t)*sm(s)",
+     "lindblad 1 (exp(1000.0*t)*sm(s)): a time-dependent factor overflows at t=1"),
+], ids=["infinite-element", "time-function"])
+def test_non_finite_lindblad_is_a_validation_error(lindblad, message, tmp_path, capsys):
+    # finite literals whose product overflows: the run used to warn from
+    # numpy and then fail on a NaN jump probability, blaming dt
+    path = tmp_path / "nonfinite.qt"
+    path.write_text(ATOM_MODEL.replace("sqrt(2*kappa)*sm(s)", lindblad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check reports overflow, numpy must not
+        assert main(["run", "--model", str(path), "--out-dir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"qtraj: {path}: {message}\n"
     assert captured.out == ""

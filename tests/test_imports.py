@@ -11,7 +11,10 @@ library only.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -184,3 +187,29 @@ def test_every_export_has_a_reader():
     unread = sorted(name for name in qtraj.__all__ if name != "__version__"
                     and name not in package | bench | readme)
     assert not unread, f"exports read by no package code, benchmark code or README: {unread}"
+
+
+LAZY_IMPORTS_SCRIPT = """
+import contextlib, io, sys
+import qtraj.cli
+print("numpy.random" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = qtraj.cli.main(["ensemble", "--model", "models/damped_atom.qt", "--trajectories",
+                         "200", "--numsteps", "3", "--out-dir", sys.argv[1]])
+print(rc, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_import_and_jump_ensemble_leave_heavy_numpy_modules_unimported(tmp_path):
+    # numpy.random costs the start-up of every run (setup_s) and numpy.ma
+    # (pulled in by np.unique, for one) adds to its peak RSS; a fresh
+    # interpreter shows whether either is imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_SCRIPT, str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"], \
+        "expected: import qtraj.cli leaves numpy.random out, the ensemble runs (0) " \
+        f"and leaves numpy.ma out; got {proc.stdout.split()}"
+    assert (tmp_path / "updens.out").exists()

@@ -29,9 +29,11 @@ from qtraj import (
     rkck_adaptive,
     sigma_minus,
     sigma_plus,
+    sigma_z,
     to_dense,
 )
 from qtraj.operators import CenteredForm, compile_operator
+from qtraj.hilbert import row_norm
 from qtraj.steppers import StepError, _drift2d
 
 
@@ -173,6 +175,55 @@ def test_noise_draws_into_given_buffers_as_fresh_draws():
     rows = np.zeros((3, 7))
     NoiseSource(seed, k).uniforms(7, out=rows[2])
     assert rows[2].tobytes() == NoiseSource(seed, k).uniforms(7).tobytes()
+
+
+def _seed_sequence(seed, k):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+
+
+STREAM_SEEDS = [0, 1, 2**32 + 5, 2**64, 2**128 - 1, 2**200 + 17]
+# one word, two words across 2^32, three across 2^64, mixed in one call
+STREAM_INDICES = [0, 1, 2, 7, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 5,
+                  2**64 - 1, 2**64, 2**64 + 3, 2**97 + 11]
+
+
+def test_stream_states_equal_numpy_seed_sequence():
+    from qtraj.steppers import _stream_states
+
+    rng = np.random.default_rng(8)
+    seeds = STREAM_SEEDS + [int(rng.integers(2**62)) for _ in range(6)] \
+        + [int(rng.integers(2**62)) << bits for bits in (40, 90, 150)]
+    indices = STREAM_INDICES + [int(k) for k in rng.integers(2**32, size=8)] \
+        + [int(k) << 20 for k in rng.integers(2**32, size=4)]
+    for seed in seeds:
+        for streams in (indices, range(40), [2**32 - 1], [5, 2**32 + 1, 3]):
+            got = _stream_states(seed, streams)
+            assert got.shape == (len(streams), 4) and got.dtype == np.uint64
+            for row, k in zip(got, streams):
+                assert row.tobytes() == _seed_sequence(seed, k).generate_state(
+                    4, np.uint64).tobytes(), (seed, k)
+    with pytest.raises(ValueError):
+        _stream_states(3, [0, -1])
+    with pytest.raises(ValueError):
+        _stream_states(-3, [0])
+
+
+def test_batch_sources_draw_numpy_streams():
+    # the determinism contract: stream k of seed s is
+    # Generator(PCG64(SeedSequence(entropy=s, spawn_key=(k,)))), bit for bit,
+    # whether its source is made alone or with a whole chunk
+    dt = 0.02
+    for seed in STREAM_SEEDS:
+        streams = [9, 0, 2**32 + 4, 3]
+        for k, src in zip(streams, NoiseSource.for_streams(seed, streams)):
+            g = np.random.Generator(np.random.PCG64(_seed_sequence(seed, k)))
+            normals = g.standard_normal((6, 2, 2))
+            want = (normals[..., 0] + 1j * normals[..., 1]) * np.sqrt(0.5 * dt)
+            assert src.wiener(6, 2, dt).tobytes() == want.tobytes()
+            assert src.uniforms(5).tobytes() == g.random(5).tobytes()
+            alone = NoiseSource(seed, k)
+            g = np.random.Generator(np.random.PCG64(_seed_sequence(seed, k)))
+            assert alone.uniforms(9).tobytes() == g.random(9).tobytes()
 
 
 # --- integrators ------------------------------------------------------------
@@ -336,6 +387,57 @@ def test_jump_channel_selection():
     assert probs[0, 1] > probs[0, 0] * 1000
 
 
+def driven_two_channel_atom():
+    # decay and dephasing of a driven atom: <sm> and <sz> are nonzero, so
+    # the orthogonal jump subtracts something in both channels
+    return ModelOperators(0.7 * (sigma_plus(0) + sigma_minus(0)),
+                          [0.9 * sigma_minus(0), 0.6 * sigma_z(0)])
+
+
+@pytest.mark.parametrize("unr", [Unraveling.JUMP, Unraveling.ORTHO_JUMP], ids=lambda u: u.value)
+def test_block_jumps_equal_the_per_row_jump(unr):
+    # rows of one step fire different channels: the block result must be
+    # each row's own jump, bit for bit, and the same as stepping it alone
+    model = driven_two_channel_atom()
+    rng = np.random.default_rng(4)
+    b = 8
+    y = rng.standard_normal((b, 2)) + 1j * rng.standard_normal((b, 2))
+    y /= np.sqrt((np.abs(y) ** 2).sum(axis=1))[:, None]
+    freedoms = [FreedomSpec(SPIN, 2)]
+    stepper = make_stepper(model, unr, 0.05)
+    probs, lys, lexps = stepper._jump_probabilities(y, freedoms, 0.0)
+    assert (probs > 1e-4).all()
+    channel = np.array([0, 1, -1, 1, 0, -1, 1, 0])  # -1: no jump
+    u = np.where(channel == 0, 0.5 * probs[:, 0],
+                 np.where(channel == 1, probs[:, 0] + 0.5 * probs[:, 1], 0.999))
+    out, stats = stepper.step(y.copy(), freedoms, 0.0, u)
+    assert stats.jump_rows.tolist() == np.flatnonzero(channel >= 0).tolist()
+    for r in range(b):
+        alone, alone_stats = make_stepper(model, unr, 0.05).step(
+            y[r:r + 1].copy(), freedoms, 0.0, u[r:r + 1])
+        assert out[r].tobytes() == alone[0].tobytes()
+        assert alone_stats.jumps == (channel[r] >= 0)
+        if channel[r] >= 0:
+            j = channel[r]
+            row = lys[j][r:r + 1].copy()
+            if unr is Unraveling.ORTHO_JUMP:
+                row -= lexps[j][r] * y[r:r + 1]
+                assert np.abs(lexps[j][r]) > 0.05
+            assert out[r].tobytes() == (row / row_norm(row)[:, None])[0].tobytes()
+
+
+def test_zero_norm_jump_names_the_lowest_collapsing_row():
+    # rows 1 and 3 sit a hair above the ground state: they may still jump,
+    # but sm leaves a state of norm ~1e-14; row 0 jumps normally before them
+    model = ModelOperators(None, [sigma_minus(0)])
+    y = np.array([[0.6, 0.8], [1.0, 1e-14], [1.0, 0.0], [1.0, 2e-14]], dtype=complex)
+    y /= np.sqrt((np.abs(y) ** 2).sum(axis=1))[:, None]
+    stepper = make_stepper(model, Unraveling.JUMP, 0.01)
+    with pytest.raises(StepError, match="zero-norm") as err:
+        stepper.step(y, [FreedomSpec(SPIN, 2)], 0.0, np.array([0.0, 0.0, 0.5, 0.0]))
+    assert err.value.row == 1
+
+
 @pytest.mark.parametrize("unr", list(Unraveling))
 def test_nan_row_fails_its_own_row(unr):
     # every comparison with NaN is False, so a guard written as "fail if
@@ -397,6 +499,31 @@ def test_model_builds_one_form_per_shape_and_rebinds_moved_centers(monkeypatch):
     for frs, (h_eff, lindblads) in zip((a1, b, a2), got):
         n = math.prod(f.dim_used for f in frs)
         y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
+        for l_op, l_expr in zip(lindblads, model.lindblads):
+            assert np.array_equal(l_op.apply(y), compile_operator(l_expr, frs).apply(y))
+
+
+def test_model_rebinds_only_the_forms_whose_centers_moved(monkeypatch):
+    # sm(1) reads no center: moving field 0's center rebinds h_eff (n(0) in
+    # the displaced frame) but reuses the bound L_j
+    bound = []
+    bind = CenteredForm.bind
+
+    def counted_bind(self, centers):
+        bound.append(self.centered)
+        return bind(self, centers)
+
+    model = ModelOperators(number(0), [0.5 * sigma_minus(1), 0.3 * destroy(0)])
+    bases = [[FreedomSpec(FIELD, 6, 4, c), FreedomSpec(SPIN, 2)] for c in (0j, 0.4, -0.2j)]
+    monkeypatch.setattr(CenteredForm, "bind", counted_bind)
+    got = [model.compiled(frs) for frs in bases]
+    monkeypatch.undo()
+    assert bound == [(0,), (), (0,)] + [(0,), (0,)] * 2
+    assert got[2][1][0] is got[0][1][0]
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    for frs, (h_eff, lindblads) in zip(bases, got):
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
         for l_op, l_expr in zip(lindblads, model.lindblads):
             assert np.array_equal(l_op.apply(y), compile_operator(l_expr, frs).apply(y))

@@ -32,6 +32,7 @@ from qtraj import (
     run_single,
     sigma_minus,
     sigma_plus,
+    sigma_z,
     transition,
     variance,
 )
@@ -280,6 +281,26 @@ def test_lockstep_equals_serial_jaynes_cummings(unr):
     assert lock.stdout_lines == ser.stdout_lines
     if unr is not Unraveling.QSD:
         assert lock.jumps_per_trajectory.sum() > 0
+
+
+@pytest.mark.parametrize("unr", [Unraveling.JUMP, Unraveling.ORTHO_JUMP], ids=lambda u: u.value)
+def test_lockstep_equals_serial_with_two_jump_channels(unr):
+    # decay and dephasing of a driven atom: in one step some rows fire one
+    # channel and some the other, and <L> is nonzero in both
+    model = ModelOperators(0.7 * (sigma_plus(0) + sigma_minus(0)),
+                           [1.5 * sigma_minus(0), sigma_z(0)])
+    psi = basis_state(2, 1, SPIN)
+    spec = OutputSpec(operators=(sigma_plus(0) * sigma_minus(0), sigma_minus(0)))
+    cfg = RunConfig(dt=0.01, numdts=20, numsteps=5, seed=3, n_trajectories=40,
+                    unraveling=unr)
+    lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
+    ser = run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
+    assert np.array_equal(lock.mean_expectations, ser.mean_expectations)
+    assert np.array_equal(lock.mean_variances, ser.mean_variances)
+    assert np.array_equal(lock.se_re, ser.se_re)
+    assert np.array_equal(lock.jumps_per_trajectory, ser.jumps_per_trajectory)
+    assert lock.stdout_lines == ser.stdout_lines
+    assert lock.jumps_per_trajectory.sum() > 40
 
 
 def test_failures_name_the_trajectory():
