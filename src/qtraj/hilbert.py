@@ -122,8 +122,6 @@ def used_view(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
         raise ValueError("amplitude buffer must be C-contiguous")
     b = amps2d.shape[0]
     full = amps2d.reshape((b,) + tuple(f.dim_alloc for f in freedoms))
-    if all(f.dim_used == f.dim_alloc for f in freedoms):
-        return full
     ix = (slice(None),) + tuple(slice(0, f.dim_used) for f in freedoms)
     return full[ix]
 
@@ -131,11 +129,10 @@ def used_view(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
 def used_block(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
     """(B, product of used dims) C-contiguous amplitudes of the used block.
 
-    This is the buffer itself when every freedom uses its whole allocation,
-    and a compact copy otherwise; callers must not write to it.
+    This is a view of the buffer where the sliced view is already
+    C-contiguous, as when every freedom uses its whole allocation, and a
+    compact copy otherwise; callers must not write to it.
     """
-    if all(f.dim_used == f.dim_alloc for f in freedoms):
-        return amps2d
     return np.ascontiguousarray(used_view(amps2d, freedoms)).reshape(amps2d.shape[0], -1)
 
 

@@ -53,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import (
+    ATOM,
     FIELD,
     SPIN,
     FreedomSpec,
@@ -550,7 +551,7 @@ RUN_KEYS = ("dt", "numdts", "numsteps", "trajectories", "seed", "unraveling",
 @dataclass(frozen=True)
 class FreedomDecl:
     name: str
-    ptype_name: str
+    ptype: PhysicalType
     dim: int
 
 
@@ -646,7 +647,7 @@ def _parse_freedoms(body):
                 raise ModelParseError(f"{tname} dimension must be >= {least}",
                                       lineno, 1)
         seen.add(name)
-        decls.append(FreedomDecl(name, tname, dim))
+        decls.append(FreedomDecl(name, PhysicalType(tname), dim))
     if not decls:
         raise ModelParseError("at least one freedom is required")
     return tuple(decls)
@@ -688,16 +689,16 @@ def _parse_initial(body, freedoms):
         if fname in decls:
             raise ModelParseError(f"duplicate initial state for '{fname}'", lineno, 1)
         rest = line.split(None, 2)[2] if len(w) > 2 else ""
-        ptype = byname[fname].ptype_name
-        if ctor == "fock" and ptype == "field":
+        ptype = byname[fname].ptype
+        if ctor == "fock" and ptype is FIELD:
             args = (_parse_int(rest, lineno),)
-        elif ctor == "coherent" and ptype == "field":
+        elif ctor == "coherent" and ptype is FIELD:
             args = (_parse_scalar_literal(rest, lineno),)
-        elif ctor in ("down", "up") and ptype == "spin":
+        elif ctor in ("down", "up") and ptype is SPIN:
             if rest.strip():
                 raise ModelParseError(f"'{ctor}' takes no arguments", lineno, 1)
             args = ()
-        elif ctor == "level" and ptype == "atom":
+        elif ctor == "level" and ptype is ATOM:
             args = (_parse_int(rest, lineno),)
         elif ctor == "amps":
             parts = [p for p in rest.split(",") if p.strip()]
@@ -706,7 +707,7 @@ def _parse_initial(body, freedoms):
             args = tuple(_parse_scalar_literal(p, lineno) for p in parts)
         else:
             raise ModelParseError(
-                f"constructor '{ctor}' does not apply to a {ptype} freedom "
+                f"constructor '{ctor}' does not apply to a {ptype.value} freedom "
                 "(field: fock/coherent/amps, spin: down/up/amps, atom: level/amps)",
                 lineno, 1)
         decls[fname] = InitialDecl(fname, ctor, args)
@@ -873,8 +874,7 @@ def parse_model(text: str) -> ModelFile:
         if required not in sections:
             raise ModelParseError(f"missing required section '{required}'")
     freedoms = _parse_freedoms(sections["freedoms"])
-    env = {d.name: (k, PhysicalType(d.ptype_name), d.dim)
-           for k, d in enumerate(freedoms)}
+    env = {d.name: (k, d.ptype, d.dim) for k, d in enumerate(freedoms)}
     params, param_values = _parse_params(sections.get("params", ()), env)
     initial = _parse_initial(sections["initial"], freedoms)
     run = _normalize_run(_parse_run(sections["run"]))
@@ -926,14 +926,13 @@ def parse_model(text: str) -> ModelFile:
 
 
 def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
-    ptype = PhysicalType(fdecl.ptype_name)
     if decl.ctor == "fock" or decl.ctor == "level":
         n = decl.args[0]
         if not 0 <= n < fdecl.dim:
             raise ModelValidationError(
                 f"initial level {n} outside freedom '{fdecl.name}' "
                 f"dimension {fdecl.dim}")
-        return basis_state(fdecl.dim, n, ptype)
+        return basis_state(fdecl.dim, n, fdecl.ptype)
     if decl.ctor == "coherent":
         return coherent_state(fdecl.dim, decl.args[0])
     if decl.ctor == "down":
@@ -951,7 +950,7 @@ def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
         if nrm <= 0:
             raise ModelValidationError(
                 f"initial amplitudes for '{fdecl.name}' are all zero")
-        return StateVector([FreedomSpec(ptype, fdecl.dim)], amps / nrm)
+        return StateVector([FreedomSpec(fdecl.ptype, fdecl.dim)], amps / nrm)
     raise AssertionError(decl.ctor)
 
 
@@ -1014,10 +1013,17 @@ def _check_hermitian(h_expr, freedoms):
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite elements are reported, not warned
 def _check_lindblads(texts, lindblads, freedoms):
-    """Every L_j has finite diagonals; a failure names L_j by number and text."""
+    """Every L_j, and the L_j+ L_j that h_eff adds, has finite diagonals.
+
+    A failure names L_j by number and text.  L_j+ L_j is compiled on its
+    own, not h_eff, which would be a larger compile than H's at build.
+    """
     for j, (text, l_expr) in enumerate(zip(texts, lindblads), start=1):
-        for _ in _finite_diagonals(f"lindblad {j} ({text})", l_expr, freedoms):
+        name = f"lindblad {j} ({text})"
+        for _ in _finite_diagonals(name, l_expr, freedoms):
             pass  # the generator raises at the first time that fails
+        for _ in _finite_diagonals(f"L+L of {name}", l_expr.hc() * l_expr, freedoms):
+            pass
 
 
 def build_model(mf: ModelFile, out_dir: str = None):
@@ -1085,8 +1091,8 @@ def print_model(mf: ModelFile) -> str:
     """Stable normalized text form; parsing it again reproduces the model."""
     out = ["freedoms:"]
     for d in mf.freedoms:
-        dim = "" if d.ptype_name == "spin" else f" {d.dim}"
-        out.append(f"  {d.name} {d.ptype_name}{dim}")
+        dim = "" if d.ptype is SPIN else f" {d.dim}"
+        out.append(f"  {d.name} {d.ptype.value}{dim}")
     if mf.params:
         out.append("")
         out.append("params:")

@@ -130,14 +130,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _words32(n: int) -> list:
-    """Little-endian 32-bit words of a non-negative int; [0] for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
 def _hasher(init: int, mult: int):
     """numpy's hashmix over uint32 arrays; its constant advances on every call."""
     const = init
@@ -161,35 +153,31 @@ def _stream_states(seed: int, streams) -> np.ndarray:
     """(len(streams), 4) uint64 PCG64 seed words, row r for stream streams[r].
 
     Row r equals SeedSequence(entropy=seed, spawn_key=(streams[r],))
-    .generate_state(4, np.uint64): numpy's hash, run in uint32 arithmetic
-    over all streams at once.  The entropy is the seed's words padded to the
-    pool size, then the stream index's words.  The hash constant advances
-    the same way in every row, so an index with fewer words than another
-    simply stops mixing once its words run out.
+    .generate_state(4, np.uint64).  The seed is the same in every row, so
+    numpy mixes it once (SeedSequence(seed).pool), having advanced the hash
+    constant 4 times per seed word, counting at least 4 words.  Mixing in
+    the stream index's words and the output hash then run in uint32
+    arithmetic over all streams at once.  The constant advances the same
+    way in every row, so an index with fewer words than another simply
+    stops mixing once its words run out.
     """
     top = max(streams)
     if seed < 0 or min(streams) < 0:
         raise ValueError("seed and stream indices must be non-negative")
+    from numpy.random import SeedSequence
+
     # indices below 2^32, all an ensemble uses, stay in the hash's own uint32
     k = np.asarray(streams, dtype=object if top >> 32 else np.uint32)
     b = len(k)
-    run = _words32(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = [(np.full(b, w, dtype=np.uint32), None) for w in run]
-    for i in range(len(_words32(top))):
+    pool = np.repeat(SeedSequence(seed).pool[:, None], b, axis=1)
+    seed_words = max((int(seed).bit_length() + 31) // 32, _POOL_SIZE)
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, 4 * seed_words, 1 << 32) & _MASK32, _MULT_A)
+    for i in range(max(1, (int(top).bit_length() + 31) // 32)):
         part = k >> (32 * i)
-        entropy.append(((part & _MASK32).astype(np.uint32), part != 0 if i else None))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w, _ in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
+        word = (part & _MASK32).astype(np.uint32)
         for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w, active in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            mixed = _mix(pool[dst], hashmix(w))
-            pool[dst] = mixed if active is None else np.where(active, mixed, pool[dst])
+            mixed = _mix(pool[dst], hashmix(word))
+            pool[dst] = np.where(part != 0, mixed, pool[dst]) if i else mixed
 
     hashmix = _hasher(_INIT_B, _MULT_B)
     state = np.empty((b, 2 * _POOL_SIZE), dtype=np.uint32)
@@ -226,8 +214,10 @@ class NoiseSource:
     Stream k of seed s is numpy's PCG64 seeded by
     SeedSequence(entropy=s, spawn_key=(k,)), so trajectories can be generated
     in any order, or in lockstep, with identical results.  The seed words
-    come from _stream_states, which runs numpy's hash for many streams in
-    one vectorized pass; `for_streams` derives a whole chunk's at once.
+    come from _stream_states: numpy mixes the seed once, and the stream
+    indices of many streams are mixed in one vectorized pass, so
+    `for_streams` derives a whole chunk's at once.  Every source, alone or
+    in a chunk, is built by __init__.
     """
 
     def __init__(self, seed: int, stream: int = 0, words: np.ndarray = None):

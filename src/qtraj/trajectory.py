@@ -23,7 +23,7 @@ observation and after every step, so the first step already runs on the
 trimmed basis.  Every chunk draws from per-trajectory noise streams: stream
 k is PCG64 seeded by numpy's SeedSequence(entropy=seed, spawn_key=(k,)),
 and the seed words of all of a chunk's streams come from one vectorized
-pass of that hash (NoiseSource.for_streams).  Each output interval is
+pass over their indices (NoiseSource.for_streams).  Each output interval is
 drawn into one preallocated block whose row r is filled in place by
 stream r.  Ensemble averages keep
 sums shifted by trajectory 0's sample and fold each chunk into them with

@@ -441,7 +441,13 @@ def test_non_finite_hamiltonian_is_a_validation_error(hamiltonian, message, tmp_
      "lindblad 1 (1e+200*(1e+200*sm(s))) has a matrix element that is not finite at t=0.0"),
     ("exp(1000*t)*sm(s)",
      "lindblad 1 (exp(1000.0*t)*sm(s)): a time-dependent factor overflows at t=1"),
-], ids=["infinite-element", "time-function"])
+    # L is finite, but the L+L that h_eff adds overflows
+    ("1e160*sm(s)",
+     "L+L of lindblad 1 (1e+160*sm(s)) has a matrix element that is not finite at t=0.0"),
+    ("exp(400*t)*sm(s)",
+     "L+L of lindblad 1 (exp(400.0*t)*sm(s)): a time-dependent factor overflows at t=1"),
+], ids=["infinite-element", "time-function",
+        "infinite-l-dagger-l", "l-dagger-l-time-function"])
 def test_non_finite_lindblad_is_a_validation_error(lindblad, message, tmp_path, capsys):
     # finite literals whose product overflows: the run used to warn from
     # numpy and then fail on a NaN jump probability, blaming dt

@@ -22,7 +22,7 @@ from qtraj import (
     coherent_state,
     product_state,
 )
-from qtraj.hilbert import row_dot, row_norm, row_norm2, used_view
+from qtraj.hilbert import row_dot, row_norm, row_norm2, used_block, used_view
 
 
 def test_superposition_norm_and_overlap():
@@ -102,6 +102,20 @@ def test_used_view_shape_and_write_through():
     assert v.shape == (1, 2, 3)
     v[0, 1, 2] = 0.25
     assert psi.amps[1 * 3 + 2] == 0.25
+
+
+def test_used_block_at_full_allocation_is_a_view_of_the_buffer():
+    # slicing every freedom to its whole allocation keeps the block a
+    # C-contiguous view, so steppers read the state without a copy; a
+    # trimmed inner freedom makes the slice strided, and the block a copy
+    psi = product_state([basis_state(3, 1), basis_state(4, 0)])
+    block = used_block(psi.as2d(), psi.freedoms)
+    assert np.shares_memory(block, psi.amps) and block.flags.c_contiguous
+    assert block.shape == (1, 12) and np.array_equal(block[0], psi.amps)
+    psi.freedoms[1].dim_used = 2
+    block = used_block(psi.as2d(), psi.freedoms)
+    assert not np.shares_memory(block, psi.amps) and block.flags.c_contiguous
+    assert np.array_equal(block[0], psi.amps.reshape(3, 4)[:, :2].reshape(-1))
 
 
 def test_used_view_requires_contiguous():

@@ -1,7 +1,9 @@
 """Model-file grammar: parsing, lowering, validation, canonical echo."""
 
 import math
+import pathlib
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -649,13 +651,22 @@ def test_print_parse_is_idempotent_and_keeps_operators(expr):
         assert to_dense(got, (4, 2, 3), t=t).tobytes() == to_dense(want, (4, 2, 3), t=t).tobytes()
 
 
-@pytest.mark.parametrize("path", ["models/shg.qt", "models/damped_atom.qt"])
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED_MODELS = sorted(p.relative_to(ROOT).as_posix()
+                        for pattern in ("models/*.qt", "perfbench/models/*.qt")
+                        for p in ROOT.glob(pattern))
+
+
+@pytest.mark.parametrize("path", SHIPPED_MODELS)
 def test_round_trip_shipped_models(path):
-    with open(path) as fh:
-        text = fh.read()
+    # every model the project ships echoes to itself and builds without a warning
+    text = (ROOT / path).read_text(encoding="utf-8")
     mf = parse_model(text)
     again = parse_model(print_model(mf))
     assert again == mf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_model(mf)
 
 
 def test_load_model_shg():

@@ -181,7 +181,7 @@ def _seed_sequence(seed, k):
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-STREAM_SEEDS = [0, 1, 2**32 + 5, 2**64, 2**128 - 1, 2**200 + 17]
+STREAM_SEEDS = [0, 1, 2**32 + 5, 2**64, 2**128 - 1, 2**200 + 17, 2**128, 2**160 - 1]
 # one word, two words across 2^32, three across 2^64, mixed in one call
 STREAM_INDICES = [0, 1, 2, 7, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 5,
                   2**64 - 1, 2**64, 2**64 + 3, 2**97 + 11]

@@ -476,6 +476,23 @@ def test_jump_ensemble_tracks_exponential_decay():
     assert abs(mean_jumps - want_jumps) < 3 * se + 1e-3
 
 
+def test_jump_scheme_has_its_closed_form_first_order_bias():
+    # one jump decision per step, with p = 2 kappa dt taken at the step
+    # start, gives P_e(1) = (1 - 2 kappa dt)^20, not the exact exp(-2 kappa);
+    # the test pins that bias (about 6 SE here) instead of hiding it
+    kappa, dt = 1.0, 0.05
+    model, psi = decaying_atom(kappa)
+    spec = OutputSpec(operators=(sigma_plus(0) * sigma_minus(0),))
+    cfg = RunConfig(dt=dt, numdts=20, numsteps=1, seed=3, n_trajectories=20000,
+                    unraveling=Unraveling.JUMP)
+    with pytest.warns(RuntimeWarning, match="exceeds 0.1"):  # p rounds to just above 0.1
+        res = run_ensemble(psi, model, cfg, spec, **quiet())
+    assert res.times[-1] == pytest.approx(1.0)
+    pe, se = res.mean_expectations[0, -1].real, res.se_re[0, -1]
+    assert abs(pe - (1 - 2 * kappa * dt) ** 20) < 3 * se
+    assert abs(pe - math.exp(-2 * kappa)) > 4 * se
+
+
 @pytest.mark.parametrize("unr", list(Unraveling), ids=lambda u: u.value)
 def test_driven_atom_matches_oracle(unr):
     # the drive keeps <sigma-> nonzero, so the orthogonal jump's projection
