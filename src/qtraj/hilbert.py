@@ -89,23 +89,27 @@ _EINSUM_ROW_MAX = 8192
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row inner product conj(x).y for (B, N) arrays."""
+    """Per-row inner product conj(x).y for (B, N) arrays.
+
+    y may also be a (B, m, N) stack, giving the (B, m) products of each row
+    of x with the m rows of its stack.
+    """
     xc = np.ascontiguousarray(x).conj()
     y = np.ascontiguousarray(y)
     if y.shape[-1] > _EINSUM_ROW_MAX:
-        return (xc * y).sum(axis=-1)
-    return np.einsum("ij,ij->i", xc, y)
+        return ((xc if y.ndim == 2 else xc[:, None]) * y).sum(axis=-1)
+    return np.einsum("ij,ij->i" if y.ndim == 2 else "ij,ikj->ik", xc, y)
 
 
 def row_norm2(x: np.ndarray) -> np.ndarray:
-    """Per-row squared norm of a (B, N) complex array."""
+    """Per-row squared norm of a (B, N) complex array, or (B, m) of a (B, m, N) one."""
     x = np.ascontiguousarray(x, dtype=np.complex128)
     if 2 * x.shape[-1] > _EINSUM_ROW_MAX:
         xr = x.real
         xi = x.imag
         return (xr * xr + xi * xi).sum(axis=-1)
-    v = x.view(np.float64)
-    return np.einsum("ij,ij->i", v, v)
+    v = x.view(np.float64).reshape(-1, 2 * x.shape[-1])
+    return np.einsum("ij,ij->i", v, v).reshape(x.shape[:-1])
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:

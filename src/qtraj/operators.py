@@ -29,6 +29,15 @@ centers and trims the diagonals.  Trees hold no compiled state.
 through, compiles afresh on every call; a caller that applies a tree again
 keeps what it compiled, as `steppers.ModelOperators` keeps its forms.
 
+A compiled operator applies its diagonals by one of two kernels, chosen by
+its band count alone: a form with fewer than GATHER_MIN_BANDS bands
+slices the block once per band, and a form with more gathers every
+band's input columns in one fancy index and reduces over the bands in
+band order (`DiagonalOperator`).  The first is faster on few bands and
+wide batches, the second on many bands at B = 1, as on a moving basis.
+Several operators compiled for one basis stack into one, whose single
+sweep returns every operator's result (`DiagonalOperator.stack`).
+
 `to_dense` builds the same operators from explicit matrices instead, as an
 independent reference for the compiled form.
 """
@@ -481,6 +490,10 @@ def _time_factor(fns, t: float) -> complex:
     raise OverflowError(f"a time-dependent factor overflows at t={t:.6g}")
 
 
+# Forms with at least this many bands take the gathered kernel
+GATHER_MIN_BANDS = 4
+
+
 class DiagonalOperator:
     """An operator compiled for one basis: offset diagonals over the used block.
 
@@ -488,20 +501,55 @@ class DiagonalOperator:
     the product of its functions at the time of application, and a product
     that is not finite raises OverflowError.  Each band is (out index, in
     index, d) and adds d * y[in index] to out[out index], with the indices
-    selecting columns lo:hi and lo+offset:hi+offset of a block.
+    selecting columns lo:hi and lo+offset:hi+offset of a block.  d is a
+    (1, hi - lo) row: numpy multiplies complex arrays of one shape through
+    the same loop whatever B is, but a (1, 1) column times a (1,) diagonal
+    through another, whose bits differ from those of the many-row loop.
+
+    A stacked operator (`stack`) applies several operators in one sweep:
+    `channels` is their number, each group belongs to one of them, and its
+    out indices also pick that channel of a (B, channels, size) result.
+
+    `apply` has two kernels, chosen by the band count alone, never by B, so
+    a row gets the same bits in a batch of any size.  Fewer than
+    GATHER_MIN_BANDS bands take the slice loop, `out[ix_out] += d * y[ix_in]`
+    band by band.  More take the gathered sweep: one fancy-index gather of
+    every band's input columns into a (B, channels, K, size) block, one
+    in-place multiply by the stacked diagonals, and one reduction over K in
+    band order into a C-contiguous result.  A band contributes a zero
+    diagonal where it does not reach, gathered from the row's own column,
+    so a NaN stays in its row.  The gather stacks are built on the first
+    gathered `apply`, so a form that is only compiled allocates none.
     """
 
-    __slots__ = ("size", "groups")
+    __slots__ = ("size", "groups", "channels", "_bands", "_gather")
 
-    def __init__(self, size: int, groups: tuple):
+    def __init__(self, size: int, groups: tuple, channels: int = None):
         self.size = size
         self.groups = groups
+        self.channels = channels
+        self._bands = sum(len(bands) for _, bands in groups)
+        self._gather = None
+
+    @classmethod
+    def stack(cls, ops) -> "DiagonalOperator":
+        """The operators ops, compiled for one basis, as one stacked operator."""
+        groups = tuple((fns, tuple(((ix_out[0], j, ix_out[1]), ix_in, d)
+                                   for ix_out, ix_in, d in bands))
+                       for j, op in enumerate(ops) for fns, bands in op.groups)
+        return cls(ops[0].size, groups, len(ops))
 
     def apply(self, y: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Return the operator applied to every row of a (B, size) block."""
+        """The operator applied to every row of a (B, size) block.
+
+        The result is (B, size), or (B, channels, size) for a stacked operator.
+        """
         if y.ndim != 2 or y.shape[1] != self.size:
             raise ValueError(f"expected a (B, {self.size}) used block, got shape {y.shape}")
-        out = np.zeros(y.shape, dtype=complex)
+        if self._bands >= GATHER_MIN_BANDS:
+            return self._apply_gathered(y, t)
+        shape = y.shape if self.channels is None else (y.shape[0], self.channels, self.size)
+        out = np.zeros(shape, dtype=complex)
         for fns, bands in self.groups:
             if fns:
                 z = _time_factor(fns, t)
@@ -510,18 +558,60 @@ class DiagonalOperator:
                 out[ix_out] += d * y[ix_in]
         return out
 
+    def _apply_gathered(self, y, t):
+        if self._gather is None:
+            self._gather = self._gather_stacks()
+        ix, diags, timed = self._gather
+        if timed:
+            diags = diags.copy()
+            for j, lo, hi, fns in timed:
+                diags[j, lo:hi] *= _time_factor(fns, t)
+        block = y[:, ix]
+        block *= diags
+        out = np.empty((y.shape[0], len(ix), self.size), dtype=complex)
+        np.add.reduce(block, axis=2, out=out)
+        return out.reshape(y.shape) if self.channels is None else out
+
+    def _gather_stacks(self):
+        """(column indices, diagonals, time-scaled band ranges) of the gathered kernel.
+
+        Channel j's bands, in group order, are rows 0.. of ix[j] and d[j],
+        both (channels, K, size) with K the most bands of any channel;
+        timed lists (j, lo, hi, fns) for the rows a time group scales.
+        """
+        per_channel = [[] for _ in range(self.channels or 1)]
+        for fns, bands in self.groups:
+            per_channel[0 if self.channels is None else bands[0][0][1]].append((fns, bands))
+        most = max(sum(len(bands) for _, bands in groups) for groups in per_channel)
+        ix = np.empty((len(per_channel), most, self.size), dtype=np.intp)
+        ix[...] = np.arange(self.size)
+        diags = np.zeros(ix.shape, dtype=complex)
+        timed = []
+        for j, groups in enumerate(per_channel):
+            lo = 0
+            for fns, bands in groups:
+                for k, (ix_out, ix_in, d) in enumerate(bands, lo):
+                    rows, cols = ix_out[-1], ix_in[-1]
+                    ix[j, k, rows] = np.arange(cols.start, cols.stop)
+                    diags[j, k, rows] = d[0]
+                if fns:
+                    timed.append((j, lo, lo + len(bands), fns))
+                lo += len(bands)
+        return ix, diags, tuple(timed)
+
     def diagonals(self, t: float = 0.0) -> dict:
         """{offset o: d} at time t, summed over groups, with d[i] = <i|op|i+o>.
 
         Every d has the full length `size` and is zero where i + o falls
-        outside the block or the operator has no entry.
+        outside the block or the operator has no entry.  Not for a stacked
+        operator.
         """
         out = {}
         for fns, bands in self.groups:
             z = _time_factor(fns, t)
             for (_, rows), (_, cols), d in bands:
                 full = out.setdefault(cols.start - rows.start, np.zeros(self.size, dtype=complex))
-                full[rows] += z * d
+                full[rows] += z * d[0]
         return out
 
 
@@ -580,7 +670,7 @@ class CenteredForm:
                 if nz.size:
                     lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
                     kept.append(((slice(None), slice(lo, hi)),
-                                 (slice(None), slice(lo + o, hi + o)), np.array(d[lo:hi])))
+                                 (slice(None), slice(lo + o, hi + o)), d[None, lo:hi].copy()))
             if kept:
                 groups.append((fns, tuple(kept)))
         return DiagonalOperator(size, tuple(groups))

@@ -12,7 +12,8 @@ every freedom's used dimension, flattened -- so a whole ensemble advances in
 lockstep through exactly the arithmetic a single trajectory (B = 1) would
 perform, and a trajectory on a truncated basis does no work on the slots it
 does not use.  The drift applies the compiled effective generator
--iH - 1/2 sum_j L_j+ L_j once and each compiled L_j once.
+-iH - 1/2 sum_j L_j+ L_j once and every compiled L_j in one stacked sweep,
+and takes each <L_j> and <L_j+ L_j> from block reductions over that sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .hilbert import (
     set_used_block,
     used_block,
 )
-from .operators import CenteredForm, OperatorExpr, Sum, _shape_of
+from .operators import CenteredForm, DiagonalOperator, OperatorExpr, Sum, _shape_of
 
 __all__ = [
     "Unraveling",
@@ -87,17 +88,19 @@ class ModelOperators:
             terms.insert(0, -1j * hamiltonian)
         self.h_eff = Sum(tuple(terms)) if terms else None
         # basis shape -> [form, centers read, bound operator] for h_eff (if any)
-        # and each L_j, oldest shape first
+        # and each L_j, and their stacked L_j; oldest shape first
         self._shapes = {}
-        self._compiled = (None, None, ())
+        self._compiled = (None, None, (), None)
 
     def compiled(self, freedoms):
-        """(h_eff or None, [L_j]) compiled for the basis of freedoms.
+        """(h_eff or None, [L_j], stacked L_j or None) compiled for the basis of freedoms.
 
         The forms of the last FORMS_KEPT basis shapes are kept, each with
         the operator it last bound, so a basis that only moved its centers
         is not compiled again, and a form is rebound only when a center it
-        reads (CenteredForm.centered) moved.
+        reads (CenteredForm.centered) moved.  The stacked operator returns
+        every L_j y in one sweep (DiagonalOperator.stack); it is kept with
+        its shape's forms and stacked again only when some L_j rebinds.
         """
         basis = [(f.ptype, f.dim_used, f.center) for f in freedoms]  # all an operator reads
         if basis != self._compiled[0]:
@@ -107,14 +110,21 @@ class ModelOperators:
                     del self._shapes[next(iter(self._shapes))]
                 # h_eff is None only for a model with no operators at all
                 trees = () if self.h_eff is None else (self.h_eff,) + self.lindblads
-                self._shapes[shape] = [[CenteredForm(tree, shape), None, None] for tree in trees]
+                self._shapes[shape] = [[[CenteredForm(tree, shape), None, None]
+                                        for tree in trees], None]
+            # [[form, centers it read, bound operator] per tree, stacked L_j]
+            kept = self._shapes[shape]
             centers = [f.center for f in freedoms]
-            for entry in self._shapes[shape]:  # [form, centers it read, bound operator]
+            for i, entry in enumerate(kept[0]):
                 read = [centers[k] for k in entry[0].centered]
                 if read != entry[1]:  # None before the first bind
                     entry[1:] = read, entry[0].bind(centers)
-            ops = [op for _, _, op in self._shapes[shape]]
-            self._compiled = (basis, ops[0] if ops else None, ops[1:])
+                    if i:  # an L_j rebound: stack again
+                        kept[1] = None
+            ops = [op for _, _, op in kept[0]]
+            if kept[1] is None and len(ops) > 1:
+                kept[1] = DiagonalOperator.stack(ops[1:])
+            self._compiled = (basis, ops[0] if ops else None, ops[1:], kept[1])
         return self._compiled[1:]
 
     @property
@@ -283,25 +293,25 @@ def _drift2d(y, freedoms, model, unraveling, t):
     squared norm, so slightly unnormalized intermediate states (as produced
     inside RK stages) still see the correct nonlinear coefficients.
     """
-    h_eff, lindblads = model.compiled(freedoms)
+    h_eff, _, lstack = model.compiled(freedoms)
     out = np.zeros_like(y) if h_eff is None else h_eff.apply(y, t)
-    if not lindblads:
+    if lstack is None:
         return out
     n2 = row_norm2(y)
-    n2 = np.where(n2 > 0.0, n2, 1.0)
-    coef = np.zeros(y.shape[0])  # per-row multiple of y, added once at the end
-    for l_op in lindblads:
-        ly = l_op.apply(y, t)
-        if unraveling is Unraveling.JUMP:
-            coef += 0.5 * (row_norm2(ly) / n2)  # 1/2 <L+L>
-            continue
+    n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
+    ly = lstack.apply(y, t)  # (B, m, N): L_j y in row j of each stack
+    # coef: per-row, per-channel multiple of y, summed over channels at the end
+    if unraveling is Unraveling.JUMP:
+        coef = 0.5 * (row_norm2(ly) / n2)  # 1/2 <L+L>
+    else:
         lexp = row_dot(y, ly) / n2  # <L>
-        out += np.conj(lexp)[:, None] * ly
         if unraveling is Unraveling.QSD:
-            coef -= 0.5 * np.abs(lexp) ** 2
+            coef = -0.5 * np.abs(lexp) ** 2
         else:  # orthogonal jumps
-            coef += 0.5 * (row_norm2(ly) / n2) - np.abs(lexp) ** 2
-    out += coef[:, None] * y
+            coef = 0.5 * (row_norm2(ly) / n2) - np.abs(lexp) ** 2
+        # conj(<L>) stays the first factor: a complex product's bits can depend on the order
+        out += np.multiply(np.conj(lexp)[:, :, None], ly, out=ly).sum(axis=1)
+    out += coef.sum(axis=1)[:, None] * y
     return out
 
 
@@ -488,7 +498,7 @@ class QsdStepper(_StepperBase):
         n2 = row_norm2(y)
         _check_stable(n2, self.dt)
         n2 = np.where(n2 > 0.0, n2, 1.0)
-        _, lindblads = self.model.compiled(freedoms)
+        _, lindblads, _ = self.model.compiled(freedoms)
         for j, l_op in enumerate(lindblads):
             ly = l_op.apply(y, t + self.dt)
             lexp = row_dot(y, ly) / n2
@@ -508,30 +518,25 @@ class JumpStepper(_StepperBase):
         self._warned = False
 
     def _jump_probabilities(self, y, freedoms, t):
-        m = self.model.n_lindblads
-        b = y.shape[0]
-        probs = np.zeros((b, m))
-        lys = []
-        lexps = []
+        """(B, m) probabilities, (B, m, N) L_j y and, for orthojump, (B, m) <L_j>."""
+        _, _, lstack = self.model.compiled(freedoms)
+        if lstack is None:
+            return np.zeros((y.shape[0], 0)), None, None
         n2 = row_norm2(y)
-        n2 = np.where(n2 > 0.0, n2, 1.0)
-        _, lindblads = self.model.compiled(freedoms)
-        for j, l_op in enumerate(lindblads):
-            ly = l_op.apply(y, t)
-            lys.append(ly)
-            ll = row_norm2(ly) / n2
-            if self._orthogonal:
-                lexp = row_dot(y, ly) / n2
-                p = (ll - np.abs(lexp) ** 2) * self.dt
-            else:
-                lexp = None
-                p = ll * self.dt
-            lexps.append(lexp)
-            if np.any(p < P_NEGATIVE):
-                raise StepError("negative jump probability; expectation evaluation is broken",
-                                _first_row(p < P_NEGATIVE))
-            probs[:, j] = np.maximum(p, 0.0)
-        return probs, lys, lexps
+        n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
+        ly = lstack.apply(y, t)
+        ll = row_norm2(ly) / n2
+        if self._orthogonal:
+            lexp = row_dot(y, ly) / n2
+            p = (ll - np.abs(lexp) ** 2) * self.dt
+        else:
+            lexp = None
+            p = ll * self.dt
+        negative = (p < P_NEGATIVE).any(axis=1)
+        if negative.any():
+            raise StepError("negative jump probability; expectation evaluation is broken",
+                            _first_row(negative))
+        return np.maximum(p, 0.0), ly, lexp
 
     def step(self, y, freedoms, t, u):
         """u: (B,) uniforms deciding whether and which jump fires."""
@@ -552,21 +557,12 @@ class JumpStepper(_StepperBase):
 
         if jump_rows.size:
             # channel j fires where u falls in [cum_{j-1}, cum_j) of the row's
-            # cumulative probabilities; rows are gathered per channel, with a
-            # mask rather than np.unique, which would import numpy.ma
+            # cumulative probabilities
             cum = np.cumsum(probs[jump_rows], axis=1)
-            m = self.model.n_lindblads
-            channel = np.minimum((cum <= u[jump_rows, None]).sum(axis=1), m - 1)
-            jumped = np.empty((jump_rows.size, y.shape[1]), dtype=y.dtype)
-            for j in range(m):
-                fired = channel == j
-                if not fired.any():
-                    continue
-                rows = jump_rows[fired]
-                block = lys[j][rows]
-                if self._orthogonal:
-                    block -= lexps[j][rows, None] * y[rows]
-                jumped[fired] = block
+            channel = np.minimum((cum <= u[jump_rows, None]).sum(axis=1), probs.shape[1] - 1)
+            jumped = lys[jump_rows, channel]
+            if self._orthogonal:
+                jumped -= lexps[jump_rows, channel][:, None] * y[jump_rows]
             nrm = row_norm(jumped)
             collapsed = nrm < NORM_COLLAPSE
             if collapsed.any():

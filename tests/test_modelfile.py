@@ -3,6 +3,7 @@
 import math
 import pathlib
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -667,6 +668,20 @@ def test_round_trip_shipped_models(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build_model(mf)
+
+
+def test_building_shg_allocates_no_apply_state():
+    # the build checks compile H and each L_j at all 5000 allocated states;
+    # the gather stacks of a many-band form would add about 1.5 MiB there,
+    # so they are built on a form's first apply, which the build never makes
+    text = (ROOT / "models" / "shg.qt").read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        build_model(parse_model(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
 
 
 def test_load_model_shg():

@@ -37,9 +37,12 @@ from qtraj import (
     transition,
 )
 from qtraj.hilbert import used_view
+from qtraj import operators
 from qtraj.operators import (
+    GATHER_MIN_BANDS,
     MAX_POWER,
     CenteredForm,
+    DiagonalOperator,
     Power,
     Primary,
     Product,
@@ -377,6 +380,12 @@ def _check_against_dense(expr, used, centers, t, rng):
     diags = compile_operator(expr, frs).diagonals(t)
     assert all(np.abs(diags.get(o, np.zeros(n))[max(0, -o):n - max(0, o)]
                       - np.diagonal(mat, o)).max() <= 1e-12 * scale for o in range(1 - n, n))
+    # the kernel is chosen by the form, never by B: a block applied one row
+    # at a time gives the bits of the whole block
+    op = compile_operator(expr, frs)
+    ys = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    whole = op.apply(ys, t)
+    assert all(op.apply(ys[r:r + 1], t).tobytes() == whole[r:r + 1].tobytes() for r in range(3))
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,6 +457,57 @@ def test_zero_centers_skip_every_center_term():
     mat = to_dense(expr, (4, 3))
     y = np.arange(12.0)[None, :] * (1 + 0.5j)
     assert np.abs(local.apply(y) - y @ mat.T).max() <= 1e-12 * np.abs(mat).sum()
+
+
+# --- the two kernels -----------------------------------------------------------
+
+
+def _bands(op):
+    return sum(len(bands) for _, bands in op.groups)
+
+
+def test_gathered_kernel_matches_the_slice_loop_and_keeps_nan_in_its_row(monkeypatch):
+    # a many-band form with a time group and a band that does not reach every
+    # column: the gathered sweep gives the slice loop's values to round-off,
+    # a C-contiguous block, and a NaN in row 1 reaches no other row
+    expr = (number(0) * position(1) + (lambda t: math.cos(t)) * (create(1) * destroy(0))
+            + 0.3j * momentum(0) ** 2)
+    frs = [FreedomSpec(FIELD, 5, 4, 0.3 - 0.1j), FreedomSpec(FIELD, 4, 3, -0.2j)]
+    op = compile_operator(expr, frs)
+    assert _bands(op) >= GATHER_MIN_BANDS
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((3, op.size)) + 1j * rng.standard_normal((3, op.size))
+    got = op.apply(y, 0.6)
+    assert got.flags.c_contiguous and got.shape == y.shape
+    monkeypatch.setattr(operators, "GATHER_MIN_BANDS", _bands(op) + 1)
+    want = compile_operator(expr, frs).apply(y, 0.6)
+    monkeypatch.undo()
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    y[1, 5] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = op.apply(y, 0.6)
+    assert np.isnan(got[1]).any() and np.isfinite(got[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("centers", [(0j, 0j), (0.4 + 0.2j, -0.3)], ids=["local", "displaced"])
+def test_stacked_operator_returns_each_operator_in_its_channel(centers):
+    # slice loop (few bands, local basis) and gathered sweep (displaced basis);
+    # a channel whose operator has no band at this basis reads zero
+    exprs = [destroy(0), (lambda t: 1.5 + t) * number(1), transition(2, 2, 1),
+             destroy(0) * create(1)]
+    frs = [FreedomSpec(FIELD, 4, 3, centers[0]), FreedomSpec(FIELD, 3, 2, centers[1]),
+           FreedomSpec(ATOM, 3, 2)]
+    ops = [compile_operator(e, frs) for e in exprs]
+    stacked = DiagonalOperator.stack(ops)
+    assert stacked.channels == 4 and not ops[2].groups
+    assert (_bands(stacked) >= GATHER_MIN_BANDS) == (centers[0] != 0)
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((5, ops[0].size)) + 1j * rng.standard_normal((5, ops[0].size))
+    got = stacked.apply(y, 0.3)
+    assert got.shape == (5, 4, ops[0].size) and got.flags.c_contiguous
+    for j, op in enumerate(ops):
+        want = op.apply(y, 0.3)
+        assert np.abs(got[:, j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
 
 
 # --- trees are plain values ----------------------------------------------------

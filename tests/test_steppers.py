@@ -5,6 +5,7 @@ matrices; integrator order is validated against a closed-form Rabi solution.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from qtraj import (
     sigma_z,
     to_dense,
 )
-from qtraj.operators import CenteredForm, compile_operator
+from qtraj.modelfile import build_model, parse_model
+from qtraj.operators import CenteredForm, DiagonalOperator, compile_operator
 from qtraj.hilbert import row_norm
 from qtraj.steppers import StepError, _drift2d
 
@@ -419,10 +421,10 @@ def test_block_jumps_equal_the_per_row_jump(unr):
         assert alone_stats.jumps == (channel[r] >= 0)
         if channel[r] >= 0:
             j = channel[r]
-            row = lys[j][r:r + 1].copy()
+            row = lys[r:r + 1, j].copy()
             if unr is Unraveling.ORTHO_JUMP:
-                row -= lexps[j][r] * y[r:r + 1]
-                assert np.abs(lexps[j][r]) > 0.05
+                row -= lexps[r, j] * y[r:r + 1]
+                assert np.abs(lexps[r, j]) > 0.05
             assert out[r].tobytes() == (row / row_norm(row)[:, None])[0].tobytes()
 
 
@@ -493,10 +495,10 @@ def test_model_builds_one_form_per_shape_and_rebinds_moved_centers(monkeypatch):
     shape_b = tuple((f.ptype, f.dim_used) for f in b)
     assert built == [shape_a] * 3 + [shape_b] * 3
     assert len(bound) == 9
-    assert again[0] is got[2][0] and again[1] == got[2][1]
+    assert again[0] is got[2][0] and again[1] == got[2][1] and again[2] is got[2][2]
     # a rebound form gives the bits a fresh compile gives
     rng = np.random.default_rng(2)
-    for frs, (h_eff, lindblads) in zip((a1, b, a2), got):
+    for frs, (h_eff, lindblads, _) in zip((a1, b, a2), got):
         n = math.prod(f.dim_used for f in frs)
         y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
@@ -523,10 +525,13 @@ def test_model_rebinds_only_the_forms_whose_centers_moved(monkeypatch):
     assert got[2][1][0] is got[0][1][0]
     rng = np.random.default_rng(5)
     y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    for frs, (h_eff, lindblads) in zip(bases, got):
+    for frs, (h_eff, lindblads, stacked) in zip(bases, got):
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
         for l_op, l_expr in zip(lindblads, model.lindblads):
             assert np.array_equal(l_op.apply(y), compile_operator(l_expr, frs).apply(y))
+        # the stacked sweep follows the rebound L_j
+        want = np.stack([l_op.apply(y) for l_op in lindblads], axis=1)
+        assert np.abs(stacked.apply(y) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_model_keeps_the_forms_of_its_last_shapes():
@@ -544,30 +549,105 @@ def test_model_keeps_the_forms_of_its_last_shapes():
 # --- batch parity (the lockstep ensembles rely on this) ---------------------
 
 
+SHG = pathlib.Path(__file__).resolve().parents[1] / "models" / "shg.qt"
+
+
+def shg_displaced():
+    """models/shg.qt's operators on a displaced (3, 3, 2) basis: 13 bands in h_eff."""
+    model = build_model(parse_model(SHG.read_text(encoding="utf-8")))[0]
+    return model, [FreedomSpec(FIELD, 50, 3, 0.6 + 0.2j), FreedomSpec(FIELD, 50, 3, -0.3j),
+                   FreedomSpec(SPIN, 2)]
+
+
+def rand_rows(rng, b, n):
+    ys = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+    return ys / np.sqrt((np.abs(ys) ** 2).sum(axis=1))[:, None]
+
+
 def test_batched_rows_equal_individual_rows():
     rng = np.random.default_rng(55)
     model, dims = example_model()
-    total = math.prod(dims)
-    b = 4
-    ys = rng.standard_normal((b, total)) + 1j * rng.standard_normal((b, total))
-    ys /= np.sqrt((np.abs(ys) ** 2).sum(axis=1))[:, None]
-    freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
+    cases = [(model, [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)], rand_rows(rng, 4, 10),
+              np.array([0.9, 1e-9, 0.5, 1e-7]))]
+    # a many-band h_eff and a 3-channel stacked sweep, both gathered
+    model, freedoms = shg_displaced()
+    ys = rand_rows(rng, 17, 18)
+    ptot = make_stepper(model, Unraveling.JUMP, 0.01)._jump_probabilities(
+        ys, freedoms, 0.0)[0].sum(axis=1)
+    # where in [0, ptot) u falls, 0.995 in the weak third channel; 2: no jump
+    fraction = np.array([0.0, 0.3, 0.6, 0.995, 2.0])[np.arange(17) % 5]
+    cases.append((model, freedoms, ys, np.where(fraction < 1.0, fraction * ptot, 0.999)))
+    for model, freedoms, ys, u in cases:
+        b = ys.shape[0]
 
-    # QSD
-    dxi = NoiseSource(3, 0).wiener(b, model.n_lindblads, 0.01)
-    stepper = make_stepper(model, Unraveling.QSD, 0.01)
-    batch, _ = stepper.step(ys.copy(), freedoms, 0.0, dxi)
-    for i in range(b):
-        si = make_stepper(model, Unraveling.QSD, 0.01)
-        row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, dxi[i:i + 1])
-        assert np.array_equal(batch[i], row[0])
-
-    # jump flavors, mixed jump/no-jump rows
-    u = np.array([0.9, 1e-9, 0.5, 1e-7])
-    for unr in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
-        stepper = make_stepper(model, unr, 0.01)
-        batch, stats = stepper.step(ys.copy(), freedoms, 0.0, u)
+        # QSD
+        dxi = NoiseSource(3, 0).wiener(b, model.n_lindblads, 0.01)
+        stepper = make_stepper(model, Unraveling.QSD, 0.01)
+        batch, _ = stepper.step(ys.copy(), freedoms, 0.0, dxi)
         for i in range(b):
-            si = make_stepper(model, unr, 0.01)
-            row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, u[i:i + 1])
+            si = make_stepper(model, Unraveling.QSD, 0.01)
+            row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, dxi[i:i + 1])
             assert np.array_equal(batch[i], row[0])
+
+        # jump flavors, mixed jump/no-jump rows
+        for unr in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
+            stepper = make_stepper(model, unr, 0.01)
+            batch, stats = stepper.step(ys.copy(), freedoms, 0.0, u)
+            assert 0 < stats.jumps < b
+            for i in range(b):
+                si = make_stepper(model, unr, 0.01)
+                row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, u[i:i + 1])
+                assert np.array_equal(batch[i], row[0])
+
+
+@pytest.mark.parametrize("unr", list(Unraveling), ids=lambda u: u.value)
+def test_drift_rows_on_one_column_bands_equal_individual_rows(unr):
+    # a driven, detuned, damped atom: h_eff's bands each cover one column,
+    # one with the complex diagonal -0.1 - 0.45i, where a (1, 1) product
+    # can take another numpy loop than a many-row one
+    model = ModelOperators(0.7 * (sigma_plus(0) + sigma_minus(0))
+                           + 0.45 * (sigma_plus(0) * sigma_minus(0)),
+                           [math.sqrt(0.2) * sigma_minus(0)])
+    freedoms = [FreedomSpec(SPIN, 2)]
+    ys = rand_rows(np.random.default_rng(0), 64, 2)
+    batch = _drift2d(ys, freedoms, model, unr, 0.0)
+    for i in range(64):
+        assert batch[i].tobytes() == _drift2d(ys[i:i + 1], freedoms, model, unr, 0.0)[0].tobytes()
+
+
+# --- the stacked Lindblad sweep ----------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_sweep_rows_equal_each_lindblad(m):
+    # L_2 depends on time; m = 3 has enough bands for the gathered kernel
+    ls = [0.8 * destroy(0), (lambda t: 0.3 + 0.5j * t) * sigma_minus(1),
+          number(0) + 0.2 * position(0)][:m]
+    model = ModelOperators(number(0), ls)
+    _, lindblads, stacked = model.compiled([FreedomSpec(FIELD, 6, 4, 0.3 - 0.2j),
+                                            FreedomSpec(SPIN, 2)])
+    y = rand_rows(np.random.default_rng(m), 5, 8)
+    for t in (0.0, 0.7):
+        got = stacked.apply(y, t)
+        assert got.shape == (5, m, 8)
+        for j, l_op in enumerate(lindblads):
+            want = l_op.apply(y, t)
+            assert np.abs(got[:, j] - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_shg_drift_makes_two_operator_sweeps(monkeypatch):
+    # h_eff once and every L_j in one stacked sweep, not once per L_j
+    model, freedoms = shg_displaced()
+    y = rand_rows(np.random.default_rng(6), 3, 18)
+    sweeps = []
+    apply_ = DiagonalOperator.apply
+
+    def counted(self, y, t=0.0):
+        sweeps.append(self.channels)
+        return apply_(self, y, t)
+
+    monkeypatch.setattr(DiagonalOperator, "apply", counted)
+    for unr in Unraveling:
+        sweeps.clear()
+        _drift2d(y, freedoms, model, unr, 0.0)
+        assert sweeps == [None, 3]
