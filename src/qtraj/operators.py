@@ -30,11 +30,12 @@ through, compiles afresh on every call; a caller that applies a tree again
 keeps what it compiled, as `steppers.ModelOperators` keeps its forms.
 
 A compiled operator applies its diagonals by one of two kernels, chosen by
-its band count alone: a form with fewer than GATHER_MIN_BANDS bands
-slices the block once per band, and a form with more gathers every
-band's input columns in one fancy index and reduces over the bands in
-band order (`DiagonalOperator`).  The first is faster on few bands and
-wide batches, the second on many bands at B = 1, as on a moving basis.
+its form alone (`DiagonalOperator`): the slice loop makes two numpy calls
+per band, and the gathered sweep gathers every band's input columns in
+one fancy index, multiplies them in one call and reduces over the bands
+in band order.  The gathered sweep takes forms of at most GATHER_MAX_SIZE
+states with at least GATHER_MIN_BANDS bands (one more per further stacked
+channel), as on a moving basis; every other form keeps the slice loop.
 Several operators compiled for one basis stack into one, whose single
 sweep returns every operator's result (`DiagonalOperator.stack`).
 
@@ -490,8 +491,13 @@ def _time_factor(fns, t: float) -> complex:
     raise OverflowError(f"a time-dependent factor overflows at t={t:.6g}")
 
 
-# Forms with at least this many bands take the gathered kernel
+# The gathered sweep takes forms of at least this many bands, plus one per
+# channel after the first, over at most GATHER_MAX_SIZE states
 GATHER_MIN_BANDS = 4
+GATHER_MAX_SIZE = 32
+# Complex elements of one gathered block, 256 KiB: rows are gathered in
+# chunks of at most this many elements (one row at least)
+GATHER_BLOCK = 1 << 14
 
 
 class DiagonalOperator:
@@ -510,25 +516,35 @@ class DiagonalOperator:
     `channels` is their number, each group belongs to one of them, and its
     out indices also pick that channel of a (B, channels, size) result.
 
-    `apply` has two kernels, chosen by the band count alone, never by B, so
-    a row gets the same bits in a batch of any size.  Fewer than
-    GATHER_MIN_BANDS bands take the slice loop, `out[ix_out] += d * y[ix_in]`
-    band by band.  More take the gathered sweep: one fancy-index gather of
-    every band's input columns into a (B, channels, K, size) block, one
-    in-place multiply by the stacked diagonals, and one reduction over K in
-    band order into a C-contiguous result.  A band contributes a zero
+    `apply` has two kernels, chosen by the form alone, never by B, so a row
+    gets the same bits in a batch of any size.  The slice loop adds
+    `d * y[ix_in]` into `out[ix_out]` band by band, two numpy calls a band.
+    The gathered sweep gathers every band's input columns into a
+    (rows, bands, size) block in one fancy index, multiplies it in place by
+    the stacked diagonals, and reduces each channel's bands in band order
+    into a C-contiguous result: 2 + channels calls.  It is taken when the
+    bands outnumber the channels by GATHER_MIN_BANDS - 1 or more, on at
+    most GATHER_MAX_SIZE states: there it was measured faster up to
+    B = 17 (3 times at 13 bands) and as fast in the median on batches of
+    250 to 4000 rows.  On larger forms it loses on wide batches (1.9 times
+    slower for shg's 13-band h_eff over 60 states at B = 100), and from
+    about 1000 states at B = 1 too.  Rows are gathered in chunks of about
+    GATHER_BLOCK elements, so the block stays small at any B; rows are
+    independent, so chunks change no bits.  A band contributes a zero
     diagonal where it does not reach, gathered from the row's own column,
     so a NaN stays in its row.  The gather stacks are built on the first
     gathered `apply`, so a form that is only compiled allocates none.
     """
 
-    __slots__ = ("size", "groups", "channels", "_bands", "_gather")
+    __slots__ = ("size", "groups", "channels", "gathered", "_gather")
 
     def __init__(self, size: int, groups: tuple, channels: int = None):
         self.size = size
         self.groups = groups
         self.channels = channels
-        self._bands = sum(len(bands) for _, bands in groups)
+        bands = sum(len(bands) for _, bands in groups)
+        self.gathered = (size <= GATHER_MAX_SIZE
+                         and bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
         self._gather = None
 
     @classmethod
@@ -546,8 +562,11 @@ class DiagonalOperator:
         """
         if y.ndim != 2 or y.shape[1] != self.size:
             raise ValueError(f"expected a (B, {self.size}) used block, got shape {y.shape}")
-        if self._bands >= GATHER_MIN_BANDS:
+        if self.gathered:
             return self._apply_gathered(y, t)
+        return self._apply_sliced(y, t)
+
+    def _apply_sliced(self, y, t):
         shape = y.shape if self.channels is None else (y.shape[0], self.channels, self.size)
         out = np.zeros(shape, dtype=complex)
         for fns, bands in self.groups:
@@ -561,51 +580,58 @@ class DiagonalOperator:
     def _apply_gathered(self, y, t):
         if self._gather is None:
             self._gather = self._gather_stacks()
-        ix, diags, timed = self._gather
+        ix, diags, segments, timed = self._gather
         if timed:
             diags = diags.copy()
-            for j, lo, hi, fns in timed:
-                diags[j, lo:hi] *= _time_factor(fns, t)
-        block = y[:, ix]
-        block *= diags
-        out = np.empty((y.shape[0], len(ix), self.size), dtype=complex)
-        np.add.reduce(block, axis=2, out=out)
+            for lo, hi, fns in timed:
+                diags[lo:hi] *= _time_factor(fns, t)
+        out = np.empty((y.shape[0], len(segments), self.size), dtype=complex)
+        rows = max(1, GATHER_BLOCK // ix.size)
+        for r in range(0, y.shape[0], rows):
+            block = y[r:r + rows, ix]
+            block *= diags
+            for j, (lo, hi) in enumerate(segments):
+                np.add.reduce(block[:, lo:hi], axis=1, out=out[r:r + rows, j])
         return out.reshape(y.shape) if self.channels is None else out
 
     def _gather_stacks(self):
-        """(column indices, diagonals, time-scaled band ranges) of the gathered kernel.
+        """(column indices, diagonals, channel segments, timed rows) of the gathered sweep.
 
-        Channel j's bands, in group order, are rows 0.. of ix[j] and d[j],
-        both (channels, K, size) with K the most bands of any channel;
-        timed lists (j, lo, hi, fns) for the rows a time group scales.
+        ix and d are (bands, size): channel 0's bands in group order, then
+        channel 1's, and so on, with channel j's in rows segments[j];
+        timed lists (lo, hi, fns) for the rows a time group scales.
         """
         per_channel = [[] for _ in range(self.channels or 1)]
         for fns, bands in self.groups:
             per_channel[0 if self.channels is None else bands[0][0][1]].append((fns, bands))
-        most = max(sum(len(bands) for _, bands in groups) for groups in per_channel)
-        ix = np.empty((len(per_channel), most, self.size), dtype=np.intp)
+        total = sum(len(bands) for _, bands in self.groups)
+        ix = np.empty((total, self.size), dtype=np.intp)
         ix[...] = np.arange(self.size)
         diags = np.zeros(ix.shape, dtype=complex)
-        timed = []
-        for j, groups in enumerate(per_channel):
-            lo = 0
+        segments, timed = [], []
+        k = 0
+        for groups in per_channel:
+            first = k
             for fns, bands in groups:
-                for k, (ix_out, ix_in, d) in enumerate(bands, lo):
-                    rows, cols = ix_out[-1], ix_in[-1]
-                    ix[j, k, rows] = np.arange(cols.start, cols.stop)
-                    diags[j, k, rows] = d[0]
                 if fns:
-                    timed.append((j, lo, lo + len(bands), fns))
-                lo += len(bands)
-        return ix, diags, tuple(timed)
+                    timed.append((k, k + len(bands), fns))
+                for ix_out, ix_in, d in bands:
+                    rows, cols = ix_out[-1], ix_in[-1]
+                    ix[k, rows] = np.arange(cols.start, cols.stop)
+                    diags[k, rows] = d[0]
+                    k += 1
+            segments.append((first, k))
+        return ix, diags, tuple(segments), tuple(timed)
 
     def diagonals(self, t: float = 0.0) -> dict:
         """{offset o: d} at time t, summed over groups, with d[i] = <i|op|i+o>.
 
         Every d has the full length `size` and is zero where i + o falls
-        outside the block or the operator has no entry.  Not for a stacked
-        operator.
+        outside the block or the operator has no entry.
         """
+        if self.channels is not None:
+            raise ValueError("a stacked operator has diagonals per channel; take them "
+                             "from the operators it stacks")
         out = {}
         for fns, bands in self.groups:
             z = _time_factor(fns, t)

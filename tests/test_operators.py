@@ -7,6 +7,7 @@ the application of the compiled offset diagonals.
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from qtraj import (
 from qtraj.hilbert import used_view
 from qtraj import operators
 from qtraj.operators import (
-    GATHER_MIN_BANDS,
+    GATHER_BLOCK,
     MAX_POWER,
     CenteredForm,
     DiagonalOperator,
@@ -466,15 +467,19 @@ def _bands(op):
     return sum(len(bands) for _, bands in op.groups)
 
 
-def test_gathered_kernel_matches_the_slice_loop_and_keeps_nan_in_its_row(monkeypatch):
-    # a many-band form with a time group and a band that does not reach every
-    # column: the gathered sweep gives the slice loop's values to round-off,
-    # a C-contiguous block, and a NaN in row 1 reaches no other row
+def _many_band_op():
+    """A 15-band form over 20 states, with a time group and a band short of some columns."""
     expr = (number(0) * position(1) + (lambda t: math.cos(t)) * (create(1) * destroy(0))
             + 0.3j * momentum(0) ** 2)
-    frs = [FreedomSpec(FIELD, 5, 4, 0.3 - 0.1j), FreedomSpec(FIELD, 4, 3, -0.2j)]
+    return expr, [FreedomSpec(FIELD, 5, 5, 0.3 - 0.1j), FreedomSpec(FIELD, 4, 4, -0.2j)]
+
+
+def test_gathered_kernel_matches_the_slice_loop_and_keeps_nan_in_its_row(monkeypatch):
+    # the gathered sweep gives the slice loop's values to round-off, a
+    # C-contiguous block, and a NaN in row 1 reaches no other row
+    expr, frs = _many_band_op()
     op = compile_operator(expr, frs)
-    assert _bands(op) >= GATHER_MIN_BANDS
+    assert op.gathered
     rng = np.random.default_rng(3)
     y = rng.standard_normal((3, op.size)) + 1j * rng.standard_normal((3, op.size))
     got = op.apply(y, 0.6)
@@ -500,7 +505,7 @@ def test_stacked_operator_returns_each_operator_in_its_channel(centers):
     ops = [compile_operator(e, frs) for e in exprs]
     stacked = DiagonalOperator.stack(ops)
     assert stacked.channels == 4 and not ops[2].groups
-    assert (_bands(stacked) >= GATHER_MIN_BANDS) == (centers[0] != 0)
+    assert stacked.gathered == (centers[0] != 0)
     rng = np.random.default_rng(9)
     y = rng.standard_normal((5, ops[0].size)) + 1j * rng.standard_normal((5, ops[0].size))
     got = stacked.apply(y, 0.3)
@@ -508,6 +513,54 @@ def test_stacked_operator_returns_each_operator_in_its_channel(centers):
     for j, op in enumerate(ops):
         want = op.apply(y, 0.3)
         assert np.abs(got[:, j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
+
+
+def test_kernel_follows_band_count_channels_and_size():
+    # the gathered sweep needs 4 bands, one more per further channel, and at
+    # most 32 states: 4 one-band operators or a 36-state form keep the loop
+    local = [FreedomSpec(FIELD, 6, 4), FreedomSpec(FIELD, 6, 4)]
+    one_band = [compile_operator(e, local) for e in
+                (destroy(0), destroy(1), create(0), create(1) * destroy(0))]
+    assert all(_bands(op) == 1 for op in one_band)
+    assert not DiagonalOperator.stack(one_band).gathered
+    displaced = [FreedomSpec(FIELD, 6, 4, 0.5), FreedomSpec(FIELD, 6, 4, -0.3j)]
+    four = compile_operator(position(0) + position(1), displaced)
+    assert _bands(four) == 5 and four.gathered
+    assert not compile_operator(position(0) + position(1),
+                                [FreedomSpec(FIELD, 6, 6, 0.5),
+                                 FreedomSpec(FIELD, 6, 6, -0.3j)]).gathered
+    # a stack of 6 bands over 2 channels gathers, one of 4 over 3 does not
+    assert DiagonalOperator.stack([four, one_band[0]]).gathered
+    two = compile_operator(position(0), local)
+    assert _bands(two) == 2
+    assert not DiagonalOperator.stack([two, one_band[0], one_band[1]]).gathered
+
+
+def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
+    # 3000 rows of a 15-band form over 20 states: gathered whole they would
+    # make a 14 MB block; in chunks the peak stays near the result's size
+    expr, frs = _many_band_op()
+    op = compile_operator(expr, frs)
+    assert op.gathered and _bands(op) == 15
+    y = np.random.default_rng(4).standard_normal((3000, 40)).view(complex)
+    op.apply(y[:1], 0.4)  # build the gather stacks
+    tracemalloc.start()
+    try:
+        got = op.apply(y, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 3 * 16 * GATHER_BLOCK
+    # one row per chunk gives the same bits
+    monkeypatch.setattr(operators, "GATHER_BLOCK", 1)
+    assert op.apply(y, 0.4).tobytes() == got.tobytes()
+
+
+def test_a_stacked_operator_has_no_single_diagonals():
+    frs = [FreedomSpec(FIELD, 4)]
+    stacked = DiagonalOperator.stack([compile_operator(destroy(0), frs)])
+    with pytest.raises(ValueError, match="per channel"):
+        stacked.diagonals()
 
 
 # --- trees are plain values ----------------------------------------------------

@@ -569,7 +569,7 @@ def test_batched_rows_equal_individual_rows():
     model, dims = example_model()
     cases = [(model, [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)], rand_rows(rng, 4, 10),
               np.array([0.9, 1e-9, 0.5, 1e-7]))]
-    # a many-band h_eff and a 3-channel stacked sweep, both gathered
+    # a gathered 13-band h_eff and a 3-channel stacked sweep
     model, freedoms = shg_displaced()
     ys = rand_rows(rng, 17, 18)
     ptot = make_stepper(model, Unraveling.JUMP, 0.01)._jump_probabilities(
@@ -620,7 +620,7 @@ def test_drift_rows_on_one_column_bands_equal_individual_rows(unr):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stacked_sweep_rows_equal_each_lindblad(m):
-    # L_2 depends on time; m = 3 has enough bands for the gathered kernel
+    # L_2 depends on time; m = 3 has enough bands (6) for the gathered kernel
     ls = [0.8 * destroy(0), (lambda t: 0.3 + 0.5j * t) * sigma_minus(1),
           number(0) + 0.2 * position(0)][:m]
     model = ModelOperators(number(0), ls)
