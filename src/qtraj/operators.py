@@ -34,10 +34,11 @@ its form alone (`DiagonalOperator`): the slice loop makes two numpy calls
 per band, and the gathered sweep gathers every band's input columns in
 one fancy index, multiplies them in one call and reduces over the bands
 in band order.  The gathered sweep takes forms of at most GATHER_MAX_SIZE
-states with at least GATHER_MIN_BANDS bands (one more per further stacked
+states with at least GATHER_MIN_BANDS bands (one more per further
 channel), as on a moving basis; every other form keeps the slice loop.
-Several operators compiled for one basis stack into one, whose single
-sweep returns every operator's result (`DiagonalOperator.stack`).
+A tuple of trees compiles as one family (`CenteredForm`), which binds to
+one stacked operator: its single sweep returns every tree's result, tree
+j's in channel j.
 
 `to_dense` builds the same operators from explicit matrices instead, as an
 independent reference for the compiled form.
@@ -512,9 +513,10 @@ class DiagonalOperator:
     the same loop whatever B is, but a (1, 1) column times a (1,) diagonal
     through another, whose bits differ from those of the many-row loop.
 
-    A stacked operator (`stack`) applies several operators in one sweep:
-    `channels` is their number, each group belongs to one of them, and its
-    out indices also pick that channel of a (B, channels, size) result.
+    A stacked operator, bound from a family of trees, applies them all in
+    one sweep: `channels` is their number, each group belongs to one of
+    them, and its out indices also pick that channel of a
+    (B, channels, size) result.
 
     `apply` has two kernels, chosen by the form alone, never by B, so a row
     gets the same bits in a batch of any size.  The slice loop adds
@@ -532,8 +534,9 @@ class DiagonalOperator:
     GATHER_BLOCK elements, so the block stays small at any B; rows are
     independent, so chunks change no bits.  A band contributes a zero
     diagonal where it does not reach, gathered from the row's own column,
-    so a NaN stays in its row.  The gather stacks are built on the first
-    gathered `apply`, so a form that is only compiled allocates none.
+    so a NaN stays in its row.  A gathered operator builds its gather
+    stacks when it is made; they are small, as it has at most
+    GATHER_MAX_SIZE states.
     """
 
     __slots__ = ("size", "groups", "channels", "gathered", "_gather")
@@ -545,15 +548,7 @@ class DiagonalOperator:
         bands = sum(len(bands) for _, bands in groups)
         self.gathered = (size <= GATHER_MAX_SIZE
                          and bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
-        self._gather = None
-
-    @classmethod
-    def stack(cls, ops) -> "DiagonalOperator":
-        """The operators ops, compiled for one basis, as one stacked operator."""
-        groups = tuple((fns, tuple(((ix_out[0], j, ix_out[1]), ix_in, d)
-                                   for ix_out, ix_in, d in bands))
-                       for j, op in enumerate(ops) for fns, bands in op.groups)
-        return cls(ops[0].size, groups, len(ops))
+        self._gather = self._gather_stacks() if self.gathered else None
 
     def apply(self, y: np.ndarray, t: float = 0.0) -> np.ndarray:
         """The operator applied to every row of a (B, size) block.
@@ -578,8 +573,6 @@ class DiagonalOperator:
         return out
 
     def _apply_gathered(self, y, t):
-        if self._gather is None:
-            self._gather = self._gather_stacks()
         ix, diags, segments, timed = self._gather
         if timed:
             diags = diags.copy()
@@ -630,8 +623,8 @@ class DiagonalOperator:
         outside the block or the operator has no entry.
         """
         if self.channels is not None:
-            raise ValueError("a stacked operator has diagonals per channel; take them "
-                             "from the operators it stacks")
+            raise ValueError("a stacked operator has diagonals per channel; compile "
+                             "each tree on its own to read them")
         out = {}
         for fns, bands in self.groups:
             z = _time_factor(fns, t)
@@ -642,39 +635,43 @@ class DiagonalOperator:
 
 
 class CenteredForm:
-    """An expression compiled for one basis shape, with the centers left symbolic.
+    """A tree, or a family of trees, compiled for one basis shape, centers left symbolic.
 
-    `groups` holds (time functions, offsets) pairs, and each offset holds the
+    A tuple of trees compiles as one family of `channels` trees, which binds
+    to one stacked operator with tree j's result in channel j; a single
+    tree (`channels` None) binds to its own operator.  `groups` holds
+    (channel, time functions, offsets) triples, and each offset holds the
     (center factors, diagonal) terms whose sum, with every factor evaluated
     at the basis centers, is the diagonal at that offset.  `bind` evaluates
     the factors, sums the terms and trims each diagonal to its nonzero span;
     terms whose factors vanish are skipped, so a basis with every center 0
-    gets the local diagonals unchanged.  `centered` lists the freedoms
-    whose centers the form reads.
+    gets the local diagonals unchanged.
     """
 
-    __slots__ = ("size", "groups", "centered")
+    __slots__ = ("size", "groups", "channels")
 
-    def __init__(self, expr: OperatorExpr, shape: tuple):
+    def __init__(self, trees, shape: tuple):
         size = math.prod(b[1] for b in shape)
-        groups = {}
-        terms = _compile_node(expr, shape, size)
-        for (fns, factors), bands in terms.items():
-            offsets = groups.setdefault(fns, {})
-            for o, d in bands.items():
-                offsets.setdefault(o, []).append((factors, d))
+        self.channels = None if isinstance(trees, OperatorExpr) else len(trees)
+        groups = []
+        for j, expr in enumerate((trees,) if self.channels is None else trees):
+            by_fns = {}
+            for (fns, factors), bands in _compile_node(expr, shape, size).items():
+                offsets = by_fns.setdefault(fns, {})
+                for o, d in bands.items():
+                    offsets.setdefault(o, []).append((factors, d))
+            groups += [(j, fns, tuple((o, tuple(offsets[o])) for o in sorted(offsets)))
+                       for fns, offsets in by_fns.items()]
         self.size = size
-        self.groups = tuple((fns, tuple((o, tuple(offsets[o])) for o in sorted(offsets)))
-                            for fns, offsets in groups.items())
-        self.centered = tuple(sorted({k for _, factors in terms for k, _ in factors}))
+        self.groups = tuple(groups)
 
     def bind(self, centers) -> DiagonalOperator:
-        """The operator at the given per-freedom centers."""
-        values = {k: complex(centers[k]) for k in self.centered}
+        """The operator, or the family's stacked operator, at the given per-freedom centers."""
         size = self.size
         factor_values = {}
         groups = []
-        for fns, offsets in self.groups:
+        for j, fns, offsets in self.groups:
+            out = (slice(None),) if self.channels is None else (slice(None), j)
             kept = []
             for o, terms in offsets:
                 d = None
@@ -683,7 +680,7 @@ class CenteredForm:
                         z = factor_values.get(factors)
                         if z is None:
                             z = factor_values[factors] = math.prod(
-                                [values[k].conjugate() if cj else values[k]
+                                [complex(centers[k]).conjugate() if cj else complex(centers[k])
                                  for k, cj in factors])
                         if not z:
                             continue
@@ -695,11 +692,11 @@ class CenteredForm:
                 nz = np.flatnonzero(d[lo:hi])
                 if nz.size:
                     lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
-                    kept.append(((slice(None), slice(lo, hi)),
-                                 (slice(None), slice(lo + o, hi + o)), d[None, lo:hi].copy()))
+                    kept.append((out + (slice(lo, hi),), (slice(None), slice(lo + o, hi + o)),
+                                 d[None, lo:hi].copy()))
             if kept:
                 groups.append((fns, tuple(kept)))
-        return DiagonalOperator(size, tuple(groups))
+        return DiagonalOperator(size, tuple(groups), self.channels)
 
 
 def compile_operator(expr: OperatorExpr, freedoms) -> DiagonalOperator:

@@ -3,17 +3,19 @@
 The deterministic (drift) part of each unraveling is integrated over a
 coarse step dt with either fixed classical RK4 or an adaptive embedded
 Cash-Karp RK4(5); the stochastic part is added to first order: quantum
-state diffusion adds complex Wiener increments, the jump flavors decide at
-most one jump per coarse step from probabilities evaluated at the step
-start.  Every step ends renormalized.
+state diffusion adds the Ito increment sum_j (L_j - <L_j>) y dxi_j of
+complex Wiener increments, every L_j read at one state, and the jump
+flavors decide at most one jump per coarse step from probabilities
+evaluated at the step start.  Every step ends renormalized.
 
 All stepping code operates on (B, N) used blocks -- the amplitudes inside
 every freedom's used dimension, flattened -- so a whole ensemble advances in
 lockstep through exactly the arithmetic a single trajectory (B = 1) would
 perform, and a trajectory on a truncated basis does no work on the slots it
-does not use.  The drift applies the compiled effective generator
--iH - 1/2 sum_j L_j+ L_j once and every compiled L_j in one stacked sweep,
-and takes each <L_j> and <L_j+ L_j> from block reductions over that sweep.
+does not use.  A model compiles the effective generator
+-iH - 1/2 sum_j L_j+ L_j and, as one family, the L_j, whose single sweep
+feeds the drift, the jump probabilities and the QSD noise, with each <L_j>
+and <L_j+ L_j> from block reductions over it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .hilbert import (
     set_used_block,
     used_block,
 )
-from .operators import CenteredForm, DiagonalOperator, OperatorExpr, Sum, _shape_of
+from .operators import CenteredForm, OperatorExpr, Sum, _shape_of
 
 __all__ = [
     "Unraveling",
@@ -87,45 +89,33 @@ class ModelOperators:
         if hamiltonian is not None:
             terms.insert(0, -1j * hamiltonian)
         self.h_eff = Sum(tuple(terms)) if terms else None
-        # basis shape -> [form, centers read, bound operator] for h_eff (if any)
-        # and each L_j, and their stacked L_j; oldest shape first
+        # basis shape -> [h_eff form, L_j family form] (None if absent), oldest first
         self._shapes = {}
-        self._compiled = (None, None, (), None)
+        self._compiled = (None, (None, None))  # (basis, its bound operators)
 
     def compiled(self, freedoms):
-        """(h_eff or None, [L_j], stacked L_j or None) compiled for the basis of freedoms.
+        """(h_eff or None, stacked L_j or None) compiled for the basis of freedoms.
 
-        The forms of the last FORMS_KEPT basis shapes are kept, each with
-        the operator it last bound, so a basis that only moved its centers
-        is not compiled again, and a form is rebound only when a center it
-        reads (CenteredForm.centered) moved.  The stacked operator returns
-        every L_j y in one sweep (DiagonalOperator.stack); it is kept with
-        its shape's forms and stacked again only when some L_j rebinds.
+        The L_j compile as one family (CenteredForm of a tuple): its stacked
+        operator returns every L_j y in one (B, m, N) sweep, L_j y in
+        channel j.  The two forms of each of the last FORMS_KEPT basis
+        shapes are kept, so a basis that only moved its centers is not
+        compiled again, and both are bound whenever the basis changes.
         """
         basis = [(f.ptype, f.dim_used, f.center) for f in freedoms]  # all an operator reads
         if basis != self._compiled[0]:
             shape = _shape_of(freedoms)
-            if shape not in self._shapes:
+            forms = self._shapes.get(shape)
+            if forms is None:
                 if len(self._shapes) >= FORMS_KEPT:
                     del self._shapes[next(iter(self._shapes))]
-                # h_eff is None only for a model with no operators at all
-                trees = () if self.h_eff is None else (self.h_eff,) + self.lindblads
-                self._shapes[shape] = [[[CenteredForm(tree, shape), None, None]
-                                        for tree in trees], None]
-            # [[form, centers it read, bound operator] per tree, stacked L_j]
-            kept = self._shapes[shape]
+                forms = self._shapes[shape] = [
+                    None if trees is None else CenteredForm(trees, shape)
+                    for trees in (self.h_eff, self.lindblads or None)]
             centers = [f.center for f in freedoms]
-            for i, entry in enumerate(kept[0]):
-                read = [centers[k] for k in entry[0].centered]
-                if read != entry[1]:  # None before the first bind
-                    entry[1:] = read, entry[0].bind(centers)
-                    if i:  # an L_j rebound: stack again
-                        kept[1] = None
-            ops = [op for _, _, op in kept[0]]
-            if kept[1] is None and len(ops) > 1:
-                kept[1] = DiagonalOperator.stack(ops[1:])
-            self._compiled = (basis, ops[0] if ops else None, ops[1:], kept[1])
-        return self._compiled[1:]
+            self._compiled = (basis, tuple(None if form is None else form.bind(centers)
+                                           for form in forms))
+        return self._compiled[1]
 
     @property
     def n_lindblads(self) -> int:
@@ -293,7 +283,7 @@ def _drift2d(y, freedoms, model, unraveling, t):
     squared norm, so slightly unnormalized intermediate states (as produced
     inside RK stages) still see the correct nonlinear coefficients.
     """
-    h_eff, _, lstack = model.compiled(freedoms)
+    h_eff, lstack = model.compiled(freedoms)
     out = np.zeros_like(y) if h_eff is None else h_eff.apply(y, t)
     if lstack is None:
         return out
@@ -487,7 +477,11 @@ class _StepperBase:
 
 
 class QsdStepper(_StepperBase):
-    """Quantum state diffusion: drift advance plus Wiener noise, renormalized."""
+    """Quantum state diffusion: drift advance plus the Ito noise increment, renormalized.
+
+    Every L_j y and <L_j> is read at the advanced state from one stacked
+    sweep, so a step does not depend on the order of the L_j.
+    """
 
     def __init__(self, model, dt, integrator=IntegratorConfig()):
         super().__init__(model, Unraveling.QSD, dt, integrator)
@@ -497,12 +491,13 @@ class QsdStepper(_StepperBase):
         y, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(y)
         _check_stable(n2, self.dt)
-        n2 = np.where(n2 > 0.0, n2, 1.0)
-        _, lindblads, _ = self.model.compiled(freedoms)
-        for j, l_op in enumerate(lindblads):
-            ly = l_op.apply(y, t + self.dt)
-            lexp = row_dot(y, ly) / n2
-            y = y + (ly - lexp[:, None] * y) * dxi[:, j][:, None]
+        _, lstack = self.model.compiled(freedoms)
+        if lstack is not None:
+            ly = lstack.apply(y, t + self.dt)  # (B, m, N)
+            lexp = row_dot(y, ly) / np.where(n2 > 0.0, n2, 1.0)[:, None]
+            ly -= lexp[:, :, None] * y[:, None]
+            ly *= dxi[:, :, None]
+            y = y + ly.sum(axis=1)
         _normalize_rows(y)
         return y, StepStats(substeps=nsub)
 
@@ -519,7 +514,7 @@ class JumpStepper(_StepperBase):
 
     def _jump_probabilities(self, y, freedoms, t):
         """(B, m) probabilities, (B, m, N) L_j y and, for orthojump, (B, m) <L_j>."""
-        _, _, lstack = self.model.compiled(freedoms)
+        _, lstack = self.model.compiled(freedoms)
         if lstack is None:
             return np.zeros((y.shape[0], 0)), None, None
         n2 = row_norm2(y)

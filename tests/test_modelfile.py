@@ -672,8 +672,8 @@ def test_round_trip_shipped_models(path):
 
 def test_building_shg_allocates_no_apply_state():
     # the build checks compile H and each L_j at all 5000 allocated states;
-    # the gather stacks of a many-band form would add about 1.5 MiB there,
-    # so they are built on a form's first apply, which the build never makes
+    # forms that large keep the slice loop, so they build no gather stacks
+    # (about 1.5 MiB for a many-band form there)
     text = (ROOT / "models" / "shg.qt").read_text(encoding="utf-8")
     tracemalloc.start()
     try:

@@ -43,7 +43,6 @@ from qtraj.operators import (
     GATHER_BLOCK,
     MAX_POWER,
     CenteredForm,
-    DiagonalOperator,
     Power,
     Primary,
     Product,
@@ -450,7 +449,6 @@ def test_zero_centers_skip_every_center_term():
     expr = number(0) * position(1) + momentum(0) ** 2 + create(1) * destroy(0)
     frs = [FreedomSpec(FIELD, 5, 4), FreedomSpec(FIELD, 3)]
     form = CenteredForm(expr, tuple((f.ptype, f.dim_used) for f in frs))
-    assert form.centered == (0, 1)
     local = form.bind([0j, 0j])
     nonlocal_ = form.bind([0.3j, -0.2])
     assert (sum(len(b) for _, b in local.groups)
@@ -460,7 +458,13 @@ def test_zero_centers_skip_every_center_term():
     assert np.abs(local.apply(y) - y @ mat.T).max() <= 1e-12 * np.abs(mat).sum()
 
 
-# --- the two kernels -----------------------------------------------------------
+# --- the two kernels and families of trees --------------------------------------
+
+
+def _family(exprs, frs):
+    """The trees exprs compiled as one family and bound to the basis of frs."""
+    form = CenteredForm(tuple(exprs), tuple((f.ptype, f.dim_used) for f in frs))
+    return form.bind([f.center for f in frs])
 
 
 def _bands(op):
@@ -503,7 +507,7 @@ def test_stacked_operator_returns_each_operator_in_its_channel(centers):
     frs = [FreedomSpec(FIELD, 4, 3, centers[0]), FreedomSpec(FIELD, 3, 2, centers[1]),
            FreedomSpec(ATOM, 3, 2)]
     ops = [compile_operator(e, frs) for e in exprs]
-    stacked = DiagonalOperator.stack(ops)
+    stacked = _family(exprs, frs)
     assert stacked.channels == 4 and not ops[2].groups
     assert stacked.gathered == (centers[0] != 0)
     rng = np.random.default_rng(9)
@@ -517,23 +521,22 @@ def test_stacked_operator_returns_each_operator_in_its_channel(centers):
 
 def test_kernel_follows_band_count_channels_and_size():
     # the gathered sweep needs 4 bands, one more per further channel, and at
-    # most 32 states: 4 one-band operators or a 36-state form keep the loop
+    # most 32 states: a family of 4 one-band trees or a 36-state form keep the loop
     local = [FreedomSpec(FIELD, 6, 4), FreedomSpec(FIELD, 6, 4)]
-    one_band = [compile_operator(e, local) for e in
-                (destroy(0), destroy(1), create(0), create(1) * destroy(0))]
-    assert all(_bands(op) == 1 for op in one_band)
-    assert not DiagonalOperator.stack(one_band).gathered
+    one_band = (destroy(0), destroy(1), create(0), create(1) * destroy(0))
+    assert all(_bands(compile_operator(e, local)) == 1 for e in one_band)
+    assert not _family(one_band, local).gathered
     displaced = [FreedomSpec(FIELD, 6, 4, 0.5), FreedomSpec(FIELD, 6, 4, -0.3j)]
     four = compile_operator(position(0) + position(1), displaced)
     assert _bands(four) == 5 and four.gathered
     assert not compile_operator(position(0) + position(1),
                                 [FreedomSpec(FIELD, 6, 6, 0.5),
                                  FreedomSpec(FIELD, 6, 6, -0.3j)]).gathered
-    # a stack of 6 bands over 2 channels gathers, one of 4 over 3 does not
-    assert DiagonalOperator.stack([four, one_band[0]]).gathered
-    two = compile_operator(position(0), local)
-    assert _bands(two) == 2
-    assert not DiagonalOperator.stack([two, one_band[0], one_band[1]]).gathered
+    # a family of 5 bands over 2 channels gathers, one of 4 over 3 does not
+    assert _bands(compile_operator(position(0), local)) == 2
+    pair = _family((position(0) + position(1), destroy(0)), local)
+    assert _bands(pair) == 5 and pair.gathered
+    assert not _family((position(0), destroy(0), destroy(1)), local).gathered
 
 
 def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
@@ -543,7 +546,6 @@ def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
     op = compile_operator(expr, frs)
     assert op.gathered and _bands(op) == 15
     y = np.random.default_rng(4).standard_normal((3000, 40)).view(complex)
-    op.apply(y[:1], 0.4)  # build the gather stacks
     tracemalloc.start()
     try:
         got = op.apply(y, 0.4)
@@ -557,8 +559,7 @@ def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
 
 
 def test_a_stacked_operator_has_no_single_diagonals():
-    frs = [FreedomSpec(FIELD, 4)]
-    stacked = DiagonalOperator.stack([compile_operator(destroy(0), frs)])
+    stacked = _family((destroy(0),), [FreedomSpec(FIELD, 4)])
     with pytest.raises(ValueError, match="per channel"):
         stacked.diagonals()
 

@@ -460,16 +460,22 @@ def test_nan_row_fails_its_own_row(unr):
 # --- compiled forms kept by the model ----------------------------------------
 
 
+def family(exprs, frs):
+    """The trees exprs compiled afresh as one family for the basis of frs."""
+    return CenteredForm(tuple(exprs), tuple((f.ptype, f.dim_used) for f in frs)).bind(
+        [f.center for f in frs])
+
+
 def test_model_builds_one_form_per_shape_and_rebinds_moved_centers(monkeypatch):
-    # shapes A -> B -> A, the second A with moved centers: h_eff and each L_j
-    # compile once per shape, every basis change rebinds, and asking for the
-    # last basis again does neither
+    # shapes A -> B -> A, the second A with moved centers: h_eff and the L_j
+    # family compile once per shape, every basis change rebinds, and asking
+    # for the last basis again does neither
     built, bound = [], []
     init, bind = CenteredForm.__init__, CenteredForm.bind
 
-    def counted_init(self, expr, shape):
+    def counted_init(self, trees, shape):
         built.append(shape)
-        init(self, expr, shape)
+        init(self, trees, shape)
 
     def counted_bind(self, centers):
         bound.append(tuple(centers))
@@ -493,45 +499,46 @@ def test_model_builds_one_form_per_shape_and_rebinds_moved_centers(monkeypatch):
 
     shape_a = tuple((f.ptype, f.dim_used) for f in a1)
     shape_b = tuple((f.ptype, f.dim_used) for f in b)
-    assert built == [shape_a] * 3 + [shape_b] * 3
-    assert len(bound) == 9
-    assert again[0] is got[2][0] and again[1] == got[2][1] and again[2] is got[2][2]
+    assert built == [shape_a] * 2 + [shape_b] * 2
+    assert len(bound) == 6
+    assert again[0] is got[2][0] and again[1] is got[2][1]
     # a rebound form gives the bits a fresh compile gives
     rng = np.random.default_rng(2)
-    for frs, (h_eff, lindblads, _) in zip((a1, b, a2), got):
+    for frs, (h_eff, lstack) in zip((a1, b, a2), got):
         n = math.prod(f.dim_used for f in frs)
         y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
-        for l_op, l_expr in zip(lindblads, model.lindblads):
-            assert np.array_equal(l_op.apply(y), compile_operator(l_expr, frs).apply(y))
+        assert np.array_equal(lstack.apply(y), family(model.lindblads, frs).apply(y))
 
 
-def test_model_rebinds_only_the_forms_whose_centers_moved(monkeypatch):
-    # sm(1) reads no center: moving field 0's center rebinds h_eff (n(0) in
-    # the displaced frame) but reuses the bound L_j
+def test_every_basis_change_binds_both_forms_and_the_same_basis_none(monkeypatch):
+    # sm(1) reads no center, yet moving field 0's center binds h_eff and the
+    # whole L_j family again; asking for the same basis binds nothing
     bound = []
     bind = CenteredForm.bind
 
     def counted_bind(self, centers):
-        bound.append(self.centered)
+        bound.append(self.channels)
         return bind(self, centers)
 
     model = ModelOperators(number(0), [0.5 * sigma_minus(1), 0.3 * destroy(0)])
     bases = [[FreedomSpec(FIELD, 6, 4, c), FreedomSpec(SPIN, 2)] for c in (0j, 0.4, -0.2j)]
     monkeypatch.setattr(CenteredForm, "bind", counted_bind)
-    got = [model.compiled(frs) for frs in bases]
+    got = []
+    for frs in bases:
+        got.append(model.compiled(frs))
+        assert bound == [None, 2]
+        assert model.compiled(frs) is got[-1] and bound == [None, 2]
+        bound.clear()
     monkeypatch.undo()
-    assert bound == [(0,), (), (0,)] + [(0,), (0,)] * 2
-    assert got[2][1][0] is got[0][1][0]
     rng = np.random.default_rng(5)
     y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    for frs, (h_eff, lindblads, stacked) in zip(bases, got):
+    for frs, (h_eff, lstack) in zip(bases, got):
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
-        for l_op, l_expr in zip(lindblads, model.lindblads):
-            assert np.array_equal(l_op.apply(y), compile_operator(l_expr, frs).apply(y))
-        # the stacked sweep follows the rebound L_j
-        want = np.stack([l_op.apply(y) for l_op in lindblads], axis=1)
-        assert np.abs(stacked.apply(y) - want).max() <= 1e-15 * np.abs(want).max()
+        # the stacked sweep follows the moved center
+        assert np.array_equal(lstack.apply(y), family(model.lindblads, frs).apply(y))
+    # a model without L_j binds no family
+    assert ModelOperators(number(0)).compiled(bases[0])[1] is None
 
 
 def test_model_keeps_the_forms_of_its_last_shapes():
@@ -624,14 +631,15 @@ def test_stacked_sweep_rows_equal_each_lindblad(m):
     ls = [0.8 * destroy(0), (lambda t: 0.3 + 0.5j * t) * sigma_minus(1),
           number(0) + 0.2 * position(0)][:m]
     model = ModelOperators(number(0), ls)
-    _, lindblads, stacked = model.compiled([FreedomSpec(FIELD, 6, 4, 0.3 - 0.2j),
-                                            FreedomSpec(SPIN, 2)])
+    frs = [FreedomSpec(FIELD, 6, 4, 0.3 - 0.2j), FreedomSpec(SPIN, 2)]
+    _, stacked = model.compiled(frs)
+    assert stacked.gathered == (m == 3)
     y = rand_rows(np.random.default_rng(m), 5, 8)
     for t in (0.0, 0.7):
         got = stacked.apply(y, t)
         assert got.shape == (5, m, 8)
-        for j, l_op in enumerate(lindblads):
-            want = l_op.apply(y, t)
+        for j, l_expr in enumerate(ls):
+            want = compile_operator(l_expr, frs).apply(y, t)
             assert np.abs(got[:, j] - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -651,3 +659,22 @@ def test_shg_drift_makes_two_operator_sweeps(monkeypatch):
         sweeps.clear()
         _drift2d(y, freedoms, model, unr, 0.0)
         assert sweeps == [None, 3]
+
+
+def test_qsd_step_does_not_depend_on_the_order_of_the_lindblads():
+    # three channels on a displaced field: listing the L_j, and their noise
+    # columns, in another order gives the same step to round-off, since
+    # every L_j and <L_j> is read at one state
+    h = 0.5 * (sigma_plus(0) * destroy(1) + sigma_minus(0) * destroy(1).hc())
+    ls = [math.sqrt(0.5) * destroy(1), math.sqrt(0.2) * sigma_minus(0),
+          math.sqrt(0.2) * number(1)]
+    freedoms = [FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 8, 6, 0.6 - 0.3j)]
+    ys = rand_rows(np.random.default_rng(12), 4, 12)
+    dxi = NoiseSource(4, 0).wiener(4, 3, 0.01)
+    want, _ = make_stepper(ModelOperators(h, ls), Unraveling.QSD, 0.01).step(
+        ys.copy(), freedoms, 0.0, dxi)
+    for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
+        model = ModelOperators(h, [ls[j] for j in perm])
+        got, _ = make_stepper(model, Unraveling.QSD, 0.01).step(
+            ys.copy(), freedoms, 0.0, dxi[:, list(perm)].copy())
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -512,6 +512,23 @@ def test_driven_atom_matches_oracle(unr):
     assert rep.passed, rep.table
 
 
+def test_qsd_with_three_channels_matches_oracle():
+    # Jaynes-Cummings with field damping, atom decay and field dephasing:
+    # every L_j enters the noise of one QSD step, read at one state
+    h = 0.5 * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1))
+    model = ModelOperators(h, [math.sqrt(0.5) * destroy(1), math.sqrt(0.2) * sigma_minus(0),
+                               math.sqrt(0.2) * number(1)])
+    psi0 = product_state([basis_state(2, 1, SPIN), coherent_state(8, 0.8)])
+    ops = (number(1), sigma_plus(0) * sigma_minus(0), destroy(1))
+    cfg = RunConfig(dt=4e-3, numdts=25, numsteps=10, n_trajectories=2000, seed=5,
+                    unraveling=Unraveling.QSD)
+    res = run_ensemble(psi0, model, cfg, OutputSpec(ops), **quiet())
+    oracle = oracle_expectations(psi0, model, ops, res.times, dt_oracle=1e-3)
+    rep = compare_ensemble(res.times, res.mean_expectations, res.se_re, res.se_im,
+                           oracle, z=3.0)
+    assert rep.passed, rep.table
+
+
 def test_moving_basis_run_matches_fixed_basis():
     # driven leaky cavity; the moving frame needs only a handful of levels
     e_amp, gamma = 1.0, 1.0
