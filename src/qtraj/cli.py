@@ -1,7 +1,8 @@
 """Command line front end: run, ensemble, oracle-check, print-model.
 
 Exit codes: 0 success, 1 validation failure (non-Hermitian Hamiltonian,
-failed oracle comparison, a run aborting), 2 usage or parse errors.
+failed oracle comparison, a run aborting) or an output that cannot be
+written, 2 usage or parse errors and an unreadable model file.
 Each run key of the model file has one flag (--dt, --moving, --pipe, ...,
 made from RUN_KEYS) that overrides the run section; its value is read and
 checked by the same rules, so an invalid value is a usage error as it would
@@ -66,9 +67,16 @@ def _build_parser():
     return top
 
 
+class _UnreadableModel(Exception):
+    """The model file could not be read (the OSError's text)."""
+
+
 def _load(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.model, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise _UnreadableModel(e) from e
     return parse_model(text)
 
 
@@ -126,9 +134,12 @@ def main(argv=None) -> int:
                 "oracle-check": _cmd_oracle_check, "print-model": _cmd_print_model}
     try:
         return handlers[args.command](args)
-    except OSError as e:
+    except _UnreadableModel as e:
         print(f"qtraj: cannot read model file: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # the output directory or an output file
+        print(f"qtraj: cannot write output: {e}", file=sys.stderr)
+        return 1
     except ModelParseError as e:
         print(f"qtraj: {args.model}: {e}", file=sys.stderr)
         return 2

@@ -31,11 +31,23 @@ np.cumsum, one addition per trajectory in index order; cumsum is strictly
 sequential, so every chunking performs the same additions and all
 chunkings give bitwise identical results.  A failing step names its
 trajectory index, which is also its noise stream index.
+
+An ensemble is cut into W contiguous parts of its trajectory indices, W the
+smaller of the usable CPUs and the number of trajectories, and each part is
+chunked as the whole ensemble would be.  Part 0 runs in this process and
+the other parts in forked workers, which inherit the model instead of
+receiving it pickled (model-file time functions are closures).  Their
+samples come back and are folded in index order, so the worker count
+changes no bit.  A part that fails is run again in this process, so an
+ensemble fails with the error a run in one process raises, and the
+warnings recorded by the parts are issued here.  A single run never forks.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,6 +342,116 @@ def _fold(carry, rows):
 
 
 # ---------------------------------------------------------------------------
+# Parts of an ensemble and the forked workers that run them
+
+_job = None  # set in forked workers only: the (psi0, model, cfg, outspec) they serve
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _split(b, w):
+    """range(b) cut into w contiguous parts whose sizes differ by at most one."""
+    q, r = divmod(b, w)
+    cuts = [i * q + min(i, r) for i in range(w + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _chunks(rows, lockstep):
+    return [rows] if lockstep else [[i] for i in rows]
+
+
+def _run_part(job, rows, lockstep):
+    """(samples, warnings) of trajectories rows, chunked as lockstep says.
+
+    samples are _run's outputs for all rows at once, or None if a chunk
+    failed; warnings are the (message, category, filename, lineno) of every
+    warning raised, recorded instead of shown.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outs = [_run(*job, chunk) for chunk in _chunks(rows, lockstep)]
+        except Exception:  # the part is run again where the error can be raised
+            return None, ()
+    times = outs[0][0]
+    exps, vars_ = (np.concatenate([o[i] for o in outs], axis=-1) for i in (1, 2))
+    sizes = np.maximum.reduce([o[3] for o in outs])
+    subs = np.add.reduce([o[4] for o in outs])
+    jumps = np.concatenate([o[5] for o in outs])
+    return ((times, exps, vars_, sizes, subs, jumps),
+            [(w.message, w.category, w.filename, w.lineno) for w in caught])
+
+
+def _set_job(job):
+    global _job
+    _job = job
+
+
+def _worker_part(rows, lockstep):
+    return _run_part(_job, rows, lockstep)
+
+
+def _run_parts(job, parts, lockstep):
+    """_run_part's result for every part; (None, ()) for a part run by nobody.
+
+    Part 0 runs in this process and the others in forked workers, which
+    inherit job: model-file time functions are closures, which a spawned
+    worker could not receive pickled.  The pool forks every worker at its
+    first submit, before it starts its own thread.  multiprocessing is
+    imported only here: its import costs tens of milliseconds.
+    """
+    nobody = [(None, ())] * len(parts)
+    if len(parts) == 1:
+        return nobody
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return nobody
+    fork = multiprocessing.get_context("fork")
+    try:
+        pool = ProcessPoolExecutor(len(parts) - 1, mp_context=fork,
+                                   initializer=_set_job, initargs=(job,))
+    except OSError:
+        return nobody
+    with pool:
+        try:  # the first submit forks every worker
+            futures = [pool.submit(_worker_part, rows, lockstep) for rows in parts[1:]]
+        except OSError:
+            return nobody
+        results = [_run_part(job, parts[0], lockstep)]
+        for future in futures:
+            try:
+                results.append(future.result())
+            except Exception:  # a worker died or its result did not arrive
+                results.append((None, ()))
+    return results
+
+
+def _reissue(caught):
+    """Issue recorded warnings here, each at the module and line it names.
+
+    Each goes through that module's warning registry, so the filters treat
+    it as the original warning: under the default action a text already
+    shown from that line is not shown again.
+    """
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module.__name__, registry)
+
+
+# ---------------------------------------------------------------------------
 # Output assembly
 
 
@@ -401,17 +523,34 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     sums shifted by trajectory 0's sample with a sequential np.cumsum, in
     trajectory-index order.  Any chunking adds the same numbers in the same
     order, so all modes give bitwise identical results.
+
+    The trajectory indices are split into W contiguous parts, W the smaller
+    of the usable CPUs and n_trajectories, and each part is chunked as the
+    mode says.  With W > 1 forked workers run parts 1..W-1 while this
+    process runs part 0; the workers inherit the model instead of receiving
+    it pickled, and their samples are folded in index order, so every W
+    gives the same bits.  With W = 1, without the fork start method, or when
+    no worker process can start, every part runs here.  A part that fails
+    is run again here, which raises its error as a run in one process
+    would: in lockstep the whole ensemble is rerun as one chunk, since its
+    error is the first check that fails within a step over all rows; in
+    serial the failing part is rerun, and the earliest failing part raises,
+    so the error names the lowest failing trajectory.  The warnings of the
+    parts that succeed are recorded and issued here, once each, at the
+    place they were raised.
     """
     if mode not in ("auto", "lockstep", "serial"):
         raise ValueError("mode must be 'auto', 'lockstep' or 'serial'")
     lockstep_ok = cfg.integrator.kind == "rk4" and cfg.moving is None
     if mode == "lockstep" and not lockstep_ok:
         raise ValueError("lockstep mode needs fixed rk4 and no moving basis")
+    lockstep = lockstep_ok and mode != "serial"
     b = cfg.n_trajectories
-    if lockstep_ok and mode != "serial":
-        chunks = [list(range(b))]
-    else:
-        chunks = [[i] for i in range(b)]
+    job = (psi0, model, cfg, outspec)
+    parts = _split(b, min(_usable_cpus(), b))
+    results = _run_parts(job, parts, lockstep)
+    if lockstep and any(samples is None for samples, _ in results):
+        parts, results = [range(b)], [(None, ())]
 
     nk = cfg.numsteps
     n_ops = len(outspec.operators)
@@ -420,13 +559,18 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     sizes = np.zeros(nk + 1, dtype=np.int64)
     subs = np.zeros(nk + 1, dtype=np.int64)
     jumps = np.zeros(b, dtype=np.int64)
-    for chunk in chunks:
-        times, exps, vars_, szs, sb, jm = _run(psi0, model, cfg, outspec, chunk)
-        wexp.update(exps)
-        wvar.update(vars_)
-        np.maximum(sizes, szs, out=sizes)
-        subs += sb
-        jumps[chunk] = jm
+    for rows, (samples, caught) in zip(parts, results):
+        if samples is None:  # run here: no worker ran the part, or it failed
+            outs = ((chunk, _run(*job, chunk)) for chunk in _chunks(rows, lockstep))
+        else:
+            _reissue(caught)
+            outs = [(rows, samples)]
+        for chunk, (times, exps, vars_, szs, sb, jm) in outs:
+            wexp.update(exps)
+            wvar.update(vars_)
+            np.maximum(sizes, szs, out=sizes)
+            subs += sb
+            jumps[chunk] = jm
 
     se = wexp.se()
     lines = _stdout_lines(times, wexp.mean, wvar.mean, sizes, subs, outspec.pipe)

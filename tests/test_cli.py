@@ -129,6 +129,52 @@ def test_missing_model_file_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_out_dir_that_is_a_file_cannot_be_written(atom_model, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(["run", "--model", atom_model, "--out-dir", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("qtraj: cannot write output: [Errno 17] File exists")
+
+
+def test_output_file_that_is_a_directory_cannot_be_written(atom_model, tmp_path, capsys):
+    (tmp_path / "up.out").mkdir()
+    rc = main(["ensemble", "--model", atom_model, "--out-dir", str(tmp_path),
+               "--trajectories", "4"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("qtraj: cannot write output: [Errno 21] Is a directory")
+    assert "up.out" in err
+
+
+TWO_WORKER_SCRIPT = """
+import sys
+from qtraj import cli, trajectory
+trajectory._usable_cpus = lambda: 2
+print("before the run")  # still in stdout's buffer when the workers fork
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_two_worker_ensemble_writes_each_line_and_warning_once(atom_model, tmp_path):
+    # stdout is a pipe, so it is block-buffered: a worker forked with the
+    # first line still buffered would write it a second time on exit
+    numsteps = 5
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_WORKER_SCRIPT, "ensemble", "--model", atom_model,
+         "--out-dir", str(tmp_path), "--dt", "0.6", "--numdts", "1",
+         "--numsteps", str(numsteps), "--trajectories", "50"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before the run"
+    assert len(lines[1:]) == numsteps + 1
+    # p = 2 kappa dt = 0.12 at t = 0 in both parts; the default filter shows one text once
+    assert proc.stderr.count("total jump probability 0.12 exceeds 0.1") == 1, proc.stderr
+    assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qt"
     bad.write_text("freedoms:\n  s spin\nwibble:\n")

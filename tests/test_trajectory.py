@@ -245,24 +245,41 @@ def test_ensemble_of_one_equals_single():
     assert np.all(one.se_re == 0.0) and np.all(one.se_im == 0.0)
 
 
+def runs_by_workers(monkeypatch, psi, model, cfg, spec, modes=("lockstep", "serial")):
+    """{(mode, workers): result} of each mode with 1 and with 2 usable CPUs."""
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(trajectory, "_usable_cpus", lambda: workers)
+        for mode in modes:
+            runs[mode, workers] = run_ensemble(psi, model, cfg, spec, mode=mode, **quiet())
+    return runs
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.mean_expectations, b.mean_expectations)
+    assert np.array_equal(a.mean_variances, b.mean_variances)
+    assert np.array_equal(a.se_re, b.se_re)
+    assert np.array_equal(a.se_im, b.se_im)
+    assert np.array_equal(a.basis_sizes, b.basis_sizes)
+    assert np.array_equal(a.substeps, b.substeps)
+    assert np.array_equal(a.jumps_per_trajectory, b.jumps_per_trajectory)
+    assert a.stdout_lines == b.stdout_lines
+
+
 @pytest.mark.parametrize("unr", list(Unraveling))
-def test_lockstep_equals_serial_exactly(unr):
+def test_lockstep_equals_serial_exactly(unr, monkeypatch):
+    # with one and with two workers, each running a part of the ensemble
     model, psi = damped_cavity(dim=5, gamma=0.4)
     spec = OutputSpec(operators=(number(0), destroy(0)))
     cfg = RunConfig(dt=0.02, numdts=5, numsteps=4, seed=11, n_trajectories=6,
                     unraveling=unr)
-    lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
-    ser = run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
-    assert np.array_equal(lock.mean_expectations, ser.mean_expectations)
-    assert np.array_equal(lock.mean_variances, ser.mean_variances)
-    assert np.array_equal(lock.se_re, ser.se_re)
-    assert np.array_equal(lock.se_im, ser.se_im)
-    assert np.array_equal(lock.jumps_per_trajectory, ser.jumps_per_trajectory)
-    assert lock.stdout_lines == ser.stdout_lines
+    runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
+    for res in runs.values():
+        assert_same_bits(runs["lockstep", 1], res)
 
 
 @pytest.mark.parametrize("unr", list(Unraveling))
-def test_lockstep_equals_serial_jaynes_cummings(unr):
+def test_lockstep_equals_serial_jaynes_cummings(unr, monkeypatch):
     # two freedoms with a Hamiltonian: the construction of acceptance 2, N=16
     g, gam = 0.5, 0.25
     h = g * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1))
@@ -271,20 +288,15 @@ def test_lockstep_equals_serial_jaynes_cummings(unr):
     spec = OutputSpec(operators=(number(1), sigma_plus(0) * sigma_minus(0)))
     cfg = RunConfig(dt=0.01, numdts=30, numsteps=10, seed=23, n_trajectories=16,
                     unraveling=unr)
-    lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
-    ser = run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
-    assert np.array_equal(lock.mean_expectations, ser.mean_expectations)
-    assert np.array_equal(lock.mean_variances, ser.mean_variances)
-    assert np.array_equal(lock.se_re, ser.se_re)
-    assert np.array_equal(lock.se_im, ser.se_im)
-    assert np.array_equal(lock.jumps_per_trajectory, ser.jumps_per_trajectory)
-    assert lock.stdout_lines == ser.stdout_lines
+    runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
+    for res in runs.values():
+        assert_same_bits(runs["lockstep", 1], res)
     if unr is not Unraveling.QSD:
-        assert lock.jumps_per_trajectory.sum() > 0
+        assert runs["lockstep", 1].jumps_per_trajectory.sum() > 0
 
 
 @pytest.mark.parametrize("unr", [Unraveling.JUMP, Unraveling.ORTHO_JUMP], ids=lambda u: u.value)
-def test_lockstep_equals_serial_with_two_jump_channels(unr):
+def test_lockstep_equals_serial_with_two_jump_channels(unr, monkeypatch):
     # decay and dephasing of a driven atom: in one step some rows fire one
     # channel and some the other, and <L> is nonzero in both
     model = ModelOperators(0.7 * (sigma_plus(0) + sigma_minus(0)),
@@ -293,17 +305,44 @@ def test_lockstep_equals_serial_with_two_jump_channels(unr):
     spec = OutputSpec(operators=(sigma_plus(0) * sigma_minus(0), sigma_minus(0)))
     cfg = RunConfig(dt=0.01, numdts=20, numsteps=5, seed=3, n_trajectories=40,
                     unraveling=unr)
-    lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
-    ser = run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
-    assert np.array_equal(lock.mean_expectations, ser.mean_expectations)
-    assert np.array_equal(lock.mean_variances, ser.mean_variances)
-    assert np.array_equal(lock.se_re, ser.se_re)
-    assert np.array_equal(lock.jumps_per_trajectory, ser.jumps_per_trajectory)
-    assert lock.stdout_lines == ser.stdout_lines
-    assert lock.jumps_per_trajectory.sum() > 40
+    runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
+    for res in runs.values():
+        assert_same_bits(runs["lockstep", 1], res)
+    assert runs["lockstep", 1].jumps_per_trajectory.sum() > 40
 
 
-def test_failures_name_the_trajectory():
+def test_serial_adaptive_ensemble_is_independent_of_the_worker_count(monkeypatch):
+    model, psi = damped_cavity(dim=5, gamma=0.4)
+    spec = OutputSpec(operators=(number(0), destroy(0)))
+    for unr in Unraveling:
+        cfg = RunConfig(dt=0.1, numdts=4, numsteps=3, seed=19, n_trajectories=5,
+                        unraveling=unr, integrator=IntegratorConfig("adaptive", 1e-9))
+        runs = runs_by_workers(monkeypatch, psi, model, cfg, spec, modes=("auto",))
+        assert_same_bits(runs["auto", 1], runs["auto", 2])
+        assert runs["auto", 1].substeps[1:].min() > cfg.numdts * cfg.n_trajectories
+
+
+def test_parts_run_here_when_no_worker_can_start(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        starts.append(args)
+        raise OSError("no worker for this test")
+
+    model, psi = damped_cavity(dim=5, gamma=0.4)
+    spec = OutputSpec(operators=(number(0), destroy(0)))
+    cfg = RunConfig(dt=0.02, numdts=5, numsteps=4, seed=5, n_trajectories=7,
+                    unraveling=Unraveling.JUMP)
+    want = runs_by_workers(monkeypatch, psi, model, cfg, spec)
+    starts = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for mode in ("lockstep", "serial"):
+        assert_same_bits(want[mode, 1], run_ensemble(psi, model, cfg, spec, mode=mode,
+                                                     **quiet()))
+    assert len(starts) == 2
+
+
+def test_failures_name_the_trajectory(monkeypatch):
     # level 1 decays to level 0 with p = 0.05 per step; level 0 is pumped to
     # level 2 with p = 0.6, so the step after a trajectory's first jump fails
     dt = 0.1
@@ -311,31 +350,36 @@ def test_failures_name_the_trajectory():
                                   math.sqrt(6.0) * transition(0, 2, 0)])
     psi = basis_state(3, 1, ATOM)
     spec = OutputSpec(operators=(transition(0, 0, 1),))
-    cfg = RunConfig(dt=dt, numdts=1, numsteps=20, seed=4, n_trajectories=8,
-                    unraveling=Unraveling.JUMP)
+    # with seed 5 and two parts (0-3, 4-7) the first failure in time is
+    # trajectory 5's, in the second part, while trajectory 0 fails later
+    for seed in (4, 5):
+        cfg = RunConfig(dt=dt, numdts=1, numsteps=20, seed=seed, n_trajectories=8,
+                        unraveling=Unraveling.JUMP)
 
-    fail_at = {}  # trajectory -> time its own run fails, replayed alone
-    for i in range(cfg.n_trajectories):
-        try:
-            _run(psi, model, cfg, spec, [i])
-        except RuntimeError as err:
-            m = re.match(rf"trajectory {i} failed at t=(\S+): total jump probability",
-                         str(err))
-            assert m, str(err)
-            fail_at[i] = float(m[1])
-    assert 0 < len(fail_at) < cfg.n_trajectories
+        fail_at = {}  # trajectory -> time its own run fails, replayed alone
+        for i in range(cfg.n_trajectories):
+            try:
+                _run(psi, model, cfg, spec, [i])
+            except RuntimeError as err:
+                m = re.match(rf"trajectory {i} failed at t=(\S+): total jump probability",
+                             str(err))
+                assert m, str(err)
+                fail_at[i] = float(m[1])
+        assert 0 < len(fail_at) < cfg.n_trajectories
 
-    with pytest.raises(RuntimeError) as lock_err:
-        run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
-    first = min(fail_at, key=lambda i: (fail_at[i], i))
-    assert str(lock_err.value).startswith(
-        f"trajectory {first} failed at t={fail_at[first]:.6g}: ")
+        first = min(fail_at, key=lambda i: (fail_at[i], i))
+        lowest = min(fail_at)
+        for workers in (1, 2):
+            monkeypatch.setattr(trajectory, "_usable_cpus", lambda: workers)
+            with pytest.raises(RuntimeError) as lock_err:
+                run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
+            assert str(lock_err.value).startswith(
+                f"trajectory {first} failed at t={fail_at[first]:.6g}: ")
 
-    with pytest.raises(RuntimeError) as serial_err:
-        run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
-    lowest = min(fail_at)
-    assert str(serial_err.value).startswith(
-        f"trajectory {lowest} failed at t={fail_at[lowest]:.6g}: ")
+            with pytest.raises(RuntimeError) as serial_err:
+                run_ensemble(psi, model, cfg, spec, mode="serial", **quiet())
+            assert str(serial_err.value).startswith(
+                f"trajectory {lowest} failed at t={fail_at[lowest]:.6g}: ")
 
 
 def test_auto_mode_picks_lockstep_result():
