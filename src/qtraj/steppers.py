@@ -6,7 +6,10 @@ Cash-Karp RK4(5); the stochastic part is added to first order: quantum
 state diffusion adds the Ito increment sum_j (L_j - <L_j>) y dxi_j of
 complex Wiener increments, every L_j read at one state, and the jump
 flavors decide at most one jump per coarse step from probabilities
-evaluated at the step start.  Every step ends renormalized.
+evaluated at the step start.  Every step ends renormalized, so the jump
+flavors integrate their drift without its norm-restoring term: `jump`
+advances by the linear no-jump evolution y' = h_eff y, which needs no L_j
+inside the integrator's stages.
 
 All stepping code operates on (B, N) used blocks -- the amplitudes inside
 every freedom's used dimension, flattened -- so a whole ensemble advances in
@@ -14,8 +17,8 @@ lockstep through exactly the arithmetic a single trajectory (B = 1) would
 perform, and a trajectory on a truncated basis does no work on the slots it
 does not use.  A model compiles the effective generator
 -iH - 1/2 sum_j L_j+ L_j and, as one family, the L_j, whose single sweep
-feeds the drift, the jump probabilities and the QSD noise, with each <L_j>
-and <L_j+ L_j> from block reductions over it.
+feeds the qsd and orthojump drifts, the jump probabilities and the QSD
+noise, with each <L_j> and <L_j+ L_j> from block reductions over it.
 """
 
 from __future__ import annotations
@@ -277,40 +280,54 @@ class StepStats:
 
 
 def _drift2d(y, freedoms, model, unraveling, t):
-    """Deterministic derivative of the unraveling on a (B, N) used block.
+    """What the integrators step for the unraveling, on a (B, N) used block.
+
+    For qsd this is the full drift.  The jump flavors leave out the
+    norm-restoring term 1/2 sum_j <L_j+ L_j> y: it only rescales the
+    solution by a real factor, and every jump step renormalizes at its
+    end, so the step changes only by the integrator's truncation.  The
+    jump drift is then h_eff y, the linear no-jump evolution, and the
+    orthojump drift keeps only the terms in <L_j>.  Both shrink the squared
+    norm at rate sum_j <L_j+ L_j>; for jump it ends the advance as the
+    no-jump probability, to the integrator's order.
 
     Expectations are evaluated once per call on the input and divided by the
-    squared norm, so slightly unnormalized intermediate states (as produced
-    inside RK stages) still see the correct nonlinear coefficients.
+    squared norm, so unnormalized intermediate states (as produced inside
+    RK stages) still see the correct nonlinear coefficients.
     """
     h_eff, lstack = model.compiled(freedoms)
     out = np.zeros_like(y) if h_eff is None else h_eff.apply(y, t)
-    if lstack is None:
+    if lstack is None or unraveling is Unraveling.JUMP:
         return out
     n2 = row_norm2(y)
     n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
     ly = lstack.apply(y, t)  # (B, m, N): L_j y in row j of each stack
+    lexp = row_dot(y, ly) / n2  # <L>
     # coef: per-row, per-channel multiple of y, summed over channels at the end
-    if unraveling is Unraveling.JUMP:
-        coef = 0.5 * (row_norm2(ly) / n2)  # 1/2 <L+L>
-    else:
-        lexp = row_dot(y, ly) / n2  # <L>
-        if unraveling is Unraveling.QSD:
-            coef = -0.5 * np.abs(lexp) ** 2
-        else:  # orthogonal jumps
-            coef = 0.5 * (row_norm2(ly) / n2) - np.abs(lexp) ** 2
-        # conj(<L>) stays the first factor: a complex product's bits can depend on the order
-        out += np.multiply(np.conj(lexp)[:, :, None], ly, out=ly).sum(axis=1)
+    coef = (-0.5 if unraveling is Unraveling.QSD else -1.0) * np.abs(lexp) ** 2
+    # conj(<L>) stays the first factor: a complex product's bits can depend on the order
+    out += np.multiply(np.conj(lexp)[:, :, None], ly, out=ly).sum(axis=1)
     out += coef.sum(axis=1)[:, None] * y
     return out
 
 
 def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
           t: float = 0.0) -> StateVector:
-    """Deterministic part of d|psi>/dt for the given unraveling."""
+    """Deterministic part of d|psi>/dt for the given unraveling.
+
+    This is the full drift of the unraveling's normalized stochastic
+    equation: for the jump flavors it adds back the term
+    1/2 sum_j <L_j+ L_j> psi that their steppers leave out.
+    """
     y = used_block(psi.as2d(), psi.freedoms)
+    d = _drift2d(y, psi.freedoms, model, unraveling, t)
+    _, lstack = model.compiled(psi.freedoms)
+    if unraveling is not Unraveling.QSD and lstack is not None:
+        n2 = row_norm2(y)
+        n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
+        d += (0.5 * (row_norm2(lstack.apply(y, t)) / n2)).sum(axis=1)[:, None] * y
     out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
-    set_used_block(out.as2d(), out.freedoms, _drift2d(y, psi.freedoms, model, unraveling, t))
+    set_used_block(out.as2d(), out.freedoms, d)
     return out
 
 
@@ -443,10 +460,11 @@ def _check_stable(n2, dt):
     """Fail the rows whose squared norm the deterministic advance blew up.
 
     The exact deterministic flow never increases the norm -- for qsd
-    d|y|^2/dt = -(<L+L> - |<L>|^2) |y|^2 <= 0, for the jump flavors it is 0
-    -- and every step starts normalized, so a squared norm past NORM2_MAX
-    can only come from an integrator outside its stability region, which
-    the renormalization that ends the step would otherwise hide.
+    d|y|^2/dt = -(<L+L> - |<L>|^2) |y|^2, for the jump flavors
+    -<L+L> |y|^2, both <= 0 -- and every step starts normalized, so a
+    squared norm past NORM2_MAX can only come from an integrator outside
+    its stability region, which the renormalization that ends the step
+    would otherwise hide.
     """
     grown = ~(n2 <= NORM2_MAX)  # a NaN norm fails too
     if grown.any():

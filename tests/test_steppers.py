@@ -13,6 +13,7 @@ import pytest
 from qtraj import (
     FIELD,
     SPIN,
+    IntegratorConfig,
     ModelOperators,
     NoiseSource,
     StateVector,
@@ -35,7 +36,8 @@ from qtraj import (
 )
 from qtraj.modelfile import build_model, parse_model
 from qtraj.operators import CenteredForm, DiagonalOperator, compile_operator
-from qtraj.hilbert import row_norm
+from qtraj import steppers
+from qtraj.hilbert import row_norm, row_norm2
 from qtraj.steppers import StepError, _drift2d
 
 
@@ -644,7 +646,8 @@ def test_stacked_sweep_rows_equal_each_lindblad(m):
 
 
 def test_shg_drift_makes_two_operator_sweeps(monkeypatch):
-    # h_eff once and every L_j in one stacked sweep, not once per L_j
+    # h_eff once and every L_j in one stacked sweep, not once per L_j; the
+    # jump drift is the linear no-jump evolution h_eff y and reads no L_j
     model, freedoms = shg_displaced()
     y = rand_rows(np.random.default_rng(6), 3, 18)
     sweeps = []
@@ -658,7 +661,7 @@ def test_shg_drift_makes_two_operator_sweeps(monkeypatch):
     for unr in Unraveling:
         sweeps.clear()
         _drift2d(y, freedoms, model, unr, 0.0)
-        assert sweeps == [None, 3]
+        assert sweeps == ([None] if unr is Unraveling.JUMP else [None, 3])
 
 
 def test_qsd_step_does_not_depend_on_the_order_of_the_lindblads():
@@ -678,3 +681,110 @@ def test_qsd_step_does_not_depend_on_the_order_of_the_lindblads():
         got, _ = make_stepper(model, Unraveling.QSD, 0.01).step(
             ys.copy(), freedoms, 0.0, dxi[:, list(perm)].copy())
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# --- the jump flavors' advance -------------------------------------------------
+
+
+JUMP_FLAVORS = [Unraveling.JUMP, Unraveling.ORTHO_JUMP]
+
+
+def driven_cavity(rate=lambda t: 0.5 + 2.0 * t):
+    """A time-dependent H, a displaced field and three channels; rate scales the coupling."""
+    h = rate * (sigma_plus(0) * destroy(1) + sigma_minus(0) * destroy(1).hc()) + 0.3 * number(1)
+    ls = [math.sqrt(0.5) * destroy(1), math.sqrt(0.2) * sigma_minus(0),
+          math.sqrt(0.2) * number(1)]
+    return ModelOperators(h, ls), [FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 6, 6, 0.6 - 0.3j)]
+
+
+@pytest.mark.parametrize("kind", ["rk4", "adaptive"])
+@pytest.mark.parametrize("unr", JUMP_FLAVORS, ids=lambda u: u.value)
+def test_jump_step_equals_the_step_of_the_full_drift(unr, kind):
+    # the steppers leave out 1/2 sum_j <L_j+ L_j> y, which only rescales y:
+    # renormalized, their step is the full drift's step up to truncation
+    model, freedoms = driven_cavity()
+    ys = rand_rows(np.random.default_rng(21), 3, 12)
+    t, dt = 0.3, 1e-3
+    stepper = make_stepper(model, unr, dt, IntegratorConfig(kind))
+    got, stats = stepper.step(ys.copy(), freedoms, t, np.full(3, 0.999))
+    assert stats.jumps == 0
+
+    def full(v, s):
+        return np.stack([drift(StateVector(freedoms, row), model, unr, s).amps for row in v])
+
+    if kind == "rk4":
+        want, nsub = rk4_step(full, ys, t, dt), 1
+    else:
+        want, nsub, _ = rkck_adaptive(full, ys, t, dt, stepper.integrator.eps)
+    want /= row_norm(want)[:, None]
+    assert stats.substeps == nsub
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["rk4", "adaptive"])
+@pytest.mark.parametrize("unr", JUMP_FLAVORS, ids=lambda u: u.value)
+def test_jump_advance_never_grows_the_norm(unr, kind):
+    # the advance decays the squared norm at rate sum_j <L_j+ L_j>, so the
+    # check on unstable steps still sees every growth
+    model, freedoms = driven_cavity()
+    _, lstack = model.compiled(freedoms)
+    for dt in (1e-3, 1e-2):
+        stepper = make_stepper(model, unr, dt, IntegratorConfig(kind))
+        for seed in range(4):
+            ys = rand_rows(np.random.default_rng(seed), 8, 12)
+            out, _ = stepper._advance_det(ys, freedoms, 0.3)
+            assert (row_norm2(out) < row_norm2(ys)).all()
+            rate = row_norm2(lstack.apply(ys, 0.3)).sum(axis=1)
+            loss = (row_norm2(ys) - row_norm2(out)) / dt
+            assert np.abs(loss / rate - 1.0).max() < 20 * dt
+
+
+def test_jump_advance_norm_is_the_no_jump_probability():
+    # the jump advance is y' = h_eff y, so its squared norm is the
+    # probability of no jump, |exp(h_eff dt) y|^2, up to RK4's truncation,
+    # which is below 2 sum_{k>=5} x^k / k! < x^5 / 60 at x = dt |h_eff| < 1
+    from scipy.linalg import expm
+
+    model, freedoms = driven_cavity(rate=1.5)
+    heff = to_dense(model.h_eff, (2, 6), centers=[0j, freedoms[1].center])
+    ys = rand_rows(np.random.default_rng(5), 6, 12)
+    for dt in (1e-3, 1e-2):
+        out, _ = make_stepper(model, Unraveling.JUMP, dt)._advance_det(ys, freedoms, 0.0)
+        want = row_norm2(ys @ expm(dt * heff).T)
+        assert want.max() < 1.0 - 0.01 * dt
+        bound = (dt * np.linalg.norm(heff, 2)) ** 5 / 60 + 1e-15
+        assert np.abs(row_norm2(out) - want).max() <= bound
+
+
+@pytest.mark.parametrize("kind", ["rk4", "adaptive"])
+def test_jump_drift_makes_one_sweep_and_no_row_reduction(monkeypatch, kind):
+    model, freedoms = driven_cavity()
+    calls = []
+    apply_ = DiagonalOperator.apply
+
+    def counted(self, y, t=0.0):
+        calls.append(self.channels)
+        return apply_(self, y, t)
+
+    monkeypatch.setattr(DiagonalOperator, "apply", counted)
+    def counted_reduction(name):
+        reduce_ = getattr(steppers, name)
+
+        def counted(*args):
+            calls.append(name)
+            return reduce_(*args)
+
+        return counted
+
+    for name in ("row_norm2", "row_dot"):
+        monkeypatch.setattr(steppers, name, counted_reduction(name))
+    ys = rand_rows(np.random.default_rng(2), 4, 12)
+    _drift2d(ys, freedoms, model, Unraveling.JUMP, 0.3)
+    assert calls == [None]  # h_eff alone
+    calls.clear()
+    _drift2d(ys, freedoms, model, Unraveling.ORTHO_JUMP, 0.3)
+    assert calls == [None, "row_norm2", 3, "row_dot"]  # no reduction over the stack's norms
+    calls.clear()
+    stepper = make_stepper(model, Unraveling.JUMP, 1e-3, IntegratorConfig(kind))
+    _, nsub = stepper._advance_det(ys, freedoms, 0.3)
+    assert calls == [None] * (4 if kind == "rk4" else 6 * nsub)
