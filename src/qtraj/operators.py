@@ -481,8 +481,16 @@ def _shape_of(freedoms) -> tuple:
     return tuple([(f.ptype, f.dim_used) for f in freedoms])
 
 
-def _time_factor(fns, t: float) -> complex:
-    """Product of a group's time functions at t; OverflowError unless finite."""
+def _time_factor(fns, t):
+    """Product of a group's time functions at t; OverflowError unless finite.
+
+    t is a scalar time, or a (B,) array of per-row times: the product is
+    then a (B, 1) column, computed once per distinct time.
+    """
+    if isinstance(t, np.ndarray):
+        times = t.tolist()
+        z = {s: _time_factor(fns, s) for s in dict.fromkeys(times)}
+        return np.array([z[s] for s in times])[:, None]
     try:
         z = math.prod(complex(fn(t)) for fn in fns)
         if cmath.isfinite(z):
@@ -506,7 +514,8 @@ class DiagonalOperator:
 
     `groups` holds (time functions, bands) pairs; a group's sweep is scaled by
     the product of its functions at the time of application, and a product
-    that is not finite raises OverflowError.  Each band is (out index, in
+    that is not finite raises OverflowError.  Rows applied at times of their
+    own are scaled by a (B, 1) column of products.  Each band is (out index, in
     index, d) and adds d * y[in index] to out[out index], with the indices
     selecting columns lo:hi and lo+offset:hi+offset of a block.  d is a
     (1, hi - lo) row: numpy multiplies complex arrays of one shape through
@@ -550,10 +559,11 @@ class DiagonalOperator:
                          and bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
         self._gather = self._gather_stacks() if self.gathered else None
 
-    def apply(self, y: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """The operator applied to every row of a (B, size) block.
+    def apply(self, y: np.ndarray, t=0.0) -> np.ndarray:
+        """The operator applied to every row of a (B, size) block at time t.
 
-        The result is (B, size), or (B, channels, size) for a stacked operator.
+        t is a scalar, or a (B,) array giving each row its own time.  The
+        result is (B, size), or (B, channels, size) for a stacked operator.
         """
         if y.ndim != 2 or y.shape[1] != self.size:
             raise ValueError(f"expected a (B, {self.size}) used block, got shape {y.shape}")
@@ -574,7 +584,11 @@ class DiagonalOperator:
 
     def _apply_gathered(self, y, t):
         ix, diags, segments, timed = self._gather
-        if timed:
+        if timed and isinstance(t, np.ndarray):  # per-row times: one (bands, size) stack per row
+            diags = np.repeat(diags[None], y.shape[0], axis=0)
+            for lo, hi, fns in timed:
+                diags[:, lo:hi] *= _time_factor(fns, t)[:, :, None]
+        elif timed:
             diags = diags.copy()
             for lo, hi, fns in timed:
                 diags[lo:hi] *= _time_factor(fns, t)
@@ -582,7 +596,7 @@ class DiagonalOperator:
         rows = max(1, GATHER_BLOCK // ix.size)
         for r in range(0, y.shape[0], rows):
             block = y[r:r + rows, ix]
-            block *= diags
+            block *= diags if diags.ndim == 2 else diags[r:r + rows]
             for j, (lo, hi) in enumerate(segments):
                 np.add.reduce(block[:, lo:hi], axis=1, out=out[r:r + rows, j])
         return out.reshape(y.shape) if self.channels is None else out

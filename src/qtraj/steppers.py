@@ -2,14 +2,17 @@
 
 The deterministic (drift) part of each unraveling is integrated over a
 coarse step dt with either fixed classical RK4 or an adaptive embedded
-Cash-Karp RK4(5); the stochastic part is added to first order: quantum
-state diffusion adds the Ito increment sum_j (L_j - <L_j>) y dxi_j of
-complex Wiener increments, every L_j read at one state, and the jump
-flavors decide at most one jump per coarse step from probabilities
-evaluated at the step start.  Every step ends renormalized, so the jump
-flavors integrate their drift without its norm-restoring term: `jump`
-advances by the linear no-jump evolution y' = h_eff y, which needs no L_j
-inside the integrator's stages.
+Cash-Karp RK4(5).  Quantum state diffusion adds the Ito increment
+sum_j (L_j - <L_j>) y dxi_j of complex Wiener increments to first order,
+every L_j read at one state.  The jump flavors follow the waiting-time
+algorithm of Dalibard, Castin & Molmer (PRL 68, 580 (1992)): they
+integrate their drift without its norm-restoring term, so the squared norm
+of the advance is the probability of no jump, and a row jumps where that
+survival falls to a threshold drawn from its own stream.  The crossing is
+located inside the coarse step and the row continues from there on its own
+clock, so a step can hold several jumps.  `jump` advances by the linear
+no-jump evolution y' = h_eff y, which needs no L_j inside the integrator's
+stages.
 
 All stepping code operates on (B, N) used blocks -- the amplitudes inside
 every freedom's used dimension, flattened -- so a whole ensemble advances in
@@ -17,7 +20,7 @@ lockstep through exactly the arithmetic a single trajectory (B = 1) would
 perform, and a trajectory on a truncated basis does no work on the slots it
 does not use.  A model compiles the effective generator
 -iH - 1/2 sum_j L_j+ L_j and, as one family, the L_j, whose single sweep
-feeds the qsd and orthojump drifts, the jump probabilities and the QSD
+feeds the qsd and orthojump drifts, the jump rates and the QSD
 noise, with each <L_j> and <L_j+ L_j> from block reductions over it.
 """
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,8 +60,6 @@ __all__ = [
 
 NORM_COLLAPSE = 1e-12
 NORM2_MAX = 2.0
-P_WARN = 0.1
-P_ERROR = 0.5
 P_NEGATIVE = -1e-12
 
 
@@ -248,11 +248,9 @@ class NoiseSource:
         g *= np.sqrt(0.5 * dt)
         return out
 
-    def uniforms(self, nsteps: int, out: np.ndarray = None) -> np.ndarray:
-        """nsteps uniforms on [0, 1); out, if given, is a float64 (nsteps,) array."""
-        if out is None:
-            return self._rng.random(nsteps)
-        return self._rng.random(out=out)
+    def uniforms(self, nsteps: int) -> np.ndarray:
+        """nsteps uniforms on [0, 1)."""
+        return self._rng.random(nsteps)
 
 
 class StepError(RuntimeError):
@@ -265,7 +263,11 @@ class StepError(RuntimeError):
 
 @dataclass
 class StepStats:
-    """What one coarse step did: accepted substeps and the rows that jumped."""
+    """What one coarse step did: accepted substeps and the rows that jumped.
+
+    substeps counts the coarse advance every row takes, not the advances of
+    rows that jump inside the step; jump_rows lists a row once per jump.
+    """
 
     substeps: int = 0
     jump_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
@@ -283,13 +285,13 @@ def _drift2d(y, freedoms, model, unraveling, t):
     """What the integrators step for the unraveling, on a (B, N) used block.
 
     For qsd this is the full drift.  The jump flavors leave out the
-    norm-restoring term 1/2 sum_j <L_j+ L_j> y: it only rescales the
-    solution by a real factor, and every jump step renormalizes at its
-    end, so the step changes only by the integrator's truncation.  The
-    jump drift is then h_eff y, the linear no-jump evolution, and the
-    orthojump drift keeps only the terms in <L_j>.  Both shrink the squared
-    norm at rate sum_j <L_j+ L_j>; for jump it ends the advance as the
-    no-jump probability, to the integrator's order.
+    norm-restoring term 1/2 sum_j r_j y, r_j the rate of channel j: it only
+    rescales the solution by a real factor, and the jump stepper
+    renormalizes, so the normalized state changes only by the integrator's
+    truncation.  The jump drift is then h_eff y, the linear no-jump
+    evolution, and the orthojump drift is the qsd drift, which has the same
+    terms in <L_j>.  Both shrink the squared norm at rate sum_j r_j, so it
+    is the no-jump probability, to the integrator's order.
 
     Expectations are evaluated once per call on the input and divided by the
     squared norm, so unnormalized intermediate states (as produced inside
@@ -304,7 +306,7 @@ def _drift2d(y, freedoms, model, unraveling, t):
     ly = lstack.apply(y, t)  # (B, m, N): L_j y in row j of each stack
     lexp = row_dot(y, ly) / n2  # <L>
     # coef: per-row, per-channel multiple of y, summed over channels at the end
-    coef = (-0.5 if unraveling is Unraveling.QSD else -1.0) * np.abs(lexp) ** 2
+    coef = -0.5 * np.abs(lexp) ** 2
     # conj(<L>) stays the first factor: a complex product's bits can depend on the order
     out += np.multiply(np.conj(lexp)[:, :, None], ly, out=ly).sum(axis=1)
     out += coef.sum(axis=1)[:, None] * y
@@ -316,16 +318,15 @@ def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
     """Deterministic part of d|psi>/dt for the given unraveling.
 
     This is the full drift of the unraveling's normalized stochastic
-    equation: for the jump flavors it adds back the term
-    1/2 sum_j <L_j+ L_j> psi that their steppers leave out.
+    equation: for the jump flavors it adds back the term 1/2 sum_j r_j psi,
+    r_j the rate of channel j, that their steppers leave out.
     """
     y = used_block(psi.as2d(), psi.freedoms)
     d = _drift2d(y, psi.freedoms, model, unraveling, t)
     _, lstack = model.compiled(psi.freedoms)
     if unraveling is not Unraveling.QSD and lstack is not None:
-        n2 = row_norm2(y)
-        n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
-        d += (0.5 * (row_norm2(lstack.apply(y, t)) / n2)).sum(axis=1)[:, None] * y
+        rates, _ = _rates(y, lstack.apply(y, t), unraveling is Unraveling.ORTHO_JUMP)
+        d += (0.5 * rates).sum(axis=1)[:, None] * y
     out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
     set_used_block(out.as2d(), out.freedoms, d)
     return out
@@ -337,13 +338,14 @@ def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
 
 
 def rk4_step(f, y, t, dt):
-    """One classical fixed RK4 step."""
-    half = 0.5 * dt
+    """One classical fixed RK4 step; t and dt are scalars or (B,) per-row arrays."""
+    h = dt[:, None] if isinstance(dt, np.ndarray) else dt
+    half = 0.5 * h
     k1 = f(y, t)
-    k2 = f(y + half * k1, t + half)
-    k3 = f(y + half * k2, t + half)
-    k4 = f(y + dt * k3, t + dt)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 = f(y + half * k1, t + 0.5 * dt)
+    k3 = f(y + half * k2, t + 0.5 * dt)
+    k4 = f(y + h * k3, t + dt)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 # Cash-Karp embedded RK4(5) tableau
@@ -459,9 +461,9 @@ def _normalize_rows(y):
 def _check_stable(n2, dt):
     """Fail the rows whose squared norm the deterministic advance blew up.
 
-    The exact deterministic flow never increases the norm -- for qsd
-    d|y|^2/dt = -(<L+L> - |<L>|^2) |y|^2, for the jump flavors
-    -<L+L> |y|^2, both <= 0 -- and every step starts normalized, so a
+    The exact deterministic flow never increases the norm -- for qsd and
+    orthojump d|y|^2/dt = -(<L+L> - |<L>|^2) |y|^2, for jump
+    -<L+L> |y|^2, both <= 0 -- and every advance starts normalized, so a
     squared norm past NORM2_MAX can only come from an integrator outside
     its stability region, which the renormalization that ends the step
     would otherwise hide.
@@ -486,11 +488,26 @@ class _StepperBase:
         self.integrator = integrator
         self._h = None  # adaptive substep carried between coarse steps
 
-    def _advance_det(self, y, freedoms, t):
-        f = lambda v, s: _drift2d(v, freedoms, self.model, self.unraveling, s)
+    def _drift(self, freedoms):
+        return lambda v, s: _drift2d(v, freedoms, self.model, self.unraveling, s)
+
+    def _advance_det(self, y, freedoms, t, h=None):
+        """(y advanced from t by h, accepted substeps); h defaults to dt.
+
+        t and h may be (B,) arrays, one clock per row.  The adaptive
+        integrator keeps one clock, so it advances such rows one at a time.
+        """
+        h = self.dt if h is None else h
         if self.integrator.kind == "rk4":
-            return rk4_step(f, y, t, self.dt), 1
-        y, nacc, self._h = rkck_adaptive(f, y, t, self.dt, self.integrator.eps, self._h)
+            return rk4_step(self._drift(freedoms), y, t, h), 1
+        if isinstance(h, np.ndarray):
+            rows = [self._advance_det(y[i:i + 1], freedoms, float(t[i]), float(h[i]))[0]
+                    for i in range(len(y))]
+            return np.concatenate(rows), 0
+        if h == 0.0:
+            return y, 0
+        y, nacc, self._h = rkck_adaptive(self._drift(freedoms), y, t, h,
+                                         self.integrator.eps, self._h)
         return y, nacc
 
 
@@ -521,68 +538,188 @@ class QsdStepper(_StepperBase):
 
 
 class JumpStepper(_StepperBase):
-    """Jump unravelings: plain quantum jumps or orthogonal jumps."""
+    """Jump unravelings, plain or orthogonal, by the waiting-time algorithm.
+
+    Each row keeps the level its squared norm must reach for its next jump:
+    its threshold, a uniform from its own stream, divided by the squared
+    norms its steps since its last jump were renormalized by, so that the
+    level is reached when the survival since that jump falls to the
+    threshold.  A row draws its first threshold at its first step and, at
+    every jump, a uniform that picks the channel and then its next
+    threshold.
+    """
 
     def __init__(self, model, dt, unraveling=Unraveling.JUMP, integrator=IntegratorConfig()):
         if unraveling not in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
             raise ValueError("JumpStepper needs the jump or orthojump unraveling")
         super().__init__(model, unraveling, dt, integrator)
         self._orthogonal = unraveling is Unraveling.ORTHO_JUMP
-        self._warned = False
+        self._level = None  # (B,) per-row level, drawn at the first step
 
     def _jump_probabilities(self, y, freedoms, t):
-        """(B, m) probabilities, (B, m, N) L_j y and, for orthojump, (B, m) <L_j>."""
+        """(B, m) jump rates, (B, m, N) L_j y and, for orthojump, (B, m) <L_j>.
+
+        t is a scalar or a (B,) array of per-row times.
+        """
         _, lstack = self.model.compiled(freedoms)
-        if lstack is None:
-            return np.zeros((y.shape[0], 0)), None, None
-        n2 = row_norm2(y)
-        n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
         ly = lstack.apply(y, t)
-        ll = row_norm2(ly) / n2
-        if self._orthogonal:
-            lexp = row_dot(y, ly) / n2
-            p = (ll - np.abs(lexp) ** 2) * self.dt
-        else:
-            lexp = None
-            p = ll * self.dt
-        negative = (p < P_NEGATIVE).any(axis=1)
+        rates, lexp = _rates(y, ly, self._orthogonal)
+        negative = (rates < P_NEGATIVE).any(axis=1)
         if negative.any():
-            raise StepError("negative jump probability; expectation evaluation is broken",
+            raise StepError("negative jump rate; expectation evaluation is broken",
                             _first_row(negative))
-        return np.maximum(p, 0.0), ly, lexp
+        return np.maximum(rates, 0.0), ly, lexp
 
-    def step(self, y, freedoms, t, u):
-        """u: (B,) uniforms deciding whether and which jump fires."""
-        probs, lys, lexps = self._jump_probabilities(y, freedoms, t)
-        ptot = probs.sum(axis=1)
-        pmax = float(ptot.max()) if ptot.size else 0.0
-        if not pmax <= P_ERROR:  # max is NaN if any row is, and NaN fails too
-            raise StepError(f"total jump probability {pmax:.3g} exceeds {P_ERROR}; reduce dt",
-                            _first_row(~(ptot <= P_ERROR)))
-        if pmax > P_WARN and not self._warned:
-            warnings.warn(f"total jump probability {pmax:.3g} exceeds {P_WARN}; "
-                          "consider a smaller dt", RuntimeWarning, stacklevel=2)
-            self._warned = True
-        jump_rows = np.nonzero(u < ptot)[0]
+    def _jump(self, y, freedoms, t, u):
+        """Every row of y after a jump, normalized; u: (B,) uniforms picking the channel.
 
+        Channel j fires where u times the row's total rate falls in
+        [cum_{j-1}, cum_j) of its cumulative rates.
+        """
+        rates, ly, lexp = self._jump_probabilities(y, freedoms, t)
+        cum = np.cumsum(rates, axis=1)
+        channel = np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1), cum.shape[1] - 1)
+        rows = np.arange(len(y))
+        jumped = ly[rows, channel]
+        if self._orthogonal:
+            jumped -= lexp[rows, channel][:, None] * y
+        nrm = row_norm(jumped)
+        collapsed = nrm < NORM_COLLAPSE
+        if collapsed.any():
+            raise StepError("jump produced a zero-norm state", _first_row(collapsed))
+        return jumped / nrm[:, None]
+
+    def step(self, y, freedoms, t, sources):
+        """Advance every row by dt, jumping wherever it reaches its level.
+
+        sources: each row's NoiseSource, drawn from only when the row needs
+        a threshold or a channel.
+        """
         out, nsub = self._advance_det(y, freedoms, t)
-        _check_stable(_normalize_rows(out) ** 2, self.dt)
-
-        if jump_rows.size:
-            # channel j fires where u falls in [cum_{j-1}, cum_j) of the row's
-            # cumulative probabilities
-            cum = np.cumsum(probs[jump_rows], axis=1)
-            channel = np.minimum((cum <= u[jump_rows, None]).sum(axis=1), probs.shape[1] - 1)
-            jumped = lys[jump_rows, channel]
-            if self._orthogonal:
-                jumped -= lexps[jump_rows, channel][:, None] * y[jump_rows]
-            nrm = row_norm(jumped)
-            collapsed = nrm < NORM_COLLAPSE
-            if collapsed.any():
-                raise StepError("jump produced a zero-norm state",
-                                int(jump_rows[_first_row(collapsed)]))
-            out[jump_rows] = jumped / nrm[:, None]
+        n2 = row_norm2(out)
+        if self.model.compiled(freedoms)[1] is None:  # no channel, no jump
+            _check_stable(n2, self.dt)
+            _normalize_rows(out)
+            return out, StepStats(nsub)
+        if self._level is None:
+            self._level = np.array([src.uniforms(1)[0] for src in sources])
+        level = self._level
+        n = np.sqrt(n2)
+        cross = n2 <= level
+        collapsed = (n < NORM_COLLAPSE) & ~cross
+        if collapsed.any():
+            raise StepError("state norm collapsed during a step", _first_row(collapsed))
+        rows = np.flatnonzero(cross)
+        jump_rows = rows[:0]
+        if rows.size:
+            ends = self._jump_inside(y[rows], out[rows], freedoms, t, level[rows], rows, sources)
+            out /= np.where(cross, 1.0, n)[:, None]
+            out[rows], n2[rows], level[rows], jump_rows = ends
+        else:
+            out /= n[:, None]
+        _check_stable(n2, self.dt)
+        self._level = level / n2
         return out, StepStats(nsub, jump_rows)
+
+    def _jump_inside(self, y0, y1, freedoms, t, level, rows, sources):
+        """The rows that reach their level within the step, jumped and advanced to its end.
+
+        y0 and y1 are rows `rows` of the block at the start and the end of
+        the step's advance, and level their levels.  Each row jumps at its
+        crossing, drawing from sources[row], and advances from there to the
+        end of the step on its own clock; it jumps again while it reaches
+        its new level.  Returns each row's normalized end state, the squared
+        norm of its last advance and its level, and `rows` once per jump.
+        """
+        f = self._drift(freedoms)
+        end, n2 = np.empty_like(y0), np.empty(len(rows))
+        ids = np.arange(len(rows))  # the rows still jumping, as indices into rows
+        t0, h, lv = np.full(len(rows), float(t)), np.full(len(rows), self.dt), level
+        jumped = []
+        while ids.size:
+            tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
+            y_tau, _ = self._advance_det(y0, freedoms, t0, tau)
+            t0, h = t0 + tau, h - tau
+            u = np.array([sources[r].uniforms(2) for r in rows[ids]])
+            try:
+                y0 = self._jump(y_tau, freedoms, t0, u[:, 0])
+            except StepError as err:
+                raise StepError(str(err), int(rows[ids[err.row]])) from None
+            lv = u[:, 1]
+            jumped.append(rows[ids])
+            y1, _ = self._advance_det(y0, freedoms, t0, h)
+            n1 = row_norm2(y1)
+            again = n1 <= lv
+            done = ids[~again]
+            n2[done], level[done] = n1[~again], lv[~again]
+            end[done] = y1[~again] / np.sqrt(n1[~again])[:, None]
+            ids, y0, y1, t0, h, lv = (a[again] for a in (ids, y0, y1, t0, h, lv))
+        return end, n2, level, np.concatenate(jumped)
+
+
+def _rates(y, ly, orthogonal):
+    """(B, m) jump rates and (B, m) <L_j> of the rows y, given ly = L_j y.
+
+    The rate of channel j is <L_j+ L_j>, and <L_j+ L_j> - |<L_j>|^2 for
+    orthojump; <L_j> is None for jump.
+    """
+    n2 = row_norm2(y)
+    n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
+    rates = row_norm2(ly) / n2
+    if not orthogonal:
+        return rates, None
+    lexp = row_dot(y, ly) / n2
+    return rates - np.abs(lexp) ** 2, lexp
+
+
+# _crossing stops a row once its squared norm is within this fraction of its
+# level (a few rounding errors), or after CROSSING_STEPS Newton steps
+CROSSING_TOL = 1e-15
+CROSSING_STEPS = 60
+
+
+def _crossing(y0, f0, y1, f1, h, level):
+    """Per-row time s in [0, h] at which the squared norm falls to level.
+
+    Between y0 (at s = 0, squared norm above level) and y1 (at s = h, at or
+    below it) the state is taken as the cubic Hermite interpolant through
+    both ends and their drifts f0 and f1, accurate to fourth order in h.
+    The fraction s/h starts where the chord of the squared norms crosses the
+    level and takes Newton steps on the interpolant's squared norm; a step
+    that would leave the bracket kept around the crossing bisects it
+    instead.  A row stops once its squared norm is within CROSSING_TOL
+    times its level, or after CROSSING_STEPS steps, so its result does not
+    depend on the other rows.
+    """
+    hf0, hf1 = h[:, None] * f0, h[:, None] * f1
+    d = y1 - y0
+    c2 = 3.0 * d - 2.0 * hf0 - hf1  # y(x) = y0 + x hf0 + x^2 c2 + x^3 c3, x = s/h
+    c3 = hf0 + hf1 - 2.0 * d
+    n0, n1 = row_norm2(y0), row_norm2(y1)
+    x = np.clip((n0 - level) / np.maximum(n0 - n1, np.finfo(float).tiny), 0.0, 1.0)
+    lo, hi = np.zeros_like(x), np.ones_like(x)
+    found = np.empty_like(x)
+    rows = np.arange(len(x))  # the rows still searching; the arrays below hold only them
+    for _ in range(CROSSING_STEPS):
+        xs = x[:, None]
+        y = y0 + xs * (hf0 + xs * (c2 + xs * c3))
+        g = row_norm2(y) - level
+        near = np.abs(g) <= CROSSING_TOL * level
+        if near.any():
+            found[rows[near]] = x[near]
+            far = ~near
+            rows, x, xs, y, g, lo, hi, level, y0, hf0, c2, c3 = (
+                a[far] for a in (rows, x, xs, y, g, lo, hi, level, y0, hf0, c2, c3))
+            if not rows.size:
+                break
+        dy = hf0 + xs * (2.0 * c2 + 3.0 * xs * c3)
+        above = g > 0.0
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - g / (2.0 * row_dot(y, dy).real)
+        x = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+    found[rows] = x
+    return found * h
 
 
 def make_stepper(model: ModelOperators, unraveling: Unraveling, dt: float,

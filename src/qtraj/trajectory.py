@@ -23,9 +23,11 @@ observation and after every step, so the first step already runs on the
 trimmed basis.  Every chunk draws from per-trajectory noise streams: stream
 k is PCG64 seeded by numpy's SeedSequence(entropy=seed, spawn_key=(k,)),
 and the seed words of all of a chunk's streams come from one vectorized
-pass over their indices (NoiseSource.for_streams).  Each output interval is
-drawn into one preallocated block whose row r is filled in place by
-stream r.  Ensemble averages keep
+pass over their indices (NoiseSource.for_streams).  For qsd each output
+interval's Wiener increments are drawn into one preallocated block whose
+row r is filled in place by stream r; the jump flavors hand the streams to
+the stepper, and each row draws from its own when it needs a threshold or
+a channel.  Ensemble averages keep
 sums shifted by trajectory 0's sample and fold each chunk into them with
 np.cumsum, one addition per trajectory in index order; cumsum is strictly
 sequential, so every chunking performs the same additions and all
@@ -39,15 +41,14 @@ the other parts in forked workers, which inherit the model instead of
 receiving it pickled (model-file time functions are closures).  Their
 samples come back and are folded in index order, so the worker count
 changes no bit.  A part that fails is run again in this process, so an
-ensemble fails with the error a run in one process raises, and the
-warnings recorded by the parts are issued here.  A single run never forks.
+ensemble fails with the error a run in one process raises.  A single run
+never forks.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,9 +256,9 @@ def _run(psi0, model, cfg, outspec, streams):
         _maintain_basis(psi, cfg.moving)
         return used_block(psi.as2d(), psi.freedoms)
 
-    # one output interval of noise, row r drawn in place from stream streams[r]
+    # qsd: one output interval of noise, row r drawn in place from stream streams[r]
     qsd = cfg.unraveling is Unraveling.QSD
-    noise = np.empty((b, cfg.numdts, m), dtype=complex) if qsd else np.empty((b, cfg.numdts))
+    noise = np.empty((b, cfg.numdts, m), dtype=complex) if qsd else None
 
     t = 0.0  # the time a failure is reported at
     try:
@@ -266,17 +267,15 @@ def _run(psi0, model, cfg, outspec, streams):
             y = maintained(y)  # the first step runs on the trimmed basis
         step_index = 0
         for k in range(1, nk + 1):
-            for src, row in zip(sources, noise):
-                if qsd:
+            if qsd:
+                for src, row in zip(sources, noise):
                     src.wiener(cfg.numdts, m, cfg.dt, out=row)
-                else:
-                    src.uniforms(cfg.numdts, out=row)
             for s in range(cfg.numdts):
                 t = step_index * cfg.dt
-                y, stats = stepper.step(y, psi.freedoms, t, noise[:, s])
+                y, stats = stepper.step(y, psi.freedoms, t, noise[:, s] if qsd else sources)
                 step_index += 1
                 subs[k] += stats.substeps * b
-                jumps[stats.jump_rows] += 1
+                np.add.at(jumps, stats.jump_rows, 1)
                 if cfg.moving is not None:
                     y = maintained(y)
             t = step_index * cfg.dt
@@ -367,24 +366,17 @@ def _chunks(rows, lockstep):
 
 
 def _run_part(job, rows, lockstep):
-    """(samples, warnings) of trajectories rows, chunked as lockstep says.
-
-    samples are _run's outputs for all rows at once, or None if a chunk
-    failed; warnings are the (message, category, filename, lineno) of every
-    warning raised, recorded instead of shown.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            outs = [_run(*job, chunk) for chunk in _chunks(rows, lockstep)]
-        except Exception:  # the part is run again where the error can be raised
-            return None, ()
+    """_run's outputs for trajectories rows, chunked as lockstep says, or None if one failed."""
+    try:
+        outs = [_run(*job, chunk) for chunk in _chunks(rows, lockstep)]
+    except Exception:  # the part is run again where the error can be raised
+        return None
     times = outs[0][0]
     exps, vars_ = (np.concatenate([o[i] for o in outs], axis=-1) for i in (1, 2))
     sizes = np.maximum.reduce([o[3] for o in outs])
     subs = np.add.reduce([o[4] for o in outs])
     jumps = np.concatenate([o[5] for o in outs])
-    return ((times, exps, vars_, sizes, subs, jumps),
-            [(w.message, w.category, w.filename, w.lineno) for w in caught])
+    return times, exps, vars_, sizes, subs, jumps
 
 
 def _set_job(job):
@@ -397,7 +389,7 @@ def _worker_part(rows, lockstep):
 
 
 def _run_parts(job, parts, lockstep):
-    """_run_part's result for every part; (None, ()) for a part run by nobody.
+    """_run_part's result for every part; None for a part run by nobody.
 
     Part 0 runs in this process and the others in forked workers, which
     inherit job: model-file time functions are closures, which a spawned
@@ -405,7 +397,7 @@ def _run_parts(job, parts, lockstep):
     first submit, before it starts its own thread.  multiprocessing is
     imported only here: its import costs tens of milliseconds.
     """
-    nobody = [(None, ())] * len(parts)
+    nobody = [None] * len(parts)
     if len(parts) == 1:
         return nobody
     import multiprocessing
@@ -429,26 +421,8 @@ def _run_parts(job, parts, lockstep):
             try:
                 results.append(future.result())
             except Exception:  # a worker died or its result did not arrive
-                results.append((None, ()))
+                results.append(None)
     return results
-
-
-def _reissue(caught):
-    """Issue recorded warnings here, each at the module and line it names.
-
-    Each goes through that module's warning registry, so the filters treat
-    it as the original warning: under the default action a text already
-    shown from that line is not shown again.
-    """
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = modules.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-        else:
-            registry = vars(module).setdefault("__warningregistry__", {})
-            warnings.warn_explicit(message, category, filename, lineno,
-                                   module.__name__, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +509,7 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     would: in lockstep the whole ensemble is rerun as one chunk, since its
     error is the first check that fails within a step over all rows; in
     serial the failing part is rerun, and the earliest failing part raises,
-    so the error names the lowest failing trajectory.  The warnings of the
-    parts that succeed are recorded and issued here, once each, at the
-    place they were raised.
+    so the error names the lowest failing trajectory.
     """
     if mode not in ("auto", "lockstep", "serial"):
         raise ValueError("mode must be 'auto', 'lockstep' or 'serial'")
@@ -549,8 +521,8 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     job = (psi0, model, cfg, outspec)
     parts = _split(b, min(_usable_cpus(), b))
     results = _run_parts(job, parts, lockstep)
-    if lockstep and any(samples is None for samples, _ in results):
-        parts, results = [range(b)], [(None, ())]
+    if lockstep and any(samples is None for samples in results):
+        parts, results = [range(b)], [None]
 
     nk = cfg.numsteps
     n_ops = len(outspec.operators)
@@ -559,11 +531,10 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     sizes = np.zeros(nk + 1, dtype=np.int64)
     subs = np.zeros(nk + 1, dtype=np.int64)
     jumps = np.zeros(b, dtype=np.int64)
-    for rows, (samples, caught) in zip(parts, results):
+    for rows, samples in zip(parts, results):
         if samples is None:  # run here: no worker ran the part, or it failed
             outs = ((chunk, _run(*job, chunk)) for chunk in _chunks(rows, lockstep))
         else:
-            _reissue(caught)
             outs = [(rows, samples)]
         for chunk, (times, exps, vars_, szs, sb, jm) in outs:
             wexp.update(exps)

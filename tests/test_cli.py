@@ -157,9 +157,11 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_two_worker_ensemble_writes_each_line_and_warning_once(atom_model, tmp_path):
+def test_two_worker_ensemble_writes_each_line_once_and_no_warning(atom_model, tmp_path):
     # stdout is a pipe, so it is block-buffered: a worker forked with the
-    # first line still buffered would write it a second time on exit
+    # first line still buffered would write it a second time on exit.  At
+    # dt = 0.6 a step holds a jump rate times dt of 0.12, which needs no
+    # warning: jumps are located inside the step
     numsteps = 5
     proc = subprocess.run(
         [sys.executable, "-c", TWO_WORKER_SCRIPT, "ensemble", "--model", atom_model,
@@ -170,9 +172,7 @@ def test_two_worker_ensemble_writes_each_line_and_warning_once(atom_model, tmp_p
     lines = proc.stdout.splitlines()
     assert lines[0] == "before the run"
     assert len(lines[1:]) == numsteps + 1
-    # p = 2 kappa dt = 0.12 at t = 0 in both parts; the default filter shows one text once
-    assert proc.stderr.count("total jump probability 0.12 exceeds 0.1") == 1, proc.stderr
-    assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

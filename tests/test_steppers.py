@@ -75,6 +75,31 @@ def rand_psi(rng, dims, ptypes):
     return psi.normalize()
 
 
+class Draws:
+    """A stand-in for a row's NoiseSource: hands out the given uniforms in order.
+
+    A jump row draws its first threshold, then a channel uniform and its
+    next threshold per jump; a threshold of 0 is never reached.
+    """
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def uniforms(self, n):
+        taken, self.values = self.values[:n], self.values[n:]
+        assert len(taken) == n, "the row drew more uniforms than the test gave it"
+        return np.array(taken)
+
+
+def never(b):
+    """Sources of b rows that never jump."""
+    return [Draws(0.0) for _ in range(b)]
+
+
+# the largest uniform a stream draws
+U_MAX = np.nextafter(1.0, 0.0)
+
+
 def test_drift_matches_dense_all_unravelings():
     rng = np.random.default_rng(31)
     model, dims = example_model()
@@ -126,7 +151,7 @@ def test_no_lindblads_all_unravelings_identical():
         stepper = make_stepper(model, unr, 0.01)
         y = psi.as2d().copy()
         noise = np.zeros((1, 0), dtype=complex) if unr is Unraveling.QSD \
-            else np.array([0.5])
+            else [Draws()]  # no channel: the row draws nothing
         out, _ = stepper.step(y, psi.freedoms, 0.0, noise)
         outs.append(out.copy())
     assert np.array_equal(outs[0], outs[1])
@@ -164,8 +189,8 @@ def test_noise_streams_reproducible_and_independent():
 
 def test_noise_draws_into_given_buffers_as_fresh_draws():
     # the determinism contract: increments are consecutive standard normals
-    # (re, im) scaled by sqrt(dt/2), uniforms are Generator.random, whether
-    # drawn fresh or into a row of a preallocated block
+    # (re, im) scaled by sqrt(dt/2), whether drawn fresh or into a row of a
+    # preallocated block
     seed, k, dt = 21, 4, 0.03
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
     g = np.random.Generator(np.random.PCG64(ss)).standard_normal((5, 3, 2))
@@ -176,9 +201,6 @@ def test_noise_draws_into_given_buffers_as_fresh_draws():
     assert block[1].tobytes() == want.tobytes()
     assert NoiseSource(seed, k).wiener(5, 3, dt).tobytes() == want.tobytes()
     assert not block[0].any()
-    rows = np.zeros((3, 7))
-    NoiseSource(seed, k).uniforms(7, out=rows[2])
-    assert rows[2].tobytes() == NoiseSource(seed, k).uniforms(7).tobytes()
 
 
 def _seed_sequence(seed, k):
@@ -301,12 +323,13 @@ def test_unstable_deterministic_advance_fails_its_row(unr):
     vac, coh = basis_state(60, 0), coherent_state(60, 5.0)
     y = np.stack([vac.amps, coh.amps])
     stepper = make_stepper(model, unr, 0.5)
-    noise = np.zeros((2, 1), dtype=complex) if unr is Unraveling.QSD else np.ones(2)
+    noise = (lambda: np.zeros((2, 1), dtype=complex)) if unr is Unraveling.QSD \
+        else (lambda: never(2))
     with pytest.raises(StepError, match="reduce dt") as err:
-        stepper.step(y, vac.freedoms, 0.0, noise)
+        stepper.step(y, vac.freedoms, 0.0, noise())
     assert err.value.row == 1
     # the same rows at a stable step size pass, row norms untouched by the check
-    out, _ = make_stepper(model, unr, 1e-3).step(y.copy(), vac.freedoms, 0.0, noise)
+    out, _ = make_stepper(model, unr, 1e-3).step(y.copy(), vac.freedoms, 0.0, noise())
     assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
 
 
@@ -315,9 +338,17 @@ def test_step_stats_list_the_rows_that_jumped():
     psi = basis_state(2, 1, SPIN)
     y = np.tile(psi.as2d(), (3, 1))
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
-    _, stats = stepper.step(y, psi.freedoms, 0.0, np.array([0.999, 1e-9, 1e-9]))
+    sources = [Draws(0.0), Draws(0.9999, 0.5, 0.0), Draws(0.9999, 0.5, 0.0)]
+    _, stats = stepper.step(y.copy(), psi.freedoms, 0.0, sources)
     assert stats.jump_rows.tolist() == [1, 2]
     assert stats.jumps == 2
+    # pumped and decaying at rate 8 over dt = 0.1: a row is listed once per jump
+    pumped = ModelOperators(None, [math.sqrt(8.0) * sigma_plus(0), math.sqrt(8.0) * sigma_minus(0)])
+    sources = [Draws(0.99, 0.5, 0.0), Draws(0.99, 0.5, 0.99, 0.5, 0.0), Draws(0.0)]
+    _, stats = make_stepper(pumped, Unraveling.JUMP, 0.1).step(y.copy(), psi.freedoms, 0.0,
+                                                               sources)
+    assert stats.jump_rows.tolist() == [0, 1, 1]
+    assert stats.jumps == 3
     _, stats = make_stepper(model, Unraveling.QSD, 0.001).step(
         y, psi.freedoms, 0.0, np.zeros((3, 1), dtype=complex))
     assert stats.jumps == 0 and stats.jump_rows.size == 0
@@ -342,8 +373,7 @@ def test_no_jump_leaves_eigenstate_alone():
     model = decaying_atom()
     psi = basis_state(2, 1, SPIN)
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
-    out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0,
-                              np.array([0.999]))
+    out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, never(1))
     assert stats.jumps == 0
     assert abs(out[0, 1]) == pytest.approx(1.0, abs=1e-12)
 
@@ -353,8 +383,10 @@ def test_jump_fires_and_projects_down():
     psi = basis_state(2, 1, SPIN)
     for unr in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
         stepper = make_stepper(model, unr, 0.001)
+        # the survival reaches 0.9999 early in the step; after the jump the
+        # ground state stays put, and the next threshold is never reached
         out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0,
-                                  np.array([1e-9]))
+                                  [Draws(0.9999, 0.5, 0.0)])
         assert stats.jumps == 1
         assert abs(out[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert out[0, 1] == 0.0
@@ -364,20 +396,9 @@ def test_ground_state_never_jumps():
     model = decaying_atom()
     psi = basis_state(2, 0, SPIN)
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
-    out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0,
-                              np.array([0.0]))
+    # its squared norm stays exactly 1, above the largest threshold
+    out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, [Draws(U_MAX)])
     assert stats.jumps == 0
-
-
-def test_jump_probability_warning_and_error():
-    model = decaying_atom(kappa=0.5)
-    psi = basis_state(2, 1, SPIN)
-    stepper = make_stepper(model, Unraveling.JUMP, 0.2)  # p = 0.2
-    with pytest.warns(RuntimeWarning):
-        stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, np.array([0.9]))
-    stepper = make_stepper(model, Unraveling.JUMP, 0.6)  # p = 0.6
-    with pytest.raises(RuntimeError):
-        stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, np.array([0.9]))
 
 
 def test_jump_channel_selection():
@@ -400,8 +421,8 @@ def driven_two_channel_atom():
 
 @pytest.mark.parametrize("unr", [Unraveling.JUMP, Unraveling.ORTHO_JUMP], ids=lambda u: u.value)
 def test_block_jumps_equal_the_per_row_jump(unr):
-    # rows of one step fire different channels: the block result must be
-    # each row's own jump, bit for bit, and the same as stepping it alone
+    # rows of one block fire different channels: the block result must be
+    # each row's own jump, bit for bit, and the same as jumping it alone
     model = driven_two_channel_atom()
     rng = np.random.default_rng(4)
     b = 8
@@ -409,36 +430,48 @@ def test_block_jumps_equal_the_per_row_jump(unr):
     y /= np.sqrt((np.abs(y) ** 2).sum(axis=1))[:, None]
     freedoms = [FreedomSpec(SPIN, 2)]
     stepper = make_stepper(model, unr, 0.05)
-    probs, lys, lexps = stepper._jump_probabilities(y, freedoms, 0.0)
-    assert (probs > 1e-4).all()
-    channel = np.array([0, 1, -1, 1, 0, -1, 1, 0])  # -1: no jump
-    u = np.where(channel == 0, 0.5 * probs[:, 0],
-                 np.where(channel == 1, probs[:, 0] + 0.5 * probs[:, 1], 0.999))
-    out, stats = stepper.step(y.copy(), freedoms, 0.0, u)
-    assert stats.jump_rows.tolist() == np.flatnonzero(channel >= 0).tolist()
+    rates, lys, lexps = stepper._jump_probabilities(y, freedoms, 0.0)
+    assert (rates > 1e-3).all()
+    channel = np.array([0, 1, 1, 1, 0, 0, 1, 0])
+    u = np.where(channel == 0, 0.5 * rates[:, 0], rates[:, 0] + 0.5 * rates[:, 1])
+    u /= rates.sum(axis=1)
+    out = stepper._jump(y, freedoms, 0.0, u)
+    for r in range(b):
+        alone = make_stepper(model, unr, 0.05)._jump(y[r:r + 1], freedoms, 0.0, u[r:r + 1])
+        assert out[r].tobytes() == alone[0].tobytes()
+        j = channel[r]
+        row = lys[r:r + 1, j].copy()
+        if unr is Unraveling.ORTHO_JUMP:
+            row -= lexps[r, j] * y[r:r + 1]
+            assert np.abs(lexps[r, j]) > 0.05
+        assert out[r].tobytes() == (row / row_norm(row)[:, None])[0].tobytes()
+
+    # a step in which some rows jump, at different times and channels, and
+    # the others do not: each row as it is stepped alone
+    def sources():
+        return [Draws(0.0) if r % 3 == 2 else Draws(1.0 - 1e-6 * (r + 1), r / b, 0.0)
+                for r in range(b)]
+
+    out, stats = stepper.step(y.copy(), freedoms, 0.0, sources())
+    assert stats.jump_rows.tolist() == [r for r in range(b) if r % 3 != 2]
     for r in range(b):
         alone, alone_stats = make_stepper(model, unr, 0.05).step(
-            y[r:r + 1].copy(), freedoms, 0.0, u[r:r + 1])
+            y[r:r + 1].copy(), freedoms, 0.0, sources()[r:r + 1])
         assert out[r].tobytes() == alone[0].tobytes()
-        assert alone_stats.jumps == (channel[r] >= 0)
-        if channel[r] >= 0:
-            j = channel[r]
-            row = lys[r:r + 1, j].copy()
-            if unr is Unraveling.ORTHO_JUMP:
-                row -= lexps[r, j] * y[r:r + 1]
-                assert np.abs(lexps[r, j]) > 0.05
-            assert out[r].tobytes() == (row / row_norm(row)[:, None])[0].tobytes()
+        assert alone_stats.jumps == (r % 3 != 2)
 
 
 def test_zero_norm_jump_names_the_lowest_collapsing_row():
-    # rows 1 and 3 sit a hair above the ground state: they may still jump,
-    # but sm leaves a state of norm ~1e-14; row 0 jumps normally before them
+    # rows 1 and 3 sit a hair above the ground state, and a threshold of 1
+    # makes them jump at once, but sm leaves a state of norm ~1e-14; row 0
+    # jumps normally, and row 2 (the ground state) never jumps
     model = ModelOperators(None, [sigma_minus(0)])
     y = np.array([[0.6, 0.8], [1.0, 1e-14], [1.0, 0.0], [1.0, 2e-14]], dtype=complex)
     y /= np.sqrt((np.abs(y) ** 2).sum(axis=1))[:, None]
     stepper = make_stepper(model, Unraveling.JUMP, 0.01)
+    sources = [Draws(0.999, 0.5, 0.0), Draws(1.0, 0.5, 0.0), Draws(U_MAX), Draws(1.0, 0.5, 0.0)]
     with pytest.raises(StepError, match="zero-norm") as err:
-        stepper.step(y, [FreedomSpec(SPIN, 2)], 0.0, np.array([0.0, 0.0, 0.5, 0.0]))
+        stepper.step(y, [FreedomSpec(SPIN, 2)], 0.0, sources)
     assert err.value.row == 1
 
 
@@ -452,7 +485,8 @@ def test_nan_row_fails_its_own_row(unr):
     y /= np.linalg.norm(y, axis=1)[:, None]
     y[1, 3] = np.nan
     freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
-    noise = np.zeros((3, 2), dtype=complex) if unr is Unraveling.QSD else np.full(3, 0.5)
+    noise = np.zeros((3, 2), dtype=complex) if unr is Unraveling.QSD \
+        else [Draws(0.5) for _ in range(3)]
     with np.errstate(invalid="ignore"):
         with pytest.raises(StepError) as err:
             make_stepper(model, unr, 1e-3).step(y, freedoms, 0.0, noise)
@@ -576,17 +610,15 @@ def rand_rows(rng, b, n):
 def test_batched_rows_equal_individual_rows():
     rng = np.random.default_rng(55)
     model, dims = example_model()
+    # the channel uniform of each row that jumps; None: no jump
     cases = [(model, [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)], rand_rows(rng, 4, 10),
-              np.array([0.9, 1e-9, 0.5, 1e-7]))]
-    # a gathered 13-band h_eff and a 3-channel stacked sweep
+              [None, 0.2, None, 0.7])]
+    # a gathered 13-band h_eff and a 3-channel stacked sweep; 0.995 picks
+    # the weak third channel
     model, freedoms = shg_displaced()
     ys = rand_rows(rng, 17, 18)
-    ptot = make_stepper(model, Unraveling.JUMP, 0.01)._jump_probabilities(
-        ys, freedoms, 0.0)[0].sum(axis=1)
-    # where in [0, ptot) u falls, 0.995 in the weak third channel; 2: no jump
-    fraction = np.array([0.0, 0.3, 0.6, 0.995, 2.0])[np.arange(17) % 5]
-    cases.append((model, freedoms, ys, np.where(fraction < 1.0, fraction * ptot, 0.999)))
-    for model, freedoms, ys, u in cases:
+    cases.append((model, freedoms, ys, [[0.0, 0.3, 0.6, 0.995, None][i % 5] for i in range(17)]))
+    for model, freedoms, ys, channel_u in cases:
         b = ys.shape[0]
 
         # QSD
@@ -599,13 +631,16 @@ def test_batched_rows_equal_individual_rows():
             assert np.array_equal(batch[i], row[0])
 
         # jump flavors, mixed jump/no-jump rows
+        def sources():
+            return [Draws(0.0) if c is None else Draws(0.99999, c, 0.0) for c in channel_u]
+
         for unr in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
             stepper = make_stepper(model, unr, 0.01)
-            batch, stats = stepper.step(ys.copy(), freedoms, 0.0, u)
+            batch, stats = stepper.step(ys.copy(), freedoms, 0.0, sources())
             assert 0 < stats.jumps < b
             for i in range(b):
                 si = make_stepper(model, unr, 0.01)
-                row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, u[i:i + 1])
+                row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, sources()[i:i + 1])
                 assert np.array_equal(batch[i], row[0])
 
 
@@ -706,7 +741,7 @@ def test_jump_step_equals_the_step_of_the_full_drift(unr, kind):
     ys = rand_rows(np.random.default_rng(21), 3, 12)
     t, dt = 0.3, 1e-3
     stepper = make_stepper(model, unr, dt, IntegratorConfig(kind))
-    got, stats = stepper.step(ys.copy(), freedoms, t, np.full(3, 0.999))
+    got, stats = stepper.step(ys.copy(), freedoms, t, never(3))
     assert stats.jumps == 0
 
     def full(v, s):
@@ -724,8 +759,9 @@ def test_jump_step_equals_the_step_of_the_full_drift(unr, kind):
 @pytest.mark.parametrize("kind", ["rk4", "adaptive"])
 @pytest.mark.parametrize("unr", JUMP_FLAVORS, ids=lambda u: u.value)
 def test_jump_advance_never_grows_the_norm(unr, kind):
-    # the advance decays the squared norm at rate sum_j <L_j+ L_j>, so the
-    # check on unstable steps still sees every growth
+    # the advance decays the squared norm at the total jump rate,
+    # sum_j <L_j+ L_j>, less sum_j |<L_j>|^2 for orthojump, so the check on
+    # unstable steps still sees every growth
     model, freedoms = driven_cavity()
     _, lstack = model.compiled(freedoms)
     for dt in (1e-3, 1e-2):
@@ -734,7 +770,10 @@ def test_jump_advance_never_grows_the_norm(unr, kind):
             ys = rand_rows(np.random.default_rng(seed), 8, 12)
             out, _ = stepper._advance_det(ys, freedoms, 0.3)
             assert (row_norm2(out) < row_norm2(ys)).all()
-            rate = row_norm2(lstack.apply(ys, 0.3)).sum(axis=1)
+            ly = lstack.apply(ys, 0.3)
+            rate = row_norm2(ly).sum(axis=1)
+            if unr is Unraveling.ORTHO_JUMP:
+                rate -= (np.abs(np.einsum("bn,bmn->bm", ys.conj(), ly)) ** 2).sum(axis=1)
             loss = (row_norm2(ys) - row_norm2(out)) / dt
             assert np.abs(loss / rate - 1.0).max() < 20 * dt
 
@@ -788,3 +827,43 @@ def test_jump_drift_makes_one_sweep_and_no_row_reduction(monkeypatch, kind):
     stepper = make_stepper(model, Unraveling.JUMP, 1e-3, IntegratorConfig(kind))
     _, nsub = stepper._advance_det(ys, freedoms, 0.3)
     assert calls == [None] * (4 if kind == "rk4" else 6 * nsub)
+
+
+def test_orthojump_advance_norm_decays_at_the_orthojump_rate():
+    # with the qsd coefficient -1/2 |<L_j>|^2 the orthojump advance's squared
+    # norm decays at exactly its jump rate sum_j (<L_j+ L_j> - |<L_j>|^2),
+    # so it is the survival probability the jumps are timed by
+    model, freedoms = driven_cavity()
+    _, lstack = model.compiled(freedoms)
+    ys = rand_rows(np.random.default_rng(9), 6, 12)
+    ly = lstack.apply(ys, 0.3)
+    gamma = (row_norm2(ly) - np.abs(np.einsum("bn,bmn->bm", ys.conj(), ly)) ** 2).sum(axis=1)
+    assert (gamma > 0.2).all() and (row_norm2(ly).sum(axis=1) > 1.2 * gamma).all()
+    for dt in (1e-3, 1e-4):
+        out, _ = make_stepper(model, Unraveling.ORTHO_JUMP, dt)._advance_det(ys, freedoms, 0.3)
+        assert np.abs(-np.log(row_norm2(out)) / dt / gamma - 1.0).max() < 10 * dt
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_rows_at_their_own_times_equal_each_row_alone(m):
+    # a (B,) t gives each row its own time: the sliced h_eff and the gathered
+    # three-channel sweep (m = 3) scale their time groups by a (B, 1) column,
+    # and an RK4 step with per-row t and h advances each row as alone
+    model, freedoms = driven_cavity()
+    ls = [0.8 * destroy(1), (lambda t: 0.3 + 0.5j * t) * sigma_minus(0),
+          number(1) + 0.2 * position(1)][:m]
+    model = ModelOperators(model.hamiltonian, ls)
+    h_eff, stacked = model.compiled(freedoms)
+    assert stacked.gathered == (m == 3)
+    b = 7
+    ys = rand_rows(np.random.default_rng(m), b, 12)
+    t = np.array([0.3, 0.1, 0.3, 0.25, 0.0, 0.1, 0.7])
+    h = np.array([1e-3, 2e-3, 0.0, 1e-3, 5e-4, 1e-3, 3e-3])
+    f = lambda v, s: _drift2d(v, freedoms, model, Unraveling.ORTHO_JUMP, s)
+    for op in (h_eff, stacked):
+        got = op.apply(ys, t)
+        for i in range(b):
+            assert got[i].tobytes() == op.apply(ys[i:i + 1], t[i])[0].tobytes()
+    got = rk4_step(f, ys, t, h)
+    for i in range(b):
+        assert got[i].tobytes() == rk4_step(f, ys[i:i + 1], t[i], h[i])[0].tobytes()
