@@ -27,7 +27,6 @@ noise, with each <L_j> and <L_j+ L_j> from block reductions over it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -265,8 +264,9 @@ class StepError(RuntimeError):
 class StepStats:
     """What one coarse step did: accepted substeps and the rows that jumped.
 
-    substeps counts the coarse advance every row takes, not the advances of
-    rows that jump inside the step; jump_rows lists a row once per jump.
+    substeps sums over rows the accepted substeps of the coarse advance
+    (one per row for rk4), not those of the advances of rows that jump
+    inside the step; jump_rows lists a row once per jump.
     """
 
     substeps: int = 0
@@ -349,7 +349,7 @@ def rk4_step(f, y, t, dt):
 
 
 # Cash-Karp embedded RK4(5) tableau
-_CK_A = (0.0, 0.2, 0.3, 0.6, 1.0, 0.875)
+_CK_A = np.array([0.0, 0.2, 0.3, 0.6, 1.0, 0.875])[:, None]
 _CK_B = (
     (),
     (0.2,),
@@ -370,57 +370,77 @@ _UNDERFLOW = 1e-12
 
 
 def _rkck_substep(f, y, t, h):
+    """Every row's Cash-Karp substep from its time t[r] by h[r]: (5th-order result, error)."""
+    hc = h[:, None]
+    ts = t + _CK_A * h  # (stages, B): each stage's time of every row
     ks = [f(y, t)]
     for i in range(1, 6):
         acc = _CK_B[i][0] * ks[0]
         for b, k in zip(_CK_B[i][1:], ks[1:]):
             acc = acc + b * k
-        ks.append(f(y + h * acc, t + _CK_A[i] * h))
-    y5 = y + h * (_CK_C5[0] * ks[0] + _CK_C5[2] * ks[2] + _CK_C5[3] * ks[3]
-                  + _CK_C5[5] * ks[5])
-    err = h * (_CK_DC[0] * ks[0] + _CK_DC[2] * ks[2] + _CK_DC[3] * ks[3]
-               + _CK_DC[4] * ks[4] + _CK_DC[5] * ks[5])
+        ks.append(f(y + hc * acc, ts[i]))
+    y5 = y + hc * (_CK_C5[0] * ks[0] + _CK_C5[2] * ks[2] + _CK_C5[3] * ks[3]
+                   + _CK_C5[5] * ks[5])
+    err = hc * (_CK_DC[0] * ks[0] + _CK_DC[2] * ks[2] + _CK_DC[3] * ks[3]
+                + _CK_DC[4] * ks[4] + _CK_DC[5] * ks[5])
     return y5, err
 
 
 def rkck_adaptive(f, y, t, dt, eps, h_start=None):
-    """Advance y from t to exactly t+dt by accepted Cash-Karp 4(5) substeps.
+    """Advance each row of y from t to exactly t+dt by accepted Cash-Karp 4(5) substeps.
 
-    The per-amplitude error estimate must satisfy |err| <= eps * (|y| + 1e-10).
-    Returns (y_new, accepted substep count, suggested next substep size).
+    y is a (B, N) block, or one (N,) state.  t, dt and h_start (the first
+    substep size a row tries; dt where it is None or 0) are scalars or (B,)
+    arrays, one clock per row.  Each row accepts or rejects its own
+    substeps: every amplitude of its error estimate must satisfy
+    |err| <= eps * (|y| + 1e-10), so its error ratio is the max over the
+    row.  f(v, s) is called on the rows still stepping, s their (b,) times
+    (for a 1-D y, on 1-D states at scalar times).  A row with dt = 0 comes
+    back unchanged, its substep size untouched.  Returns (y_new, accepted
+    substeps summed over rows, each row's suggested next substep size); the
+    size is a float for a 1-D y.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    h = min(abs(h_start), dt) if h_start else dt
-    done = 0.0
+    if y.ndim == 1:
+        y, nacc, h = rkck_adaptive(lambda v, s: f(v[0], s[0])[None], y[None], t, dt, eps,
+                                   h_start)
+        return y[0], nacc, float(h[0])
+    b = len(y)
+    t, dt = np.full(b, t, dtype=float), np.full(b, dt, dtype=float)
+    if not (dt >= 0.0).all():
+        raise ValueError("dt must be non-negative")
+    h = dt if h_start is None else np.abs(np.full(b, h_start, dtype=float))
+    h = np.where(h > 0.0, h, dt)
+    out, h_out = np.empty_like(y), np.empty(b)  # each row's, written when it finishes
+    rows = np.arange(b)  # the rows still stepping; the arrays below hold only them
+    done = np.zeros(b)
     nacc = 0
     while True:
-        remaining = dt - done
-        if remaining <= dt * 1e-15:
-            break
-        h = min(h, remaining)
-        if h < dt * _UNDERFLOW:
-            # one substep size serves the whole block, so the failure is
-            # reported on row 0; the engine steps adaptive runs one row at a time
-            raise StepError("adaptive step underflow; the problem looks stiff", 0)
-        y5, err = _rkck_substep(f, y, t + done, h)
-        scale = np.abs(y) + 1e-10
-        ratio = float((np.abs(err) / scale).max()) / eps
-        if not math.isfinite(ratio):
-            # overflow inside the trial substep: treat as a hard rejection
-            h = h * _SHRINK_MIN
-            continue
-        if ratio <= 1.0:
-            y = y5
-            done += h
-            nacc += 1
-            grow = _GROW_MAX if ratio == 0.0 else min(_SAFETY * ratio ** -0.2, _GROW_MAX)
-            h = h * grow
-        else:
-            h = h * max(_SAFETY * ratio ** -0.25, _SHRINK_MIN)
-    return y, nacc, h
+        left = dt - done
+        finished = left <= dt * 1e-15
+        if np.count_nonzero(finished):
+            out[rows[finished]], h_out[rows[finished]] = y[finished], h[finished]
+            going = ~finished
+            rows = rows[going]
+            if not rows.size:
+                return out, nacc, h_out
+            y, t, dt, h, done, left = (a[going] for a in (y, t, dt, h, done, left))
+        step = np.minimum(h, left)
+        small = step < dt * _UNDERFLOW
+        if np.count_nonzero(small):
+            raise StepError("adaptive step underflow; the problem looks stiff",
+                            int(rows[_first_row(small)]))
+        y5, err = _rkck_substep(f, y, t + done, step)
+        ratio = (np.abs(err) / (np.abs(y) + 1e-10)).max(axis=1) / eps
+        ok = ratio <= 1.0
+        # a ratio of 0 grows by _GROW_MAX; one that overflowed (inf or NaN) shrinks by _SHRINK_MIN
+        with np.errstate(divide="ignore"):
+            scale = _SAFETY * ratio ** np.where(ok, -0.2, -0.25)
+        h = step * np.fmin(np.fmax(scale, _SHRINK_MIN), _GROW_MAX)
+        y = np.where(ok[:, None], y5, y)
+        done = done + np.where(ok, step, 0.0)
+        nacc += int(np.count_nonzero(ok))
 
 
 INTEGRATOR_KINDS = ("rk4", "adaptive")
@@ -486,28 +506,25 @@ class _StepperBase:
         self.unraveling = unraveling
         self.dt = dt
         self.integrator = integrator
-        self._h = None  # adaptive substep carried between coarse steps
+        self._h = None  # (B,) adaptive substep sizes carried between advances; 0: none yet
 
     def _drift(self, freedoms):
         return lambda v, s: _drift2d(v, freedoms, self.model, self.unraveling, s)
 
-    def _advance_det(self, y, freedoms, t, h=None):
-        """(y advanced from t by h, accepted substeps); h defaults to dt.
+    def _advance_det(self, y, freedoms, t, h=None, rows=slice(None)):
+        """(y advanced from t by h, accepted substeps summed over its rows); h defaults to dt.
 
-        t and h may be (B,) arrays, one clock per row.  The adaptive
-        integrator keeps one clock, so it advances such rows one at a time.
+        t and h may be (B,) arrays, one clock per row.  y holds rows `rows`
+        of the block, whose adaptive substep sizes the advance reads and
+        updates.
         """
         h = self.dt if h is None else h
         if self.integrator.kind == "rk4":
-            return rk4_step(self._drift(freedoms), y, t, h), 1
-        if isinstance(h, np.ndarray):
-            rows = [self._advance_det(y[i:i + 1], freedoms, float(t[i]), float(h[i]))[0]
-                    for i in range(len(y))]
-            return np.concatenate(rows), 0
-        if h == 0.0:
-            return y, 0
-        y, nacc, self._h = rkck_adaptive(self._drift(freedoms), y, t, h,
-                                         self.integrator.eps, self._h)
+            return rk4_step(self._drift(freedoms), y, t, h), len(y)
+        if self._h is None:
+            self._h = np.zeros(len(y))
+        y, nacc, self._h[rows] = rkck_adaptive(self._drift(freedoms), y, t, h,
+                                               self.integrator.eps, self._h[rows])
         return y, nacc
 
 
@@ -638,16 +655,17 @@ class JumpStepper(_StepperBase):
         jumped = []
         while ids.size:
             tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
-            y_tau, _ = self._advance_det(y0, freedoms, t0, tau)
-            t0, h = t0 + tau, h - tau
-            u = np.array([sources[r].uniforms(2) for r in rows[ids]])
+            block = rows[ids]
             try:
+                y_tau, _ = self._advance_det(y0, freedoms, t0, tau, block)
+                t0, h = t0 + tau, h - tau
+                u = np.array([sources[r].uniforms(2) for r in block])
                 y0 = self._jump(y_tau, freedoms, t0, u[:, 0])
+                y1, _ = self._advance_det(y0, freedoms, t0, h, block)
             except StepError as err:
-                raise StepError(str(err), int(rows[ids[err.row]])) from None
+                raise StepError(str(err), int(block[err.row])) from None
             lv = u[:, 1]
-            jumped.append(rows[ids])
-            y1, _ = self._advance_det(y0, freedoms, t0, h)
+            jumped.append(block)
             n1 = row_norm2(y1)
             again = n1 <= lv
             done = ids[~again]

@@ -15,24 +15,24 @@ One engine steps every run: it advances a chunk of B trajectories together
 on one (B, N) used block, so its arithmetic scales with the used dimensions
 rather than the allocated ones.  A single run is a chunk of one.  An
 ensemble is either one chunk of all its trajectories (lockstep) or one
-chunk per trajectory (serial); lockstep needs fixed RK4 and no moving
-basis, because the adaptive step size and the cutoff upkeep are per
-trajectory.  Basis upkeep scatters the block into the state, recenters and
-adjusts the cutoff, then gathers the block again; it runs after the t = 0
-observation and after every step, so the first step already runs on the
-trimmed basis.  Every chunk draws from per-trajectory noise streams: stream
-k is PCG64 seeded by numpy's SeedSequence(entropy=seed, spawn_key=(k,)),
-and the seed words of all of a chunk's streams come from one vectorized
-pass over their indices (NoiseSource.for_streams).  For qsd each output
-interval's Wiener increments are drawn into one preallocated block whose
-row r is filled in place by stream r; the jump flavors hand the streams to
-the stepper, and each row draws from its own when it needs a threshold or
-a channel.  Ensemble averages keep
-sums shifted by trajectory 0's sample and fold each chunk into them with
-np.cumsum, one addition per trajectory in index order; cumsum is strictly
-sequential, so every chunking performs the same additions and all
-chunkings give bitwise identical results.  A failing step names its
-trajectory index, which is also its noise stream index.
+chunk per trajectory (serial); lockstep needs no moving basis, because the
+cutoff upkeep is per trajectory.  The adaptive integrator keeps a clock and
+a substep size per row, so it runs in lockstep too.  Basis upkeep scatters
+the block into the state, recenters and adjusts the cutoff, then gathers
+the block again; it runs after the t = 0 observation and after every step,
+so the first step already runs on the trimmed basis.  Every chunk draws
+from per-trajectory noise streams: stream k is PCG64 seeded by numpy's
+SeedSequence(entropy=seed, spawn_key=(k,)), and the seed words of all of a
+chunk's streams come from one vectorized pass over their indices
+(NoiseSource.for_streams).  For qsd each output interval's Wiener
+increments are drawn into one preallocated block whose row r is filled in
+place by stream r; the jump flavors hand the streams to the stepper, and
+each row draws from its own when it needs a threshold or a channel.
+Ensemble averages keep sums shifted by trajectory 0's sample and fold each
+chunk into them with np.cumsum, one addition per trajectory in index order;
+cumsum is strictly sequential, so every chunking performs the same
+additions and all chunkings give bitwise identical results.  A failing step
+names its trajectory index, which is also its noise stream index.
 
 An ensemble is cut into W contiguous parts of its trajectory indices, W the
 smaller of the usable CPUs and the number of trajectories, and each part is
@@ -274,7 +274,7 @@ def _run(psi0, model, cfg, outspec, streams):
                 t = step_index * cfg.dt
                 y, stats = stepper.step(y, psi.freedoms, t, noise[:, s] if qsd else sources)
                 step_index += 1
-                subs[k] += stats.substeps * b
+                subs[k] += stats.substeps
                 np.add.at(jumps, stats.jump_rows, 1)
                 if cfg.moving is not None:
                     y = maintained(y)
@@ -491,8 +491,8 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     mode only chooses how the trajectories are chunked through the engine:
     'lockstep' steps all of them together on one (B, N) block, 'serial' one
     per chunk, and 'auto' picks lockstep when the configuration allows it.
-    Lockstep needs fixed RK4 and no basis upkeep (moving is None), since an
-    adaptive step size and a cutoff are per trajectory.  Noise streams are
+    Lockstep needs no basis upkeep (moving is None), since a cutoff is per
+    trajectory; either integrator runs in lockstep.  Noise streams are
     derived from (seed, index), and each chunk's samples are folded into
     sums shifted by trajectory 0's sample with a sequential np.cumsum, in
     trajectory-index order.  Any chunking adds the same numbers in the same
@@ -513,9 +513,9 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     """
     if mode not in ("auto", "lockstep", "serial"):
         raise ValueError("mode must be 'auto', 'lockstep' or 'serial'")
-    lockstep_ok = cfg.integrator.kind == "rk4" and cfg.moving is None
+    lockstep_ok = cfg.moving is None
     if mode == "lockstep" and not lockstep_ok:
-        raise ValueError("lockstep mode needs fixed rk4 and no moving basis")
+        raise ValueError("lockstep mode needs no moving basis")
     lockstep = lockstep_ok and mode != "serial"
     b = cfg.n_trajectories
     job = (psi0, model, cfg, outspec)

@@ -314,6 +314,41 @@ def test_rkck_underflow_fails_row_0():
     assert err.value.row == 0
 
 
+def test_rkck_underflow_names_the_stiff_row():
+    # the drift of a row reads only its own amplitudes: row 0, with a zero
+    # first amplitude, does not move, and row 1 overflows at any substep
+    f = lambda y, t: 1e280 * np.abs(y[:, :1]) * y
+    y = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepError, match="underflow") as err:
+            rkck_adaptive(f, y, 0.0, 1.0, 1e-10)
+    assert err.value.row == 1
+    out, nacc, _ = rkck_adaptive(f, y[:1], 0.0, 1.0, 1e-10)
+    assert out.tobytes() == y[:1].tobytes() and nacc == 1
+
+
+def test_rkck_rows_keep_their_own_substeps():
+    # each row rotates at 40 |y_0|, |y_0| its own first amplitude, so a slow
+    # and a fast row take the substeps each needs, get the same bits as
+    # alone, and hand back their own next sizes
+    f = lambda y, t: -40j * np.abs(y[:, :1]) * y
+    y = np.array([[0.025, 0.5], [1.0, 0.5]], dtype=complex)
+    got, nacc, h = rkck_adaptive(f, y, 0.0, 1.0, 1e-8)
+    alone = [rkck_adaptive(f, y[i:i + 1], 0.0, 1.0, 1e-8) for i in range(2)]
+    assert got.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+    assert nacc == alone[0][1] + alone[1][1] and alone[0][1] < alone[1][1]
+    assert h.tolist() == [a[2][0] for a in alone]
+
+    # a 1-D state is one row: f sees 1-D states and scalar times
+    def one_state(v, s):
+        assert v.ndim == 1 and np.ndim(s) == 0
+        return f(v[None], s)[0]
+
+    y1, n1, h1 = rkck_adaptive(one_state, y[0], 0.0, 1.0, 1e-8)
+    assert y1.tobytes() == alone[0][0][0].tobytes() and n1 == alone[0][1]
+    assert isinstance(h1, float) and h1 == alone[0][2][0]
+
+
 @pytest.mark.parametrize("unr", list(Unraveling))
 def test_unstable_deterministic_advance_fails_its_row(unr):
     # H = n: row 0 (vacuum) does not move, row 1 (a coherent state with
@@ -744,11 +779,12 @@ def test_jump_step_equals_the_step_of_the_full_drift(unr, kind):
     got, stats = stepper.step(ys.copy(), freedoms, t, never(3))
     assert stats.jumps == 0
 
-    def full(v, s):
-        return np.stack([drift(StateVector(freedoms, row), model, unr, s).amps for row in v])
+    def full(v, s):  # s: one time, or each row's
+        return np.stack([drift(StateVector(freedoms, row), model, unr, si).amps
+                         for row, si in zip(v, np.broadcast_to(s, len(v)))])
 
     if kind == "rk4":
-        want, nsub = rk4_step(full, ys, t, dt), 1
+        want, nsub = rk4_step(full, ys, t, dt), len(ys)
     else:
         want, nsub, _ = rkck_adaptive(full, ys, t, dt, stepper.integrator.eps)
     want /= row_norm(want)[:, None]
@@ -826,7 +862,10 @@ def test_jump_drift_makes_one_sweep_and_no_row_reduction(monkeypatch, kind):
     calls.clear()
     stepper = make_stepper(model, Unraveling.JUMP, 1e-3, IntegratorConfig(kind))
     _, nsub = stepper._advance_det(ys, freedoms, 0.3)
-    assert calls == [None] * (4 if kind == "rk4" else 6 * nsub)
+    # rk4: four stages; adaptive: six stages per substep of the block, and
+    # nsub counts each row's accepted substeps (here one each, none rejected)
+    assert nsub == len(ys)
+    assert calls == [None] * (4 if kind == "rk4" else 6)
 
 
 def test_orthojump_advance_norm_decays_at_the_orthojump_rate():
@@ -867,3 +906,26 @@ def test_rows_at_their_own_times_equal_each_row_alone(m):
     got = rk4_step(f, ys, t, h)
     for i in range(b):
         assert got[i].tobytes() == rk4_step(f, ys[i:i + 1], t[i], h[i])[0].tobytes()
+    got, _, h_next = rkck_adaptive(f, ys, t, h, 1e-8)
+    for i in range(b):
+        row, _, h_row = rkck_adaptive(f, ys[i:i + 1], t[i], h[i], 1e-8)
+        assert got[i].tobytes() == row[0].tobytes() and h_next[i] == h_row[0]
+
+
+def test_zero_length_advance_leaves_the_row_and_its_substep_size():
+    # _jump_inside advances a row by h = 0 when its crossing falls at the
+    # start of its step: the row comes back bit for bit, with no substep,
+    # and the substep size it carries is untouched
+    model, freedoms = driven_cavity()
+    ys = rand_rows(np.random.default_rng(8), 3, 12)
+    stepper = make_stepper(model, Unraveling.ORTHO_JUMP, 0.05, IntegratorConfig("adaptive"))
+    stepper._advance_det(ys, freedoms, 0.3)  # every row now carries a substep size
+    carried = stepper._h.copy()
+    out, nsub = stepper._advance_det(ys[1:], freedoms, np.full(2, 0.3), np.zeros(2),
+                                     np.array([1, 2]))
+    assert out.tobytes() == ys[1:].tobytes() and nsub == 0
+    assert stepper._h.tobytes() == carried.tobytes()
+    out, nsub = stepper._advance_det(ys, freedoms, np.full(3, 0.3), np.array([0.0, 0.01, 0.0]))
+    assert out[[0, 2]].tobytes() == ys[[0, 2]].tobytes() and nsub >= 1
+    assert stepper._h[[0, 2]].tobytes() == carried[[0, 2]].tobytes()
+    assert stepper._h[1] != carried[1]

@@ -125,13 +125,12 @@ def test_unnormalized_initial_state_rejected():
         run_single(psi, model, cfg, spec, **quiet())
 
 
-def test_lockstep_mode_requires_rk4_and_fixed_basis():
+def test_lockstep_mode_requires_fixed_basis():
     model, psi = damped_cavity()
     spec = OutputSpec(operators=(number(0),))
     cfg = RunConfig(dt=0.01, numdts=2, numsteps=1, n_trajectories=2,
                     integrator=IntegratorConfig("adaptive", 1e-6))
-    with pytest.raises(ValueError, match="lockstep"):
-        run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
+    run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
     cfg = RunConfig(dt=0.01, numdts=2, numsteps=1, n_trajectories=2,
                     moving=MovingBasisParams(n_moving=1))
     with pytest.raises(ValueError, match="lockstep"):
@@ -319,7 +318,8 @@ def test_lockstep_equals_serial_with_two_jump_channels(unr, monkeypatch):
         assert runs["lockstep", 1].jumps_per_trajectory.sum() > fewest
 
 
-def test_serial_adaptive_ensemble_is_independent_of_the_worker_count(monkeypatch):
+def test_adaptive_ensemble_is_independent_of_the_worker_count(monkeypatch):
+    # auto runs adaptive ensembles in lockstep; stdout sums every row's substeps
     model, psi = damped_cavity(dim=5, gamma=0.4)
     spec = OutputSpec(operators=(number(0), destroy(0)))
     for unr in Unraveling:
@@ -328,6 +328,26 @@ def test_serial_adaptive_ensemble_is_independent_of_the_worker_count(monkeypatch
         runs = runs_by_workers(monkeypatch, psi, model, cfg, spec, modes=("auto",))
         assert_same_bits(runs["auto", 1], runs["auto", 2])
         assert runs["auto", 1].substeps[1:].min() > cfg.numdts * cfg.n_trajectories
+
+
+@pytest.mark.parametrize("unr", list(Unraveling))
+def test_adaptive_lockstep_equals_serial(unr, monkeypatch):
+    # a time-dependent drive and two channels at a coarse dt: rows take
+    # substep counts of their own, and jump rows jump inside their steps
+    h = (lambda t: 0.6 + 2.0 * t) * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1))
+    model = ModelOperators(h + 0.3 * number(1), [math.sqrt(3.0) * destroy(1),
+                                                 math.sqrt(2.0) * sigma_minus(0)])
+    psi = product_state([basis_state(2, 1, SPIN), coherent_state(6, 0.8)])
+    spec = OutputSpec(operators=(number(1), sigma_plus(0) * sigma_minus(0), destroy(1)))
+    cfg = RunConfig(dt=0.1, numdts=3, numsteps=2, seed=29, n_trajectories=10,
+                    unraveling=unr, integrator=IntegratorConfig("adaptive", 1e-7))
+    runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
+    for res in runs.values():
+        assert_same_bits(runs["lockstep", 1], res)
+    subs = {tuple(_run(psi, model, cfg, spec, [i])[4]) for i in range(cfg.n_trajectories)}
+    assert len(subs) > 1
+    if unr is not Unraveling.QSD:
+        assert runs["lockstep", 1].jumps_per_trajectory.sum() >= cfg.n_trajectories // 2
 
 
 def test_parts_run_here_when_no_worker_can_start(monkeypatch):
