@@ -20,15 +20,18 @@ spins, tr(f,i,j) on atoms.  Precedence: ^ above unary minus above * above
 
 Primary names are the values of operators.Kind plus adag; freedom types
 and unravelings are the values of PhysicalType and Unraveling, and the
-integrator kinds are steppers.INTEGRATOR_KINDS.  Run checks that the
-library also makes -- value ranges, the pipe range, which freedoms may
-move -- are the owning class's or function's own checks, re-raised as
-model errors.
+integrator kinds are steppers.INTEGRATOR_KINDS.  The run normalizer
+checks the ranges of dt, numdts, numsteps, trajectories, seed, moving and
+pad; the checks of eps, cutoff_epsilon and shift_accuracy, the pipe range
+and which freedoms may move are IntegratorConfig's, MovingBasisParams',
+OutputSpec's and _validate_moving's, re-raised as model errors.
 
 Each expression is parsed in one recursive-descent pass that builds its
 value -- a constant, a time function or the operator tree a run applies --
 together with its canonical text: parenthesized only where precedence
-requires, numbers written by repr.  The parsed model keeps the text, which
+requires, numbers written by repr.  Each scalar operation is one function
+of complex numbers, which _lift applies to constants and wraps in a time
+function of t otherwise.  The parsed model keeps the text, which
 print_model echoes and equality compares, and the operators, which
 build_model uses.  Parse and type errors, an out-of-range tr() level among
 them, raise ModelParseError with a line:column location; a syntax error
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -201,6 +205,7 @@ def _tokenize(text, first_line=1):
 _PRIMARIES = {kind.value: (kind, False) for kind in Kind} | {"adag": (Kind.DESTROY, True)}
 _SCALAR_FUNCS = {"sqrt": cmath.sqrt, "sin": cmath.sin, "cos": cmath.cos,
                  "exp": cmath.exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _RESERVED = set(_PRIMARIES) | set(_SCALAR_FUNCS) | {"hc", "i", "t"}
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_POSTFIX, _PREC_ATOM = 1, 2, 3, 4, 5, 6
@@ -235,27 +240,39 @@ def _wrap(v, minprec):
     return f"({v.text})" if v.prec < minprec else v.text
 
 
-def _negate(v):
+def _lift(fn, v, w=None):
+    """fn of v's (and w's) value: a constant if each is one, else a time
+    function, one per case of which operand varies so it makes no extra call."""
+    a = v.val
+    if w is None:
+        if v.kind == "c":
+            return "c", fn(a)
+        return "f", lambda t: fn(a(t))
+    b = w.val
     if v.kind == "c":
-        return "c", -v.val
-    if v.kind == "f":
-        return "f", lambda t, f=v.val: -f(t)
-    return "o", ScalarMul(-1.0, v.val)
+        if w.kind == "c":
+            return "c", fn(a, b)
+        return "f", lambda t: fn(a, b(t))
+    if w.kind == "c":
+        return "f", lambda t: fn(a(t), b)
+    return "f", lambda t: fn(a(t), b(t))
+
+
+def _negate(v):
+    if v.kind == "o":
+        return "o", ScalarMul(-1.0, v.val)
+    return _lift(operator.neg, v)
 
 
 def _adjoint(v):
-    if v.kind == "c":
-        return "c", v.val.conjugate()
-    if v.kind == "f":
-        return "f", lambda t, f=v.val: complex(f(t)).conjugate()
-    return "o", v.val.hc()
+    if v.kind == "o":
+        return "o", v.val.hc()
+    return _lift(complex.conjugate, v)
 
 
 def _power(v, k, at):
-    if v.kind == "c":
-        return "c", v.val ** k
-    if v.kind == "f":
-        return "f", lambda t, f=v.val, e=k: f(t) ** e
+    if v.kind != "o":
+        return _lift(operator.pow, v, v._replace(kind="c", val=k))
     try:
         return "o", Power(v.val, k)
     except ValueError as e:
@@ -263,33 +280,15 @@ def _power(v, k, at):
 
 
 def _combine(op, left, right, at):
-    lk, lv, rk, rv = left.kind, left.val, right.kind, right.val
-    if op in ("+", "-"):
-        if lk == "o" and rk == "o":
-            return "o", lv + rv if op == "+" else lv - rv
-        if "o" in (lk, rk):
-            _err("cannot add a scalar and an operator", at)
-        if lk == "c" and rk == "c":
-            return "c", lv + rv if op == "+" else lv - rv
-        lf = lv if lk == "f" else (lambda t, z=lv: z)
-        rf = rv if rk == "f" else (lambda t, z=rv: z)
-        if op == "+":
-            return "f", lambda t, f=lf, g=rf: f(t) + g(t)
-        return "f", lambda t, f=lf, g=rf: f(t) - g(t)
-    # multiplication
-    if lk == "o" and rk == "o":
-        return "o", lv * rv
-    if lk == "c" and rk == "c":
-        return "c", lv * rv
-    if lk == "f" and rk == "f":
-        return "f", lambda t, f=lv, g=rv: f(t) * g(t)
-    if "o" in (lk, rk):
-        oval, skind, sval = (lv, rk, rv) if lk == "o" else (rv, lk, lv)
-        return "o", ScalarMul(sval, oval) if skind == "c" else TimeFnMul(sval, oval)
-    # const * timefn
-    f = lv if lk == "f" else rv
-    z = lv if lk == "c" else rv
-    return "f", lambda t, g=f, w=z: w * g(t)
+    fn = _BINARY[op]
+    if left.kind == "o" and right.kind == "o":
+        return "o", fn(left.val, right.val)
+    if "o" not in (left.kind, right.kind):
+        return _lift(fn, left, right)
+    if op != "*":
+        _err("cannot add a scalar and an operator", at)
+    s, o = (right, left) if left.kind == "o" else (left, right)
+    return "o", ScalarMul(s.val, o.val) if s.kind == "c" else TimeFnMul(s.val, o.val)
 
 
 class _ExprParser:
@@ -361,17 +360,10 @@ class _ExprParser:
         return _Val(kind, val, text, prec, pos)
 
     def parse_expr(self):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ModelParseError("expression nested too deeply", tok.line, tok.col)
-        try:
-            v = self.parse_term()
-            while self.peek().kind in ("+", "-"):
-                v = self.binary(self.advance(), v, self.parse_term())
-            return v
-        finally:
-            self.depth -= 1
+        v = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            v = self.binary(self.advance(), v, self.parse_term())
+        return v
 
     def parse_term(self):
         v = self.parse_unary()
@@ -388,12 +380,19 @@ class _ExprParser:
                             prec, optok.pos)
 
     def parse_unary(self):
+        # each enclosing parenthesis, argument or unary minus is one call deeper
+        self.depth += 1
         tok = self.peek()
-        if tok.kind != "-":
-            return self.parse_power()
-        self.advance()
-        v = self.parse_unary()
-        return self.lowered(_negate, (v,), "-" + _wrap(v, _PREC_NEG), _PREC_NEG, tok.pos)
+        if self.depth > _MAX_DEPTH:
+            raise ModelParseError("expression nested too deeply", tok.line, tok.col)
+        try:
+            if tok.kind != "-":
+                return self.parse_power()
+            self.advance()
+            v = self.parse_unary()
+            return self.lowered(_negate, (v,), "-" + _wrap(v, _PREC_NEG), _PREC_NEG, tok.pos)
+        finally:
+            self.depth -= 1
 
     def parse_power(self):
         v = self.parse_postfix()
@@ -462,7 +461,7 @@ class _ExprParser:
     def time(self, tok):
         if not self.allow_time:
             _err("'t' is not allowed in this context", tok)
-        return "f", lambda t: complex(t)
+        return "f", complex
 
     def call(self, tok, args):
         name = tok.text
@@ -470,12 +469,9 @@ class _ExprParser:
             if len(args) != 1:
                 _err(f"{name}() takes one argument", tok)
             v = self.value(args[0])
-            fn = _SCALAR_FUNCS[name]
-            if v.kind == "c":
-                return "c", fn(v.val)
-            if v.kind == "f":
-                return "f", lambda t, f=v.val, g=fn: g(f(t))
-            _err(f"{name}() applies to scalars, not operators", tok)
+            if v.kind == "o":
+                _err(f"{name}() applies to scalars, not operators", tok)
+            return _lift(_SCALAR_FUNCS[name], v)
         if name in _PRIMARIES:
             return "o", self.primary(tok, args)
         _err(f"unknown function '{name}'", tok)
@@ -555,10 +551,22 @@ class FreedomDecl:
     dim: int
 
 
+# initial-state constructor -> (the freedom type it applies to or None for
+# any, its arguments: None, one "int", one "scalar" or a list of "scalars")
+_INITIAL_CTORS = {
+    "fock": (FIELD, "int"),
+    "coherent": (FIELD, "scalar"),
+    "down": (SPIN, None),
+    "up": (SPIN, None),
+    "level": (ATOM, "int"),
+    "amps": (None, "scalars"),
+}
+
+
 @dataclass(frozen=True)
 class InitialDecl:
     freedom: str
-    ctor: str          # fock | coherent | down | up | level | amps
+    ctor: str          # a key of _INITIAL_CTORS
     args: tuple = ()
 
 
@@ -690,26 +698,27 @@ def _parse_initial(body, freedoms):
             raise ModelParseError(f"duplicate initial state for '{fname}'", lineno, 1)
         rest = line.split(None, 2)[2] if len(w) > 2 else ""
         ptype = byname[fname].ptype
-        if ctor == "fock" and ptype is FIELD:
-            args = (_parse_int(rest, lineno),)
-        elif ctor == "coherent" and ptype is FIELD:
-            args = (_parse_scalar_literal(rest, lineno),)
-        elif ctor in ("down", "up") and ptype is SPIN:
+        if ctor not in _INITIAL_CTORS or _INITIAL_CTORS[ctor][0] not in (None, ptype):
+            hint = ", ".join(f"{p.value}: " + "/".join(
+                c for c, (q, _) in _INITIAL_CTORS.items() if q in (None, p))
+                for p in PhysicalType)
+            raise ModelParseError(
+                f"constructor '{ctor}' does not apply to a {ptype.value} freedom ({hint})",
+                lineno, 1)
+        argkind = _INITIAL_CTORS[ctor][1]
+        if argkind is None:
             if rest.strip():
                 raise ModelParseError(f"'{ctor}' takes no arguments", lineno, 1)
             args = ()
-        elif ctor == "level" and ptype is ATOM:
+        elif argkind == "int":
             args = (_parse_int(rest, lineno),)
-        elif ctor == "amps":
+        elif argkind == "scalar":
+            args = (_parse_scalar_literal(rest, lineno),)
+        else:
             parts = [p for p in rest.split(",") if p.strip()]
             if not parts:
-                raise ModelParseError("amps needs a comma-separated list", lineno, 1)
+                raise ModelParseError(f"{ctor} needs a comma-separated list", lineno, 1)
             args = tuple(_parse_scalar_literal(p, lineno) for p in parts)
-        else:
-            raise ModelParseError(
-                f"constructor '{ctor}' does not apply to a {ptype.value} freedom "
-                "(field: fock/coherent/amps, spin: down/up/amps, atom: level/amps)",
-                lineno, 1)
         decls[fname] = InitialDecl(fname, ctor, args)
     missing = [d.name for d in freedoms if d.name not in decls]
     if missing:
@@ -935,23 +944,19 @@ def _initial_state(decl: InitialDecl, fdecl: FreedomDecl) -> StateVector:
         return basis_state(fdecl.dim, n, fdecl.ptype)
     if decl.ctor == "coherent":
         return coherent_state(fdecl.dim, decl.args[0])
-    if decl.ctor == "down":
-        return basis_state(2, 0, SPIN)
-    if decl.ctor == "up":
-        return basis_state(2, 1, SPIN)
-    if decl.ctor == "amps":
-        if len(decl.args) > fdecl.dim:
-            raise ModelValidationError(
-                f"{len(decl.args)} amplitudes exceed freedom '{fdecl.name}' "
-                f"dimension {fdecl.dim}")
-        amps = np.zeros(fdecl.dim, dtype=complex)
-        amps[:len(decl.args)] = decl.args
-        nrm = float(np.linalg.norm(amps))
-        if nrm <= 0:
-            raise ModelValidationError(
-                f"initial amplitudes for '{fdecl.name}' are all zero")
-        return StateVector([FreedomSpec(fdecl.ptype, fdecl.dim)], amps / nrm)
-    raise AssertionError(decl.ctor)
+    if decl.ctor in ("down", "up"):
+        return basis_state(2, ("down", "up").index(decl.ctor), SPIN)
+    if len(decl.args) > fdecl.dim:
+        raise ModelValidationError(
+            f"{len(decl.args)} amplitudes exceed freedom '{fdecl.name}' "
+            f"dimension {fdecl.dim}")
+    amps = np.zeros(fdecl.dim, dtype=complex)
+    amps[:len(decl.args)] = decl.args
+    nrm = float(np.linalg.norm(amps))
+    if nrm <= 0:
+        raise ModelValidationError(
+            f"initial amplitudes for '{fdecl.name}' are all zero")
+    return StateVector([FreedomSpec(fdecl.ptype, fdecl.dim)], amps / nrm)
 
 
 # Times at which a time-dependent operator is checked.  The last two are
@@ -1110,15 +1115,9 @@ def print_model(mf: ModelFile) -> str:
     out.append("")
     out.append("initial:")
     for decl in mf.initial:
-        if decl.ctor in ("down", "up"):
-            out.append(f"  {decl.freedom} {decl.ctor}")
-        elif decl.ctor in ("fock", "level"):
-            out.append(f"  {decl.freedom} {decl.ctor} {decl.args[0]}")
-        elif decl.ctor == "coherent":
-            out.append(f"  {decl.freedom} coherent {_fmt_complex(decl.args[0])}")
-        else:
-            amps = ", ".join(_fmt_complex(a) for a in decl.args)
-            out.append(f"  {decl.freedom} amps {amps}")
+        fmt = str if _INITIAL_CTORS[decl.ctor][1] == "int" else _fmt_complex
+        args = ", ".join(map(fmt, decl.args))
+        out.append(f"  {decl.freedom} {decl.ctor} {args}".rstrip())
     out.append("")
     out.append("output:")
     for fname, text in mf.outputs:

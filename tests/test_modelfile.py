@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 import textwrap
 import tracemalloc
 import warnings
@@ -279,6 +280,12 @@ def test_deep_nesting_is_rejected():
     expr = "(" * 200 + "n(m)" + ")" * 200
     with pytest.raises(ModelParseError, match="deeply"):
         parse_model(mk(expr))
+    # each unary minus nests one level too: a long run of them is a located
+    # parse error, not a RecursionError
+    with pytest.raises(ModelParseError, match=r"^line 6, col \d+: expression nested too deeply$"):
+        parse_model(mk("-" * 3000 + "n(m)"))
+    with pytest.raises(ModelParseError, match=r"^line 21, col \d+: expression nested too deeply$"):
+        parse_model(mk() + "\nparams:\n  kappa = " + "-" * 3000 + "0.1\n")
 
 
 # --- section-level errors ----------------------------------------------------------
@@ -527,11 +534,41 @@ def test_comments_and_blank_lines_ignored():
 # --- canonical echo ------------------------------------------------------------------
 
 
+# every initial-state constructor, with complex arguments where it takes them
+EVERY_CONSTRUCTOR = """\
+freedoms:
+  m field 4
+  k field 3
+  s spin
+  u spin
+  d spin
+  q atom 3
+  r atom 3
+
+initial:
+  m coherent 0.5 - 0.25i
+  k fock 1
+  s amps 0.6, -0.8i
+  u up
+  d down
+  q level 2
+  r amps 1, 0.5 - 2i, 3i
+
+output:
+  n.out n(m)
+
+run:
+  dt = 0.01
+  numdts = 1
+  numsteps = 1
+"""
+
 ROUND_TRIP_SAMPLES = [
     mk(),
     mk("-n(m)^2 + 2.5*x(m) - (a(m) + adag(m))*n(m)"),
     mk("(2 - 0.5i)*a(m).hc()*a(m) + ((a(m)*sm(s)).hc() + a(m)*sm(s))"),
     mk("cos(3*t)*(p(m) + p(m).hc())"),
+    EVERY_CONSTRUCTOR,
 ]
 
 
@@ -542,6 +579,13 @@ def test_round_trip_parse_print_parse(text):
     again = parse_model(echoed)
     assert again == mf
     assert print_model(again) == echoed
+
+
+def test_echo_builds_the_same_initial_state():
+    # the echoed constructor arguments build psi0 to the bit
+    mf = parse_model(EVERY_CONSTRUCTOR)
+    again = parse_model(print_model(mf))
+    assert build_model(again)[1].amps.tobytes() == build_model(mf)[1].amps.tobytes()
 
 
 # expression -> canonical text: parentheses only where precedence needs them
@@ -650,6 +694,25 @@ def test_print_parse_is_idempotent_and_keeps_operators(expr):
     (got,), (want,) = again.lowered[2], mf.lowered[2]
     for t in (0.0, 0.37):
         assert to_dense(got, (4, 2, 3), t=t).tobytes() == to_dense(want, (4, 2, 3), t=t).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCALARS.filter(lambda e: re.search(r"\bt\b", e)))
+def test_time_function_equals_the_constant_at_each_time(expr):
+    # a scalar in t lowers to a time function; its value at each time has the
+    # bits of the constant that the expression with that time written in lowers to
+    def lowered(scalar):
+        return parse_model(CANONICAL_MODEL.format(scalar="1", op=f"({scalar})*n(m)")).lowered[2][0]
+
+    fn = lowered(expr).fn
+    for t in (0.0, 0.37, 1 / math.sqrt(2), 2.5):
+        try:
+            want = lowered(re.sub(r"\bt\b", f"({t!r})", expr)).scalar
+        except ModelParseError as err:
+            assert "value overflows" in str(err)
+            continue
+        got = fn(t)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
 """Driver loop: observables, output formats, ensembles, reproducibility."""
 
+import cmath
 import dataclasses
 import io
 import math
@@ -655,6 +656,46 @@ def test_qsd_with_three_channels_matches_oracle():
     rep = compare_ensemble(res.times, res.mean_expectations, res.se_re, res.se_im,
                            oracle, z=3.0)
     assert rep.passed, rep.table
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "adaptive"])
+def test_exact_unraveling_invariances(integrator):
+    # Jaynes-Cummings with field damping and atom decay.  Each change below
+    # leaves the master equation alone (Breuer & Petruccione 2002, sec. 3.2)
+    # and each trajectory of the unravelings it keeps, for the same noise;
+    # the other unravelings agree with the unchanged model only in the mean
+    a, sm = destroy(0), sigma_minus(1)
+    h = 0.3 * number(0) + 0.5 * (create(0) * sm + a * sigma_plus(1))
+    ls = [math.sqrt(2) * a, 0.4 * sm]
+    one = sigma_z(1) * sigma_z(1)  # the identity
+    c = 0.7 - 0.4j
+    changes = {
+        # H -> H + 0.7 1 only turns the phase of the state
+        "energy": ((h + 0.7 * one, ls), set(Unraveling)),
+        # L_j -> exp(i phi_j) L_j
+        "phases": ((h, [cmath.exp(0.9j) * ls[0], cmath.exp(-2.1j) * ls[1]]),
+                   {Unraveling.JUMP, Unraveling.ORTHO_JUMP}),
+        # L -> L + c, H -> H + (c* L - c L+)/(2i)
+        "shift": ((h - 0.5j * (c.conjugate() * ls[0] - c * ls[0].hc()), [ls[0] + c * one, ls[1]]),
+                  {Unraveling.QSD, Unraveling.ORTHO_JUMP}),
+    }
+    # a Fock field: from a coherent one the orthogonal jumps never fire
+    psi0 = product_state([basis_state(8, 2), basis_state(2, 1, SPIN)])
+    ops = (number(0), a, sigma_z(1))
+
+    def run(model, unr):
+        cfg = RunConfig(dt=2e-3, numdts=1, numsteps=300, seed=3, unraveling=unr,
+                        integrator=IntegratorConfig(integrator))
+        res = run_single(psi0, ModelOperators(*model), cfg, OutputSpec(ops), **quiet())
+        return np.concatenate([res.expectations, res.variances]), res.jumps
+
+    for unr in Unraveling:
+        want, jumps = run((h, ls), unr)
+        assert jumps > 0 or unr is Unraveling.QSD
+        for name, (model, kept) in changes.items():
+            got, _ = run(model, unr)
+            diff = np.abs(got - want).max()
+            assert diff < 1e-9 if unr in kept else diff > 1e-3, (name, unr, diff)
 
 
 def test_moving_basis_run_matches_fixed_basis():
