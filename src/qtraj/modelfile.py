@@ -34,8 +34,13 @@ of complex numbers, which _lift applies to constants and wraps in a time
 function of t otherwise.  The parsed model keeps the text, which
 print_model echoes and equality compares, and the operators, which
 build_model uses.  Parse and type errors, an out-of-range tr() level among
-them, raise ModelParseError with a line:column location; a syntax error
-anywhere in an expression is reported before any lowering error in it.
+them, raise ModelParseError with a line:column location, counted from the
+start of the line; a syntax error anywhere in an expression is reported
+before any lowering error in it.  Nesting is bounded by _MAX_DEPTH, both
+in the text (parentheses, arguments, unary minus and each ^ of a power
+chain, which the echo parenthesizes) and in the lowered value (closures of
+time functions; ScalarMul, TimeFnMul and Power around operators), so that
+neither the echo nor a build or run exceeds the recursion limit.
 Semantic rejections after a clean parse (a non-Hermitian Hamiltonian, an
 out-of-range initial level, a moving count that reaches past the leading
 field freedoms) raise ModelValidationError.
@@ -126,10 +131,11 @@ class _Tok(NamedTuple):
         return (self.line, self.col)
 
 
-def _tokenize(text, first_line=1):
+def _tokenize(text, first_line=1, first_col=1):
+    """Tokens of text, located from its start at (first_line, first_col)."""
     toks = []
     line = first_line
-    col = 1
+    col = first_col
     i = 0
     n = len(text)
     while i < n:
@@ -220,8 +226,10 @@ class _Val(NamedTuple):
     an operator needs its value, so that a primary can take it as its
     freedom argument) or "error" (val the ModelParseError its lowering
     raised).  text is the canonical text, prec the precedence of its
-    outermost operator, pos the (line, col) its errors point at, and
-    literal the token kind ("NUM" or "IMAG") of a bare number literal.
+    outermost operator, pos the (line, col) its errors point at,
+    literal the token kind ("NUM" or "IMAG") of a bare number literal, and
+    nest a bound on how deeply the closures of a time function or the
+    ScalarMul, TimeFnMul and Power wrappers of an operator nest in val.
     """
 
     kind: str
@@ -230,6 +238,7 @@ class _Val(NamedTuple):
     prec: int
     pos: tuple
     literal: str = None
+    nest: int = 0
 
 
 def _err(msg, at):
@@ -347,8 +356,15 @@ class _ExprParser:
                  "(write a(...), sp(...), ...)", v)
         _err(f"unknown identifier '{v.text}'", v)
 
-    def lowered(self, fn, operands, text, prec, pos):
-        """fn applied to the operands' values, or the first error on the way."""
+    def lowered(self, fn, operands, text, prec, pos, wraps=True, inner=None):
+        """fn applied to the operands' values, or the first error on the way.
+
+        Where wraps says so, a value that is not a constant nests one level
+        deeper than the deepest of inner (the operands by default); one
+        nested deeper than _MAX_DEPTH is an error, since calling or
+        compiling it recurses that deep.  Constants and the Sum and Product
+        that operator + and * chains flatten into do not nest.
+        """
         try:
             kind, val = fn(*[self.value(v) for v in operands])
             if kind == "c" and not cmath.isfinite(val):  # 1e308*10 overflows silently
@@ -357,7 +373,14 @@ class _ExprParser:
             return _Val("error", err, text, prec, pos)
         except OverflowError:
             return _Val("error", ModelParseError("value overflows", *pos), text, prec, pos)
-        return _Val(kind, val, text, prec, pos)
+        nest = 0
+        if kind != "c":
+            nest = max((v.nest for v in (operands if inner is None else inner)),
+                       default=0) + wraps
+        if nest > _MAX_DEPTH:
+            return _Val("error", ModelParseError("expression nested too deeply", *pos),
+                        text, prec, pos)
+        return _Val(kind, val, text, prec, pos, nest=nest)
 
     def parse_expr(self):
         v = self.parse_term()
@@ -377,7 +400,7 @@ class _ExprParser:
         sep = op if op == "*" else f" {op} "
         return self.lowered(lambda l, r: _combine(op, l, r, optok), (left, right),
                             _wrap(left, prec) + sep + _wrap(right, prec + 1),
-                            prec, optok.pos)
+                            prec, optok.pos, wraps=not left.kind == right.kind == "o")
 
     def parse_unary(self):
         # each enclosing parenthesis, argument or unary minus is one call deeper
@@ -396,8 +419,13 @@ class _ExprParser:
 
     def parse_power(self):
         v = self.parse_postfix()
+        chain = 0
         while self.peek().kind == "^":
             optok = self.advance()
+            # the echo parenthesizes every base of a chain, (x^2)^3: one level each
+            chain += 1
+            if self.depth + chain > _MAX_DEPTH:
+                raise ModelParseError("expression nested too deeply", optok.line, optok.col)
             etok = self.expect("NUM")
             if etok.value != int(etok.value) or "." in etok.text or "e" in etok.text.lower():
                 raise ModelParseError("exponent must be an integer literal",
@@ -452,7 +480,7 @@ class _ExprParser:
                 self.expect(")")
                 return self.lowered(lambda: self.call(tok, args), (),
                                     f"{tok.text}({', '.join(a.text for a in args)})",
-                                    _PREC_ATOM, tok.pos)
+                                    _PREC_ATOM, tok.pos, inner=args)
             return _Val("name", None, tok.text, _PREC_ATOM, tok.pos)
         raise ModelParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
@@ -516,9 +544,13 @@ def _int_arg(arg, opname):
     return int(arg.val.real)
 
 
-def _parse_expression(text, first_line, freedoms, params, allow_time=True):
-    """One expression parsed and lowered: a _Val holding its value and text."""
-    return _ExprParser(_tokenize(text, first_line), freedoms, params, allow_time).parse_full()
+def _parse_expression(text, first_line, freedoms, params, allow_time=True, first_col=1):
+    """One expression parsed and lowered: a _Val holding its value and text.
+
+    text starts at column first_col of line first_line.
+    """
+    toks = _tokenize(text, first_line, first_col)
+    return _ExprParser(toks, freedoms, params, allow_time).parse_full()
 
 
 def _scalar(v):
@@ -669,15 +701,16 @@ def _parse_params(body, env):
         if "=" not in line:
             raise ModelParseError("params lines look like 'name = expression'",
                                   lineno, 1)
-        name, _, rhs = line.partition("=")
-        name = name.strip()
+        head, _, rhs = line.partition("=")
+        name = head.strip()
         if not name.isidentifier():
             raise ModelParseError(f"bad parameter name '{name}'", lineno, 1)
         if name in _RESERVED:
             raise ModelParseError(f"'{name}' shadows a builtin", lineno, 1)
         if name in env or name in values:
             raise ModelParseError(f"'{name}' is already defined", lineno, 1)
-        v = _parse_expression(rhs, lineno, env, values, allow_time=False)
+        v = _parse_expression(rhs, lineno, env, values, allow_time=False,
+                              first_col=len(head) + 2)
         values[name] = _scalar(v)
         params.append((name, v.text))
     return tuple(params), values
@@ -697,6 +730,7 @@ def _parse_initial(body, freedoms):
         if fname in decls:
             raise ModelParseError(f"duplicate initial state for '{fname}'", lineno, 1)
         rest = line.split(None, 2)[2] if len(w) > 2 else ""
+        col = len(line) - len(rest) + 1  # where rest starts
         ptype = byname[fname].ptype
         if ctor not in _INITIAL_CTORS or _INITIAL_CTORS[ctor][0] not in (None, ptype):
             hint = ", ".join(f"{p.value}: " + "/".join(
@@ -713,12 +747,16 @@ def _parse_initial(body, freedoms):
         elif argkind == "int":
             args = (_parse_int(rest, lineno),)
         elif argkind == "scalar":
-            args = (_parse_scalar_literal(rest, lineno),)
+            args = (_parse_scalar_literal(rest, lineno, col),)
         else:
-            parts = [p for p in rest.split(",") if p.strip()]
-            if not parts:
+            args = []
+            for part in rest.split(","):
+                if part.strip():
+                    args.append(_parse_scalar_literal(part, lineno, col))
+                col += len(part) + 1
+            if not args:
                 raise ModelParseError(f"{ctor} needs a comma-separated list", lineno, 1)
-            args = tuple(_parse_scalar_literal(p, lineno) for p in parts)
+            args = tuple(args)
         decls[fname] = InitialDecl(fname, ctor, args)
     missing = [d.name for d in freedoms if d.name not in decls]
     if missing:
@@ -733,8 +771,8 @@ def _parse_int(text, lineno):
         raise ModelParseError(f"expected an integer, found '{text.strip()}'", lineno, 1)
 
 
-def _parse_scalar_literal(text, lineno):
-    return _scalar(_parse_expression(text, lineno, {}, {}, allow_time=False))
+def _parse_scalar_literal(text, lineno, col=1):
+    return _scalar(_parse_expression(text, lineno, {}, {}, allow_time=False, first_col=col))
 
 
 def _parse_run(body):
@@ -742,26 +780,30 @@ def _parse_run(body):
     for lineno, line in body:
         if "=" not in line:
             raise ModelParseError("run lines look like 'key = value'", lineno, 1)
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
+        head, _, rhs = line.partition("=")
+        key = head.strip()
         if key not in RUN_KEYS:
             raise ModelParseError(f"unknown run key '{key}'", lineno, 1)
         if key in raw:
             raise ModelParseError(f"duplicate run key '{key}'", lineno, 1)
-        raw[key] = (rhs, lineno)
+        col = len(head) + 2 + len(rhs) - len(rhs.lstrip())  # where the value starts
+        raw[key] = (rhs.strip(), lineno, col)
     return raw
 
 
 def _normalize_run(raw):
-    """Fill defaults, coerce types; returns ((key, value), ...) in RUN_KEYS order."""
+    """Fill defaults, coerce types; returns ((key, value), ...) in RUN_KEYS order.
+
+    raw maps each run key to (value text, line, column of the value); a
+    line of None (a command-line flag) gives errors no location.
+    """
     def number(key, default=None, required=False):
         if key not in raw:
             if required:
                 raise ModelParseError(f"run section must set '{key}'")
             return default
-        text, lineno = raw[key]
-        val = _parse_scalar_literal(text, lineno)
+        text, lineno, col = raw[key]
+        val = _parse_scalar_literal(text, lineno, col)
         if abs(val.imag) > 0:
             raise ModelParseError(f"run key '{key}' must be real", lineno, 1)
         return val.real
@@ -782,7 +824,7 @@ def _normalize_run(raw):
     def word(key, default, choices):
         if key not in raw:
             return default
-        text, lineno = raw[key]
+        text, lineno, _ = raw[key]
         if text not in choices:
             raise ModelParseError(
                 f"run key '{key}' must be one of {', '.join(sorted(choices))}",
@@ -823,7 +865,7 @@ def _normalize_run(raw):
         for key in ("cutoff_epsilon", "shift_accuracy"):
             check(key, MovingBasisParams, n_moving=moving, **{key: out[key]})
     if "pipe" in raw:
-        text, lineno = raw["pipe"]
+        text, lineno, _ = raw["pipe"]
         parts = text.split()
         if len(parts) != 4:
             raise ModelParseError("pipe needs exactly 4 column indices", lineno, 1)
@@ -859,8 +901,8 @@ def override_run(mf: ModelFile, overrides: dict) -> ModelFile:
     overrides maps run keys to the text of their run line's right-hand side;
     keys mapped to None keep the model file's value.
     """
-    raw = {key: (_run_text(key, val), None) for key, val in mf.run}
-    raw.update((key, (text.strip(), None)) for key, text in overrides.items()
+    raw = {key: (_run_text(key, val), None, 1) for key, val in mf.run}
+    raw.update((key, (text.strip(), None, 1)) for key, text in overrides.items()
                if text is not None)
     run = _normalize_run(raw)
     _check_pipe(run, mf.lowered[2])
@@ -888,8 +930,8 @@ def parse_model(text: str) -> ModelFile:
     initial = _parse_initial(sections["initial"], freedoms)
     run = _normalize_run(_parse_run(sections["run"]))
 
-    def parse_op(text, first_line):
-        v = _parse_expression(text, first_line, env, param_values)
+    def parse_op(text, first_line, first_col=1):
+        v = _parse_expression(text, first_line, env, param_values, first_col=first_col)
         return _operator(v), v.text
 
     ham_text = hamiltonian = None
@@ -917,7 +959,7 @@ def parse_model(text: str) -> ModelFile:
         if fname in seen_files:
             raise ModelParseError(f"duplicate output file '{fname}'", lineno, 1)
         seen_files.add(fname)
-        op, text = parse_op(expr_text, lineno)
+        op, text = parse_op(expr_text, lineno, len(line) - len(expr_text) + 1)
         output_ops.append(op)
         outputs.append((fname, text))
     if not outputs:

@@ -561,8 +561,14 @@ class JumpStepper(_StepperBase):
     its threshold, a uniform from its own stream, divided by the squared
     norms its steps since its last jump were renormalized by, so that the
     level is reached when the survival since that jump falls to the
-    threshold.  A row draws its first threshold at its first step and, at
-    every jump, a uniform that picks the channel and then its next
+    threshold.  A step is one waiting-time loop.  The coarse advance is
+    every row's first segment; a row whose segment ends at or below its
+    level is advanced again to its crossing, jumps there and is advanced to
+    the end of the step on its own clock, round after round while it
+    reaches its new level.  When the loop ends every row is divided by its
+    norm, and its level is carried as level / n2, n2 the squared norm of its
+    last segment.  A row draws its first threshold at its first step and,
+    at every jump, a uniform that picks the channel and then its next
     threshold.
     """
 
@@ -610,69 +616,47 @@ class JumpStepper(_StepperBase):
         """Advance every row by dt, jumping wherever it reaches its level.
 
         sources: each row's NoiseSource, drawn from only when the row needs
-        a threshold or a channel.
+        a threshold or a channel.  Each round of the loop writes its rows'
+        end states, squared norms and levels over the step's own.
         """
         out, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(out)
-        if self.model.compiled(freedoms)[1] is None:  # no channel, no jump
-            _check_stable(n2, self.dt)
-            _normalize_rows(out)
-            return out, StepStats(nsub)
-        if self._level is None:
-            self._level = np.array([src.uniforms(1)[0] for src in sources])
         level = self._level
+        rows = np.zeros(0, dtype=np.intp)  # the rows whose segment reached their level
+        if self.model.compiled(freedoms)[1] is not None:  # a model without channels never jumps
+            if level is None:
+                level = np.array([src.uniforms(1)[0] for src in sources])
+            rows = np.flatnonzero(n2 <= level)
+        jumped = [rows]  # each round's rows
+        if rows.size:  # the step where no row jumps builds none of this
+            f = self._drift(freedoms)
+            y0, y1, lv = y[rows], out[rows], level[rows]
+            t0, h = np.full(rows.size, float(t)), np.full(rows.size, self.dt)
+            while rows.size:
+                tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
+                try:
+                    y_tau, _ = self._advance_det(y0, freedoms, t0, tau, rows)
+                    t0, h = t0 + tau, h - tau
+                    u = np.array([sources[r].uniforms(2) for r in rows])
+                    y0 = self._jump(y_tau, freedoms, t0, u[:, 0])
+                    y1, _ = self._advance_det(y0, freedoms, t0, h, rows)
+                except StepError as err:
+                    raise StepError(str(err), int(rows[err.row])) from None
+                lv = u[:, 1]
+                n1 = row_norm2(y1)
+                out[rows], n2[rows], level[rows] = y1, n1, lv
+                again = n1 <= lv
+                rows, y0, y1, t0, h, lv = (a[again] for a in (rows, y0, y1, t0, h, lv))
+                jumped.append(rows)
+        _check_stable(n2, self.dt)
         n = np.sqrt(n2)
-        cross = n2 <= level
-        collapsed = (n < NORM_COLLAPSE) & ~cross
+        collapsed = n < NORM_COLLAPSE
         if collapsed.any():
             raise StepError("state norm collapsed during a step", _first_row(collapsed))
-        rows = np.flatnonzero(cross)
-        jump_rows = rows[:0]
-        if rows.size:
-            ends = self._jump_inside(y[rows], out[rows], freedoms, t, level[rows], rows, sources)
-            out /= np.where(cross, 1.0, n)[:, None]
-            out[rows], n2[rows], level[rows], jump_rows = ends
-        else:
-            out /= n[:, None]
-        _check_stable(n2, self.dt)
-        self._level = level / n2
-        return out, StepStats(nsub, jump_rows)
-
-    def _jump_inside(self, y0, y1, freedoms, t, level, rows, sources):
-        """The rows that reach their level within the step, jumped and advanced to its end.
-
-        y0 and y1 are rows `rows` of the block at the start and the end of
-        the step's advance, and level their levels.  Each row jumps at its
-        crossing, drawing from sources[row], and advances from there to the
-        end of the step on its own clock; it jumps again while it reaches
-        its new level.  Returns each row's normalized end state, the squared
-        norm of its last advance and its level, and `rows` once per jump.
-        """
-        f = self._drift(freedoms)
-        end, n2 = np.empty_like(y0), np.empty(len(rows))
-        ids = np.arange(len(rows))  # the rows still jumping, as indices into rows
-        t0, h, lv = np.full(len(rows), float(t)), np.full(len(rows), self.dt), level
-        jumped = []
-        while ids.size:
-            tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
-            block = rows[ids]
-            try:
-                y_tau, _ = self._advance_det(y0, freedoms, t0, tau, block)
-                t0, h = t0 + tau, h - tau
-                u = np.array([sources[r].uniforms(2) for r in block])
-                y0 = self._jump(y_tau, freedoms, t0, u[:, 0])
-                y1, _ = self._advance_det(y0, freedoms, t0, h, block)
-            except StepError as err:
-                raise StepError(str(err), int(block[err.row])) from None
-            lv = u[:, 1]
-            jumped.append(block)
-            n1 = row_norm2(y1)
-            again = n1 <= lv
-            done = ids[~again]
-            n2[done], level[done] = n1[~again], lv[~again]
-            end[done] = y1[~again] / np.sqrt(n1[~again])[:, None]
-            ids, y0, y1, t0, h, lv = (a[again] for a in (ids, y0, y1, t0, h, lv))
-        return end, n2, level, np.concatenate(jumped)
+        out /= n[:, None]
+        if level is not None:
+            self._level = level / n2
+        return out, StepStats(nsub, np.concatenate(jumped))
 
 
 def _rates(y, ly, orthogonal):

@@ -14,13 +14,14 @@ deterministic substeps accepted since the last output.
 One engine steps every run: it advances a chunk of B trajectories together
 on one (B, N) used block, so its arithmetic scales with the used dimensions
 rather than the allocated ones.  A single run is a chunk of one.  An
-ensemble is either one chunk of all its trajectories (lockstep) or one
-chunk per trajectory (serial); lockstep needs no moving basis, because the
-cutoff upkeep is per trajectory.  The adaptive integrator keeps a clock and
-a substep size per row, so it runs in lockstep too.  Basis upkeep scatters
-the block into the state, recenters and adjusts the cutoff, then gathers
-the block again; it runs after the t = 0 observation and after every step,
-so the first step already runs on the trimmed basis.  Every chunk draws
+ensemble is either one chunk of all its trajectories (lockstep, what mode
+'auto' picks without a moving basis, because the cutoff upkeep is per
+trajectory) or one chunk per trajectory (mode 'serial', or any run with
+basis upkeep).  The adaptive integrator keeps a clock and a substep size
+per row, so it runs in lockstep too.  Basis upkeep scatters the block into
+the state, recenters and adjusts the cutoff, then gathers the block again;
+it runs after the t = 0 observation and after every step, so the first
+step already runs on the trimmed basis.  Every chunk draws
 from per-trajectory noise streams: stream k is PCG64 seeded by numpy's
 SeedSequence(entropy=seed, spawn_key=(k,)), and the seed words of all of a
 chunk's streams come from one vectorized pass over their indices
@@ -38,11 +39,11 @@ An ensemble is cut into W contiguous parts of its trajectory indices, W the
 smaller of the usable CPUs and the number of trajectories, and each part is
 chunked as the whole ensemble would be.  Part 0 runs in this process and
 the other parts in forked workers, which inherit the model instead of
-receiving it pickled (model-file time functions are closures).  Their
-samples come back and are folded in index order, so the worker count
-changes no bit.  A part that fails is run again in this process, so an
-ensemble fails with the error a run in one process raises.  A single run
-never forks.
+receiving it pickled (model-file time functions are closures).  Every part
+returns its chunks' samples, and one loop folds them in index order, so
+the worker count changes no bit.  If any part fails, or no worker ran it,
+this process runs the whole ensemble itself, so an ensemble fails with the
+error a run in one process raises.  A single run never forks.
 """
 
 from __future__ import annotations
@@ -366,17 +367,11 @@ def _chunks(rows, lockstep):
 
 
 def _run_part(job, rows, lockstep):
-    """_run's outputs for trajectories rows, chunked as lockstep says, or None if one failed."""
+    """(chunk, _run's outputs) for trajectories rows, chunked as lockstep says; None on failure."""
     try:
-        outs = [_run(*job, chunk) for chunk in _chunks(rows, lockstep)]
-    except Exception:  # the part is run again where the error can be raised
+        return [(chunk, _run(*job, chunk)) for chunk in _chunks(rows, lockstep)]
+    except Exception:  # the ensemble is run again where the error can be raised
         return None
-    times = outs[0][0]
-    exps, vars_ = (np.concatenate([o[i] for o in outs], axis=-1) for i in (1, 2))
-    sizes = np.maximum.reduce([o[3] for o in outs])
-    subs = np.add.reduce([o[4] for o in outs])
-    jumps = np.concatenate([o[5] for o in outs])
-    return times, exps, vars_, sizes, subs, jumps
 
 
 def _set_job(job):
@@ -389,7 +384,7 @@ def _worker_part(rows, lockstep):
 
 
 def _run_parts(job, parts, lockstep):
-    """_run_part's result for every part; None for a part run by nobody.
+    """Every part's _run_part pairs, or None if a part failed or no worker ran it.
 
     Part 0 runs in this process and the others in forked workers, which
     inherit job: model-file time functions are closures, which a spawned
@@ -397,32 +392,31 @@ def _run_parts(job, parts, lockstep):
     first submit, before it starts its own thread.  multiprocessing is
     imported only here: its import costs tens of milliseconds.
     """
-    nobody = [None] * len(parts)
     if len(parts) == 1:
-        return nobody
+        return None
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return nobody
+        return None
     fork = multiprocessing.get_context("fork")
     try:
         pool = ProcessPoolExecutor(len(parts) - 1, mp_context=fork,
                                    initializer=_set_job, initargs=(job,))
     except OSError:
-        return nobody
+        return None
     with pool:
         try:  # the first submit forks every worker
             futures = [pool.submit(_worker_part, rows, lockstep) for rows in parts[1:]]
         except OSError:
-            return nobody
+            return None
         results = [_run_part(job, parts[0], lockstep)]
         for future in futures:
             try:
                 results.append(future.result())
             except Exception:  # a worker died or its result did not arrive
-                results.append(None)
-    return results
+                return None
+    return None if any(pairs is None for pairs in results) else results
 
 
 # ---------------------------------------------------------------------------
@@ -489,40 +483,35 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     """Run n_trajectories independent trajectories and average the observables.
 
     mode only chooses how the trajectories are chunked through the engine:
-    'lockstep' steps all of them together on one (B, N) block, 'serial' one
-    per chunk, and 'auto' picks lockstep when the configuration allows it.
-    Lockstep needs no basis upkeep (moving is None), since a cutoff is per
-    trajectory; either integrator runs in lockstep.  Noise streams are
-    derived from (seed, index), and each chunk's samples are folded into
-    sums shifted by trajectory 0's sample with a sequential np.cumsum, in
-    trajectory-index order.  Any chunking adds the same numbers in the same
-    order, so all modes give bitwise identical results.
+    'auto' steps all of them together on one (B, N) block when there is no
+    basis upkeep (moving is None), since a cutoff is per trajectory, and
+    one per chunk otherwise; 'serial' always runs one per chunk.  Either
+    integrator runs on one block.  Noise streams are derived from (seed,
+    index), and each chunk's samples are folded into sums shifted by
+    trajectory 0's sample with a sequential np.cumsum, in trajectory-index
+    order.  Any chunking adds the same numbers in the same order, so both
+    modes give bitwise identical results.
 
     The trajectory indices are split into W contiguous parts, W the smaller
     of the usable CPUs and n_trajectories, and each part is chunked as the
     mode says.  With W > 1 forked workers run parts 1..W-1 while this
     process runs part 0; the workers inherit the model instead of receiving
     it pickled, and their samples are folded in index order, so every W
-    gives the same bits.  With W = 1, without the fork start method, or when
-    no worker process can start, every part runs here.  A part that fails
-    is run again here, which raises its error as a run in one process
-    would: in lockstep the whole ensemble is rerun as one chunk, since its
-    error is the first check that fails within a step over all rows; in
-    serial the failing part is rerun, and the earliest failing part raises,
-    so the error names the lowest failing trajectory.
+    gives the same bits.  If any part fails, or no worker ran it (W = 1, no
+    fork start method, no worker process could start), this process runs
+    the whole ensemble itself, chunked the same way, which raises the error
+    a run in one process raises: on one block the first check that fails
+    within a step over all rows, one per chunk the lowest failing
+    trajectory.
     """
-    if mode not in ("auto", "lockstep", "serial"):
-        raise ValueError("mode must be 'auto', 'lockstep' or 'serial'")
-    lockstep_ok = cfg.moving is None
-    if mode == "lockstep" and not lockstep_ok:
-        raise ValueError("lockstep mode needs no moving basis")
-    lockstep = lockstep_ok and mode != "serial"
+    if mode not in ("auto", "serial"):
+        raise ValueError("mode must be 'auto' or 'serial'")
+    lockstep = mode == "auto" and cfg.moving is None
     b = cfg.n_trajectories
     job = (psi0, model, cfg, outspec)
-    parts = _split(b, min(_usable_cpus(), b))
-    results = _run_parts(job, parts, lockstep)
-    if lockstep and any(samples is None for samples in results):
-        parts, results = [range(b)], [None]
+    parts = _run_parts(job, _split(b, min(_usable_cpus(), b)), lockstep)
+    if parts is None:  # the chunks run here, each folded as it ends
+        parts = [((chunk, _run(*job, chunk)) for chunk in _chunks(range(b), lockstep))]
 
     nk = cfg.numsteps
     n_ops = len(outspec.operators)
@@ -531,12 +520,8 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     sizes = np.zeros(nk + 1, dtype=np.int64)
     subs = np.zeros(nk + 1, dtype=np.int64)
     jumps = np.zeros(b, dtype=np.int64)
-    for rows, samples in zip(parts, results):
-        if samples is None:  # run here: no worker ran the part, or it failed
-            outs = ((chunk, _run(*job, chunk)) for chunk in _chunks(rows, lockstep))
-        else:
-            outs = [(rows, samples)]
-        for chunk, (times, exps, vars_, szs, sb, jm) in outs:
+    for part in parts:
+        for chunk, (times, exps, vars_, szs, sb, jm) in part:
             wexp.update(exps)
             wvar.update(vars_)
             np.maximum(sizes, szs, out=sizes)

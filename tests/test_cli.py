@@ -431,14 +431,14 @@ def finite_model(hamiltonian="n(m)", params="", initial="m fock 0", run="", numd
     (finite_model("exp(1000)*n(m)"), "line 4, col 3", "value overflows"),
     (finite_model("2^99999*n(m)"), "line 4, col 4", "value overflows"),
     (finite_model("a(m)^1e999"), "line 4, col 8", "number literal '1e999' overflows"),
-    (finite_model("k*n(m)", params="k = exp(800)"), "line 4, col 2", "value overflows"),
-    (finite_model(initial="m coherent 1e999"), "line 7, col 1",
+    (finite_model("k*n(m)", params="k = exp(800)"), "line 4, col 7", "value overflows"),
+    (finite_model(initial="m coherent 1e999"), "line 7, col 14",
      "number literal '1e999' overflows"),
-    (finite_model(run="  seed = 1e999\n"), "line 16, col 1",
+    (finite_model(run="  seed = 1e999\n"), "line 16, col 10",
      "number literal '1e999' overflows"),
-    (finite_model(run="  trajectories = 1e999\n"), "line 16, col 1",
+    (finite_model(run="  trajectories = 1e999\n"), "line 16, col 18",
      "number literal '1e999' overflows"),
-    (finite_model(run="  moving = 1e999\n"), "line 16, col 1",
+    (finite_model(run="  moving = 1e999\n"), "line 16, col 12",
      "number literal '1e999' overflows"),
     (finite_model("1e999*n(m)"), "line 4, col 3", "number literal '1e999' overflows"),
     (finite_model("(1e308*10)*n(m)"), "line 4, col 9", "value overflows"),

@@ -286,6 +286,48 @@ def test_deep_nesting_is_rejected():
         parse_model(mk("-" * 3000 + "n(m)"))
     with pytest.raises(ModelParseError, match=r"^line 21, col \d+: expression nested too deeply$"):
         parse_model(mk() + "\nparams:\n  kappa = " + "-" * 3000 + "0.1\n")
+    # what the lowering nests is bounded too: time-function closures, and
+    # ScalarMul and Power around an operator; calling or compiling them
+    # used to exceed the recursion limit at build or run
+    for chain in ("t*" * 3000 + "n(m)", "n(m)" + "*2" * 3000, "n(m)" + "^1" * 3000):
+        with pytest.raises(ModelParseError,
+                           match=r"^line 6, col \d+: expression nested too deeply$"):
+            parse_model(mk(chain))
+    # operator + and * chains flatten into one Sum or Product, and constants fold
+    for chain in (" + ".join(["n(m)"] * 3000), "*".join(["n(m)"] * 3000),
+                  "*".join(["1"] * 3000) + "*n(m)"):
+        parse_model(mk(chain))
+
+
+def test_every_accepted_power_chain_echoes_back():
+    # the echo parenthesizes every base of a power chain, (x(m)^1)^1, so each
+    # ^ counts one level toward the nesting bound
+    accepted = 0
+    for k in range(1, 200):
+        text = mk().replace("n.out n(m)", "n.out x(m)" + "^1" * k)
+        try:
+            mf = parse_model(text)
+        except ModelParseError as err:
+            assert re.fullmatch(r"line 13, col \d+: expression nested too deeply", str(err))
+            break
+        assert parse_model(print_model(mf)) == mf
+        accepted = k
+    assert 100 <= accepted < k
+
+
+def test_errors_on_right_hand_sides_count_columns_from_the_line_start():
+    text = mk() + "\nparams:\n  kappa = foo\n"
+    with pytest.raises(ModelParseError, match=r"^line 21, col 11: unknown identifier 'foo'$"):
+        parse_model(text)
+    with pytest.raises(ModelParseError, match=r"^line 13, col 16: unknown identifier 'foo'$"):
+        parse_model(mk().replace("n.out n(m)", "n.out n(m) + foo"))
+    with pytest.raises(ModelParseError, match=r"^line 9, col 17: 't' is not allowed"):
+        parse_model(mk().replace("m fock 0", "m amps 1, 2,  t"))
+    with pytest.raises(ModelParseError, match=r"^line 16, col 9: unexpected trailing 'e'$"):
+        parse_model(mk().replace("dt = 0.01", "dt = 1e"))
+    # an error about the whole line keeps column 1
+    with pytest.raises(ModelParseError, match=r"^line 16, col 1: dt must be positive$"):
+        parse_model(mk().replace("dt = 0.01", "dt = -1"))
 
 
 # --- section-level errors ----------------------------------------------------------
@@ -417,7 +459,7 @@ def test_atom_transition_level_out_of_range():
         .replace("n.out n(m)", "n.out n(m)\n  q.out tr(q, 5, 0)")
     with pytest.raises(ModelParseError) as err:
         parse_model(text)
-    assert str(err.value) == "line 14, col 1: tr() level 5 outside freedom 'q' dimension 2"
+    assert str(err.value) == "line 14, col 9: tr() level 5 outside freedom 'q' dimension 2"
     with pytest.raises(ModelParseError, match="level 2 outside freedom 'q' dimension 2"):
         parse_model(text.replace("tr(q, 5, 0)", "tr(q, 0, 2)"))
 

@@ -913,7 +913,7 @@ def test_rows_at_their_own_times_equal_each_row_alone(m):
 
 
 def test_zero_length_advance_leaves_the_row_and_its_substep_size():
-    # _jump_inside advances a row by h = 0 when its crossing falls at the
+    # the jump loop advances a row by h = 0 when its crossing falls at the
     # start of its step: the row comes back bit for bit, with no substep,
     # and the substep size it carries is untouched
     model, freedoms = driven_cavity()

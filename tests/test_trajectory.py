@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import io
 import math
+import os
 import pathlib
 import re
 
@@ -126,19 +127,13 @@ def test_unnormalized_initial_state_rejected():
         run_single(psi, model, cfg, spec, **quiet())
 
 
-def test_lockstep_mode_requires_fixed_basis():
+def test_mode_must_be_auto_or_serial():
     model, psi = damped_cavity()
     spec = OutputSpec(operators=(number(0),))
-    cfg = RunConfig(dt=0.01, numdts=2, numsteps=1, n_trajectories=2,
-                    integrator=IntegratorConfig("adaptive", 1e-6))
-    run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
-    cfg = RunConfig(dt=0.01, numdts=2, numsteps=1, n_trajectories=2,
-                    moving=MovingBasisParams(n_moving=1))
-    with pytest.raises(ValueError, match="lockstep"):
-        run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
     cfg = RunConfig(dt=0.01, numdts=2, numsteps=1)
-    with pytest.raises(ValueError, match="mode"):
-        run_ensemble(psi, model, cfg, spec, mode="batched", **quiet())
+    for mode in ("lockstep", "batched"):
+        with pytest.raises(ValueError, match="mode"):
+            run_ensemble(psi, model, cfg, spec, mode=mode, **quiet())
 
 
 # --- shapes, times, formats ---------------------------------------------------
@@ -245,7 +240,7 @@ def test_ensemble_of_one_equals_single():
     assert np.all(one.se_re == 0.0) and np.all(one.se_im == 0.0)
 
 
-def runs_by_workers(monkeypatch, psi, model, cfg, spec, modes=("lockstep", "serial")):
+def runs_by_workers(monkeypatch, psi, model, cfg, spec, modes=("auto", "serial")):
     """{(mode, workers): result} of each mode with 1 and with 2 usable CPUs."""
     runs = {}
     for workers in (1, 2):
@@ -275,7 +270,7 @@ def test_lockstep_equals_serial_exactly(unr, monkeypatch):
                     unraveling=unr)
     runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
     for res in runs.values():
-        assert_same_bits(runs["lockstep", 1], res)
+        assert_same_bits(runs["auto", 1], res)
 
 
 @pytest.mark.parametrize("unr", list(Unraveling))
@@ -290,9 +285,9 @@ def test_lockstep_equals_serial_jaynes_cummings(unr, monkeypatch):
                     unraveling=unr)
     runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
     for res in runs.values():
-        assert_same_bits(runs["lockstep", 1], res)
+        assert_same_bits(runs["auto", 1], res)
     if unr is not Unraveling.QSD:
-        assert runs["lockstep", 1].jumps_per_trajectory.sum() > 0
+        assert runs["auto", 1].jumps_per_trajectory.sum() > 0
 
 
 @pytest.mark.parametrize("unr", [Unraveling.JUMP, Unraveling.ORTHO_JUMP], ids=lambda u: u.value)
@@ -315,8 +310,8 @@ def test_lockstep_equals_serial_with_two_jump_channels(unr, monkeypatch):
                         unraveling=unr)
         runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
         for res in runs.values():
-            assert_same_bits(runs["lockstep", 1], res)
-        assert runs["lockstep", 1].jumps_per_trajectory.sum() > fewest
+            assert_same_bits(runs["auto", 1], res)
+        assert runs["auto", 1].jumps_per_trajectory.sum() > fewest
 
 
 def test_adaptive_ensemble_is_independent_of_the_worker_count(monkeypatch):
@@ -344,11 +339,11 @@ def test_adaptive_lockstep_equals_serial(unr, monkeypatch):
                     unraveling=unr, integrator=IntegratorConfig("adaptive", 1e-7))
     runs = runs_by_workers(monkeypatch, psi, model, cfg, spec)
     for res in runs.values():
-        assert_same_bits(runs["lockstep", 1], res)
+        assert_same_bits(runs["auto", 1], res)
     subs = {tuple(_run(psi, model, cfg, spec, [i])[4]) for i in range(cfg.n_trajectories)}
     assert len(subs) > 1
     if unr is not Unraveling.QSD:
-        assert runs["lockstep", 1].jumps_per_trajectory.sum() >= cfg.n_trajectories // 2
+        assert runs["auto", 1].jumps_per_trajectory.sum() >= cfg.n_trajectories // 2
 
 
 def test_parts_run_here_when_no_worker_can_start(monkeypatch):
@@ -365,7 +360,7 @@ def test_parts_run_here_when_no_worker_can_start(monkeypatch):
     want = runs_by_workers(monkeypatch, psi, model, cfg, spec)
     starts = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for mode in ("lockstep", "serial"):
+    for mode in ("auto", "serial"):
         assert_same_bits(want[mode, 1], run_ensemble(psi, model, cfg, spec, mode=mode,
                                                      **quiet()))
     assert len(starts) == 2
@@ -403,7 +398,7 @@ def test_failures_name_the_trajectory(monkeypatch):
         for workers in (1, 2):
             monkeypatch.setattr(trajectory, "_usable_cpus", lambda: workers)
             with pytest.raises(RuntimeError) as lock_err:
-                run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
+                run_ensemble(psi, model, cfg, spec, mode="auto", **quiet())
             assert str(lock_err.value).startswith(
                 f"trajectory {first} failed at t={fail_at[first]:.6g}: ")
 
@@ -413,13 +408,45 @@ def test_failures_name_the_trajectory(monkeypatch):
                 f"trajectory {lowest} failed at t={fail_at[lowest]:.6g}: ")
 
 
-def test_auto_mode_picks_lockstep_result():
+def test_modes_chunk_the_ensemble(monkeypatch):
+    # one usable CPU: every chunk is one _run call in this process, so the
+    # lockstep-equals-serial tests above do compare two different chunkings
     model, psi = damped_cavity()
     spec = OutputSpec(operators=(number(0),))
-    cfg = RunConfig(dt=0.02, numdts=5, numsteps=2, seed=3, n_trajectories=4)
-    auto = run_ensemble(psi, model, cfg, spec, mode="auto", **quiet())
-    lock = run_ensemble(psi, model, cfg, spec, mode="lockstep", **quiet())
-    assert np.array_equal(auto.mean_expectations, lock.mean_expectations)
+    calls = []
+
+    def counted(*args):
+        calls.append(list(args[-1]))
+        return _run(*args)
+
+    monkeypatch.setattr(trajectory, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(trajectory, "_run", counted)
+    fixed = RunConfig(dt=0.02, numdts=5, numsteps=2, seed=3, n_trajectories=4)
+    moving = dataclasses.replace(fixed, moving=MovingBasisParams(n_moving=1))
+    for cfg, mode, chunks in ((fixed, "auto", [[0, 1, 2, 3]]),
+                              (moving, "auto", [[0], [1], [2], [3]]),
+                              (fixed, "serial", [[0], [1], [2], [3]])):
+        calls.clear()
+        run_ensemble(psi, model, cfg, spec, mode=mode, **quiet())
+        assert calls == chunks, (mode, cfg.moving)
+
+
+def _die_in_worker(rows, lockstep):
+    os._exit(3)
+
+
+def test_dead_worker_gives_the_one_process_results(monkeypatch):
+    # a worker that dies inside its part: the ensemble runs again here
+    model, psi = damped_cavity(dim=5, gamma=0.4)
+    spec = OutputSpec(operators=(number(0), destroy(0)))
+    cfg = RunConfig(dt=0.02, numdts=5, numsteps=4, seed=5, n_trajectories=7,
+                    unraveling=Unraveling.JUMP)
+    want = runs_by_workers(monkeypatch, psi, model, cfg, spec)
+    monkeypatch.setattr(trajectory, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(trajectory, "_worker_part", _die_in_worker)
+    for mode in ("auto", "serial"):
+        assert_same_bits(want[mode, 1], run_ensemble(psi, model, cfg, spec, mode=mode,
+                                                     **quiet()))
 
 
 def test_auto_mode_keeps_cutoff_upkeep_without_moving_freedoms():
