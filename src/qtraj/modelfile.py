@@ -37,10 +37,11 @@ build_model uses.  Parse and type errors, an out-of-range tr() level among
 them, raise ModelParseError with a line:column location, counted from the
 start of the line; a syntax error anywhere in an expression is reported
 before any lowering error in it.  Nesting is bounded by _MAX_DEPTH, both
-in the text (parentheses, arguments, unary minus and each ^ of a power
-chain, which the echo parenthesizes) and in the lowered value (closures of
-time functions; ScalarMul, TimeFnMul and Power around operators), so that
-neither the echo nor a build or run exceeds the recursion limit.
+in the text (parentheses, arguments and unary minus, in the input and in
+its canonical text, which parenthesizes each base of a power chain) and in
+the lowered value (closures of time functions; ScalarMul, TimeFnMul and
+Power around operators), so that neither the echo nor a build or run
+exceeds the recursion limit.
 Semantic rejections after a clean parse (a non-Hermitian Hamiltonian, an
 out-of-range initial level, a moving count that reaches past the leading
 field freedoms) raise ModelValidationError.
@@ -419,13 +420,8 @@ class _ExprParser:
 
     def parse_power(self):
         v = self.parse_postfix()
-        chain = 0
         while self.peek().kind == "^":
             optok = self.advance()
-            # the echo parenthesizes every base of a chain, (x^2)^3: one level each
-            chain += 1
-            if self.depth + chain > _MAX_DEPTH:
-                raise ModelParseError("expression nested too deeply", optok.line, optok.col)
             etok = self.expect("NUM")
             if etok.value != int(etok.value) or "." in etok.text or "e" in etok.text.lower():
                 raise ModelParseError("exponent must be an integer literal",
@@ -547,10 +543,18 @@ def _int_arg(arg, opname):
 def _parse_expression(text, first_line, freedoms, params, allow_time=True, first_col=1):
     """One expression parsed and lowered: a _Val holding its value and text.
 
-    text starts at column first_col of line first_line.
+    text starts at column first_col of line first_line.  The canonical text
+    is parsed once more, so that every accepted expression echoes back: it
+    parenthesizes each base of a power chain, (x^2)^3, which can nest it
+    deeper than the input was.
     """
     toks = _tokenize(text, first_line, first_col)
-    return _ExprParser(toks, freedoms, params, allow_time).parse_full()
+    v = _ExprParser(toks, freedoms, params, allow_time).parse_full()
+    try:
+        _ExprParser(_tokenize(v.text), freedoms, params, allow_time).parse_full()
+    except ModelParseError:
+        raise ModelParseError("expression nested too deeply", *v.pos) from None
+    return v
 
 
 def _scalar(v):

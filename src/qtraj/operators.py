@@ -30,12 +30,13 @@ through, compiles afresh on every call; a caller that applies a tree again
 keeps what it compiled, as `steppers.ModelOperators` keeps its forms.
 
 A compiled operator applies its diagonals by one of two kernels, chosen by
-its form alone (`DiagonalOperator`): the slice loop makes two numpy calls
+its band count when it is bound, never by B (`DiagonalOperator`); the
+count depends on which centers are 0.  The slice loop makes two numpy calls
 per band, and the gathered sweep gathers every band's input columns in
 one fancy index, multiplies them in one call and reduces over the bands
-in band order.  The gathered sweep takes forms of at most GATHER_MAX_SIZE
-states with at least GATHER_MIN_BANDS bands (one more per further
-channel), as on a moving basis; every other form keeps the slice loop.
+in band order.  The gathered sweep takes operators of at most
+GATHER_MAX_SIZE states with at least GATHER_MIN_BANDS bands (one more per
+further channel), as on a moving basis; every other keeps the slice loop.
 A tuple of trees compiles as one family (`CenteredForm`), which binds to
 one stacked operator: its single sweep returns every tree's result, tree
 j's in channel j.
@@ -527,8 +528,11 @@ class DiagonalOperator:
     them, and its out indices also pick that channel of a
     (B, channels, size) result.
 
-    `apply` has two kernels, chosen by the form alone, never by B, so a row
-    gets the same bits in a batch of any size.  The slice loop adds
+    `apply` has two kernels, chosen by the bound operator's size and band
+    count, never by B, so a row gets the same bits in a batch of any size.
+    A center that is not 0 adds bands: the Jaynes-Cummings h_eff over 16
+    states has 3 bands at zero centers (slice loop) and 7 at nonzero ones
+    (gathered sweep), shg's h_eff over 18 states 7 and 13.  The slice loop adds
     `d * y[ix_in]` into `out[ix_out]` band by band, two numpy calls a band.
     The gathered sweep gathers every band's input columns into a
     (rows, bands, size) block in one fancy index, multiplies it in place by

@@ -19,9 +19,9 @@ every freedom's used dimension, flattened -- so a whole ensemble advances in
 lockstep through exactly the arithmetic a single trajectory (B = 1) would
 perform, and a trajectory on a truncated basis does no work on the slots it
 does not use.  A model compiles the effective generator
--iH - 1/2 sum_j L_j+ L_j and, as one family, the L_j, whose single sweep
-feeds the qsd and orthojump drifts, the jump rates and the QSD
-noise, with each <L_j> and <L_j+ L_j> from block reductions over it.
+-iH - 1/2 sum_j L_j+ L_j and, as one family, the L_j, read only by
+`_sweep`: one stacked sweep and its guarded <L_j> feed the qsd and orthojump
+drifts, the jump rates and the QSD noise, and `_normalize_rows` ends a step.
 """
 
 from __future__ import annotations
@@ -281,6 +281,17 @@ class StepStats:
 # Drift
 
 
+def _sweep(y, lstack, t, n2=None):
+    """(B, m, N) L_j y, (B, m) <L_j> and (B, 1) squared norms of the rows y at t.
+
+    n2: the rows' squared norms, when known.  A zero norm reads as 1.
+    """
+    n2 = row_norm2(y) if n2 is None else n2
+    n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
+    ly = lstack.apply(y, t)  # L_j y in channel j of each row's stack
+    return ly, row_dot(y, ly) / n2, n2
+
+
 def _drift2d(y, freedoms, model, unraveling, t):
     """What the integrators step for the unraveling, on a (B, N) used block.
 
@@ -301,10 +312,7 @@ def _drift2d(y, freedoms, model, unraveling, t):
     out = np.zeros_like(y) if h_eff is None else h_eff.apply(y, t)
     if lstack is None or unraveling is Unraveling.JUMP:
         return out
-    n2 = row_norm2(y)
-    n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
-    ly = lstack.apply(y, t)  # (B, m, N): L_j y in row j of each stack
-    lexp = row_dot(y, ly) / n2  # <L>
+    ly, lexp, _ = _sweep(y, lstack, t)
     # coef: per-row, per-channel multiple of y, summed over channels at the end
     coef = -0.5 * np.abs(lexp) ** 2
     # conj(<L>) stays the first factor: a complex product's bits can depend on the order
@@ -325,7 +333,7 @@ def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
     d = _drift2d(y, psi.freedoms, model, unraveling, t)
     _, lstack = model.compiled(psi.freedoms)
     if unraveling is not Unraveling.QSD and lstack is not None:
-        rates, _ = _rates(y, lstack.apply(y, t), unraveling is Unraveling.ORTHO_JUMP)
+        rates, _, _ = _rates(y, lstack, t, unraveling is Unraveling.ORTHO_JUMP)
         d += (0.5 * rates).sum(axis=1)[:, None] * y
     out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
     set_used_block(out.as2d(), out.freedoms, d)
@@ -468,14 +476,17 @@ def _first_row(mask) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-def _normalize_rows(y):
-    """Divide each row of y by its norm, in place; returns the norms."""
-    n = row_norm(y)
+def _normalize_rows(y, n2=None, message="state norm collapsed during a step"):
+    """Divide each row of y by its norm, in place, and return y; a collapsed row fails.
+
+    n2: the rows' squared norms, when known.
+    """
+    n = row_norm(y) if n2 is None else np.sqrt(n2)
     collapsed = n < NORM_COLLAPSE
     if collapsed.any():
-        raise StepError("state norm collapsed during a step", _first_row(collapsed))
+        raise StepError(message, _first_row(collapsed))
     y /= n[:, None]
-    return n
+    return y
 
 
 def _check_stable(n2, dt):
@@ -545,8 +556,7 @@ class QsdStepper(_StepperBase):
         _check_stable(n2, self.dt)
         _, lstack = self.model.compiled(freedoms)
         if lstack is not None:
-            ly = lstack.apply(y, t + self.dt)  # (B, m, N)
-            lexp = row_dot(y, ly) / np.where(n2 > 0.0, n2, 1.0)[:, None]
+            ly, lexp, _ = _sweep(y, lstack, t + self.dt, n2)
             ly -= lexp[:, :, None] * y[:, None]
             ly *= dxi[:, :, None]
             y = y + ly.sum(axis=1)
@@ -585,8 +595,7 @@ class JumpStepper(_StepperBase):
         t is a scalar or a (B,) array of per-row times.
         """
         _, lstack = self.model.compiled(freedoms)
-        ly = lstack.apply(y, t)
-        rates, lexp = _rates(y, ly, self._orthogonal)
+        rates, ly, lexp = _rates(y, lstack, t, self._orthogonal)
         negative = (rates < P_NEGATIVE).any(axis=1)
         if negative.any():
             raise StepError("negative jump rate; expectation evaluation is broken",
@@ -606,11 +615,7 @@ class JumpStepper(_StepperBase):
         jumped = ly[rows, channel]
         if self._orthogonal:
             jumped -= lexp[rows, channel][:, None] * y
-        nrm = row_norm(jumped)
-        collapsed = nrm < NORM_COLLAPSE
-        if collapsed.any():
-            raise StepError("jump produced a zero-norm state", _first_row(collapsed))
-        return jumped / nrm[:, None]
+        return _normalize_rows(jumped, message="jump produced a zero-norm state")
 
     def step(self, y, freedoms, t, sources):
         """Advance every row by dt, jumping wherever it reaches its level.
@@ -649,32 +654,24 @@ class JumpStepper(_StepperBase):
                 rows, y0, y1, t0, h, lv = (a[again] for a in (rows, y0, y1, t0, h, lv))
                 jumped.append(rows)
         _check_stable(n2, self.dt)
-        n = np.sqrt(n2)
-        collapsed = n < NORM_COLLAPSE
-        if collapsed.any():
-            raise StepError("state norm collapsed during a step", _first_row(collapsed))
-        out /= n[:, None]
+        _normalize_rows(out, n2)
         if level is not None:
             self._level = level / n2
         return out, StepStats(nsub, np.concatenate(jumped))
 
 
-def _rates(y, ly, orthogonal):
-    """(B, m) jump rates and (B, m) <L_j> of the rows y, given ly = L_j y.
+def _rates(y, lstack, t, orthogonal):
+    """(B, m) jump rates, (B, m, N) L_j y and (B, m) <L_j> of the rows y at t.
 
     The rate of channel j is <L_j+ L_j>, and <L_j+ L_j> - |<L_j>|^2 for
-    orthojump; <L_j> is None for jump.
+    orthojump.
     """
-    n2 = row_norm2(y)
-    n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
+    ly, lexp, n2 = _sweep(y, lstack, t)
     rates = row_norm2(ly) / n2
-    if not orthogonal:
-        return rates, None
-    lexp = row_dot(y, ly) / n2
-    return rates - np.abs(lexp) ** 2, lexp
+    return (rates - np.abs(lexp) ** 2 if orthogonal else rates), ly, lexp
 
 
-# _crossing stops a row once its squared norm is within this fraction of its
+# _crossing freezes a row once its squared norm is within this fraction of its
 # level (a few rounding errors), or after CROSSING_STEPS Newton steps
 CROSSING_TOL = 1e-15
 CROSSING_STEPS = 60
@@ -689,9 +686,9 @@ def _crossing(y0, f0, y1, f1, h, level):
     The fraction s/h starts where the chord of the squared norms crosses the
     level and takes Newton steps on the interpolant's squared norm; a step
     that would leave the bracket kept around the crossing bisects it
-    instead.  A row stops once its squared norm is within CROSSING_TOL
-    times its level, or after CROSSING_STEPS steps, so its result does not
-    depend on the other rows.
+    instead.  A row's x is frozen once its squared norm is within
+    CROSSING_TOL times its level; the others step on, at most CROSSING_STEPS
+    times, so a row's result does not depend on the other rows.
     """
     hf0, hf1 = h[:, None] * f0, h[:, None] * f1
     d = y1 - y0
@@ -700,28 +697,21 @@ def _crossing(y0, f0, y1, f1, h, level):
     n0, n1 = row_norm2(y0), row_norm2(y1)
     x = np.clip((n0 - level) / np.maximum(n0 - n1, np.finfo(float).tiny), 0.0, 1.0)
     lo, hi = np.zeros_like(x), np.ones_like(x)
-    found = np.empty_like(x)
-    rows = np.arange(len(x))  # the rows still searching; the arrays below hold only them
+    going = np.ones(len(x), dtype=bool)  # the rows still searching; the others keep their x
     for _ in range(CROSSING_STEPS):
         xs = x[:, None]
         y = y0 + xs * (hf0 + xs * (c2 + xs * c3))
         g = row_norm2(y) - level
-        near = np.abs(g) <= CROSSING_TOL * level
-        if near.any():
-            found[rows[near]] = x[near]
-            far = ~near
-            rows, x, xs, y, g, lo, hi, level, y0, hf0, c2, c3 = (
-                a[far] for a in (rows, x, xs, y, g, lo, hi, level, y0, hf0, c2, c3))
-            if not rows.size:
-                break
+        going &= ~(np.abs(g) <= CROSSING_TOL * level)  # a NaN row keeps searching
+        if not going.any():
+            break
         dy = hf0 + xs * (2.0 * c2 + 3.0 * xs * c3)
         above = g > 0.0
         lo, hi = np.where(above, x, lo), np.where(above, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - g / (2.0 * row_dot(y, dy).real)
-        x = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-    found[rows] = x
-    return found * h
+        x = np.where(going, np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi)), x)
+    return x * h
 
 
 def make_stepper(model: ModelOperators, unraveling: Unraveling, dt: float,

@@ -31,6 +31,7 @@ from qtraj import (
     sigma_plus,
     to_dense,
 )
+from qtraj.cli import main
 
 TEMPLATE = """\
 freedoms:
@@ -299,20 +300,42 @@ def test_deep_nesting_is_rejected():
         parse_model(mk(chain))
 
 
+def nested_sums(n):
+    """(a(m) + (a(m) + ... a(m))) with n - 1 nested sums."""
+    base = "a(m)"
+    for _ in range(n - 1):
+        base = f"(a(m) + {base})"
+    return base
+
+
 def test_every_accepted_power_chain_echoes_back():
-    # the echo parenthesizes every base of a power chain, (x(m)^1)^1, so each
-    # ^ counts one level toward the nesting bound
-    accepted = 0
-    for k in range(1, 200):
-        text = mk().replace("n.out n(m)", "n.out x(m)" + "^1" * k)
-        try:
-            mf = parse_model(text)
-        except ModelParseError as err:
-            assert re.fullmatch(r"line 13, col \d+: expression nested too deeply", str(err))
-            break
-        assert parse_model(print_model(mf)) == mf
-        accepted = k
-    assert 100 <= accepted < k
+    # the echo parenthesizes every base of a power chain, (x(m)^1)^1
+    for base in ("x(m)", nested_sums(10)):
+        accepted = 0
+        for k in range(1, 200):
+            text = mk().replace("n.out n(m)", "n.out " + base + "^1" * k)
+            try:
+                mf = parse_model(text)
+            except ModelParseError as err:
+                assert re.fullmatch(r"line 13, col \d+: expression nested too deeply", str(err))
+                break
+            assert parse_model(print_model(mf)) == mf
+            accepted = k
+        assert 100 <= accepted < k
+
+
+@pytest.mark.parametrize("sums, powers", [(65, 65), (80, 50), (100, 30)])
+def test_a_power_chain_whose_echo_nests_too_deeply_is_a_located_error(sums, powers, tmp_path,
+                                                                       capsys):
+    # the input nests about 66 levels, but its echo wraps the base's
+    # parentheses in the chain's; the expression is rejected at its last ^
+    output = nested_sums(sums) + "^1" * powers
+    path = tmp_path / "deep.qt"
+    path.write_text(mk().replace("n.out n(m)", "n.out " + output))
+    assert main(["print-model", "--model", str(path)]) == 2
+    col = len("  n.out ") + len(output) - 1
+    assert capsys.readouterr().err == (
+        f"qtraj: {path}: line 13, col {col}: expression nested too deeply\n")
 
 
 def test_errors_on_right_hand_sides_count_columns_from_the_line_start():

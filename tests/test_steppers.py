@@ -510,6 +510,46 @@ def test_zero_norm_jump_names_the_lowest_collapsing_row():
     assert err.value.row == 1
 
 
+def test_collapsed_qsd_row_names_its_row():
+    model, dims = example_model()
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal((3, math.prod(dims))) + 1j * rng.standard_normal((3, math.prod(dims)))
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    y[1] = 0.0
+    freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
+    dxi = NoiseSource(3).wiener(3, 2, 1e-3)
+    with pytest.raises(StepError, match="state norm collapsed during a step") as err:
+        make_stepper(model, Unraveling.QSD, 1e-3).step(y, freedoms, 0.0, dxi)
+    assert err.value.row == 1
+
+
+def test_crossing_rows_equal_each_row_alone():
+    # one amplitude per row on a cubic y(x) = y0 + x hf0 + x^2 c2 + x^3 c3,
+    # every number a dyadic; x = s/h, and the squared norm falls from 1 to 1/4
+    h = np.array([0.5, 0.25, 0.125])
+    y0 = np.array([[1.0], [1.0j], [1.0]])
+    y1 = np.array([[0.5], [0.5j], [0.5]])
+    # rows 0 and 1 move on the line y = 1 - x/2, row 2 on y = 1 - x^3/2
+    hf0 = np.array([[-0.5], [-0.5j], [0.0]])
+    hf1 = np.array([[-0.5], [-0.5j], [-1.5]])
+    # row 0: the level is the end's squared norm, so the chord start x = 1
+    # is exact; row 1: Newton steps from the chord start 2/3; row 2: the
+    # curve is flat at the chord start 2/15, so Newton's first step leaves
+    # the bracket [0, 1] and the row bisects
+    level = np.array([0.25, 0.5, 0.9])
+    args = (y0, hf0 / h[:, None], y1, hf1 / h[:, None], h, level)
+    s = steppers._crossing(*args)
+    want = np.array([1.0, 2.0 - math.sqrt(2.0), (2.0 * (1.0 - math.sqrt(0.9))) ** (1 / 3)])
+    assert np.abs(s / h - want).max() < 1e-14
+    assert s[0] == h[0]
+    for r in range(3):
+        alone = steppers._crossing(*(a[r:r + 1] for a in args))
+        assert s[r].tobytes() == alone[0].tobytes()
+    # reversed, each row still gets its own bits
+    back = steppers._crossing(*(a[::-1].copy() for a in args))
+    assert back[::-1].tobytes() == s.tobytes()
+
+
 @pytest.mark.parametrize("unr", list(Unraveling))
 def test_nan_row_fails_its_own_row(unr):
     # every comparison with NaN is False, so a guard written as "fail if
