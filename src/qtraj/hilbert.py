@@ -75,41 +75,55 @@ class FreedomSpec:
 
 
 # ---------------------------------------------------------------------------
-# Row helpers shared by the whole package.  Everything numerical runs through
-# these so a batch of trajectories (shape (B, N)) and a single state (B=1)
-# take literally the same code path, element for element.  The per-row
-# arithmetic is independent of B and of the strides: inputs are made
-# C-contiguous, and np.einsum sums each row in one call of its inner kernel.
-# einsum hands that kernel at most one iterator buffer of _EINSUM_ROW_MAX
-# elements at a time (np.setbufsize does not change it); a longer row would
-# be cut at borders that move with B, so such rows take the pairwise .sum,
-# which is per row too but much slower on short rows.
+# Block helpers shared by the whole package.  Everything numerical runs
+# through these, so a batch of trajectories and a single state (B = 1) take
+# literally the same code path, element for element.  A block is a
+# C-contiguous (N, B) array whose column b holds trajectory b: amplitude i of
+# every trajectory is one contiguous row, so an operator band and a
+# per-trajectory scalar, broadcast as a (1, B) row, sweep contiguous memory.
+# The per-trajectory reductions keep the names row_dot, row_norm2 and
+# row_norm, and each is one left-to-right fold over N (`fold`): numpy adds
+# along an axis that is not the fast one row after row, so np.add.reduce
+# over axis -2 of a C-contiguous block folds every column in index order.
+# At B = 1 axis -2 is the fast axis, where add.reduce sums pairwise, so the
+# fold takes np.cumsum, which is sequential, and gives the same bits.  The
+# fold is therefore the same for every B and every stride, and a trailing
+# zero adds nothing (x + 0.0 == x), so padding a column changes no bit.
+# Every product is taken between arrays of one ndim: numpy multiplies a
+# mixed-ndim size-1 broadcast, such as (1, 1) * (1,), and numpy scalars
+# through loops whose complex bits differ from the array loop's.
 
-_EINSUM_ROW_MAX = 8192
+
+def fold(x: np.ndarray) -> np.ndarray:
+    """Sum of x over axis -2, added strictly in index order whatever the other axes."""
+    x = np.ascontiguousarray(x)
+    n = x.shape[-2]
+    if n == 1:  # one row is its own sum
+        return x[..., 0, :].copy()
+    if n and x.shape[-1] == 1:
+        return x.cumsum(axis=-2)[..., -1, :]
+    return np.add.reduce(x, axis=-2)
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row inner product conj(x).y for (B, N) arrays.
+    """Per-trajectory inner product conj(x).y of (N, B) blocks: a (B,) array.
 
-    y may also be a (B, m, N) stack, giving the (B, m) products of each row
-    of x with the m rows of its stack.
+    y may also be an (m, N, B) stack, giving the (m, B) products of each
+    column of x with the m columns of its stack.
     """
-    xc = np.ascontiguousarray(x).conj()
-    y = np.ascontiguousarray(y)
-    if y.shape[-1] > _EINSUM_ROW_MAX:
-        return ((xc if y.ndim == 2 else xc[:, None]) * y).sum(axis=-1)
-    return np.einsum("ij,ij->i" if y.ndim == 2 else "ij,ikj->ik", xc, y)
+    xc = np.conj(x)
+    return fold((xc if y.ndim == 2 else xc[None]) * y)
 
 
 def row_norm2(x: np.ndarray) -> np.ndarray:
-    """Per-row squared norm of a (B, N) complex array, or (B, m) of a (B, m, N) one."""
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    if 2 * x.shape[-1] > _EINSUM_ROW_MAX:
-        xr = x.real
-        xi = x.imag
-        return (xr * xr + xi * xi).sum(axis=-1)
-    v = x.view(np.float64).reshape(-1, 2 * x.shape[-1])
-    return np.einsum("ij,ij->i", v, v).reshape(x.shape[:-1])
+    """Per-trajectory squared norm of an (N, B) block, or (m, B) of an (m, N, B) stack.
+
+    The squares re^2 and im^2 are folded over N side by side, as the real
+    and imaginary parts of one complex block, and then added.
+    """
+    v = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    s = fold((v * v).view(np.complex128))
+    return s.real + s.imag
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:
@@ -117,31 +131,30 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def used_view(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
-    """View of (B, total) amplitudes as (B, u_1, ..., u_M) over used dims.
+    """View of (total, B) amplitudes as (u_1, ..., u_M, B) over used dims.
 
     The input must be C-contiguous so the reshape is a view; writes to the
     result go through to the buffer.
     """
     if not amps2d.flags.c_contiguous:
         raise ValueError("amplitude buffer must be C-contiguous")
-    b = amps2d.shape[0]
-    full = amps2d.reshape((b,) + tuple(f.dim_alloc for f in freedoms))
-    ix = (slice(None),) + tuple(slice(0, f.dim_used) for f in freedoms)
-    return full[ix]
+    b = amps2d.shape[-1]
+    full = amps2d.reshape(tuple(f.dim_alloc for f in freedoms) + (b,))
+    return full[tuple(slice(0, f.dim_used) for f in freedoms)]
 
 
 def used_block(amps2d: np.ndarray, freedoms: list) -> np.ndarray:
-    """(B, product of used dims) C-contiguous amplitudes of the used block.
+    """(product of used dims, B) C-contiguous amplitudes of the used block.
 
     This is a view of the buffer where the sliced view is already
     C-contiguous, as when every freedom uses its whole allocation, and a
     compact copy otherwise; callers must not write to it.
     """
-    return np.ascontiguousarray(used_view(amps2d, freedoms)).reshape(amps2d.shape[0], -1)
+    return np.ascontiguousarray(used_view(amps2d, freedoms)).reshape(-1, amps2d.shape[-1])
 
 
 def set_used_block(amps2d: np.ndarray, freedoms: list, block: np.ndarray):
-    """Write a (B, product of used dims) block back into the (B, total) buffer."""
+    """Write a (product of used dims, B) block back into the (total, B) buffer."""
     view = used_view(amps2d, freedoms)
     view[...] = block.reshape(view.shape)
 
@@ -187,8 +200,8 @@ class StateVector:
         return math.prod(self.used_dims())
 
     def as2d(self) -> np.ndarray:
-        """(1, N) view of the amplitude buffer; mutations write through."""
-        return self.amps.reshape(1, -1)
+        """(N, 1) block view of the amplitude buffer; mutations write through."""
+        return self.amps.reshape(-1, 1)
 
     def copy(self) -> "StateVector":
         return StateVector(self.freedoms, self.amps.copy())

@@ -141,7 +141,7 @@ def move_coords(state: StateVector, displacement: complex, freedom: int,
     phase = cmath.exp((np.conj(d) * fr.center - d * np.conj(fr.center)) / 2.0)
     view = used_view(state.as2d(), state.freedoms)
     view *= phase
-    _apply_displacement(view, 1 + freedom, -d, shift_accuracy)
+    _apply_displacement(view, freedom, -d, shift_accuracy)
     fr.center = fr.center + d
 
 
@@ -157,8 +157,8 @@ def recenter(state: StateVector, freedom: int, shift_accuracy: float = 1e-6) -> 
     n2 = float(row_norm2(y)[0])
     if n2 == 0.0:
         return 0j
-    view = y.reshape((1,) + state.used_dims())
-    r, lo, hi = _ladder(view, 1 + freedom)
+    view = y.reshape(state.used_dims() + (1,))
+    r, lo, hi = _ladder(view, freedom)
     ay = np.zeros_like(view)  # the local annihilation operator applied to y
     ay[lo] = r * view[hi]
     delta = complex(row_dot(y, ay.reshape(y.shape))[0]) / n2
@@ -189,7 +189,7 @@ def adjust_cutoff(state: StateVector, freedom: int, epsilon: float, pad_size: in
     # amplitudes outside the used block are zero, so only its slots can
     # carry probability; the slots above dim_used stay 0 in slotp
     view = used_view(state.as2d(), state.freedoms)
-    axis = 1 + freedom
+    axis = freedom
     sumaxes = tuple(i for i in range(view.ndim) if i != axis)
     slotp = np.zeros(fr.dim_alloc)
     slotp[:fr.dim_used] = (view.real ** 2 + view.imag ** 2).sum(axis=sumaxes)

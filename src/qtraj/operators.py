@@ -12,7 +12,10 @@ Application goes through one compiled form.  For a given basis (the type,
 used dimension and center of every freedom) a tree becomes offset diagonals
 over the used block of the state, flattened row-major:
 
-    out[:, i] = sum_k d_k[i] * y[:, i + o_k]
+    out[i] = sum_k d_k[i] * y[i + o_k]
+
+on an (N, B) block whose column b is trajectory b, so that row i holds
+amplitude i of every trajectory.
 
 A primary on freedom k contributes diagonals at multiples of that freedom's
 stride, written straight from its matrix elements; sums add diagonals,
@@ -32,11 +35,12 @@ keeps what it compiled, as `steppers.ModelOperators` keeps its forms.
 A compiled operator applies its diagonals by one of two kernels, chosen by
 its band count when it is bound, never by B (`DiagonalOperator`); the
 count depends on which centers are 0.  The slice loop makes two numpy calls
-per band, and the gathered sweep gathers every band's input columns in
-one fancy index, multiplies them in one call and reduces over the bands
-in band order.  The gathered sweep takes operators of at most
-GATHER_MAX_SIZE states with at least GATHER_MIN_BANDS bands (one more per
-further channel), as on a moving basis; every other keeps the slice loop.
+per band, each over contiguous rows, and the gathered sweep gathers every
+band's input rows in one fancy index, multiplies them in one call and
+reduces over the bands in band order.  The gathered sweep takes operators
+of 2 to GATHER_MAX_SIZE states with at least GATHER_MIN_BANDS bands (one
+more per further channel), as on a moving basis; every other keeps the
+slice loop.
 A tuple of trees compiles as one family (`CenteredForm`), which binds to
 one stacked operator: its single sweep returns every tree's result, tree
 j's in channel j.
@@ -485,13 +489,13 @@ def _shape_of(freedoms) -> tuple:
 def _time_factor(fns, t):
     """Product of a group's time functions at t; OverflowError unless finite.
 
-    t is a scalar time, or a (B,) array of per-row times: the product is
-    then a (B, 1) column, computed once per distinct time.
+    t is a scalar time, or a (B,) array of per-trajectory times: the
+    product is then a (1, B) row, computed once per distinct time.
     """
     if isinstance(t, np.ndarray):
         times = t.tolist()
         z = {s: _time_factor(fns, s) for s in dict.fromkeys(times)}
-        return np.array([z[s] for s in times])[:, None]
+        return np.array([z[s] for s in times])[None, :]
     try:
         z = math.prod(complex(fn(t)) for fn in fns)
         if cmath.isfinite(z):
@@ -502,11 +506,11 @@ def _time_factor(fns, t):
 
 
 # The gathered sweep takes forms of at least this many bands, plus one per
-# channel after the first, over at most GATHER_MAX_SIZE states
+# channel after the first, over 2 to GATHER_MAX_SIZE states
 GATHER_MIN_BANDS = 4
 GATHER_MAX_SIZE = 32
-# Complex elements of one gathered block, 256 KiB: rows are gathered in
-# chunks of at most this many elements (one row at least)
+# Complex elements of one gathered block, 256 KiB: trajectories are gathered
+# in chunks of at most this many elements (one trajectory at least)
 GATHER_BLOCK = 1 << 14
 
 
@@ -515,41 +519,43 @@ class DiagonalOperator:
 
     `groups` holds (time functions, bands) pairs; a group's sweep is scaled by
     the product of its functions at the time of application, and a product
-    that is not finite raises OverflowError.  Rows applied at times of their
-    own are scaled by a (B, 1) column of products.  Each band is (out index, in
-    index, d) and adds d * y[in index] to out[out index], with the indices
-    selecting columns lo:hi and lo+offset:hi+offset of a block.  d is a
-    (1, hi - lo) row: numpy multiplies complex arrays of one shape through
-    the same loop whatever B is, but a (1, 1) column times a (1,) diagonal
-    through another, whose bits differ from those of the many-row loop.
+    that is not finite raises OverflowError.  Trajectories applied at times
+    of their own are scaled by a (1, B) row of products.  Each band is
+    (out index, in slice, d) and adds d * y[in slice] to out[out index],
+    the two selecting rows lo:hi and lo+offset:hi+offset of an (N, B) block,
+    so every band sweeps contiguous memory; d is an (hi - lo, 1) column,
+    which broadcasts along each row.
 
     A stacked operator, bound from a family of trees, applies them all in
     one sweep: `channels` is their number, each group belongs to one of
     them, and its out indices also pick that channel of a
-    (B, channels, size) result.
+    (channels, size, B) result.
 
     `apply` has two kernels, chosen by the bound operator's size and band
-    count, never by B, so a row gets the same bits in a batch of any size.
-    A center that is not 0 adds bands: the Jaynes-Cummings h_eff over 16
-    states has 3 bands at zero centers (slice loop) and 7 at nonzero ones
-    (gathered sweep), shg's h_eff over 18 states 7 and 13.  The slice loop adds
-    `d * y[ix_in]` into `out[ix_out]` band by band, two numpy calls a band.
-    The gathered sweep gathers every band's input columns into a
-    (rows, bands, size) block in one fancy index, multiplies it in place by
-    the stacked diagonals, and reduces each channel's bands in band order
+    count, never by B, so a trajectory gets the same bits in a batch of any
+    size.  A center that is not 0 adds bands: the Jaynes-Cummings h_eff over
+    16 states has 3 bands at zero centers (slice loop) and 7 at nonzero ones
+    (gathered sweep), shg's h_eff over 18 states 7 and 13.  The slice loop
+    adds `d * y[in slice]` into `out[out index]` band by band, two numpy
+    calls a band.  The gathered sweep gathers every band's input rows into a
+    (bands, size, B) block in one fancy index, multiplies it in place by
+    the stacked diagonals, and folds each channel's bands in band order
     into a C-contiguous result: 2 + channels calls.  It is taken when the
-    bands outnumber the channels by GATHER_MIN_BANDS - 1 or more, on at
-    most GATHER_MAX_SIZE states: there it was measured faster up to
-    B = 17 (3 times at 13 bands) and as fast in the median on batches of
-    250 to 4000 rows.  On larger forms it loses on wide batches (1.9 times
-    slower for shg's 13-band h_eff over 60 states at B = 100), and from
-    about 1000 states at B = 1 too.  Rows are gathered in chunks of about
-    GATHER_BLOCK elements, so the block stays small at any B; rows are
-    independent, so chunks change no bits.  A band contributes a zero
-    diagonal where it does not reach, gathered from the row's own column,
-    so a NaN stays in its row.  A gathered operator builds its gather
-    stacks when it is made; they are small, as it has at most
-    GATHER_MAX_SIZE states.
+    bands outnumber the channels by GATHER_MIN_BANDS - 1 or more, on 2 to
+    GATHER_MAX_SIZE states (over 2 or more states numpy adds the bands in
+    band order).  Measured in this layout on forms of 4 to 70 states, the
+    gathered sweep was 1.0 to 3.1 times as fast as the slice loop at B = 1
+    to 17 (most at 11 bands), as fast at B = 64 on up to 18 states only,
+    and slower on every form at B = 250 to 4000, where each band of the
+    slice loop sweeps long contiguous rows (0.3 to 1.0 times as fast).  The
+    rule, which cannot depend on B, keeps the gathered sweep for the
+    many-band forms of a moving basis, which runs one trajectory at a time.
+    Trajectories are gathered in chunks of about GATHER_BLOCK elements, so
+    the block stays small at any B; trajectories are independent, so chunks
+    change no bits.  A band contributes a zero diagonal where it does not
+    reach, gathered from the trajectory's own row, so a NaN stays in its
+    column.  A gathered operator builds its gather stacks when it is made;
+    they are small, as it has at most GATHER_MAX_SIZE states.
     """
 
     __slots__ = ("size", "groups", "channels", "gathered", "_gather")
@@ -559,24 +565,25 @@ class DiagonalOperator:
         self.groups = groups
         self.channels = channels
         bands = sum(len(bands) for _, bands in groups)
-        self.gathered = (size <= GATHER_MAX_SIZE
+        self.gathered = (1 < size <= GATHER_MAX_SIZE
                          and bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
         self._gather = self._gather_stacks() if self.gathered else None
 
     def apply(self, y: np.ndarray, t=0.0) -> np.ndarray:
-        """The operator applied to every row of a (B, size) block at time t.
+        """The operator applied to every column of a (size, B) block at time t.
 
-        t is a scalar, or a (B,) array giving each row its own time.  The
-        result is (B, size), or (B, channels, size) for a stacked operator.
+        t is a scalar, or a (B,) array giving each trajectory its own time.
+        The result is (size, B), or (channels, size, B) for a stacked
+        operator.
         """
-        if y.ndim != 2 or y.shape[1] != self.size:
-            raise ValueError(f"expected a (B, {self.size}) used block, got shape {y.shape}")
+        if y.ndim != 2 or y.shape[0] != self.size:
+            raise ValueError(f"expected a ({self.size}, B) used block, got shape {y.shape}")
         if self.gathered:
             return self._apply_gathered(y, t)
         return self._apply_sliced(y, t)
 
     def _apply_sliced(self, y, t):
-        shape = y.shape if self.channels is None else (y.shape[0], self.channels, self.size)
+        shape = y.shape if self.channels is None else (self.channels,) + y.shape
         out = np.zeros(shape, dtype=complex)
         for fns, bands in self.groups:
             if fns:
@@ -587,34 +594,37 @@ class DiagonalOperator:
         return out
 
     def _apply_gathered(self, y, t):
-        ix, diags, segments, timed = self._gather
-        if timed and isinstance(t, np.ndarray):  # per-row times: one (bands, size) stack per row
-            diags = np.repeat(diags[None], y.shape[0], axis=0)
+        ix, diags, segments, timed, cols = self._gather
+        b = y.shape[1]
+        if timed and isinstance(t, np.ndarray):  # per-trajectory times: a (bands, size) stack each
+            diags = np.repeat(diags, b, axis=2)
             for lo, hi, fns in timed:
-                diags[:, lo:hi] *= _time_factor(fns, t)[:, :, None]
+                diags[lo:hi] *= _time_factor(fns, t)[None]
         elif timed:
             diags = diags.copy()
             for lo, hi, fns in timed:
                 diags[lo:hi] *= _time_factor(fns, t)
-        out = np.empty((y.shape[0], len(segments), self.size), dtype=complex)
-        rows = max(1, GATHER_BLOCK // ix.size)
-        for r in range(0, y.shape[0], rows):
-            block = y[r:r + rows, ix]
-            block *= diags if diags.ndim == 2 else diags[r:r + rows]
+        out = np.empty((len(segments), self.size, b), dtype=complex)
+        for c in range(0, b, cols):
+            block = y[ix, c:c + cols]
+            block *= diags if diags.shape[2] == 1 else diags[:, :, c:c + cols]
+            # over 2 or more states numpy adds the bands' rows in band order
             for j, (lo, hi) in enumerate(segments):
-                np.add.reduce(block[:, lo:hi], axis=1, out=out[r:r + rows, j])
-        return out.reshape(y.shape) if self.channels is None else out
+                np.add.reduce(block[lo:hi], axis=0, out=out[j, :, c:c + cols])
+        return out[0] if self.channels is None else out
 
     def _gather_stacks(self):
-        """(column indices, diagonals, channel segments, timed rows) of the gathered sweep.
+        """(indices, diagonals, segments, timed bands, chunk width) of the gathered sweep.
 
-        ix and d are (bands, size): channel 0's bands in group order, then
-        channel 1's, and so on, with channel j's in rows segments[j];
-        timed lists (lo, hi, fns) for the rows a time group scales.
+        ix is (bands, size) and the diagonals (bands, size, 1): channel 0's
+        bands in group order, then channel 1's, and so on, with channel j's
+        in bands segments[j]; timed lists (lo, hi, fns) for the bands a time
+        group scales; the chunk width is the number of trajectories
+        gathered at once.
         """
         per_channel = [[] for _ in range(self.channels or 1)]
         for fns, bands in self.groups:
-            per_channel[0 if self.channels is None else bands[0][0][1]].append((fns, bands))
+            per_channel[0 if self.channels is None else bands[0][0][0]].append((fns, bands))
         total = sum(len(bands) for _, bands in self.groups)
         ix = np.empty((total, self.size), dtype=np.intp)
         ix[...] = np.arange(self.size)
@@ -627,12 +637,13 @@ class DiagonalOperator:
                 if fns:
                     timed.append((k, k + len(bands), fns))
                 for ix_out, ix_in, d in bands:
-                    rows, cols = ix_out[-1], ix_in[-1]
-                    ix[k, rows] = np.arange(cols.start, cols.stop)
-                    diags[k, rows] = d[0]
+                    rows = ix_out[-1]
+                    ix[k, rows] = np.arange(ix_in.start, ix_in.stop)
+                    diags[k, rows] = d[:, 0]
                     k += 1
             segments.append((first, k))
-        return ix, diags, tuple(segments), tuple(timed)
+        cols = max(1, GATHER_BLOCK // ix.size)
+        return ix, diags[:, :, None], tuple(segments), tuple(timed), cols
 
     def diagonals(self, t: float = 0.0) -> dict:
         """{offset o: d} at time t, summed over groups, with d[i] = <i|op|i+o>.
@@ -646,9 +657,9 @@ class DiagonalOperator:
         out = {}
         for fns, bands in self.groups:
             z = _time_factor(fns, t)
-            for (_, rows), (_, cols), d in bands:
+            for (rows,), cols, d in bands:
                 full = out.setdefault(cols.start - rows.start, np.zeros(self.size, dtype=complex))
-                full[rows] += z * d[0]
+                full[rows] += z * d[:, 0]
         return out
 
 
@@ -689,7 +700,7 @@ class CenteredForm:
         factor_values = {}
         groups = []
         for j, fns, offsets in self.groups:
-            out = (slice(None),) if self.channels is None else (slice(None), j)
+            out = () if self.channels is None else (j,)
             kept = []
             for o, terms in offsets:
                 d = None
@@ -710,8 +721,8 @@ class CenteredForm:
                 nz = np.flatnonzero(d[lo:hi])
                 if nz.size:
                     lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
-                    kept.append((out + (slice(lo, hi),), (slice(None), slice(lo + o, hi + o)),
-                                 d[None, lo:hi].copy()))
+                    kept.append((out + (slice(lo, hi),), slice(lo + o, hi + o),
+                                 d[lo:hi, None].copy()))
             if kept:
                 groups.append((fns, tuple(kept)))
         return DiagonalOperator(size, tuple(groups), self.channels)

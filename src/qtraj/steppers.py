@@ -7,21 +7,24 @@ sum_j (L_j - <L_j>) y dxi_j of complex Wiener increments to first order,
 every L_j read at one state.  The jump flavors follow the waiting-time
 algorithm of Dalibard, Castin & Molmer (PRL 68, 580 (1992)): they
 integrate their drift without its norm-restoring term, so the squared norm
-of the advance is the probability of no jump, and a row jumps where that
-survival falls to a threshold drawn from its own stream.  The crossing is
-located inside the coarse step and the row continues from there on its own
-clock, so a step can hold several jumps.  `jump` advances by the linear
-no-jump evolution y' = h_eff y, which needs no L_j inside the integrator's
-stages.
+of the advance is the probability of no jump, and a trajectory jumps where
+that survival falls to a threshold drawn from its own stream.  The crossing
+is located inside the coarse step and the trajectory continues from there
+on its own clock, so a step can hold several jumps.  `jump` advances by the
+linear no-jump evolution y' = h_eff y, which needs no L_j inside the
+integrator's stages.
 
-All stepping code operates on (B, N) used blocks -- the amplitudes inside
-every freedom's used dimension, flattened -- so a whole ensemble advances in
-lockstep through exactly the arithmetic a single trajectory (B = 1) would
-perform, and a trajectory on a truncated basis does no work on the slots it
-does not use.  A model compiles the effective generator
--iH - 1/2 sum_j L_j+ L_j and, as one family, the L_j, read only by
-`_sweep`: one stacked sweep and its guarded <L_j> feed the qsd and orthojump
-drifts, the jump rates and the QSD noise, and `_normalize_rows` ends a step.
+All stepping code operates on (N, B) used blocks -- the amplitudes inside
+every freedom's used dimension, flattened, trajectory b in column b -- so a
+whole ensemble advances in lockstep through exactly the arithmetic a single
+trajectory (B = 1) would perform, and a trajectory on a truncated basis
+does no work on the slots it does not use.  Every per-trajectory scalar
+(a norm, an expectation, a time or a substep size) broadcasts as a (1, B)
+row, and every sum over amplitudes or channels is a `fold`, in index order.
+A model compiles the effective generator -iH - 1/2 sum_j L_j+ L_j and, as
+one family, the L_j, read only by `_sweep`: one stacked sweep feeds the qsd
+and orthojump drifts, the jump rates and the QSD noise, with its guarded
+<L_j> where they read it, and `_normalize_rows` ends a step.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 
 from .hilbert import (
     StateVector,
+    fold,
     row_dot,
     row_norm,
     row_norm2,
@@ -99,7 +103,7 @@ class ModelOperators:
         """(h_eff or None, stacked L_j or None) compiled for the basis of freedoms.
 
         The L_j compile as one family (CenteredForm of a tuple): its stacked
-        operator returns every L_j y in one (B, m, N) sweep, L_j y in
+        operator returns every L_j y in one (m, N, B) sweep, L_j y in
         channel j.  The two forms of each of the last FORMS_KEPT basis
         shapes are kept, so a basis that only moved its centers is not
         compiled again, and both are bound whenever the basis changes.
@@ -253,7 +257,11 @@ class NoiseSource:
 
 
 class StepError(RuntimeError):
-    """A step failed in one row of the batch; row is the first failing row."""
+    """A step failed for one trajectory of the batch; row is the first failing one's index.
+
+    The index is the trajectory's column in the block (its row in the
+    ensemble's list of trajectories).
+    """
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
@@ -262,11 +270,12 @@ class StepError(RuntimeError):
 
 @dataclass
 class StepStats:
-    """What one coarse step did: accepted substeps and the rows that jumped.
+    """What one coarse step did: accepted substeps and the trajectories that jumped.
 
-    substeps sums over rows the accepted substeps of the coarse advance
-    (one per row for rk4), not those of the advances of rows that jump
-    inside the step; jump_rows lists a row once per jump.
+    substeps sums over trajectories the accepted substeps of the coarse
+    advance (one each for rk4), not those of the advances of trajectories
+    that jump inside the step; jump_rows lists a trajectory's index once
+    per jump.
     """
 
     substeps: int = 0
@@ -281,19 +290,25 @@ class StepStats:
 # Drift
 
 
-def _sweep(y, lstack, t, n2=None):
-    """(B, m, N) L_j y, (B, m) <L_j> and (B, 1) squared norms of the rows y at t.
+def _sweep(y, lstack, t, n2=None, expectations=True):
+    """(m, N, B) L_j y, (m, B) <L_j> and (1, B) squared norms of the block y at t.
 
-    n2: the rows' squared norms, when known.  A zero norm reads as 1.
+    n2: the trajectories' squared norms, when known.  A zero norm reads as
+    1.  <L_j> is None unless expectations.
     """
     n2 = row_norm2(y) if n2 is None else n2
-    n2 = np.where(n2 > 0.0, n2, 1.0)[:, None]
-    ly = lstack.apply(y, t)  # L_j y in channel j of each row's stack
-    return ly, row_dot(y, ly) / n2, n2
+    n2 = np.where(n2 > 0.0, n2, 1.0)[None, :]
+    ly = lstack.apply(y, t)  # L_j y in channel j of the stack
+    return ly, (row_dot(y, ly) / n2 if expectations else None), n2
+
+
+def _channel_sum(x):
+    """Sum of an (m, N, B) stack over its channels, in channel order: an (N, B) block."""
+    return fold(x.reshape(len(x), -1)).reshape(x.shape[1:])
 
 
 def _drift2d(y, freedoms, model, unraveling, t):
-    """What the integrators step for the unraveling, on a (B, N) used block.
+    """What the integrators step for the unraveling, on an (N, B) used block.
 
     For qsd this is the full drift.  The jump flavors leave out the
     norm-restoring term 1/2 sum_j r_j y, r_j the rate of channel j: it only
@@ -313,11 +328,11 @@ def _drift2d(y, freedoms, model, unraveling, t):
     if lstack is None or unraveling is Unraveling.JUMP:
         return out
     ly, lexp, _ = _sweep(y, lstack, t)
-    # coef: per-row, per-channel multiple of y, summed over channels at the end
+    # coef: per-trajectory, per-channel multiple of y, summed over channels at the end
     coef = -0.5 * np.abs(lexp) ** 2
     # conj(<L>) stays the first factor: a complex product's bits can depend on the order
-    out += np.multiply(np.conj(lexp)[:, :, None], ly, out=ly).sum(axis=1)
-    out += coef.sum(axis=1)[:, None] * y
+    out += _channel_sum(np.multiply(np.conj(lexp)[:, None, :], ly, out=ly))
+    out += fold(coef)[None, :] * y
     return out
 
 
@@ -334,20 +349,20 @@ def drift(psi: StateVector, model: ModelOperators, unraveling: Unraveling,
     _, lstack = model.compiled(psi.freedoms)
     if unraveling is not Unraveling.QSD and lstack is not None:
         rates, _, _ = _rates(y, lstack, t, unraveling is Unraveling.ORTHO_JUMP)
-        d += (0.5 * rates).sum(axis=1)[:, None] * y
+        d += fold(0.5 * rates)[None, :] * y
     out = StateVector(psi.freedoms, np.zeros_like(psi.amps))
     set_used_block(out.as2d(), out.freedoms, d)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Deterministic integrators.  `f(y, t)` maps a (B, N) buffer to its
+# Deterministic integrators.  `f(y, t)` maps an (N, B) buffer to its
 # derivative; both integrators return fresh buffers.
 
 
 def rk4_step(f, y, t, dt):
-    """One classical fixed RK4 step; t and dt are scalars or (B,) per-row arrays."""
-    h = dt[:, None] if isinstance(dt, np.ndarray) else dt
+    """One classical fixed RK4 step; t and dt are scalars or (B,) per-trajectory arrays."""
+    h = dt[None, :] if isinstance(dt, np.ndarray) else dt
     half = 0.5 * h
     k1 = f(y, t)
     k2 = f(y + half * k1, t + 0.5 * dt)
@@ -377,11 +392,14 @@ _SHRINK_MIN = 0.1
 _UNDERFLOW = 1e-12
 
 
-def _rkck_substep(f, y, t, h):
-    """Every row's Cash-Karp substep from its time t[r] by h[r]: (5th-order result, error)."""
-    hc = h[:, None]
-    ts = t + _CK_A * h  # (stages, B): each stage's time of every row
-    ks = [f(y, t)]
+def _rkck_substep(f, y, t, h, k1):
+    """Every trajectory's Cash-Karp substep from its time t[b] by h[b]: (5th-order result, error).
+
+    k1: f(y, t), the first stage, which the caller evaluates.
+    """
+    hc = h[None, :]
+    ts = t + _CK_A * h  # (stages, B): each stage's time of every trajectory
+    ks = [k1]
     for i in range(1, 6):
         acc = _CK_B[i][0] * ks[0]
         for b, k in zip(_CK_B[i][1:], ks[1:]):
@@ -395,60 +413,75 @@ def _rkck_substep(f, y, t, h):
 
 
 def rkck_adaptive(f, y, t, dt, eps, h_start=None):
-    """Advance each row of y from t to exactly t+dt by accepted Cash-Karp 4(5) substeps.
+    """Advance each column of y from t to exactly t+dt by accepted Cash-Karp 4(5) substeps.
 
-    y is a (B, N) block, or one (N,) state.  t, dt and h_start (the first
-    substep size a row tries; dt where it is None or 0) are scalars or (B,)
-    arrays, one clock per row.  Each row accepts or rejects its own
-    substeps: every amplitude of its error estimate must satisfy
-    |err| <= eps * (|y| + 1e-10), so its error ratio is the max over the
-    row.  f(v, s) is called on the rows still stepping, s their (b,) times
-    (for a 1-D y, on 1-D states at scalar times).  A row with dt = 0 comes
-    back unchanged, its substep size untouched.  Returns (y_new, accepted
-    substeps summed over rows, each row's suggested next substep size); the
-    size is a float for a 1-D y.
+    y is an (N, B) block, or one (N,) state.  t, dt and h_start (the first
+    substep size a trajectory tries; dt where it is None or 0) are scalars
+    or (B,) arrays, one clock per trajectory.  Each trajectory accepts or
+    rejects its own substeps: every amplitude of its error estimate must
+    satisfy |err| <= eps * (|y| + 1e-10), so its error ratio is the max over
+    its column.  f(v, s) is called on the columns still stepping, s their
+    (b,) times (for a 1-D y, on 1-D states at scalar times).  A trajectory
+    that rejects a substep keeps its state and its time, so the first stage
+    of its next try is the one it has: f is evaluated again only on the
+    columns that accepted.  A trajectory with dt = 0 comes back unchanged,
+    its substep size untouched.  Returns (y_new, accepted substeps summed
+    over trajectories, each one's suggested next substep size); the size is
+    a float for a 1-D y.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if y.ndim == 1:
-        y, nacc, h = rkck_adaptive(lambda v, s: f(v[0], s[0])[None], y[None], t, dt, eps,
-                                   h_start)
-        return y[0], nacc, float(h[0])
-    b = len(y)
+        y, nacc, h = rkck_adaptive(lambda v, s: f(v[:, 0], s[0])[:, None], y[:, None], t, dt,
+                                   eps, h_start)
+        return y[:, 0], nacc, float(h[0])
+    b = y.shape[1]
     t, dt = np.full(b, t, dtype=float), np.full(b, dt, dtype=float)
     if not (dt >= 0.0).all():
         raise ValueError("dt must be non-negative")
     h = dt if h_start is None else np.abs(np.full(b, h_start, dtype=float))
     h = np.where(h > 0.0, h, dt)
-    out, h_out = np.empty_like(y), np.empty(b)  # each row's, written when it finishes
-    rows = np.arange(b)  # the rows still stepping; the arrays below hold only them
+    out, h_out = np.empty_like(y), np.empty(b)  # each column's, written when it finishes
+    cols = np.arange(b)  # the columns still stepping; the arrays below hold only them
     done = np.zeros(b)
+    k1, stale = None, None  # first stages f(y, t + done), and the columns where k1 is stale
     nacc = 0
     while True:
         left = dt - done
         finished = left <= dt * 1e-15
         if np.count_nonzero(finished):
-            out[rows[finished]], h_out[rows[finished]] = y[finished], h[finished]
+            out[:, cols[finished]], h_out[cols[finished]] = y[:, finished], h[finished]
             going = ~finished
-            rows = rows[going]
-            if not rows.size:
+            cols = cols[going]
+            if not cols.size:
                 return out, nacc, h_out
-            y, t, dt, h, done, left = (a[going] for a in (y, t, dt, h, done, left))
+            y, t, dt, h, done, left = (a[..., going] for a in (y, t, dt, h, done, left))
+            if k1 is not None:
+                k1, stale = k1[:, going], stale[going]
         step = np.minimum(h, left)
         small = step < dt * _UNDERFLOW
         if np.count_nonzero(small):
             raise StepError("adaptive step underflow; the problem looks stiff",
-                            int(rows[_first_row(small)]))
-        y5, err = _rkck_substep(f, y, t + done, step)
-        ratio = (np.abs(err) / (np.abs(y) + 1e-10)).max(axis=1) / eps
+                            int(cols[_first_row(small)]))
+        now = t + done
+        if k1 is None:
+            k1 = f(y, now)
+        elif np.count_nonzero(stale):  # the accepted columns moved on; the rejected did not
+            moved = np.flatnonzero(stale)
+            k1 = k1.copy()  # f may have returned an array its caller holds
+            k1[:, moved] = f(y[:, moved], now[moved])
+        y5, err = _rkck_substep(f, y, now, step, k1)
+        ratio = (np.abs(err) / (np.abs(y) + 1e-10)).max(axis=0) / eps
         ok = ratio <= 1.0
         # a ratio of 0 grows by _GROW_MAX; one that overflowed (inf or NaN) shrinks by _SHRINK_MIN
         with np.errstate(divide="ignore"):
             scale = _SAFETY * ratio ** np.where(ok, -0.2, -0.25)
         h = step * np.fmin(np.fmax(scale, _SHRINK_MIN), _GROW_MAX)
-        y = np.where(ok[:, None], y5, y)
+        y = np.where(ok[None, :], y5, y)
         done = done + np.where(ok, step, 0.0)
-        nacc += int(np.count_nonzero(ok))
+        accepted = int(np.count_nonzero(ok))
+        nacc += accepted
+        k1, stale = (None, None) if accepted == ok.size else (k1, ok)  # None: stale in all
 
 
 INTEGRATOR_KINDS = ("rk4", "adaptive")
@@ -477,20 +510,20 @@ def _first_row(mask) -> int:
 
 
 def _normalize_rows(y, n2=None, message="state norm collapsed during a step"):
-    """Divide each row of y by its norm, in place, and return y; a collapsed row fails.
+    """Divide each column of y by its norm, in place, and return y; a collapsed one fails.
 
-    n2: the rows' squared norms, when known.
+    n2: the columns' squared norms, when known.
     """
     n = row_norm(y) if n2 is None else np.sqrt(n2)
     collapsed = n < NORM_COLLAPSE
     if collapsed.any():
         raise StepError(message, _first_row(collapsed))
-    y /= n[:, None]
+    y /= n[None, :]
     return y
 
 
 def _check_stable(n2, dt):
-    """Fail the rows whose squared norm the deterministic advance blew up.
+    """Fail the trajectories whose squared norm the deterministic advance blew up.
 
     The exact deterministic flow never increases the norm -- for qsd and
     orthojump d|y|^2/dt = -(<L+L> - |<L>|^2) |y|^2, for jump
@@ -522,20 +555,20 @@ class _StepperBase:
     def _drift(self, freedoms):
         return lambda v, s: _drift2d(v, freedoms, self.model, self.unraveling, s)
 
-    def _advance_det(self, y, freedoms, t, h=None, rows=slice(None)):
-        """(y advanced from t by h, accepted substeps summed over its rows); h defaults to dt.
+    def _advance_det(self, y, freedoms, t, h=None, cols=slice(None)):
+        """(y advanced from t by h, accepted substeps summed over its columns); h defaults to dt.
 
-        t and h may be (B,) arrays, one clock per row.  y holds rows `rows`
-        of the block, whose adaptive substep sizes the advance reads and
-        updates.
+        t and h may be (B,) arrays, one clock per trajectory.  y holds
+        columns `cols` of the block, whose adaptive substep sizes the
+        advance reads and updates.
         """
         h = self.dt if h is None else h
         if self.integrator.kind == "rk4":
-            return rk4_step(self._drift(freedoms), y, t, h), len(y)
+            return rk4_step(self._drift(freedoms), y, t, h), y.shape[1]
         if self._h is None:
-            self._h = np.zeros(len(y))
-        y, nacc, self._h[rows] = rkck_adaptive(self._drift(freedoms), y, t, h,
-                                               self.integrator.eps, self._h[rows])
+            self._h = np.zeros(y.shape[1])
+        y, nacc, self._h[cols] = rkck_adaptive(self._drift(freedoms), y, t, h,
+                                               self.integrator.eps, self._h[cols])
         return y, nacc
 
 
@@ -550,16 +583,16 @@ class QsdStepper(_StepperBase):
         super().__init__(model, Unraveling.QSD, dt, integrator)
 
     def step(self, y, freedoms, t, dxi):
-        """dxi: (B, m) complex Wiener increments for this coarse step."""
+        """dxi: (m, B) complex Wiener increments for this coarse step."""
         y, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(y)
         _check_stable(n2, self.dt)
         _, lstack = self.model.compiled(freedoms)
         if lstack is not None:
             ly, lexp, _ = _sweep(y, lstack, t + self.dt, n2)
-            ly -= lexp[:, :, None] * y[:, None]
-            ly *= dxi[:, :, None]
-            y = y + ly.sum(axis=1)
+            ly -= lexp[:, None, :] * y[None]
+            ly *= dxi[:, None, :]
+            y = y + _channel_sum(ly)
         _normalize_rows(y)
         return y, StepStats(substeps=nsub)
 
@@ -567,19 +600,19 @@ class QsdStepper(_StepperBase):
 class JumpStepper(_StepperBase):
     """Jump unravelings, plain or orthogonal, by the waiting-time algorithm.
 
-    Each row keeps the level its squared norm must reach for its next jump:
-    its threshold, a uniform from its own stream, divided by the squared
-    norms its steps since its last jump were renormalized by, so that the
-    level is reached when the survival since that jump falls to the
-    threshold.  A step is one waiting-time loop.  The coarse advance is
-    every row's first segment; a row whose segment ends at or below its
-    level is advanced again to its crossing, jumps there and is advanced to
-    the end of the step on its own clock, round after round while it
-    reaches its new level.  When the loop ends every row is divided by its
-    norm, and its level is carried as level / n2, n2 the squared norm of its
-    last segment.  A row draws its first threshold at its first step and,
-    at every jump, a uniform that picks the channel and then its next
-    threshold.
+    Each trajectory keeps the level its squared norm must reach for its
+    next jump: its threshold, a uniform from its own stream, divided by the
+    squared norms its steps since its last jump were renormalized by, so
+    that the level is reached when the survival since that jump falls to
+    the threshold.  A step is one waiting-time loop.  The coarse advance is
+    every trajectory's first segment; one whose segment ends at or below
+    its level is advanced again to its crossing, jumps there and is
+    advanced to the end of the step on its own clock, round after round
+    while it reaches its new level, its column taken out of the block.
+    When the loop ends every column is divided by its norm, and its level
+    is carried as level / n2, n2 the squared norm of its last segment.  A
+    trajectory draws its first threshold at its first step and, at every
+    jump, a uniform that picks the channel and then its next threshold.
     """
 
     def __init__(self, model, dt, unraveling=Unraveling.JUMP, integrator=IntegratorConfig()):
@@ -587,72 +620,72 @@ class JumpStepper(_StepperBase):
             raise ValueError("JumpStepper needs the jump or orthojump unraveling")
         super().__init__(model, unraveling, dt, integrator)
         self._orthogonal = unraveling is Unraveling.ORTHO_JUMP
-        self._level = None  # (B,) per-row level, drawn at the first step
+        self._level = None  # (B,) per-trajectory level, drawn at the first step
 
     def _jump_probabilities(self, y, freedoms, t):
-        """(B, m) jump rates, (B, m, N) L_j y and, for orthojump, (B, m) <L_j>.
+        """(m, B) jump rates, (m, N, B) L_j y and, for orthojump, (m, B) <L_j>.
 
-        t is a scalar or a (B,) array of per-row times.
+        t is a scalar or a (B,) array of per-trajectory times.
         """
         _, lstack = self.model.compiled(freedoms)
         rates, ly, lexp = _rates(y, lstack, t, self._orthogonal)
-        negative = (rates < P_NEGATIVE).any(axis=1)
+        negative = (rates < P_NEGATIVE).any(axis=0)
         if negative.any():
             raise StepError("negative jump rate; expectation evaluation is broken",
                             _first_row(negative))
         return np.maximum(rates, 0.0), ly, lexp
 
     def _jump(self, y, freedoms, t, u):
-        """Every row of y after a jump, normalized; u: (B,) uniforms picking the channel.
+        """Every column of y after a jump, normalized; u: (B,) uniforms picking the channel.
 
-        Channel j fires where u times the row's total rate falls in
+        Channel j fires where u times the trajectory's total rate falls in
         [cum_{j-1}, cum_j) of its cumulative rates.
         """
         rates, ly, lexp = self._jump_probabilities(y, freedoms, t)
-        cum = np.cumsum(rates, axis=1)
-        channel = np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1), cum.shape[1] - 1)
-        rows = np.arange(len(y))
-        jumped = ly[rows, channel]
+        cum = np.cumsum(rates, axis=0)
+        channel = np.minimum((cum <= u[None, :] * cum[-1:]).sum(axis=0), cum.shape[0] - 1)
+        jumped = np.take_along_axis(ly, channel[None, None, :], axis=0)[0]
         if self._orthogonal:
-            jumped -= lexp[rows, channel][:, None] * y
+            jumped -= np.take_along_axis(lexp, channel[None, :], axis=0) * y
         return _normalize_rows(jumped, message="jump produced a zero-norm state")
 
     def step(self, y, freedoms, t, sources):
-        """Advance every row by dt, jumping wherever it reaches its level.
+        """Advance every column by dt, jumping wherever it reaches its level.
 
-        sources: each row's NoiseSource, drawn from only when the row needs
-        a threshold or a channel.  Each round of the loop writes its rows'
-        end states, squared norms and levels over the step's own.
+        sources: each trajectory's NoiseSource, drawn from only when it
+        needs a threshold or a channel.  Each round of the loop writes its
+        columns' end states, squared norms and levels over the step's own.
         """
         out, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(out)
         level = self._level
-        rows = np.zeros(0, dtype=np.intp)  # the rows whose segment reached their level
+        cols = np.zeros(0, dtype=np.intp)  # the columns whose segment reached their level
         if self.model.compiled(freedoms)[1] is not None:  # a model without channels never jumps
             if level is None:
                 level = np.array([src.uniforms(1)[0] for src in sources])
-            rows = np.flatnonzero(n2 <= level)
-        jumped = [rows]  # each round's rows
-        if rows.size:  # the step where no row jumps builds none of this
+            cols = np.flatnonzero(n2 <= level)
+        jumped = [cols]  # each round's columns
+        if cols.size:  # the step where no trajectory jumps builds none of this
             f = self._drift(freedoms)
-            y0, y1, lv = y[rows], out[rows], level[rows]
-            t0, h = np.full(rows.size, float(t)), np.full(rows.size, self.dt)
-            while rows.size:
+            y0, y1, lv = y[:, cols], out[:, cols], level[cols]
+            t0, h = np.full(cols.size, float(t)), np.full(cols.size, self.dt)
+            while cols.size:
                 tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
                 try:
-                    y_tau, _ = self._advance_det(y0, freedoms, t0, tau, rows)
+                    y_tau, _ = self._advance_det(y0, freedoms, t0, tau, cols)
                     t0, h = t0 + tau, h - tau
-                    u = np.array([sources[r].uniforms(2) for r in rows])
+                    u = np.array([sources[c].uniforms(2) for c in cols])
                     y0 = self._jump(y_tau, freedoms, t0, u[:, 0])
-                    y1, _ = self._advance_det(y0, freedoms, t0, h, rows)
+                    y1, _ = self._advance_det(y0, freedoms, t0, h, cols)
                 except StepError as err:
-                    raise StepError(str(err), int(rows[err.row])) from None
+                    raise StepError(str(err), int(cols[err.row])) from None
                 lv = u[:, 1]
                 n1 = row_norm2(y1)
-                out[rows], n2[rows], level[rows] = y1, n1, lv
+                out[:, cols], n2[cols], level[cols] = y1, n1, lv
                 again = n1 <= lv
-                rows, y0, y1, t0, h, lv = (a[again] for a in (rows, y0, y1, t0, h, lv))
-                jumped.append(rows)
+                y0, y1 = y0[:, again], y1[:, again]
+                cols, t0, h, lv = (a[again] for a in (cols, t0, h, lv))
+                jumped.append(cols)
         _check_stable(n2, self.dt)
         _normalize_rows(out, n2)
         if level is not None:
@@ -661,24 +694,24 @@ class JumpStepper(_StepperBase):
 
 
 def _rates(y, lstack, t, orthogonal):
-    """(B, m) jump rates, (B, m, N) L_j y and (B, m) <L_j> of the rows y at t.
+    """(m, B) jump rates, (m, N, B) L_j y and, for orthojump, (m, B) <L_j> of the block y at t.
 
     The rate of channel j is <L_j+ L_j>, and <L_j+ L_j> - |<L_j>|^2 for
-    orthojump.
+    orthojump; plain jump reads no <L_j> (None).
     """
-    ly, lexp, n2 = _sweep(y, lstack, t)
+    ly, lexp, n2 = _sweep(y, lstack, t, expectations=orthogonal)
     rates = row_norm2(ly) / n2
     return (rates - np.abs(lexp) ** 2 if orthogonal else rates), ly, lexp
 
 
-# _crossing freezes a row once its squared norm is within this fraction of its
-# level (a few rounding errors), or after CROSSING_STEPS Newton steps
+# _crossing freezes a column once its squared norm is within this fraction of
+# its level (a few rounding errors), or after CROSSING_STEPS Newton steps
 CROSSING_TOL = 1e-15
 CROSSING_STEPS = 60
 
 
 def _crossing(y0, f0, y1, f1, h, level):
-    """Per-row time s in [0, h] at which the squared norm falls to level.
+    """Per-trajectory time s in [0, h] at which the squared norm falls to level.
 
     Between y0 (at s = 0, squared norm above level) and y1 (at s = h, at or
     below it) the state is taken as the cubic Hermite interpolant through
@@ -686,23 +719,23 @@ def _crossing(y0, f0, y1, f1, h, level):
     The fraction s/h starts where the chord of the squared norms crosses the
     level and takes Newton steps on the interpolant's squared norm; a step
     that would leave the bracket kept around the crossing bisects it
-    instead.  A row's x is frozen once its squared norm is within
+    instead.  A column's x is frozen once its squared norm is within
     CROSSING_TOL times its level; the others step on, at most CROSSING_STEPS
-    times, so a row's result does not depend on the other rows.
+    times, so a column's result does not depend on the other columns.
     """
-    hf0, hf1 = h[:, None] * f0, h[:, None] * f1
+    hf0, hf1 = h[None, :] * f0, h[None, :] * f1
     d = y1 - y0
     c2 = 3.0 * d - 2.0 * hf0 - hf1  # y(x) = y0 + x hf0 + x^2 c2 + x^3 c3, x = s/h
     c3 = hf0 + hf1 - 2.0 * d
     n0, n1 = row_norm2(y0), row_norm2(y1)
     x = np.clip((n0 - level) / np.maximum(n0 - n1, np.finfo(float).tiny), 0.0, 1.0)
     lo, hi = np.zeros_like(x), np.ones_like(x)
-    going = np.ones(len(x), dtype=bool)  # the rows still searching; the others keep their x
+    going = np.ones(len(x), dtype=bool)  # the columns still searching; the others keep their x
     for _ in range(CROSSING_STEPS):
-        xs = x[:, None]
+        xs = x[None, :]
         y = y0 + xs * (hf0 + xs * (c2 + xs * c3))
         g = row_norm2(y) - level
-        going &= ~(np.abs(g) <= CROSSING_TOL * level)  # a NaN row keeps searching
+        going &= ~(np.abs(g) <= CROSSING_TOL * level)  # a NaN column keeps searching
         if not going.any():
             break
         dy = hf0 + xs * (2.0 * c2 + 3.0 * xs * c3)

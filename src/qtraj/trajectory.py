@@ -12,13 +12,13 @@ time: t, four pipe-selected values, the product of used dimensions, and the
 deterministic substeps accepted since the last output.
 
 One engine steps every run: it advances a chunk of B trajectories together
-on one (B, N) used block, so its arithmetic scales with the used dimensions
-rather than the allocated ones.  A single run is a chunk of one.  An
+on one (N, B) used block, trajectory b in column b, so its arithmetic scales
+with the used dimensions rather than the allocated ones.  A single run is a chunk of one.  An
 ensemble is either one chunk of all its trajectories (lockstep, what mode
 'auto' picks without a moving basis, because the cutoff upkeep is per
 trajectory) or one chunk per trajectory (mode 'serial', or any run with
 basis upkeep).  The adaptive integrator keeps a clock and a substep size
-per row, so it runs in lockstep too.  Basis upkeep scatters the block into
+per trajectory, so it runs in lockstep too.  Basis upkeep scatters the block into
 the state, recenters and adjusts the cutoff, then gathers the block again;
 it runs after the t = 0 observation and after every step, so the first
 step already runs on the trimmed basis.  Every chunk draws
@@ -27,11 +27,12 @@ SeedSequence(entropy=seed, spawn_key=(k,)), and the seed words of all of a
 chunk's streams come from one vectorized pass over their indices
 (NoiseSource.for_streams).  For qsd each output interval's Wiener
 increments are drawn into one preallocated block whose row r is filled in
-place by stream r; the jump flavors hand the streams to the stepper, and
-each row draws from its own when it needs a threshold or a channel.
+place by stream r, and each step takes its (m, B) increments from it; the
+jump flavors hand the streams to the stepper, and each trajectory draws
+from its own when it needs a threshold or a channel.
 Ensemble averages keep sums shifted by trajectory 0's sample and fold each
-chunk into them with np.cumsum, one addition per trajectory in index order;
-cumsum is strictly sequential, so every chunking performs the same
+chunk into them with hilbert.fold, one addition per trajectory in index
+order; the fold is strictly sequential, so every chunking performs the same
 additions and all chunkings give bitwise identical results.  A failing step
 names its trajectory index, which is also its noise stream index.
 
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ATOM, FIELD, StateVector, row_dot, set_used_block, used_block
+from .hilbert import ATOM, FIELD, StateVector, fold, row_dot, set_used_block, used_block
 from .moving_basis import MovingBasisParams, adjust_cutoff, recenter
 from .operators import OperatorExpr, compile_operator
 from .steppers import (
@@ -167,9 +168,9 @@ class EnsembleResult:
 
 
 def _observe(y, freedoms, ops, t):
-    """Per-row <O> and <O^2>-<O>^2 of a (B, N) used block; (n_ops, B) arrays."""
+    """Per-trajectory <O> and <O^2>-<O>^2 of an (N, B) used block; (n_ops, B) arrays."""
     n_ops = len(ops)
-    b = y.shape[0]
+    b = y.shape[1]
     exps = np.zeros((n_ops, b), dtype=complex)
     vars_ = np.zeros((n_ops, b), dtype=complex)
     for i, op in enumerate(ops):
@@ -226,16 +227,16 @@ def _run(psi0, model, cfg, outspec, streams):
 
     Returns times, (n_ops, numsteps+1, B) expectations and variances, the
     basis size and the substeps summed over rows per output time, and the
-    jumps of each row.  Basis upkeep (cfg.moving) needs B = 1: it scatters
-    the block into psi, maintains the basis and gathers the block again,
-    once after the t = 0 observation and after every step, so every step
-    runs on a trimmed basis while row 0 reports the allocated one.
+    jumps of each trajectory.  Basis upkeep (cfg.moving) needs B = 1: it
+    scatters the block into psi, maintains the basis and gathers the block
+    again, once after the t = 0 observation and after every step, so every
+    step runs on a trimmed basis while row 0 reports the allocated one.
     """
     _check_normalized(psi0)
     _validate_moving(cfg.moving, psi0.freedoms)
     psi = psi0.copy()
     b = len(streams)
-    y = np.tile(used_block(psi.as2d(), psi.freedoms), (b, 1))
+    y = np.repeat(used_block(psi.as2d(), psi.freedoms), b, axis=1)
     stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator)
     sources = NoiseSource.for_streams(cfg.seed, streams)
     m = model.n_lindblads
@@ -257,7 +258,8 @@ def _run(psi0, model, cfg, outspec, streams):
         _maintain_basis(psi, cfg.moving)
         return used_block(psi.as2d(), psi.freedoms)
 
-    # qsd: one output interval of noise, row r drawn in place from stream streams[r]
+    # qsd: one output interval of noise, row r drawn in place from stream
+    # streams[r]; step s takes its (m, B) increments as one contiguous copy
     qsd = cfg.unraveling is Unraveling.QSD
     noise = np.empty((b, cfg.numdts, m), dtype=complex) if qsd else None
 
@@ -273,7 +275,8 @@ def _run(psi0, model, cfg, outspec, streams):
                     src.wiener(cfg.numdts, m, cfg.dt, out=row)
             for s in range(cfg.numdts):
                 t = step_index * cfg.dt
-                y, stats = stepper.step(y, psi.freedoms, t, noise[:, s] if qsd else sources)
+                y, stats = stepper.step(y, psi.freedoms, t,
+                                        noise[:, s].T.copy() if qsd else sources)
                 step_index += 1
                 subs[k] += stats.substeps
                 np.add.at(jumps, stats.jump_rows, 1)
@@ -299,7 +302,7 @@ class _Welford:
 
     Keeps sums shifted by the first sample c: S1 = sum(x - c) and, for the
     real and imaginary parts separately, S2 = sum((x - c)^2), each folded
-    with np.cumsum over [carry, row 0, row 1, ...].  mean = c + S1/n and
+    over [carry, row 0, row 1, ...] by hilbert.fold.  mean = c + S1/n and
     M2 = max(S2 - S1^2/n, 0); the shift keeps that difference from
     cancelling when the spread is small next to the mean.
     """
@@ -338,7 +341,8 @@ class _Welford:
 
 def _fold(carry, rows):
     """carry + rows[0] + rows[1] + ..., added strictly in that order."""
-    return np.cumsum(np.concatenate([carry[None], rows]), axis=0)[-1]
+    stacked = np.concatenate([carry[None], rows])
+    return fold(stacked.reshape(len(stacked), -1)).reshape(carry.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +487,12 @@ def run_ensemble(psi0: StateVector, model: ModelOperators, cfg: RunConfig,
     """Run n_trajectories independent trajectories and average the observables.
 
     mode only chooses how the trajectories are chunked through the engine:
-    'auto' steps all of them together on one (B, N) block when there is no
+    'auto' steps all of them together on one (N, B) block when there is no
     basis upkeep (moving is None), since a cutoff is per trajectory, and
     one per chunk otherwise; 'serial' always runs one per chunk.  Either
     integrator runs on one block.  Noise streams are derived from (seed,
     index), and each chunk's samples are folded into sums shifted by
-    trajectory 0's sample with a sequential np.cumsum, in trajectory-index
+    trajectory 0's sample with a sequential fold, in trajectory-index
     order.  Any chunking adds the same numbers in the same order, so both
     modes give bitwise identical results.
 

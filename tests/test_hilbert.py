@@ -2,7 +2,8 @@
 
 The layout contract everything else relies on: amplitudes are a flat
 C-contiguous complex array, freedom 0 varies slowest, and slots at or above
-dim_used stay exactly zero.
+dim_used stay exactly zero.  A block of B trajectories is (N, B), trajectory
+b in column b, and a state is the (N, 1) block `as2d`.
 """
 
 import math
@@ -99,8 +100,8 @@ def test_used_view_shape_and_write_through():
     psi = product_state([basis_state(4, 0), basis_state(3, 0)])
     psi.freedoms[0].dim_used = 2
     v = used_view(psi.as2d(), psi.freedoms)
-    assert v.shape == (1, 2, 3)
-    v[0, 1, 2] = 0.25
+    assert v.shape == (2, 3, 1)
+    v[1, 2, 0] = 0.25
     assert psi.amps[1 * 3 + 2] == 0.25
 
 
@@ -111,15 +112,15 @@ def test_used_block_at_full_allocation_is_a_view_of_the_buffer():
     psi = product_state([basis_state(3, 1), basis_state(4, 0)])
     block = used_block(psi.as2d(), psi.freedoms)
     assert np.shares_memory(block, psi.amps) and block.flags.c_contiguous
-    assert block.shape == (1, 12) and np.array_equal(block[0], psi.amps)
+    assert block.shape == (12, 1) and np.array_equal(block[:, 0], psi.amps)
     psi.freedoms[1].dim_used = 2
     block = used_block(psi.as2d(), psi.freedoms)
     assert not np.shares_memory(block, psi.amps) and block.flags.c_contiguous
-    assert np.array_equal(block[0], psi.amps.reshape(3, 4)[:, :2].reshape(-1))
+    assert np.array_equal(block[:, 0], psi.amps.reshape(3, 4)[:, :2].reshape(-1))
 
 
 def test_used_view_requires_contiguous():
-    buf = np.zeros((2, 12), dtype=complex)[:, ::2]
+    buf = np.zeros((12, 2), dtype=complex)[::2]
     with pytest.raises(ValueError):
         used_view(buf, [FreedomSpec(FIELD, 6)])
 
@@ -180,69 +181,84 @@ def test_copy_is_deep():
 
 def test_as2d_is_a_view():
     a = basis_state(4, 1)
-    a.as2d()[0, 3] = 0.5j
+    a.as2d()[3, 0] = 0.5j
     assert a.amps[3] == 0.5j
 
 
 def test_row_helpers_match_definitions():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    want = np.array([np.vdot(x[i], y[i]) for i in range(3)])
+    x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    y = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    want = np.array([np.vdot(x[:, j], y[:, j]) for j in range(3)])
     assert np.allclose(row_dot(x, y), want, atol=1e-14)
-    assert np.allclose(row_norm2(x), np.abs(x) ** 2 @ np.ones(5), atol=1e-14)
+    assert np.allclose(row_norm2(x), np.ones(5) @ np.abs(x) ** 2, atol=1e-14)
     assert np.allclose(row_norm(x), np.sqrt(row_norm2(x)), atol=1e-15)
 
 
-def _block(rng, b, n, layout):
-    """A (b, n) complex block laid out as C, Fortran, every other row, or a column slice."""
-    def draw(shape):
-        scale = 10.0 ** rng.uniform(-3, 3, size=(shape[0], 1))
+def _block(rng, b, n, layout, m=None):
+    """An (n, b) complex block, or an (m, n, b) stack, laid out as C, Fortran,
+    every other column, or a row slice; each column has a scale of its own."""
+    lead = () if m is None else (m,)
+
+    def draw(rows, cols):
+        shape = lead + (rows, cols)
+        scale = 10.0 ** rng.uniform(-3, 3, size=lead + (1, cols))
         return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     if layout == "f":
-        return np.asfortranarray(draw((b, n)))
-    if layout == "row_step":
-        return draw((2 * b, n))[::2]
-    if layout == "col_slice":
-        return draw((b, n + 3))[:, 1:n + 1]
-    return draw((b, n))
+        return np.asfortranarray(draw(n, b))
+    if layout == "col_step":
+        return draw(n, 2 * b)[..., ::2]
+    if layout == "row_slice":
+        return draw(n + 3, b)[..., 1:n + 1, :]
+    return draw(n, b)
 
 
-def _assert_rowwise(x, y):
-    """Block helpers equal, bit for bit, the same helper on each row copied out."""
+def _assert_columnwise(x, y, stack):
+    """Block helpers equal, bit for bit, the same helper on each column copied out.
+
+    stack: an (m, N, B) stack, whose row_dot with x and row_norm2 are
+    checked the same way.
+    """
     n2, nrm, dot = row_norm2(x), row_norm(x), row_dot(x, y)
-    assert n2.shape == nrm.shape == dot.shape == (x.shape[0],)
-    one = lambda f, *rows: f(*(r[None].copy() for r in rows))[0]
-    assert np.array_equal(n2, [one(row_norm2, r) for r in x])
-    assert np.array_equal(nrm, [one(row_norm, r) for r in x])
-    assert np.array_equal(dot, [one(row_dot, r, s) for r, s in zip(x, y)])
+    sdot, sn2 = row_dot(x, stack), row_norm2(stack)
+    b = x.shape[1]
+    assert n2.shape == nrm.shape == dot.shape == (b,)
+    assert sdot.shape == sn2.shape == (stack.shape[0], b)
+    for j in range(b):
+        col = lambda a: a[..., j:j + 1].copy()
+        assert n2[j] == row_norm2(col(x))[0] and nrm[j] == row_norm(col(x))[0]
+        assert dot[j].tobytes() == row_dot(col(x), col(y))[0].tobytes()
+        assert sdot[:, j].tobytes() == row_dot(col(x), col(stack))[:, 0].tobytes()
+        assert sn2[:, j].tobytes() == row_norm2(col(stack))[:, 0].tobytes()
     return n2, nrm, dot
 
 
 @settings(max_examples=150, deadline=None)
 @given(b=st.integers(1, 300), n=st.one_of(st.integers(1, 64), st.just(300)),
-       layout=st.sampled_from(["c", "f", "row_step", "col_slice"]),
+       m=st.integers(1, 3), layout=st.sampled_from(["c", "f", "col_step", "row_slice"]),
        seed=st.integers(0, 2**32 - 1))
-def test_row_helpers_are_per_row_whatever_b_and_strides(b, n, layout, seed):
-    # lockstep == serial rests on this: a row's bits never depend on B or
-    # on how the block is laid out in memory
+def test_row_helpers_are_per_column_whatever_b_and_strides(b, n, m, layout, seed):
+    # lockstep == serial rests on this: a trajectory's bits never depend on
+    # B or on how the block is laid out in memory
     rng = np.random.default_rng(seed)
     x, y = _block(rng, b, n, layout), _block(rng, b, n, layout)
-    n2, nrm, dot = _assert_rowwise(x, y)
-    want_norm = np.linalg.norm(x, axis=1)
-    want_dot = np.array([np.vdot(r, s) for r, s in zip(x, y)])
-    scale = want_norm * np.linalg.norm(y, axis=1)
+    n2, nrm, dot = _assert_columnwise(x, y, _block(rng, b, n, layout, m))
+    want_norm = np.linalg.norm(x, axis=0)
+    want_dot = np.array([np.vdot(x[:, j], y[:, j]) for j in range(b)])
+    scale = want_norm * np.linalg.norm(y, axis=0)
     assert np.all(np.abs(nrm - want_norm) <= 1e-14 * want_norm)
     assert np.all(np.abs(n2 - want_norm ** 2) <= 1e-14 * want_norm ** 2)
     assert np.all(np.abs(dot - want_dot) <= 1e-14 * scale)
 
 
-def test_row_helpers_are_per_row_on_long_rows():
-    # rows longer than one einsum buffer take the pairwise sum
+def test_row_helpers_are_per_column_on_long_columns():
+    # a column is folded in index order however long it is, and a fold of
+    # one column (B = 1, np.cumsum) has the bits of the same column in a block
     rng = np.random.default_rng(11)
-    for n in (4096, 4097, 8192, 9000):
-        _assert_rowwise(_block(rng, 3, n, "c"), _block(rng, 3, n, "row_step"))
+    for n in (4096, 4097, 8192, 9000, 100_000):
+        _assert_columnwise(_block(rng, 3, n, "c"), _block(rng, 3, n, "col_step"),
+                           _block(rng, 3, n, "row_slice", 2))
 
 
 def test_amps_coerced_contiguous_complex():

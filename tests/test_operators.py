@@ -49,6 +49,7 @@ from qtraj.operators import (
     ScalarMul,
     Sum,
     TimeFnMul,
+    _shape_of,
     compile_operator,
 )
 
@@ -360,15 +361,33 @@ _centers = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
                               allow_nan=False, allow_infinity=False)
 
 
-def _check_against_dense(expr, used, centers, t, rng):
+def _columns(rng, n, b, layout):
+    """An (n, b) complex block laid out as C, Fortran or every other column."""
+    if layout == "col_step":
+        return _columns(rng, n, 2 * b, "c")[:, ::2]
+    y = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
+    return np.asfortranarray(y) if layout == "f" else y
+
+
+def _assert_per_column(op, ys, t, rng):
+    """op gives each column of ys, at t or at a time of its own, the bits it gets alone."""
+    ts = rng.choice(np.array([t, t + 0.5, -0.3]), size=ys.shape[1])
+    for at in (t, ts):
+        whole = op.apply(ys, at)
+        for j in range(ys.shape[1]):
+            one = op.apply(ys[:, j:j + 1].copy(), at if np.isscalar(at) else float(at[j]))
+            assert one.tobytes() == whole[..., j:j + 1].copy().tobytes()
+
+
+def _check_against_dense(expr, used, centers, t, rng, b, layout):
     frs = [FreedomSpec(FIELD, 4, used[0], centers[0]), FreedomSpec(ATOM, 3, used[1]),
            FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 4, used[2], centers[1])]
     dims = tuple(f.dim_used for f in frs)
     block = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     psi = StateVector(frs, np.zeros(math.prod(_PROP_ALLOC), dtype=complex))
-    used_view(psi.as2d(), psi.freedoms)[0] = block
+    used_view(psi.as2d(), psi.freedoms)[..., 0] = block
     out = apply(expr, psi, t)
-    got = used_view(out.as2d(), out.freedoms)[0].reshape(-1)
+    got = used_view(out.as2d(), out.freedoms)[..., 0].reshape(-1)
     mat = to_dense(expr, dims, (centers[0], 0, 0, centers[1]), t)
     want = mat @ block.reshape(-1)
     scale = 1.0 + np.abs(mat).sum(axis=1).max() * np.abs(block).max()
@@ -380,24 +399,27 @@ def _check_against_dense(expr, used, centers, t, rng):
     diags = compile_operator(expr, frs).diagonals(t)
     assert all(np.abs(diags.get(o, np.zeros(n))[max(0, -o):n - max(0, o)]
                       - np.diagonal(mat, o)).max() <= 1e-12 * scale for o in range(1 - n, n))
-    # the kernel is chosen by the form, never by B: a block applied one row
-    # at a time gives the bits of the whole block
-    op = compile_operator(expr, frs)
-    ys = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    whole = op.apply(ys, t)
-    assert all(op.apply(ys[r:r + 1], t).tobytes() == whole[r:r + 1].tobytes() for r in range(3))
+    # the kernel is chosen by the form, never by B: a block applied one
+    # column at a time gives the bits of the whole block, in any layout, at
+    # one time or at per-trajectory times, and so does a stacked family
+    ys = _columns(rng, n, b, layout)
+    _assert_per_column(compile_operator(expr, frs), ys, t, rng)
+    stacked = CenteredForm((expr, expr.hc()), _shape_of(frs)).bind([f.center for f in frs])
+    _assert_per_column(stacked, ys, t, rng)
 
 
 @settings(max_examples=100, deadline=None)
 @given(expr=_trees, used=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
        centers=st.tuples(_centers, _centers), times=st.sampled_from(((0.0, 0.7), (1.3, -0.4))),
+       b=st.integers(1, 300), layout=st.sampled_from(["c", "f", "col_step"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_compiled_matches_dense_on_truncated_displaced_basis(expr, used, centers, times, seed):
+def test_compiled_matches_dense_on_truncated_displaced_basis(expr, used, centers, times, b,
+                                                             layout, seed):
     rng = np.random.default_rng(seed)
-    _check_against_dense(expr, used, centers, times[0], rng)
-    _check_against_dense(expr, used, centers, times[1], rng)
+    _check_against_dense(expr, used, centers, times[0], rng, b, layout)
+    _check_against_dense(expr, used, centers, times[1], rng, b, layout)
     moved = (centers[0] + 0.25, centers[1] - 0.5j)
-    _check_against_dense(expr, (used[0] + 1, used[1], used[2]), moved, times[0], rng)
+    _check_against_dense(expr, (used[0] + 1, used[1], used[2]), moved, times[0], rng, b, layout)
 
 
 # --- rebinding centers (property test) ---------------------------------------
@@ -425,12 +447,13 @@ def test_rebound_centers_match_dense_and_fresh_compile(expr, used, first, second
     rng = np.random.default_rng(seed)
     frs = _prop_freedoms(used, first)
     dims = tuple(f.dim_used for f in frs)
-    y = rng.standard_normal((2, math.prod(dims))) + 1j * rng.standard_normal((2, math.prod(dims)))
+    y = (rng.standard_normal((2, math.prod(dims)))
+         + 1j * rng.standard_normal((2, math.prod(dims)))).T.copy()
 
     moved = _prop_freedoms(used, second)
     got = compile_operator(expr, moved).apply(y, t)
     mat = to_dense(expr, dims, (second[0], 0, 0, second[1]), t)
-    want = y @ mat.T
+    want = mat @ y
     scale = 1.0 + np.abs(mat).sum(axis=1).max() * np.abs(y).max()
     assert np.abs(got - want).max() <= 1e-12 * scale
     fresh = compile_operator(expr, moved).apply(y, t)
@@ -454,8 +477,8 @@ def test_zero_centers_skip_every_center_term():
     assert (sum(len(b) for _, b in local.groups)
             < sum(len(b) for _, b in nonlocal_.groups))
     mat = to_dense(expr, (4, 3))
-    y = np.arange(12.0)[None, :] * (1 + 0.5j)
-    assert np.abs(local.apply(y) - y @ mat.T).max() <= 1e-12 * np.abs(mat).sum()
+    y = np.arange(12.0)[:, None] * (1 + 0.5j)
+    assert np.abs(local.apply(y) - mat @ y).max() <= 1e-12 * np.abs(mat).sum()
 
 
 # --- the two kernels and families of trees --------------------------------------
@@ -480,22 +503,22 @@ def _many_band_op():
 
 def test_gathered_kernel_matches_the_slice_loop_and_keeps_nan_in_its_row(monkeypatch):
     # the gathered sweep gives the slice loop's values to round-off, a
-    # C-contiguous block, and a NaN in row 1 reaches no other row
+    # C-contiguous block, and a NaN in trajectory 1 reaches no other one
     expr, frs = _many_band_op()
     op = compile_operator(expr, frs)
     assert op.gathered
     rng = np.random.default_rng(3)
-    y = rng.standard_normal((3, op.size)) + 1j * rng.standard_normal((3, op.size))
+    y = (rng.standard_normal((3, op.size)) + 1j * rng.standard_normal((3, op.size))).T.copy()
     got = op.apply(y, 0.6)
     assert got.flags.c_contiguous and got.shape == y.shape
     monkeypatch.setattr(operators, "GATHER_MIN_BANDS", _bands(op) + 1)
     want = compile_operator(expr, frs).apply(y, 0.6)
     monkeypatch.undo()
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    y[1, 5] = np.nan
+    y[5, 1] = np.nan
     with np.errstate(invalid="ignore"):
         got = op.apply(y, 0.6)
-    assert np.isnan(got[1]).any() and np.isfinite(got[[0, 2]]).all()
+    assert np.isnan(got[:, 1]).any() and np.isfinite(got[:, [0, 2]]).all()
 
 
 @pytest.mark.parametrize("centers", [(0j, 0j), (0.4 + 0.2j, -0.3)], ids=["local", "displaced"])
@@ -511,12 +534,13 @@ def test_stacked_operator_returns_each_operator_in_its_channel(centers):
     assert stacked.channels == 4 and not ops[2].groups
     assert stacked.gathered == (centers[0] != 0)
     rng = np.random.default_rng(9)
-    y = rng.standard_normal((5, ops[0].size)) + 1j * rng.standard_normal((5, ops[0].size))
+    y = (rng.standard_normal((5, ops[0].size))
+         + 1j * rng.standard_normal((5, ops[0].size))).T.copy()
     got = stacked.apply(y, 0.3)
-    assert got.shape == (5, 4, ops[0].size) and got.flags.c_contiguous
+    assert got.shape == (4, ops[0].size, 5) and got.flags.c_contiguous
     for j, op in enumerate(ops):
         want = op.apply(y, 0.3)
-        assert np.abs(got[:, j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
+        assert np.abs(got[j] - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
 
 
 def test_kernel_follows_band_count_channels_and_size():
@@ -540,12 +564,13 @@ def test_kernel_follows_band_count_channels_and_size():
 
 
 def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
-    # 3000 rows of a 15-band form over 20 states: gathered whole they would
-    # make a 14 MB block; in chunks the peak stays near the result's size
+    # 3000 trajectories of a 15-band form over 20 states: gathered whole
+    # they would make a 14 MB block; in chunks the peak stays near the
+    # result's size
     expr, frs = _many_band_op()
     op = compile_operator(expr, frs)
     assert op.gathered and _bands(op) == 15
-    y = np.random.default_rng(4).standard_normal((3000, 40)).view(complex)
+    y = np.random.default_rng(4).standard_normal((3000, 40)).view(complex).T.copy()
     tracemalloc.start()
     try:
         got = op.apply(y, 0.4)
@@ -553,7 +578,7 @@ def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= got.nbytes + 3 * 16 * GATHER_BLOCK
-    # one row per chunk gives the same bits
+    # one trajectory per chunk gives the same bits
     monkeypatch.setattr(operators, "GATHER_BLOCK", 1)
     assert op.apply(y, 0.4).tobytes() == got.tobytes()
 

@@ -150,7 +150,7 @@ def test_no_lindblads_all_unravelings_identical():
     for unr in Unraveling:
         stepper = make_stepper(model, unr, 0.01)
         y = psi.as2d().copy()
-        noise = np.zeros((1, 0), dtype=complex) if unr is Unraveling.QSD \
+        noise = np.zeros((0, 1), dtype=complex) if unr is Unraveling.QSD \
             else [Draws()]  # no channel: the row draws nothing
         out, _ = stepper.step(y, psi.freedoms, 0.0, noise)
         outs.append(out.copy())
@@ -270,7 +270,7 @@ def rabi_error(f, y0, g, dt, T=1.0):
     for _ in range(nsteps):
         y = rk4_step(f, y, t, dt)
         t += dt
-    p_up = abs(y[0, 1]) ** 2 / (abs(y[0, 0]) ** 2 + abs(y[0, 1]) ** 2)
+    p_up = abs(y[1, 0]) ** 2 / (abs(y[0, 0]) ** 2 + abs(y[1, 0]) ** 2)
     return abs(p_up - math.sin(g * T) ** 2)
 
 
@@ -292,14 +292,14 @@ def test_rkck_meets_accuracy_against_rabi():
         y, nacc, h = rkck_adaptive(f, y, t, 0.1, 1e-8, h)
         t += 0.1
         total_acc += nacc
-    p_up = abs(y[0, 1]) ** 2 / (abs(y[0, 0]) ** 2 + abs(y[0, 1]) ** 2)
+    p_up = abs(y[1, 0]) ** 2 / (abs(y[0, 0]) ** 2 + abs(y[1, 0]) ** 2)
     assert abs(p_up - math.sin(g * 1.0) ** 2) < 1e-6
     assert total_acc >= 10
 
 
 def test_rkck_step_underflow_raises():
     f = lambda y, t: 1e280 * y
-    y = np.ones((1, 2), dtype=complex)
+    y = np.ones((2, 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError):
             rkck_adaptive(f, y, 0.0, 1.0, 1e-10)
@@ -307,7 +307,7 @@ def test_rkck_step_underflow_raises():
 
 def test_rkck_underflow_fails_row_0():
     f = lambda y, t: 1e280 * y
-    y = np.ones((1, 2), dtype=complex)
+    y = np.ones((2, 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepError) as err:
             rkck_adaptive(f, y, 0.0, 1.0, 1e-10)
@@ -315,38 +315,61 @@ def test_rkck_underflow_fails_row_0():
 
 
 def test_rkck_underflow_names_the_stiff_row():
-    # the drift of a row reads only its own amplitudes: row 0, with a zero
-    # first amplitude, does not move, and row 1 overflows at any substep
-    f = lambda y, t: 1e280 * np.abs(y[:, :1]) * y
-    y = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    # the drift of a trajectory reads only its own amplitudes: column 0,
+    # with a zero first amplitude, does not move, and column 1 overflows at
+    # any substep
+    f = lambda y, t: 1e280 * np.abs(y[:1]) * y
+    y = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex).T.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepError, match="underflow") as err:
             rkck_adaptive(f, y, 0.0, 1.0, 1e-10)
     assert err.value.row == 1
-    out, nacc, _ = rkck_adaptive(f, y[:1], 0.0, 1.0, 1e-10)
-    assert out.tobytes() == y[:1].tobytes() and nacc == 1
+    out, nacc, _ = rkck_adaptive(f, y[:, :1].copy(), 0.0, 1.0, 1e-10)
+    assert out.tobytes() == y[:, :1].copy().tobytes() and nacc == 1
 
 
 def test_rkck_rows_keep_their_own_substeps():
-    # each row rotates at 40 |y_0|, |y_0| its own first amplitude, so a slow
-    # and a fast row take the substeps each needs, get the same bits as
-    # alone, and hand back their own next sizes
-    f = lambda y, t: -40j * np.abs(y[:, :1]) * y
-    y = np.array([[0.025, 0.5], [1.0, 0.5]], dtype=complex)
+    # each trajectory rotates at 40 |y_0|, |y_0| its own first amplitude,
+    # so a slow and a fast one take the substeps each needs, get the same
+    # bits as alone, and hand back their own next sizes
+    f = lambda y, t: -40j * np.abs(y[:1]) * y
+    y = np.array([[0.025, 0.5], [1.0, 0.5]], dtype=complex).T.copy()
     got, nacc, h = rkck_adaptive(f, y, 0.0, 1.0, 1e-8)
-    alone = [rkck_adaptive(f, y[i:i + 1], 0.0, 1.0, 1e-8) for i in range(2)]
-    assert got.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+    alone = [rkck_adaptive(f, y[:, i:i + 1].copy(), 0.0, 1.0, 1e-8) for i in range(2)]
+    assert got.tobytes() == np.concatenate([a[0] for a in alone], axis=1).tobytes()
     assert nacc == alone[0][1] + alone[1][1] and alone[0][1] < alone[1][1]
     assert h.tolist() == [a[2][0] for a in alone]
 
-    # a 1-D state is one row: f sees 1-D states and scalar times
+    # a 1-D state is one column: f sees 1-D states and scalar times
     def one_state(v, s):
         assert v.ndim == 1 and np.ndim(s) == 0
-        return f(v[None], s)[0]
+        return f(v[:, None], s)[:, 0]
 
-    y1, n1, h1 = rkck_adaptive(one_state, y[0], 0.0, 1.0, 1e-8)
-    assert y1.tobytes() == alone[0][0][0].tobytes() and n1 == alone[0][1]
+    y1, n1, h1 = rkck_adaptive(one_state, y[:, 0].copy(), 0.0, 1.0, 1e-8)
+    assert y1.tobytes() == alone[0][0][:, 0].tobytes() and n1 == alone[0][1]
     assert isinstance(h1, float) and h1 == alone[0][2][0]
+
+
+def test_rkck_evaluates_no_first_stage_again_after_a_rejection(monkeypatch):
+    # a rejected substep keeps its state and time, so the next try starts
+    # from the first stage it has: f runs five stages per try, plus one
+    # first stage at the start and after every accepted substep but the last
+    calls, tries = [], []
+    substep = steppers._rkck_substep
+
+    def counted(f, y, t, h, k1):
+        tries.append(y.shape[1])
+        return substep(f, y, t, h, k1)
+
+    def f(y, t):
+        calls.append(y.shape[1])
+        return -40j * y
+
+    monkeypatch.setattr(steppers, "_rkck_substep", counted)
+    y = np.array([[1.0], [0.5j]])
+    _, nacc, _ = rkck_adaptive(f, y, 0.0, 1.0, 1e-8, h_start=1.0)
+    assert len(tries) > nacc > 1
+    assert len(calls) == 5 * len(tries) + nacc
 
 
 @pytest.mark.parametrize("unr", list(Unraveling))
@@ -356,22 +379,22 @@ def test_unstable_deterministic_advance_fails_its_row(unr):
     # stability region, so its squared norm explodes in one step
     model = ModelOperators(number(0), [1e-3 * destroy(0)])
     vac, coh = basis_state(60, 0), coherent_state(60, 5.0)
-    y = np.stack([vac.amps, coh.amps])
+    y = np.stack([vac.amps, coh.amps], axis=1)
     stepper = make_stepper(model, unr, 0.5)
-    noise = (lambda: np.zeros((2, 1), dtype=complex)) if unr is Unraveling.QSD \
+    noise = (lambda: np.zeros((1, 2), dtype=complex)) if unr is Unraveling.QSD \
         else (lambda: never(2))
     with pytest.raises(StepError, match="reduce dt") as err:
         stepper.step(y, vac.freedoms, 0.0, noise())
     assert err.value.row == 1
     # the same rows at a stable step size pass, row norms untouched by the check
     out, _ = make_stepper(model, unr, 1e-3).step(y.copy(), vac.freedoms, 0.0, noise())
-    assert np.abs(np.linalg.norm(out, axis=1) - 1).max() < 1e-12
+    assert np.abs(np.linalg.norm(out, axis=0) - 1).max() < 1e-12
 
 
 def test_step_stats_list_the_rows_that_jumped():
     model = decaying_atom()
     psi = basis_state(2, 1, SPIN)
-    y = np.tile(psi.as2d(), (3, 1))
+    y = np.tile(psi.as2d(), (1, 3))
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
     sources = [Draws(0.0), Draws(0.9999, 0.5, 0.0), Draws(0.9999, 0.5, 0.0)]
     _, stats = stepper.step(y.copy(), psi.freedoms, 0.0, sources)
@@ -385,7 +408,7 @@ def test_step_stats_list_the_rows_that_jumped():
     assert stats.jump_rows.tolist() == [0, 1, 1]
     assert stats.jumps == 3
     _, stats = make_stepper(model, Unraveling.QSD, 0.001).step(
-        y, psi.freedoms, 0.0, np.zeros((3, 1), dtype=complex))
+        y, psi.freedoms, 0.0, np.zeros((1, 3), dtype=complex))
     assert stats.jumps == 0 and stats.jump_rows.size == 0
 
 
@@ -410,7 +433,7 @@ def test_no_jump_leaves_eigenstate_alone():
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
     out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, never(1))
     assert stats.jumps == 0
-    assert abs(out[0, 1]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(out[1, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jump_fires_and_projects_down():
@@ -424,7 +447,7 @@ def test_jump_fires_and_projects_down():
                                   [Draws(0.9999, 0.5, 0.0)])
         assert stats.jumps == 1
         assert abs(out[0, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert out[0, 1] == 0.0
+        assert out[1, 0] == 0.0
 
 
 def test_ground_state_never_jumps():
@@ -444,7 +467,7 @@ def test_jump_channel_selection():
     stepper = make_stepper(model, Unraveling.JUMP, 0.01)
     probs, lys, lexps = stepper._jump_probabilities(psi.as2d().copy(),
                                                     psi.freedoms, 0.0)
-    assert probs[0, 1] > probs[0, 0] * 1000
+    assert probs[1, 0] > probs[0, 0] * 1000
 
 
 def driven_two_channel_atom():
@@ -456,30 +479,33 @@ def driven_two_channel_atom():
 
 @pytest.mark.parametrize("unr", [Unraveling.JUMP, Unraveling.ORTHO_JUMP], ids=lambda u: u.value)
 def test_block_jumps_equal_the_per_row_jump(unr):
-    # rows of one block fire different channels: the block result must be
-    # each row's own jump, bit for bit, and the same as jumping it alone
+    # trajectories of one block fire different channels: the block result
+    # must be each one's own jump, bit for bit, and the same as jumping it
+    # alone
     model = driven_two_channel_atom()
     rng = np.random.default_rng(4)
     b = 8
-    y = rng.standard_normal((b, 2)) + 1j * rng.standard_normal((b, 2))
-    y /= np.sqrt((np.abs(y) ** 2).sum(axis=1))[:, None]
+    y = (rng.standard_normal((b, 2)) + 1j * rng.standard_normal((b, 2))).T.copy()
+    y /= np.sqrt((np.abs(y) ** 2).sum(axis=0))[None, :]
     freedoms = [FreedomSpec(SPIN, 2)]
     stepper = make_stepper(model, unr, 0.05)
     rates, lys, lexps = stepper._jump_probabilities(y, freedoms, 0.0)
     assert (rates > 1e-3).all()
+    assert (lexps is None) == (unr is Unraveling.JUMP)
     channel = np.array([0, 1, 1, 1, 0, 0, 1, 0])
-    u = np.where(channel == 0, 0.5 * rates[:, 0], rates[:, 0] + 0.5 * rates[:, 1])
-    u /= rates.sum(axis=1)
+    u = np.where(channel == 0, 0.5 * rates[0], rates[0] + 0.5 * rates[1])
+    u /= rates.sum(axis=0)
     out = stepper._jump(y, freedoms, 0.0, u)
     for r in range(b):
-        alone = make_stepper(model, unr, 0.05)._jump(y[r:r + 1], freedoms, 0.0, u[r:r + 1])
-        assert out[r].tobytes() == alone[0].tobytes()
+        alone = make_stepper(model, unr, 0.05)._jump(y[:, r:r + 1].copy(), freedoms, 0.0,
+                                                      u[r:r + 1])
+        assert out[:, r].tobytes() == alone[:, 0].tobytes()
         j = channel[r]
-        row = lys[r:r + 1, j].copy()
+        col = lys[j, :, r:r + 1].copy()
         if unr is Unraveling.ORTHO_JUMP:
-            row -= lexps[r, j] * y[r:r + 1]
-            assert np.abs(lexps[r, j]) > 0.05
-        assert out[r].tobytes() == (row / row_norm(row)[:, None])[0].tobytes()
+            col -= lexps[j:j + 1, r:r + 1] * y[:, r:r + 1]
+            assert np.abs(lexps[j, r]) > 0.05
+        assert out[:, r].tobytes() == (col / row_norm(col)[None, :])[:, 0].tobytes()
 
     # a step in which some rows jump, at different times and channels, and
     # the others do not: each row as it is stepped alone
@@ -491,8 +517,8 @@ def test_block_jumps_equal_the_per_row_jump(unr):
     assert stats.jump_rows.tolist() == [r for r in range(b) if r % 3 != 2]
     for r in range(b):
         alone, alone_stats = make_stepper(model, unr, 0.05).step(
-            y[r:r + 1].copy(), freedoms, 0.0, sources()[r:r + 1])
-        assert out[r].tobytes() == alone[0].tobytes()
+            y[:, r:r + 1].copy(), freedoms, 0.0, sources()[r:r + 1])
+        assert out[:, r].tobytes() == alone[:, 0].tobytes()
         assert alone_stats.jumps == (r % 3 != 2)
 
 
@@ -501,8 +527,8 @@ def test_zero_norm_jump_names_the_lowest_collapsing_row():
     # makes them jump at once, but sm leaves a state of norm ~1e-14; row 0
     # jumps normally, and row 2 (the ground state) never jumps
     model = ModelOperators(None, [sigma_minus(0)])
-    y = np.array([[0.6, 0.8], [1.0, 1e-14], [1.0, 0.0], [1.0, 2e-14]], dtype=complex)
-    y /= np.sqrt((np.abs(y) ** 2).sum(axis=1))[:, None]
+    y = np.array([[0.6, 0.8], [1.0, 1e-14], [1.0, 0.0], [1.0, 2e-14]], dtype=complex).T.copy()
+    y /= np.sqrt((np.abs(y) ** 2).sum(axis=0))[None, :]
     stepper = make_stepper(model, Unraveling.JUMP, 0.01)
     sources = [Draws(0.999, 0.5, 0.0), Draws(1.0, 0.5, 0.0), Draws(U_MAX), Draws(1.0, 0.5, 0.0)]
     with pytest.raises(StepError, match="zero-norm") as err:
@@ -514,39 +540,40 @@ def test_collapsed_qsd_row_names_its_row():
     model, dims = example_model()
     rng = np.random.default_rng(4)
     y = rng.standard_normal((3, math.prod(dims))) + 1j * rng.standard_normal((3, math.prod(dims)))
-    y /= np.linalg.norm(y, axis=1)[:, None]
-    y[1] = 0.0
+    y = (y / np.linalg.norm(y, axis=1)[:, None]).T.copy()
+    y[:, 1] = 0.0
     freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
-    dxi = NoiseSource(3).wiener(3, 2, 1e-3)
+    dxi = NoiseSource(3).wiener(3, 2, 1e-3).T.copy()
     with pytest.raises(StepError, match="state norm collapsed during a step") as err:
         make_stepper(model, Unraveling.QSD, 1e-3).step(y, freedoms, 0.0, dxi)
     assert err.value.row == 1
 
 
 def test_crossing_rows_equal_each_row_alone():
-    # one amplitude per row on a cubic y(x) = y0 + x hf0 + x^2 c2 + x^3 c3,
-    # every number a dyadic; x = s/h, and the squared norm falls from 1 to 1/4
+    # one amplitude per trajectory on a cubic y(x) = y0 + x hf0 + x^2 c2 +
+    # x^3 c3, every number a dyadic; x = s/h, and the squared norm falls
+    # from 1 to 1/4
     h = np.array([0.5, 0.25, 0.125])
-    y0 = np.array([[1.0], [1.0j], [1.0]])
-    y1 = np.array([[0.5], [0.5j], [0.5]])
-    # rows 0 and 1 move on the line y = 1 - x/2, row 2 on y = 1 - x^3/2
-    hf0 = np.array([[-0.5], [-0.5j], [0.0]])
-    hf1 = np.array([[-0.5], [-0.5j], [-1.5]])
-    # row 0: the level is the end's squared norm, so the chord start x = 1
-    # is exact; row 1: Newton steps from the chord start 2/3; row 2: the
-    # curve is flat at the chord start 2/15, so Newton's first step leaves
-    # the bracket [0, 1] and the row bisects
+    y0 = np.array([[1.0, 1.0j, 1.0]])
+    y1 = np.array([[0.5, 0.5j, 0.5]])
+    # columns 0 and 1 move on the line y = 1 - x/2, column 2 on y = 1 - x^3/2
+    hf0 = np.array([[-0.5, -0.5j, 0.0]])
+    hf1 = np.array([[-0.5, -0.5j, -1.5]])
+    # column 0: the level is the end's squared norm, so the chord start
+    # x = 1 is exact; column 1: Newton steps from the chord start 2/3;
+    # column 2: the curve is flat at the chord start 2/15, so Newton's
+    # first step leaves the bracket [0, 1] and the column bisects
     level = np.array([0.25, 0.5, 0.9])
-    args = (y0, hf0 / h[:, None], y1, hf1 / h[:, None], h, level)
+    args = (y0, hf0 / h[None, :], y1, hf1 / h[None, :], h, level)
     s = steppers._crossing(*args)
     want = np.array([1.0, 2.0 - math.sqrt(2.0), (2.0 * (1.0 - math.sqrt(0.9))) ** (1 / 3)])
     assert np.abs(s / h - want).max() < 1e-14
     assert s[0] == h[0]
     for r in range(3):
-        alone = steppers._crossing(*(a[r:r + 1] for a in args))
+        alone = steppers._crossing(*(a[..., r:r + 1].copy() for a in args))
         assert s[r].tobytes() == alone[0].tobytes()
-    # reversed, each row still gets its own bits
-    back = steppers._crossing(*(a[::-1].copy() for a in args))
+    # reversed, each column still gets its own bits
+    back = steppers._crossing(*(a[..., ::-1].copy() for a in args))
     assert back[::-1].tobytes() == s.tobytes()
 
 
@@ -557,10 +584,10 @@ def test_nan_row_fails_its_own_row(unr):
     model, dims = example_model()
     rng = np.random.default_rng(8)
     y = rng.standard_normal((3, math.prod(dims))) + 1j * rng.standard_normal((3, math.prod(dims)))
-    y /= np.linalg.norm(y, axis=1)[:, None]
-    y[1, 3] = np.nan
+    y = (y / np.linalg.norm(y, axis=1)[:, None]).T.copy()
+    y[3, 1] = np.nan
     freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
-    noise = np.zeros((3, 2), dtype=complex) if unr is Unraveling.QSD \
+    noise = np.zeros((2, 3), dtype=complex) if unr is Unraveling.QSD \
         else [Draws(0.5) for _ in range(3)]
     with np.errstate(invalid="ignore"):
         with pytest.raises(StepError) as err:
@@ -617,7 +644,7 @@ def test_model_builds_one_form_per_shape_and_rebinds_moved_centers(monkeypatch):
     rng = np.random.default_rng(2)
     for frs, (h_eff, lstack) in zip((a1, b, a2), got):
         n = math.prod(f.dim_used for f in frs)
-        y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        y = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))).T.copy()
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
         assert np.array_equal(lstack.apply(y), family(model.lindblads, frs).apply(y))
 
@@ -643,7 +670,7 @@ def test_every_basis_change_binds_both_forms_and_the_same_basis_none(monkeypatch
         bound.clear()
     monkeypatch.undo()
     rng = np.random.default_rng(5)
-    y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    y = (rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))).T.copy()
     for frs, (h_eff, lstack) in zip(bases, got):
         assert np.array_equal(h_eff.apply(y), compile_operator(model.h_eff, frs).apply(y))
         # the stacked sweep follows the moved center
@@ -677,33 +704,34 @@ def shg_displaced():
                    FreedomSpec(SPIN, 2)]
 
 
-def rand_rows(rng, b, n):
-    ys = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
-    return ys / np.sqrt((np.abs(ys) ** 2).sum(axis=1))[:, None]
+def rand_cols(rng, b, n):
+    """An (n, b) block of b random unit-norm trajectories."""
+    ys = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))).T.copy()
+    return ys / np.sqrt((np.abs(ys) ** 2).sum(axis=0))[None, :]
 
 
 def test_batched_rows_equal_individual_rows():
     rng = np.random.default_rng(55)
     model, dims = example_model()
     # the channel uniform of each row that jumps; None: no jump
-    cases = [(model, [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)], rand_rows(rng, 4, 10),
+    cases = [(model, [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)], rand_cols(rng, 4, 10),
               [None, 0.2, None, 0.7])]
     # a gathered 13-band h_eff and a 3-channel stacked sweep; 0.995 picks
     # the weak third channel
     model, freedoms = shg_displaced()
-    ys = rand_rows(rng, 17, 18)
+    ys = rand_cols(rng, 17, 18)
     cases.append((model, freedoms, ys, [[0.0, 0.3, 0.6, 0.995, None][i % 5] for i in range(17)]))
     for model, freedoms, ys, channel_u in cases:
-        b = ys.shape[0]
+        b = ys.shape[1]
 
         # QSD
-        dxi = NoiseSource(3, 0).wiener(b, model.n_lindblads, 0.01)
+        dxi = NoiseSource(3, 0).wiener(b, model.n_lindblads, 0.01).T.copy()
         stepper = make_stepper(model, Unraveling.QSD, 0.01)
         batch, _ = stepper.step(ys.copy(), freedoms, 0.0, dxi)
         for i in range(b):
             si = make_stepper(model, Unraveling.QSD, 0.01)
-            row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, dxi[i:i + 1])
-            assert np.array_equal(batch[i], row[0])
+            col, _ = si.step(ys[:, i:i + 1].copy(), freedoms, 0.0, dxi[:, i:i + 1].copy())
+            assert batch[:, i].tobytes() == col[:, 0].tobytes()
 
         # jump flavors, mixed jump/no-jump rows
         def sources():
@@ -715,23 +743,24 @@ def test_batched_rows_equal_individual_rows():
             assert 0 < stats.jumps < b
             for i in range(b):
                 si = make_stepper(model, unr, 0.01)
-                row, _ = si.step(ys[i:i + 1].copy(), freedoms, 0.0, sources()[i:i + 1])
-                assert np.array_equal(batch[i], row[0])
+                col, _ = si.step(ys[:, i:i + 1].copy(), freedoms, 0.0, sources()[i:i + 1])
+                assert batch[:, i].tobytes() == col[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("unr", list(Unraveling), ids=lambda u: u.value)
 def test_drift_rows_on_one_column_bands_equal_individual_rows(unr):
-    # a driven, detuned, damped atom: h_eff's bands each cover one column,
-    # one with the complex diagonal -0.1 - 0.45i, where a (1, 1) product
-    # can take another numpy loop than a many-row one
+    # a driven, detuned, damped atom: h_eff's bands each cover one
+    # amplitude, one with the complex diagonal -0.1 - 0.45i, where a (1, 1)
+    # product can take another numpy loop than a many-column one
     model = ModelOperators(0.7 * (sigma_plus(0) + sigma_minus(0))
                            + 0.45 * (sigma_plus(0) * sigma_minus(0)),
                            [math.sqrt(0.2) * sigma_minus(0)])
     freedoms = [FreedomSpec(SPIN, 2)]
-    ys = rand_rows(np.random.default_rng(0), 64, 2)
+    ys = rand_cols(np.random.default_rng(0), 64, 2)
     batch = _drift2d(ys, freedoms, model, unr, 0.0)
     for i in range(64):
-        assert batch[i].tobytes() == _drift2d(ys[i:i + 1], freedoms, model, unr, 0.0)[0].tobytes()
+        alone = _drift2d(ys[:, i:i + 1].copy(), freedoms, model, unr, 0.0)
+        assert batch[:, i].tobytes() == alone[:, 0].tobytes()
 
 
 # --- the stacked Lindblad sweep ----------------------------------------------
@@ -746,20 +775,20 @@ def test_stacked_sweep_rows_equal_each_lindblad(m):
     frs = [FreedomSpec(FIELD, 6, 4, 0.3 - 0.2j), FreedomSpec(SPIN, 2)]
     _, stacked = model.compiled(frs)
     assert stacked.gathered == (m == 3)
-    y = rand_rows(np.random.default_rng(m), 5, 8)
+    y = rand_cols(np.random.default_rng(m), 5, 8)
     for t in (0.0, 0.7):
         got = stacked.apply(y, t)
-        assert got.shape == (5, m, 8)
+        assert got.shape == (m, 8, 5)
         for j, l_expr in enumerate(ls):
             want = compile_operator(l_expr, frs).apply(y, t)
-            assert np.abs(got[:, j] - want).max() <= 1e-15 * np.abs(want).max()
+            assert np.abs(got[j] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_shg_drift_makes_two_operator_sweeps(monkeypatch):
     # h_eff once and every L_j in one stacked sweep, not once per L_j; the
     # jump drift is the linear no-jump evolution h_eff y and reads no L_j
     model, freedoms = shg_displaced()
-    y = rand_rows(np.random.default_rng(6), 3, 18)
+    y = rand_cols(np.random.default_rng(6), 3, 18)
     sweeps = []
     apply_ = DiagonalOperator.apply
 
@@ -782,14 +811,14 @@ def test_qsd_step_does_not_depend_on_the_order_of_the_lindblads():
     ls = [math.sqrt(0.5) * destroy(1), math.sqrt(0.2) * sigma_minus(0),
           math.sqrt(0.2) * number(1)]
     freedoms = [FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 8, 6, 0.6 - 0.3j)]
-    ys = rand_rows(np.random.default_rng(12), 4, 12)
-    dxi = NoiseSource(4, 0).wiener(4, 3, 0.01)
+    ys = rand_cols(np.random.default_rng(12), 4, 12)
+    dxi = NoiseSource(4, 0).wiener(4, 3, 0.01).T.copy()
     want, _ = make_stepper(ModelOperators(h, ls), Unraveling.QSD, 0.01).step(
         ys.copy(), freedoms, 0.0, dxi)
     for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
         model = ModelOperators(h, [ls[j] for j in perm])
         got, _ = make_stepper(model, Unraveling.QSD, 0.01).step(
-            ys.copy(), freedoms, 0.0, dxi[:, list(perm)].copy())
+            ys.copy(), freedoms, 0.0, dxi[list(perm)].copy())
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -813,21 +842,21 @@ def test_jump_step_equals_the_step_of_the_full_drift(unr, kind):
     # the steppers leave out 1/2 sum_j <L_j+ L_j> y, which only rescales y:
     # renormalized, their step is the full drift's step up to truncation
     model, freedoms = driven_cavity()
-    ys = rand_rows(np.random.default_rng(21), 3, 12)
+    ys = rand_cols(np.random.default_rng(21), 3, 12)
     t, dt = 0.3, 1e-3
     stepper = make_stepper(model, unr, dt, IntegratorConfig(kind))
     got, stats = stepper.step(ys.copy(), freedoms, t, never(3))
     assert stats.jumps == 0
 
-    def full(v, s):  # s: one time, or each row's
-        return np.stack([drift(StateVector(freedoms, row), model, unr, si).amps
-                         for row, si in zip(v, np.broadcast_to(s, len(v)))])
+    def full(v, s):  # s: one time, or each trajectory's
+        return np.stack([drift(StateVector(freedoms, col), model, unr, si).amps
+                         for col, si in zip(v.T, np.broadcast_to(s, v.shape[1]))], axis=1)
 
     if kind == "rk4":
-        want, nsub = rk4_step(full, ys, t, dt), len(ys)
+        want, nsub = rk4_step(full, ys, t, dt), ys.shape[1]
     else:
         want, nsub, _ = rkck_adaptive(full, ys, t, dt, stepper.integrator.eps)
-    want /= row_norm(want)[:, None]
+    want /= row_norm(want)[None, :]
     assert stats.substeps == nsub
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -843,13 +872,13 @@ def test_jump_advance_never_grows_the_norm(unr, kind):
     for dt in (1e-3, 1e-2):
         stepper = make_stepper(model, unr, dt, IntegratorConfig(kind))
         for seed in range(4):
-            ys = rand_rows(np.random.default_rng(seed), 8, 12)
+            ys = rand_cols(np.random.default_rng(seed), 8, 12)
             out, _ = stepper._advance_det(ys, freedoms, 0.3)
             assert (row_norm2(out) < row_norm2(ys)).all()
             ly = lstack.apply(ys, 0.3)
-            rate = row_norm2(ly).sum(axis=1)
+            rate = row_norm2(ly).sum(axis=0)
             if unr is Unraveling.ORTHO_JUMP:
-                rate -= (np.abs(np.einsum("bn,bmn->bm", ys.conj(), ly)) ** 2).sum(axis=1)
+                rate -= (np.abs(np.einsum("nb,mnb->mb", ys.conj(), ly)) ** 2).sum(axis=0)
             loss = (row_norm2(ys) - row_norm2(out)) / dt
             assert np.abs(loss / rate - 1.0).max() < 20 * dt
 
@@ -862,10 +891,10 @@ def test_jump_advance_norm_is_the_no_jump_probability():
 
     model, freedoms = driven_cavity(rate=1.5)
     heff = to_dense(model.h_eff, (2, 6), centers=[0j, freedoms[1].center])
-    ys = rand_rows(np.random.default_rng(5), 6, 12)
+    ys = rand_cols(np.random.default_rng(5), 6, 12)
     for dt in (1e-3, 1e-2):
         out, _ = make_stepper(model, Unraveling.JUMP, dt)._advance_det(ys, freedoms, 0.0)
-        want = row_norm2(ys @ expm(dt * heff).T)
+        want = row_norm2(expm(dt * heff) @ ys)
         assert want.max() < 1.0 - 0.01 * dt
         bound = (dt * np.linalg.norm(heff, 2)) ** 5 / 60 + 1e-15
         assert np.abs(row_norm2(out) - want).max() <= bound
@@ -893,7 +922,7 @@ def test_jump_drift_makes_one_sweep_and_no_row_reduction(monkeypatch, kind):
 
     for name in ("row_norm2", "row_dot"):
         monkeypatch.setattr(steppers, name, counted_reduction(name))
-    ys = rand_rows(np.random.default_rng(2), 4, 12)
+    ys = rand_cols(np.random.default_rng(2), 4, 12)
     _drift2d(ys, freedoms, model, Unraveling.JUMP, 0.3)
     assert calls == [None]  # h_eff alone
     calls.clear()
@@ -903,8 +932,9 @@ def test_jump_drift_makes_one_sweep_and_no_row_reduction(monkeypatch, kind):
     stepper = make_stepper(model, Unraveling.JUMP, 1e-3, IntegratorConfig(kind))
     _, nsub = stepper._advance_det(ys, freedoms, 0.3)
     # rk4: four stages; adaptive: six stages per substep of the block, and
-    # nsub counts each row's accepted substeps (here one each, none rejected)
-    assert nsub == len(ys)
+    # nsub counts each trajectory's accepted substeps (here one each, none
+    # rejected)
+    assert nsub == ys.shape[1]
     assert calls == [None] * (4 if kind == "rk4" else 6)
 
 
@@ -914,10 +944,10 @@ def test_orthojump_advance_norm_decays_at_the_orthojump_rate():
     # so it is the survival probability the jumps are timed by
     model, freedoms = driven_cavity()
     _, lstack = model.compiled(freedoms)
-    ys = rand_rows(np.random.default_rng(9), 6, 12)
+    ys = rand_cols(np.random.default_rng(9), 6, 12)
     ly = lstack.apply(ys, 0.3)
-    gamma = (row_norm2(ly) - np.abs(np.einsum("bn,bmn->bm", ys.conj(), ly)) ** 2).sum(axis=1)
-    assert (gamma > 0.2).all() and (row_norm2(ly).sum(axis=1) > 1.2 * gamma).all()
+    gamma = (row_norm2(ly) - np.abs(np.einsum("nb,mnb->mb", ys.conj(), ly)) ** 2).sum(axis=0)
+    assert (gamma > 0.2).all() and (row_norm2(ly).sum(axis=0) > 1.2 * gamma).all()
     for dt in (1e-3, 1e-4):
         out, _ = make_stepper(model, Unraveling.ORTHO_JUMP, dt)._advance_det(ys, freedoms, 0.3)
         assert np.abs(-np.log(row_norm2(out)) / dt / gamma - 1.0).max() < 10 * dt
@@ -925,9 +955,10 @@ def test_orthojump_advance_norm_decays_at_the_orthojump_rate():
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_rows_at_their_own_times_equal_each_row_alone(m):
-    # a (B,) t gives each row its own time: the sliced h_eff and the gathered
-    # three-channel sweep (m = 3) scale their time groups by a (B, 1) column,
-    # and an RK4 step with per-row t and h advances each row as alone
+    # a (B,) t gives each trajectory its own time: the sliced h_eff and the
+    # gathered three-channel sweep (m = 3) scale their time groups by a
+    # (1, B) row, and an RK4 step with per-trajectory t and h advances each
+    # trajectory as alone
     model, freedoms = driven_cavity()
     ls = [0.8 * destroy(1), (lambda t: 0.3 + 0.5j * t) * sigma_minus(0),
           number(1) + 0.2 * position(1)][:m]
@@ -935,21 +966,23 @@ def test_rows_at_their_own_times_equal_each_row_alone(m):
     h_eff, stacked = model.compiled(freedoms)
     assert stacked.gathered == (m == 3)
     b = 7
-    ys = rand_rows(np.random.default_rng(m), b, 12)
+    ys = rand_cols(np.random.default_rng(m), b, 12)
     t = np.array([0.3, 0.1, 0.3, 0.25, 0.0, 0.1, 0.7])
     h = np.array([1e-3, 2e-3, 0.0, 1e-3, 5e-4, 1e-3, 3e-3])
     f = lambda v, s: _drift2d(v, freedoms, model, Unraveling.ORTHO_JUMP, s)
     for op in (h_eff, stacked):
         got = op.apply(ys, t)
         for i in range(b):
-            assert got[i].tobytes() == op.apply(ys[i:i + 1], t[i])[0].tobytes()
+            alone = op.apply(ys[:, i:i + 1].copy(), t[i])
+            assert got[..., i].tobytes() == alone[..., 0].tobytes()
     got = rk4_step(f, ys, t, h)
     for i in range(b):
-        assert got[i].tobytes() == rk4_step(f, ys[i:i + 1], t[i], h[i])[0].tobytes()
+        alone = rk4_step(f, ys[:, i:i + 1].copy(), t[i], h[i])
+        assert got[:, i].tobytes() == alone[:, 0].tobytes()
     got, _, h_next = rkck_adaptive(f, ys, t, h, 1e-8)
     for i in range(b):
-        row, _, h_row = rkck_adaptive(f, ys[i:i + 1], t[i], h[i], 1e-8)
-        assert got[i].tobytes() == row[0].tobytes() and h_next[i] == h_row[0]
+        col, _, h_col = rkck_adaptive(f, ys[:, i:i + 1].copy(), t[i], h[i], 1e-8)
+        assert got[:, i].tobytes() == col[:, 0].tobytes() and h_next[i] == h_col[0]
 
 
 def test_zero_length_advance_leaves_the_row_and_its_substep_size():
@@ -957,15 +990,15 @@ def test_zero_length_advance_leaves_the_row_and_its_substep_size():
     # start of its step: the row comes back bit for bit, with no substep,
     # and the substep size it carries is untouched
     model, freedoms = driven_cavity()
-    ys = rand_rows(np.random.default_rng(8), 3, 12)
+    ys = rand_cols(np.random.default_rng(8), 3, 12)
     stepper = make_stepper(model, Unraveling.ORTHO_JUMP, 0.05, IntegratorConfig("adaptive"))
     stepper._advance_det(ys, freedoms, 0.3)  # every row now carries a substep size
     carried = stepper._h.copy()
-    out, nsub = stepper._advance_det(ys[1:], freedoms, np.full(2, 0.3), np.zeros(2),
+    out, nsub = stepper._advance_det(ys[:, 1:].copy(), freedoms, np.full(2, 0.3), np.zeros(2),
                                      np.array([1, 2]))
-    assert out.tobytes() == ys[1:].tobytes() and nsub == 0
+    assert out.tobytes() == ys[:, 1:].copy().tobytes() and nsub == 0
     assert stepper._h.tobytes() == carried.tobytes()
     out, nsub = stepper._advance_det(ys, freedoms, np.full(3, 0.3), np.array([0.0, 0.01, 0.0]))
-    assert out[[0, 2]].tobytes() == ys[[0, 2]].tobytes() and nsub >= 1
+    assert out[:, [0, 2]].tobytes() == ys[:, [0, 2]].tobytes() and nsub >= 1
     assert stepper._h[[0, 2]].tobytes() == carried[[0, 2]].tobytes()
     assert stepper._h[1] != carried[1]

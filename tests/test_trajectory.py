@@ -526,9 +526,11 @@ def test_chunk_fold_se_is_zero_for_one_or_identical_samples():
 @pytest.mark.parametrize("unr", [Unraveling.QSD, Unraveling.JUMP])
 def test_noise_block_rows_equal_per_stream_draws(unr, monkeypatch):
     # qsd: the engine draws each output interval into one (B, numdts, m)
-    # block, and row r must carry exactly the draws of stream streams[r].
-    # jump: row r draws from stream streams[r] itself, one threshold at its
-    # first step and a channel uniform and a threshold per jump, in order
+    # block, and row r, handed to the stepper as column r of each step's
+    # (m, B) increments, must carry exactly the draws of stream streams[r].
+    # jump: trajectory r draws from stream streams[r] itself, one threshold
+    # at its first step and a channel uniform and a threshold per jump, in
+    # order
     model = ModelOperators(number(0), [destroy(0), 0.3 * number(0)])
     psi = basis_state(6, 1)
     seen = []
@@ -559,11 +561,11 @@ def test_noise_block_rows_equal_per_stream_draws(unr, monkeypatch):
     streams = [5, 0, 2]
     jumps = _run(psi, model, cfg, OutputSpec(operators=(number(0),)), streams)[5]
     if unr is Unraveling.QSD:
-        got = np.stack(seen, axis=1)  # (B, numsteps * numdts, m)
-        for row, k in zip(got, streams):
+        got = np.stack(seen)  # (numsteps * numdts, m, B)
+        for b, k in enumerate(streams):
             src = NoiseSource(13, k)
             want = [src.wiener(4, 2, 0.2) for _ in range(3)]
-            assert row.tobytes() == np.concatenate(want).tobytes()
+            assert got[..., b].tobytes() == np.concatenate(want).tobytes()
         return
     assert all(sources is seen[0] for sources in seen)
     assert jumps.sum() > 0
@@ -786,7 +788,7 @@ def test_moving_run_steps_a_trimmed_block_from_the_first_step(monkeypatch):
         step = stepper.step
 
         def step_and_record(y, freedoms, t, noise):
-            widths.append((y.shape[1], math.prod(f.dim_used for f in freedoms)))
+            widths.append((y.shape[0], math.prod(f.dim_used for f in freedoms)))
             return step(y, freedoms, t, noise)
 
         stepper.step = step_and_record
@@ -830,3 +832,30 @@ def test_moving_run_compiles_h_eff_once_per_basis_shape(monkeypatch):
     run_single(psi0, model, cfg, spec, **quiet())
     assert sorted(compiles) == sorted(shapes)  # each shape compiled exactly once
     assert sum(s != 0 for s in shifts) > 2 * len(compiles)
+
+
+@pytest.mark.parametrize("unr, kind", [(Unraveling.ORTHO_JUMP, "rk4"),
+                                       (Unraveling.QSD, "adaptive"),
+                                       (Unraveling.JUMP, "adaptive")],
+                         ids=["orthojump-rk4", "qsd-adaptive", "jump-adaptive"])
+def test_lockstep_equals_serial_with_a_time_dependent_drive(unr, kind):
+    # a cos(w t) drive puts per-trajectory times through the kernels:
+    # crossing columns of the jump step and every column of an adaptive
+    # block keep clocks of their own, so the lockstep block scales its time
+    # groups by a (1, B) row of factors, while a serial chunk is one column
+    drive = lambda t: 0.6 * math.cos(1.7 * t)
+    h = 0.5 * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1)) \
+        + drive * (destroy(1) + create(1))
+    model = ModelOperators(h, [math.sqrt(0.4) * destroy(1), math.sqrt(0.3) * sigma_minus(0)])
+    psi0 = product_state([basis_state(2, 1, SPIN), basis_state(4, 0)])
+    cfg = RunConfig(dt=0.02, numdts=25, numsteps=4, n_trajectories=16, seed=3,
+                    unraveling=unr, integrator=IntegratorConfig(kind))
+    spec = OutputSpec((number(1), sigma_plus(0) * sigma_minus(0)))
+    lock = run_ensemble(psi0, model, cfg, spec, mode="auto", **quiet())
+    serial = run_ensemble(psi0, model, cfg, spec, mode="serial", **quiet())
+    for name in ("mean_expectations", "mean_variances", "se_re", "se_im", "substeps",
+                 "jumps_per_trajectory"):
+        assert getattr(lock, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert lock.stdout_lines == serial.stdout_lines
+    if unr is not Unraveling.QSD:
+        assert 0 < lock.jumps_per_trajectory.sum()
