@@ -594,8 +594,9 @@ class DiagonalOperator:
         return out
 
     def _apply_gathered(self, y, t):
-        ix, diags, segments, timed, cols = self._gather
+        ix, diags, segments, timed = self._gather
         b = y.shape[1]
+        cols = max(1, GATHER_BLOCK // ix.size)  # trajectories gathered at once
         if timed and isinstance(t, np.ndarray):  # per-trajectory times: a (bands, size) stack each
             diags = np.repeat(diags, b, axis=2)
             for lo, hi, fns in timed:
@@ -614,13 +615,12 @@ class DiagonalOperator:
         return out[0] if self.channels is None else out
 
     def _gather_stacks(self):
-        """(indices, diagonals, segments, timed bands, chunk width) of the gathered sweep.
+        """(indices, diagonals, segments, timed bands) of the gathered sweep.
 
         ix is (bands, size) and the diagonals (bands, size, 1): channel 0's
         bands in group order, then channel 1's, and so on, with channel j's
         in bands segments[j]; timed lists (lo, hi, fns) for the bands a time
-        group scales; the chunk width is the number of trajectories
-        gathered at once.
+        group scales.
         """
         per_channel = [[] for _ in range(self.channels or 1)]
         for fns, bands in self.groups:
@@ -642,8 +642,7 @@ class DiagonalOperator:
                     diags[k, rows] = d[:, 0]
                     k += 1
             segments.append((first, k))
-        cols = max(1, GATHER_BLOCK // ix.size)
-        return ix, diags[:, :, None], tuple(segments), tuple(timed), cols
+        return ix, diags[:, :, None], tuple(segments), tuple(timed)
 
     def diagonals(self, t: float = 0.0) -> dict:
         """{offset o: d} at time t, summed over groups, with d[i] = <i|op|i+o>.

@@ -392,14 +392,11 @@ _SHRINK_MIN = 0.1
 _UNDERFLOW = 1e-12
 
 
-def _rkck_substep(f, y, t, h, k1):
-    """Every trajectory's Cash-Karp substep from its time t[b] by h[b]: (5th-order result, error).
-
-    k1: f(y, t), the first stage, which the caller evaluates.
-    """
+def _rkck_substep(f, y, t, h):
+    """Every trajectory's Cash-Karp substep from its time t[b] by h[b]: (5th-order result, error)."""
     hc = h[None, :]
     ts = t + _CK_A * h  # (stages, B): each stage's time of every trajectory
-    ks = [k1]
+    ks = [f(y, t)]
     for i in range(1, 6):
         acc = _CK_B[i][0] * ks[0]
         for b, k in zip(_CK_B[i][1:], ks[1:]):
@@ -422,12 +419,9 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
     satisfy |err| <= eps * (|y| + 1e-10), so its error ratio is the max over
     its column.  f(v, s) is called on the columns still stepping, s their
     (b,) times (for a 1-D y, on 1-D states at scalar times).  A trajectory
-    that rejects a substep keeps its state and its time, so the first stage
-    of its next try is the one it has: f is evaluated again only on the
-    columns that accepted.  A trajectory with dt = 0 comes back unchanged,
-    its substep size untouched.  Returns (y_new, accepted substeps summed
-    over trajectories, each one's suggested next substep size); the size is
-    a float for a 1-D y.
+    with dt = 0 comes back unchanged, its substep size untouched.  Returns
+    (y_new, accepted substeps summed over trajectories, each one's
+    suggested next substep size); the size is a float for a 1-D y.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -444,7 +438,6 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
     out, h_out = np.empty_like(y), np.empty(b)  # each column's, written when it finishes
     cols = np.arange(b)  # the columns still stepping; the arrays below hold only them
     done = np.zeros(b)
-    k1, stale = None, None  # first stages f(y, t + done), and the columns where k1 is stale
     nacc = 0
     while True:
         left = dt - done
@@ -456,21 +449,12 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
             if not cols.size:
                 return out, nacc, h_out
             y, t, dt, h, done, left = (a[..., going] for a in (y, t, dt, h, done, left))
-            if k1 is not None:
-                k1, stale = k1[:, going], stale[going]
         step = np.minimum(h, left)
         small = step < dt * _UNDERFLOW
         if np.count_nonzero(small):
             raise StepError("adaptive step underflow; the problem looks stiff",
                             int(cols[_first_row(small)]))
-        now = t + done
-        if k1 is None:
-            k1 = f(y, now)
-        elif np.count_nonzero(stale):  # the accepted columns moved on; the rejected did not
-            moved = np.flatnonzero(stale)
-            k1 = k1.copy()  # f may have returned an array its caller holds
-            k1[:, moved] = f(y[:, moved], now[moved])
-        y5, err = _rkck_substep(f, y, now, step, k1)
+        y5, err = _rkck_substep(f, y, t + done, step)
         ratio = (np.abs(err) / (np.abs(y) + 1e-10)).max(axis=0) / eps
         ok = ratio <= 1.0
         # a ratio of 0 grows by _GROW_MAX; one that overflowed (inf or NaN) shrinks by _SHRINK_MIN
@@ -479,9 +463,7 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
         h = step * np.fmin(np.fmax(scale, _SHRINK_MIN), _GROW_MAX)
         y = np.where(ok[None, :], y5, y)
         done = done + np.where(ok, step, 0.0)
-        accepted = int(np.count_nonzero(ok))
-        nacc += accepted
-        k1, stale = (None, None) if accepted == ok.size else (k1, ok)  # None: stale in all
+        nacc += int(np.count_nonzero(ok))
 
 
 INTEGRATOR_KINDS = ("rk4", "adaptive")

@@ -350,28 +350,6 @@ def test_rkck_rows_keep_their_own_substeps():
     assert isinstance(h1, float) and h1 == alone[0][2][0]
 
 
-def test_rkck_evaluates_no_first_stage_again_after_a_rejection(monkeypatch):
-    # a rejected substep keeps its state and time, so the next try starts
-    # from the first stage it has: f runs five stages per try, plus one
-    # first stage at the start and after every accepted substep but the last
-    calls, tries = [], []
-    substep = steppers._rkck_substep
-
-    def counted(f, y, t, h, k1):
-        tries.append(y.shape[1])
-        return substep(f, y, t, h, k1)
-
-    def f(y, t):
-        calls.append(y.shape[1])
-        return -40j * y
-
-    monkeypatch.setattr(steppers, "_rkck_substep", counted)
-    y = np.array([[1.0], [0.5j]])
-    _, nacc, _ = rkck_adaptive(f, y, 0.0, 1.0, 1e-8, h_start=1.0)
-    assert len(tries) > nacc > 1
-    assert len(calls) == 5 * len(tries) + nacc
-
-
 @pytest.mark.parametrize("unr", list(Unraveling))
 def test_unstable_deterministic_advance_fails_its_row(unr):
     # H = n: row 0 (vacuum) does not move, row 1 (a coherent state with
