@@ -421,19 +421,24 @@ def _add_terms(acc: dict, terms: dict):
             into[o] = into[o] + d if o in into else d
 
 
+def _mul_bands(a: dict, b: dict, size: int, into: dict) -> dict:
+    """Add the {offset: diagonal} bands of the matrix product a @ b into `into`."""
+    for oa, da in a.items():
+        for ob, db in b.items():
+            o = oa + ob
+            if abs(o) >= size:
+                continue
+            v = da * _shifted(db, oa)
+            into[o] = into[o] + v if o in into else v
+    return into
+
+
 def _mul_terms(a: dict, b: dict, size: int) -> dict:
     """Terms of the matrix product a @ b."""
     out = {}
     for (fa, ca), ba in a.items():
         for (fb, cb), bb in b.items():
-            into = out.setdefault((fa + fb, tuple(sorted(ca + cb))), {})
-            for oa, da in ba.items():
-                for ob, db in bb.items():
-                    o = oa + ob
-                    if abs(o) >= size:
-                        continue
-                    v = da * _shifted(db, oa)
-                    into[o] = into[o] + v if o in into else v
+            _mul_bands(ba, bb, size, out.setdefault((fa + fb, tuple(sorted(ca + cb))), {}))
     return out
 
 
@@ -514,6 +519,20 @@ GATHER_MAX_SIZE = 32
 GATHER_BLOCK = 1 << 14
 
 
+def _trimmed_band(out: tuple, o: int, d: np.ndarray, size: int):
+    """The band (out index, in slice, d) of the full-length diagonal d at offset o.
+
+    The band spans d's nonzero rows only; None when there are none.  out
+    prefixes the out index (a stacked operator's channel).
+    """
+    lo, hi = max(0, -o), min(size, size - o)
+    nz = np.flatnonzero(d[lo:hi])
+    if not nz.size:
+        return None
+    lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
+    return out + (slice(lo, hi),), slice(lo + o, hi + o), d[lo:hi, None].copy()
+
+
 class DiagonalOperator:
     """An operator compiled for one basis: offset diagonals over the used block.
 
@@ -564,10 +583,14 @@ class DiagonalOperator:
         self.size = size
         self.groups = groups
         self.channels = channels
-        bands = sum(len(bands) for _, bands in groups)
         self.gathered = (1 < size <= GATHER_MAX_SIZE
-                         and bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
+                         and self.n_bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
         self._gather = self._gather_stacks() if self.gathered else None
+
+    @property
+    def n_bands(self) -> int:
+        """Bands over all groups: the band sweeps of one application."""
+        return sum(len(bands) for _, bands in self.groups)
 
     def apply(self, y: np.ndarray, t=0.0) -> np.ndarray:
         """The operator applied to every column of a (size, B) block at time t.
@@ -661,6 +684,28 @@ class DiagonalOperator:
                 full[rows] += z * d[:, 0]
         return out
 
+    def taylor(self, h: float, order: int) -> "DiagonalOperator":
+        """sum_{k=0}^{order} (h A)^k / k!, A this operator, as a bound operator.
+
+        At order 4 this is the matrix of one classical RK4 step of length h
+        of y' = A y.  It is built from `diagonals` by band products in
+        Horner form, I + hA (I + hA/2 (I + hA/3 (...))), and its bands are
+        trimmed as `CenteredForm.bind` trims them.  A time-dependent
+        operator has no fixed polynomial: it raises ValueError.
+        """
+        if any(fns for fns, _ in self.groups):
+            raise ValueError("a time-dependent operator has no fixed Taylor polynomial")
+        size = self.size
+        ha = {o: h * d for o, d in self.diagonals().items()}
+        ones = np.ones(size, dtype=complex)
+        poly = {0: ones}
+        for k in range(order, 0, -1):
+            poly = _mul_bands({o: d / k for o, d in ha.items()}, poly, size, {})
+            poly[0] = poly[0] + ones if 0 in poly else ones
+        bands = [_trimmed_band((), o, poly[o], size) for o in sorted(poly)]
+        bands = tuple(band for band in bands if band is not None)
+        return DiagonalOperator(size, (((), bands),) if bands else ())
+
 
 class CenteredForm:
     """A tree, or a family of trees, compiled for one basis shape, centers left symbolic.
@@ -714,14 +759,9 @@ class CenteredForm:
                             continue
                         diag = z * diag
                     d = diag if d is None else d + diag
-                if d is None:
-                    continue
-                lo, hi = max(0, -o), min(size, size - o)
-                nz = np.flatnonzero(d[lo:hi])
-                if nz.size:
-                    lo, hi = lo + int(nz[0]), lo + int(nz[-1]) + 1
-                    kept.append((out + (slice(lo, hi),), slice(lo + o, hi + o),
-                                 d[lo:hi, None].copy()))
+                band = None if d is None else _trimmed_band(out, o, d, size)
+                if band is not None:
+                    kept.append(band)
             if kept:
                 groups.append((fns, tuple(kept)))
         return DiagonalOperator(size, tuple(groups), self.channels)

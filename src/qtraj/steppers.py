@@ -12,7 +12,13 @@ that survival falls to a threshold drawn from its own stream.  The crossing
 is located inside the coarse step and the trajectory continues from there
 on its own clock, so a step can hold several jumps.  `jump` advances by the
 linear no-jump evolution y' = h_eff y, which needs no L_j inside the
-integrator's stages.
+integrator's stages.  Where the drift is linear and autonomous -- plain
+jump, or any unraveling of a model without L_j, with no time function in
+h_eff -- and no basis upkeep moves the basis, rk4 still means RK4: its
+coarse step of y' = h_eff y is the polynomial P4(A) = I + A + A^2/2 + A^3/6
++ A^4/24 of A = dt h_eff, which is built once per bound h_eff from its
+bands and applied as one banded operator by the same kernels, as long as
+it has no more bands than the four h_eff sweeps of the stages it replaces.
 
 All stepping code operates on (N, B) used blocks -- the amplitudes inside
 every freedom's used dimension, flattened, trajectory b in column b -- so a
@@ -522,29 +528,63 @@ def _check_stable(n2, dt):
 
 
 class _StepperBase:
-    """Owns the integrator workspace; noise is handed in per step."""
+    """Owns the integrator workspace; noise is handed in per step.
+
+    basis_upkeep: the caller changes the basis between steps (a moving
+    basis), so no per-basis propagator is built for the coarse advance.
+    """
 
     def __init__(self, model: ModelOperators, unraveling: Unraveling, dt: float,
-                 integrator: IntegratorConfig = IntegratorConfig()):
+                 integrator: IntegratorConfig = IntegratorConfig(), basis_upkeep: bool = False):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.model = model
         self.unraveling = unraveling
         self.dt = dt
         self.integrator = integrator
+        self.basis_upkeep = basis_upkeep
         self._h = None  # (B,) adaptive substep sizes carried between advances; 0: none yet
+        self._p4 = (None, None)  # (bound h_eff, its coarse-step propagator or None)
 
     def _drift(self, freedoms):
         return lambda v, s: _drift2d(v, freedoms, self.model, self.unraveling, s)
+
+    def _propagator(self, freedoms):
+        """The RK4 propagator P4(dt h_eff) of the coarse step, or None where the stages run.
+
+        An rk4 step of a linear, autonomous drift y' = h_eff y is the matrix
+        P4(A) = I + A + A^2/2 + A^3/6 + A^4/24, A = dt h_eff.  The drift is
+        linear for plain jump and for a model without L_j; h_eff must have
+        no time group, and the basis no upkeep.  P4 is kept only when it has
+        no more bands than the four h_eff sweeps of the stages it replaces,
+        and is built once per bound h_eff.
+        """
+        if self.integrator.kind != "rk4" or self.basis_upkeep:
+            return None
+        h_eff, lstack = self.model.compiled(freedoms)
+        if self._p4[0] is not h_eff:
+            p4 = None
+            if (h_eff is not None and (lstack is None or self.unraveling is Unraveling.JUMP)
+                    and not any(fns for fns, _ in h_eff.groups)):
+                p4 = h_eff.taylor(self.dt, 4)
+                if p4.n_bands > 4 * h_eff.n_bands:
+                    p4 = None
+            self._p4 = (h_eff, p4)
+        return self._p4[1]
 
     def _advance_det(self, y, freedoms, t, h=None, cols=slice(None)):
         """(y advanced from t by h, accepted substeps summed over its columns); h defaults to dt.
 
         t and h may be (B,) arrays, one clock per trajectory.  y holds
         columns `cols` of the block, whose adaptive substep sizes the
-        advance reads and updates.
+        advance reads and updates.  The coarse advance (h None) applies
+        the RK4 propagator where there is one.
         """
-        h = self.dt if h is None else h
+        if h is None:
+            p4 = self._propagator(freedoms)
+            if p4 is not None:
+                return p4.apply(y), y.shape[1]
+            h = self.dt
         if self.integrator.kind == "rk4":
             return rk4_step(self._drift(freedoms), y, t, h), y.shape[1]
         if self._h is None:
@@ -561,8 +601,8 @@ class QsdStepper(_StepperBase):
     sweep, so a step does not depend on the order of the L_j.
     """
 
-    def __init__(self, model, dt, integrator=IntegratorConfig()):
-        super().__init__(model, Unraveling.QSD, dt, integrator)
+    def __init__(self, model, dt, integrator=IntegratorConfig(), basis_upkeep=False):
+        super().__init__(model, Unraveling.QSD, dt, integrator, basis_upkeep)
 
     def step(self, y, freedoms, t, dxi):
         """dxi: (m, B) complex Wiener increments for this coarse step."""
@@ -597,10 +637,11 @@ class JumpStepper(_StepperBase):
     jump, a uniform that picks the channel and then its next threshold.
     """
 
-    def __init__(self, model, dt, unraveling=Unraveling.JUMP, integrator=IntegratorConfig()):
+    def __init__(self, model, dt, unraveling=Unraveling.JUMP, integrator=IntegratorConfig(),
+                 basis_upkeep=False):
         if unraveling not in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
             raise ValueError("JumpStepper needs the jump or orthojump unraveling")
-        super().__init__(model, unraveling, dt, integrator)
+        super().__init__(model, unraveling, dt, integrator, basis_upkeep)
         self._orthogonal = unraveling is Unraveling.ORTHO_JUMP
         self._level = None  # (B,) per-trajectory level, drawn at the first step
 
@@ -730,7 +771,7 @@ def _crossing(y0, f0, y1, f1, h, level):
 
 
 def make_stepper(model: ModelOperators, unraveling: Unraveling, dt: float,
-                 integrator: IntegratorConfig = IntegratorConfig()):
+                 integrator: IntegratorConfig = IntegratorConfig(), basis_upkeep: bool = False):
     if unraveling is Unraveling.QSD:
-        return QsdStepper(model, dt, integrator)
-    return JumpStepper(model, dt, unraveling, integrator)
+        return QsdStepper(model, dt, integrator, basis_upkeep)
+    return JumpStepper(model, dt, unraveling, integrator, basis_upkeep)

@@ -237,7 +237,8 @@ def _run(psi0, model, cfg, outspec, streams):
     psi = psi0.copy()
     b = len(streams)
     y = np.repeat(used_block(psi.as2d(), psi.freedoms), b, axis=1)
-    stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator)
+    stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator,
+                           basis_upkeep=cfg.moving is not None)
     sources = NoiseSource.for_streams(cfg.seed, streams)
     m = model.n_lindblads
     nk = cfg.numsteps

@@ -1,5 +1,7 @@
 """Command line interface: subcommands, overrides, exit codes."""
 
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,6 +13,14 @@ import pytest
 
 from qtraj.cli import main
 from qtraj.modelfile import RUN_KEYS
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment of a child python3, with this checkout's src first on its path."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
 
 ATOM_MODEL = textwrap.dedent("""\
     freedoms:
@@ -167,7 +177,7 @@ def test_two_worker_ensemble_writes_each_line_once_and_no_warning(atom_model, tm
         [sys.executable, "-c", TWO_WORKER_SCRIPT, "ensemble", "--model", atom_model,
          "--out-dir", str(tmp_path), "--dt", "0.6", "--numdts", "1",
          "--numsteps", str(numsteps), "--trajectories", "50"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "before the run"
@@ -229,7 +239,7 @@ def test_module_entry_point(atom_model, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qtraj", "run", "--model", atom_model,
          "--out-dir", str(tmp_path), "--numsteps", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 2
 
@@ -254,7 +264,7 @@ def test_cli_run_does_not_import_scipy(atom_model, tmp_path):
             " '--numsteps', '1'])\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code, atom_model, str(tmp_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
 

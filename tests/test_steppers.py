@@ -4,6 +4,8 @@ Drift vectors are validated against the same formulas evaluated with dense
 matrices; integrator order is validated against a closed-form Rabi solution.
 """
 
+import dataclasses
+import io
 import math
 import pathlib
 
@@ -11,11 +13,15 @@ import numpy as np
 import pytest
 
 from qtraj import (
+    ATOM,
     FIELD,
     SPIN,
     IntegratorConfig,
     ModelOperators,
+    MovingBasisParams,
     NoiseSource,
+    OutputSpec,
+    RunConfig,
     StateVector,
     FreedomSpec,
     Unraveling,
@@ -24,15 +30,19 @@ from qtraj import (
     coherent_state,
     destroy,
     drift,
+    create,
     make_stepper,
+    momentum,
     number,
     position,
     rk4_step,
     rkck_adaptive,
+    run_single,
     sigma_minus,
     sigma_plus,
     sigma_z,
     to_dense,
+    transition,
 )
 from qtraj.modelfile import build_model, parse_model
 from qtraj.operators import CenteredForm, DiagonalOperator, compile_operator
@@ -980,3 +990,142 @@ def test_zero_length_advance_leaves_the_row_and_its_substep_size():
     assert out[:, [0, 2]].tobytes() == ys[:, [0, 2]].tobytes() and nsub >= 1
     assert stepper._h[[0, 2]].tobytes() == carried[[0, 2]].tobytes()
     assert stepper._h[1] != carried[1]
+
+
+# --- the RK4 propagator of a linear, autonomous coarse step ---------------------
+
+
+def random_static_model(rng, monkeypatch):
+    """(model, freedoms, dims): acceptance 3's random trees on 1-2 freedoms, 0-3 L_j.
+
+    H is T + T+ for a random tree T; every tree is scaled to entries of at
+    most 1.  A field freedom gets a random center half the time.
+    """
+    import test_acceptance
+
+    second = (None, ATOM, SPIN)[rng.integers(3)]
+    d0 = int(rng.integers(2, 9 if second is None else 6))
+    freedoms = [FreedomSpec(FIELD, d0, d0, complex(*rng.normal(size=2)) * rng.integers(2))]
+    leaves = [create(0), destroy(0), number(0), position(0), momentum(0)]
+    if second is ATOM:
+        freedoms.append(FreedomSpec(ATOM, 3))
+        leaves += [transition(1, 0, 1), transition(1, 1, 2), transition(1, 2, 0)]
+    elif second is SPIN:
+        freedoms.append(FreedomSpec(SPIN, 2))
+        leaves += [sigma_plus(1), sigma_minus(1), sigma_z(1)]
+    monkeypatch.setattr(test_acceptance, "_SWEEP_LEAVES", tuple(leaves))
+    dims = tuple(f.dim_used for f in freedoms)
+    centers = [f.center for f in freedoms]
+
+    def tree():
+        t = test_acceptance._random_tree(rng, 3)
+        return (1.0 / max(np.abs(to_dense(t, dims, centers)).max(), 1.0)) * t
+
+    t = tree()
+    model = ModelOperators(t + t.hc(), [tree() for _ in range(rng.integers(4))])
+    return model, freedoms, dims
+
+
+def dense_p4(a):
+    eye = np.eye(len(a), dtype=complex)
+    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
+
+
+def test_rk4_propagator_matches_the_dense_polynomial_and_the_rk4_step(monkeypatch):
+    rng = np.random.default_rng(23)
+    dt = 0.05
+    for _ in range(40):
+        model, freedoms, dims = random_static_model(rng, monkeypatch)
+        h_eff, _ = model.compiled(freedoms)
+        p4 = h_eff.taylor(dt, 4)
+        n = h_eff.size
+        a = dt * to_dense(model.h_eff, dims, [f.center for f in freedoms])
+        assert np.abs(p4.apply(np.eye(n, dtype=complex)) - dense_p4(a)).max() <= 1e-13
+        ys = rand_cols(rng, 5, n)
+        want = rk4_step(lambda v, s: h_eff.apply(v, s), ys, 0.0, dt)
+        err = np.abs(p4.apply(ys) - want).max(axis=0) / np.abs(want).max(axis=0)
+        assert err.max() <= 1e-14
+
+
+def test_rk4_propagator_advance_is_the_same_for_every_batch_size(monkeypatch):
+    # the propagator goes through the per-column kernels: lockstep equals serial
+    rng = np.random.default_rng(29)
+    taken = 0
+    for _ in range(20):
+        model, freedoms, dims = random_static_model(rng, monkeypatch)
+        stepper = make_stepper(model, Unraveling.JUMP, 0.05)
+        ys = rand_cols(rng, 300, math.prod(dims))
+        for b in (1, 7, 300):
+            got, nsub = stepper._advance_det(ys[:, :b].copy(), freedoms, 0.0)
+            assert nsub == b
+            for i in range(b):
+                alone, _ = stepper._advance_det(ys[:, i:i + 1].copy(), freedoms, 0.0)
+                assert got[:, i].tobytes() == alone[:, 0].tobytes()
+        taken += stepper._p4[1] is not None
+    assert taken >= 10
+
+
+def counted_stages(monkeypatch):
+    """{"rk4_step": calls, "_drift2d": calls}, counted from now on."""
+    calls = {"rk4_step": 0, "_drift2d": 0}
+    for name in calls:
+        original = getattr(steppers, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(steppers, name, counted)
+    return calls
+
+
+def test_only_a_static_linear_autonomous_rk4_step_takes_the_propagator(monkeypatch):
+    calls = counted_stages(monkeypatch)
+    g, gam = 0.5, 0.25
+    jc = ModelOperators(g * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1)),
+                        [math.sqrt(2 * gam) * destroy(1)])
+    jc_freedoms = [FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 8)]
+    atom = ModelOperators(None, [math.sqrt(0.2) * sigma_minus(0)])
+    rabi = ModelOperators(1.1 * (sigma_plus(0) + sigma_minus(0)), [])
+    spin = [FreedomSpec(SPIN, 2)]
+    cavity, cavity_freedoms = driven_cavity()
+    drive = ModelOperators(position(0), [])  # 2 bands; its P4 has 9 > 4 * 2
+    field = [FreedomSpec(FIELD, 8)]
+
+    cases = [  # model, freedoms, unraveling, integrator, takes the propagator
+        (jc, jc_freedoms, Unraveling.JUMP, "rk4", True),
+        (atom, spin, Unraveling.JUMP, "rk4", True),
+        (jc, jc_freedoms, Unraveling.JUMP, "adaptive", False),
+        (jc, jc_freedoms, Unraveling.ORTHO_JUMP, "rk4", False),
+        (jc, jc_freedoms, Unraveling.QSD, "rk4", False),
+        (cavity, cavity_freedoms, Unraveling.JUMP, "rk4", False),  # time-dependent h_eff
+        (drive, field, Unraveling.JUMP, "rk4", False),
+    ] + [(rabi, spin, unr, "rk4", True) for unr in Unraveling]
+    for model, freedoms, unr, kind, taken in cases:
+        n = math.prod(f.dim_used for f in freedoms)
+        stepper = make_stepper(model, unr, 1e-3, IntegratorConfig(kind))
+        noise = np.zeros((model.n_lindblads, 4), dtype=complex) if unr is Unraveling.QSD \
+            else never(4)
+        calls.update(rk4_step=0, _drift2d=0)
+        _, stats = stepper.step(rand_cols(np.random.default_rng(3), 4, n), freedoms, 0.3, noise)
+        assert stats.jumps == 0 and stats.substeps >= 4
+        assert (calls["_drift2d"] == 0) == taken, (unr, kind, calls)
+        assert calls["rk4_step"] == (0 if taken or kind == "adaptive" else 1)
+        assert (stepper._p4[1] is not None) == taken
+
+
+def test_a_moving_basis_run_keeps_the_stages(monkeypatch):
+    # the same jump run takes the propagator on a static basis (its rk4
+    # steps are the crossing rows' own) and the stages on a moving one
+    calls = counted_stages(monkeypatch)
+    model = ModelOperators(0.5 * number(0), [math.sqrt(0.5) * destroy(0)])
+    psi = coherent_state(12, 0.8 + 0.3j)
+    spec = OutputSpec(operators=(number(0),))
+    static = RunConfig(dt=0.01, numdts=10, numsteps=2, seed=4, unraveling=Unraveling.JUMP)
+    steps = static.numdts * static.numsteps
+    res = run_single(psi, model, static, spec, stream=io.StringIO())
+    assert calls["rk4_step"] <= 2 * res.jumps
+    calls.update(rk4_step=0)
+    moving = dataclasses.replace(static, moving=MovingBasisParams(n_moving=1))
+    run_single(psi, model, moving, spec, stream=io.StringIO())
+    assert calls["rk4_step"] >= steps
