@@ -94,6 +94,14 @@ class FreedomSpec:
 # through loops whose complex bits differ from the array loop's.
 
 
+class StepError(RuntimeError):
+    """A step failed for trajectory `row`, the first failing column of the block."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 def fold(x: np.ndarray) -> np.ndarray:
     """Sum of x over axis -2, added strictly in index order whatever the other axes."""
     x = np.ascontiguousarray(x)

@@ -27,21 +27,21 @@ and which freedoms may move are IntegratorConfig's, MovingBasisParams',
 OutputSpec's and _validate_moving's, re-raised as model errors.
 
 Each expression is parsed in one recursive-descent pass that builds its
-value -- a constant, a time function or the operator tree a run applies --
+value -- a constant, a time program or the operator tree a run applies --
 together with its canonical text: parenthesized only where precedence
 requires, numbers written by repr.  Each scalar operation is one function
-of complex numbers, which _lift applies to constants and wraps in a time
-function of t otherwise.  The parsed model keeps the text, which
-print_model echoes and equality compares, and the operators, which
-build_model uses.  Parse and type errors, an out-of-range tr() level among
-them, raise ModelParseError with a line:column location, counted from the
-start of the line; a syntax error anywhere in an expression is reported
-before any lowering error in it.  Nesting is bounded by _MAX_DEPTH, both
-in the text (parentheses, arguments and unary minus, in the input and in
-its canonical text, which parenthesizes each base of a power chain) and in
-the lowered value (closures of time functions; ScalarMul, TimeFnMul and
-Power around operators), so that neither the echo nor a build or run
-exceeds the recursion limit.
+of complex numbers, which _lift applies to constants and otherwise appends
+to a flat postfix program over t; an adjoint flips conjugation flags.  The
+parsed model keeps the text, which print_model echoes and equality
+compares, and the operators, which build_model uses.  Parse and type
+errors, an out-of-range tr() level among them, raise ModelParseError with a
+line:column location, counted from the start of the line; a syntax error
+anywhere in an expression is reported before any lowering error in it.
+Nesting is bounded by _MAX_DEPTH, in the text (parentheses, arguments and
+unary minus, in the input and in its canonical text, which parenthesizes
+each base of a power chain) and in the lowered operator (ScalarMul,
+TimeFnMul and Power around an operator), so that no echo, build or run
+exceeds the recursion limit; t*t*...*n(m) and n(m).hc()... nest nothing.
 Semantic rejections after a clean parse (a non-Hermitian Hamiltonian, an
 out-of-range initial level, a moving count that reaches past the leading
 field freedoms) raise ModelValidationError.
@@ -69,6 +69,7 @@ from .hilbert import (
     FreedomSpec,
     PhysicalType,
     StateVector,
+    StepError,
     basis_state,
     coherent_state,
     product_state,
@@ -222,15 +223,14 @@ _MAX_DEPTH = 120
 class _Val(NamedTuple):
     """One parsed subexpression.
 
-    kind is "c" (val a complex constant), "f" (val a function t -> complex),
-    "o" (val an OperatorExpr), "name" (a bare identifier, resolved only when
+    kind is "c" (val a complex constant), "f" (val a _TimeProgram), "o"
+    (val an OperatorExpr), "name" (a bare identifier, resolved only when
     an operator needs its value, so that a primary can take it as its
     freedom argument) or "error" (val the ModelParseError its lowering
     raised).  text is the canonical text, prec the precedence of its
     outermost operator, pos the (line, col) its errors point at,
     literal the token kind ("NUM" or "IMAG") of a bare number literal, and
-    nest a bound on how deeply the closures of a time function or the
-    ScalarMul, TimeFnMul and Power wrappers of an operator nest in val.
+    nest how deeply ScalarMul, TimeFnMul and Power nest in an operator val.
     """
 
     kind: str
@@ -250,34 +250,41 @@ def _wrap(v, minprec):
     return f"({v.text})" if v.prec < minprec else v.text
 
 
-def _lift(fn, v, w=None):
-    """fn of v's (and w's) value: a constant if each is one, else a time
-    function, one per case of which operand varies so it makes no extra call."""
-    a = v.val
-    if w is None:
-        if v.kind == "c":
-            return "c", fn(a)
-        return "f", lambda t: fn(a(t))
-    b = w.val
-    if v.kind == "c":
-        if w.kind == "c":
-            return "c", fn(a, b)
-        return "f", lambda t: fn(a, b(t))
-    if w.kind == "c":
-        return "f", lambda t: fn(a(t), b)
-    return "f", lambda t: fn(a(t), b(t))
+class _TimeProgram(tuple):
+    """A scalar in t as a flat postfix program of steps, run by one loop; nothing nests.
+
+    A step (x, n) pops n values and pushes x of them (x(t) for n = 0), or
+    pushes the constant x (n None): the functions _lift applies to constants,
+    so the value at t has the bits of the expression with t written in.
+    Equal means identical, as for closures: -1-0j == -1+0j, yet sqrt differs.
+    """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __call__(self, t):
+        stack = []
+        for x, n in self:
+            if n:
+                stack[-n:] = [x(*stack[-n:])]
+            else:
+                stack.append(x if n is None else x(t))
+        return stack[0]
+
+
+def _lift(fn, *operands):
+    """fn of the operands' values: a constant if each is one, else a time program."""
+    if all(v.kind == "c" for v in operands):
+        return "c", fn(*[v.val for v in operands])
+    steps = [s for v in operands for s in (v.val if v.kind == "f" else [(v.val, None)])]
+    return "f", _TimeProgram((*steps, (fn, len(operands))))
 
 
 def _negate(v):
-    if v.kind == "o":
-        return "o", ScalarMul(-1.0, v.val)
-    return _lift(operator.neg, v)
+    return ("o", ScalarMul(-1.0, v.val)) if v.kind == "o" else _lift(operator.neg, v)
 
 
 def _adjoint(v):
-    if v.kind == "o":
-        return "o", v.val.hc()
-    return _lift(complex.conjugate, v)
+    return ("o", v.val.hc()) if v.kind == "o" else _lift(complex.conjugate, v)
 
 
 def _power(v, k, at):
@@ -357,14 +364,12 @@ class _ExprParser:
                  "(write a(...), sp(...), ...)", v)
         _err(f"unknown identifier '{v.text}'", v)
 
-    def lowered(self, fn, operands, text, prec, pos, wraps=True, inner=None):
+    def lowered(self, fn, operands, text, prec, pos, wraps=True):
         """fn applied to the operands' values, or the first error on the way.
 
-        Where wraps says so, a value that is not a constant nests one level
-        deeper than the deepest of inner (the operands by default); one
-        nested deeper than _MAX_DEPTH is an error, since calling or
-        compiling it recurses that deep.  Constants and the Sum and Product
-        that operator + and * chains flatten into do not nest.
+        Where wraps says so (a ScalarMul, TimeFnMul or Power around an
+        operator), an operator nests one level deeper than its operands;
+        deeper than _MAX_DEPTH is an error, as compiling recurses that deep.
         """
         try:
             kind, val = fn(*[self.value(v) for v in operands])
@@ -374,10 +379,7 @@ class _ExprParser:
             return _Val("error", err, text, prec, pos)
         except OverflowError:
             return _Val("error", ModelParseError("value overflows", *pos), text, prec, pos)
-        nest = 0
-        if kind != "c":
-            nest = max((v.nest for v in (operands if inner is None else inner)),
-                       default=0) + wraps
+        nest = max((v.nest for v in operands), default=0) + wraps if kind == "o" else 0
         if nest > _MAX_DEPTH:
             return _Val("error", ModelParseError("expression nested too deeply", *pos),
                         text, prec, pos)
@@ -444,7 +446,8 @@ class _ExprParser:
             # a trailing .hc() after a bare number would lex as part of the
             # literal, so literals get parenthesized too
             child = f"({v.text})" if v.literal else _wrap(v, _PREC_POSTFIX)
-            v = self.lowered(_adjoint, (v,), child + ".hc()", _PREC_POSTFIX, dot.pos)
+            v = self.lowered(_adjoint, (v,), child + ".hc()", _PREC_POSTFIX, dot.pos,
+                             wraps=False)
         return v
 
     def parse_atom(self):
@@ -476,7 +479,7 @@ class _ExprParser:
                 self.expect(")")
                 return self.lowered(lambda: self.call(tok, args), (),
                                     f"{tok.text}({', '.join(a.text for a in args)})",
-                                    _PREC_ATOM, tok.pos, inner=args)
+                                    _PREC_ATOM, tok.pos)
             return _Val("name", None, tok.text, _PREC_ATOM, tok.pos)
         raise ModelParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
@@ -485,7 +488,7 @@ class _ExprParser:
     def time(self, tok):
         if not self.allow_time:
             _err("'t' is not allowed in this context", tok)
-        return "f", complex
+        return "f", _TimeProgram(((complex, 0),))
 
     def call(self, tok, args):
         name = tok.text
@@ -1020,11 +1023,10 @@ def _finite_diagonals(name, expr, freedoms):
     ModelValidationError that names the operator.
     """
     op = compile_operator(expr, freedoms)
-    timedep = any(fns for fns, _ in op.groups)
-    for t in _CHECK_TIMES if timedep else (0.0,):
+    for t in _CHECK_TIMES if op.timed else (0.0,):
         try:
             diags = op.diagonals(t)
-        except OverflowError as err:
+        except StepError as err:
             raise ModelValidationError(f"{name}: {err}") from None
         # np.max keeps a NaN where the builtin max would drop it
         scale = np.max([1.0] + [np.abs(d).max() for d in diags.values()])
@@ -1071,10 +1073,9 @@ def _check_lindblads(texts, lindblads, freedoms):
     """
     for j, (text, l_expr) in enumerate(zip(texts, lindblads), start=1):
         name = f"lindblad {j} ({text})"
-        for _ in _finite_diagonals(name, l_expr, freedoms):
-            pass  # the generator raises at the first time that fails
-        for _ in _finite_diagonals(f"L+L of {name}", l_expr.hc() * l_expr, freedoms):
-            pass
+        for label, expr in ((name, l_expr), (f"L+L of {name}", l_expr.hc() * l_expr)):
+            for _ in _finite_diagonals(label, expr, freedoms):
+                pass  # the generator raises at the first time that fails
 
 
 def build_model(mf: ModelFile, out_dir: str = None):

@@ -20,9 +20,10 @@ amplitude i of every trajectory.
 A primary on freedom k contributes diagonals at multiples of that freedom's
 stride, written straight from its matrix elements; sums add diagonals,
 products compose them and scalars fold in.  Terms scaled by time functions
-stay in groups of their own, one per distinct product of functions, scaled
-by its value when applied.  Field primaries are center-aware: with basis
-center alpha, the physical ladder operator is the local one plus alpha.
+stay in groups of their own, one per distinct product of (function,
+conjugated) pairs, scaled by its value at each trajectory's time when
+applied.  Field primaries are center-aware: with basis center alpha, the
+physical ladder operator is the local one plus alpha.
 Centers enter as symbolic scalar factors of their terms, the way time
 functions do: a `CenteredForm` is a tree compiled for one basis shape (the
 type and used dimension of every freedom), and binding it to centers
@@ -65,6 +66,7 @@ from .hilbert import (
     SPIN,
     PhysicalType,
     StateVector,
+    StepError,
     set_used_block,
     used_block,
 )
@@ -280,14 +282,14 @@ class ScalarMul(OperatorExpr):
 
 @dataclass(frozen=True, slots=True)
 class TimeFnMul(OperatorExpr):
-    """Scalar coefficient that depends on the trajectory time."""
+    """fn(t) times child: fn is any callable of a float time, conj marks conj(fn(t))."""
 
     fn: object
     child: OperatorExpr
+    conj: bool = False
 
     def hc(self):
-        f = self.fn
-        return TimeFnMul(lambda t: np.conj(f(t)), self.child.hc())
+        return TimeFnMul(self.fn, self.child.hc(), not self.conj)
 
 
 @dataclass(frozen=True, slots=True)
@@ -476,10 +478,9 @@ def _compile_node(node, shape, size) -> dict:
         return {key: {o: z * d for o, d in bands.items()} for key, bands in terms.items()}
     if isinstance(node, TimeFnMul):
         terms = _compile_node(node.child, shape, size)
-        return {((node.fn,) + fns, f): bands for (fns, f), bands in terms.items()}
+        return {(((node.fn, node.conj),) + fns, f): bands for (fns, f), bands in terms.items()}
     if isinstance(node, Power):
-        base = _compile_node(node.child, shape, size)
-        acc = base
+        acc = base = _compile_node(node.child, shape, size)
         for _ in range(node.k - 1):
             acc = _mul_terms(acc, base, size)
         return acc
@@ -492,22 +493,25 @@ def _shape_of(freedoms) -> tuple:
 
 
 def _time_factor(fns, t):
-    """Product of a group's time functions at t; OverflowError unless finite.
+    """(1, n) row of the product of a group's (fn, conj) time functions at the (n,) times t.
 
-    t is a scalar time, or a (B,) array of per-trajectory times: the
-    product is then a (1, B) row, computed once per distinct time.
+    n is B, one time per trajectory, or 1 for a time all of them share.
+    Each function is called with a float, once per distinct time.  A
+    product that is not finite raises StepError naming its first column.
     """
-    if isinstance(t, np.ndarray):
-        times = t.tolist()
-        z = {s: _time_factor(fns, s) for s in dict.fromkeys(times)}
-        return np.array([z[s] for s in times])[None, :]
-    try:
-        z = math.prod(complex(fn(t)) for fn in fns)
-        if cmath.isfinite(z):
-            return z
-    except OverflowError:
-        pass
-    raise OverflowError(f"a time-dependent factor overflows at t={t:.6g}")
+    times, where = (t, slice(None)) if t.size == 1 else np.unique(t, return_inverse=True)
+    values = []
+    for s in times.tolist():
+        try:
+            values.append(math.prod(complex(fn(s)).conjugate() if conj else complex(fn(s))
+                                    for fn, conj in fns))
+        except OverflowError:
+            values.append(math.nan)
+    z = np.array(values, dtype=complex)[None, where]
+    if not all(map(cmath.isfinite, values)):
+        bad = int(np.flatnonzero(~np.isfinite(z[0]))[0])
+        raise StepError(f"a time-dependent factor overflows at t={t[bad]:.6g}", bad)
+    return z
 
 
 # The gathered sweep takes forms of at least this many bands, plus one per
@@ -536,14 +540,12 @@ def _trimmed_band(out: tuple, o: int, d: np.ndarray, size: int):
 class DiagonalOperator:
     """An operator compiled for one basis: offset diagonals over the used block.
 
-    `groups` holds (time functions, bands) pairs; a group's sweep is scaled by
-    the product of its functions at the time of application, and a product
-    that is not finite raises OverflowError.  Trajectories applied at times
-    of their own are scaled by a (1, B) row of products.  Each band is
-    (out index, in slice, d) and adds d * y[in slice] to out[out index],
-    the two selecting rows lo:hi and lo+offset:hi+offset of an (N, B) block,
-    so every band sweeps contiguous memory; d is an (hi - lo, 1) column,
-    which broadcasts along each row.
+    `groups` holds (time functions, bands) pairs; a group's sweep is scaled
+    by `_time_factor`, the product of its functions at each trajectory's
+    time.  Each band is (out index, in slice, d) and adds d * y[in slice]
+    to out[out index], the two selecting rows lo:hi and lo+offset:hi+offset
+    of an (N, B) block, so every band sweeps contiguous memory; d is an
+    (hi - lo, 1) column, which broadcasts along each row.
 
     A stacked operator, bound from a family of trees, applies them all in
     one sweep: `channels` is their number, each group belongs to one of
@@ -558,11 +560,11 @@ class DiagonalOperator:
     adds `d * y[in slice]` into `out[out index]` band by band, two numpy
     calls a band.  The gathered sweep gathers every band's input rows into a
     (bands, size, B) block in one fancy index, multiplies it in place by
-    the stacked diagonals, and folds each channel's bands in band order
-    into a C-contiguous result: 2 + channels calls.  It is taken when the
-    bands outnumber the channels by GATHER_MIN_BANDS - 1 or more, on 2 to
-    GATHER_MAX_SIZE states (over 2 or more states numpy adds the bands in
-    band order).  Measured in this layout on forms of 4 to 70 states, the
+    the stacked diagonals, time groups' scaled, and folds each channel's
+    bands in band order into a C-contiguous result: 2 + channels calls.  It
+    is taken when the bands outnumber the channels by GATHER_MIN_BANDS - 1
+    or more, on 2 to GATHER_MAX_SIZE states (over 2 or more states numpy
+    adds the bands in band order).  Measured in this layout on forms of 4 to 70 states, the
     gathered sweep was 1.0 to 3.1 times as fast as the slice loop at B = 1
     to 17 (most at 11 bands), as fast at B = 64 on up to 18 states only,
     and slower on every form at B = 250 to 4000, where each band of the
@@ -577,12 +579,13 @@ class DiagonalOperator:
     they are small, as it has at most GATHER_MAX_SIZE states.
     """
 
-    __slots__ = ("size", "groups", "channels", "gathered", "_gather")
+    __slots__ = ("size", "groups", "channels", "timed", "gathered", "_gather")
 
     def __init__(self, size: int, groups: tuple, channels: int = None):
         self.size = size
         self.groups = groups
         self.channels = channels
+        self.timed = any(fns for fns, _ in groups)  # whether any group has time functions
         self.gathered = (1 < size <= GATHER_MAX_SIZE
                          and self.n_bands >= GATHER_MIN_BANDS + (channels or 1) - 1)
         self._gather = self._gather_stacks() if self.gathered else None
@@ -595,12 +598,13 @@ class DiagonalOperator:
     def apply(self, y: np.ndarray, t=0.0) -> np.ndarray:
         """The operator applied to every column of a (size, B) block at time t.
 
-        t is a scalar, or a (B,) array giving each trajectory its own time.
-        The result is (size, B), or (channels, size, B) for a stacked
-        operator.
+        t is a scalar or a (B,) array, one time per trajectory, read only by
+        an operator with time functions.  The result is (size, B), or
+        (channels, size, B) for a stacked operator.
         """
         if y.ndim != 2 or y.shape[0] != self.size:
             raise ValueError(f"expected a ({self.size}, B) used block, got shape {y.shape}")
+        t = np.asarray(t, dtype=float).reshape(-1) if self.timed else t  # (1,) or (B,)
         if self.gathered:
             return self._apply_gathered(y, t)
         return self._apply_sliced(y, t)
@@ -620,18 +624,20 @@ class DiagonalOperator:
         ix, diags, segments, timed = self._gather
         b = y.shape[1]
         cols = max(1, GATHER_BLOCK // ix.size)  # trajectories gathered at once
-        if timed and isinstance(t, np.ndarray):  # per-trajectory times: a (bands, size) stack each
-            diags = np.repeat(diags, b, axis=2)
-            for lo, hi, fns in timed:
-                diags[lo:hi] *= _time_factor(fns, t)[None]
-        elif timed:
+        rows = [(lo, hi, _time_factor(fns, t)[None]) for lo, hi, fns in timed] if timed else ()
+        if rows and t.size == 1:  # one time for every trajectory: scale the diagonals once
             diags = diags.copy()
-            for lo, hi, fns in timed:
-                diags[lo:hi] *= _time_factor(fns, t)
+            for lo, hi, z in rows:
+                diags[lo:hi] *= z
+            rows = ()
         out = np.empty((len(segments), self.size, b), dtype=complex)
         for c in range(0, b, cols):
-            block = y[ix, c:c + cols]
-            block *= diags if diags.shape[2] == 1 else diags[:, :, c:c + cols]
+            block, d = y[ix, c:c + cols], diags
+            if rows:  # times of their own: this chunk's diagonals, a column per trajectory
+                d = np.repeat(diags, block.shape[2], axis=2)
+                for lo, hi, z in rows:
+                    d[lo:hi] *= z[:, :, c:c + cols]
+            block *= d
             # over 2 or more states numpy adds the bands' rows in band order
             for j, (lo, hi) in enumerate(segments):
                 np.add.reduce(block[lo:hi], axis=0, out=out[j, :, c:c + cols])
@@ -678,7 +684,7 @@ class DiagonalOperator:
                              "each tree on its own to read them")
         out = {}
         for fns, bands in self.groups:
-            z = _time_factor(fns, t)
+            z = _time_factor(fns, np.full(1, float(t)))[0]
             for (rows,), cols, d in bands:
                 full = out.setdefault(cols.start - rows.start, np.zeros(self.size, dtype=complex))
                 full[rows] += z * d[:, 0]
@@ -693,7 +699,7 @@ class DiagonalOperator:
         trimmed as `CenteredForm.bind` trims them.  A time-dependent
         operator has no fixed polynomial: it raises ValueError.
         """
-        if any(fns for fns, _ in self.groups):
+        if self.timed:
             raise ValueError("a time-dependent operator has no fixed Taylor polynomial")
         size = self.size
         ha = {o: h * d for o, d in self.diagonals().items()}
@@ -812,7 +818,8 @@ def _dense_node(node, dims, centers, t):
     if isinstance(node, ScalarMul):
         return node.scalar * _dense_node(node.child, dims, centers, t)
     if isinstance(node, TimeFnMul):
-        return complex(node.fn(t)) * _dense_node(node.child, dims, centers, t)
+        z = complex(node.fn(t))
+        return (z.conjugate() if node.conj else z) * _dense_node(node.child, dims, centers, t)
     if isinstance(node, Power):
         return np.linalg.matrix_power(_dense_node(node.child, dims, centers, t), node.k)
     raise TypeError(f"not an operator expression: {node!r}")

@@ -53,9 +53,7 @@ def _contains_time(expr) -> bool:
         return True
     if isinstance(expr, (Sum, Product)):
         return any(_contains_time(c) for c in expr.children)
-    if isinstance(expr, ScalarMul):
-        return _contains_time(expr.child)
-    if isinstance(expr, Power):
+    if isinstance(expr, (ScalarMul, Power)):
         return _contains_time(expr.child)
     return False
 
@@ -154,9 +152,7 @@ def oracle_expectations(psi0: StateVector, model, operators, times,
 
     n_ops = len(operators)
     vals = np.zeros((n_ops, len(times)), dtype=complex)
-    timedep_ops = [_contains_time(op) for op in operators]
-    mats = [None if td else to_dense(op, dims, centers, t=0.0)
-            for op, td in zip(operators, timedep_ops)]
+    mats = [None if _contains_time(op) else to_dense(op, dims, centers, t=0.0) for op in operators]
     for k, (t, rho) in enumerate(zip(times, rhos)):
         for i, op in enumerate(operators):
             mat = mats[i] if mats[i] is not None else to_dense(op, dims, centers, t=float(t))

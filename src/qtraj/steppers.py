@@ -43,6 +43,7 @@ import numpy as np
 
 from .hilbert import (
     StateVector,
+    StepError,
     fold,
     row_dot,
     row_norm,
@@ -262,18 +263,6 @@ class NoiseSource:
         return self._rng.random(nsteps)
 
 
-class StepError(RuntimeError):
-    """A step failed for one trajectory of the batch; row is the first failing one's index.
-
-    The index is the trajectory's column in the block (its row in the
-    ensemble's list of trajectories).
-    """
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
-
-
 @dataclass
 class StepStats:
     """What one coarse step did: accepted substeps and the trajectories that jumped.
@@ -460,7 +449,10 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
         if np.count_nonzero(small):
             raise StepError("adaptive step underflow; the problem looks stiff",
                             int(cols[_first_row(small)]))
-        y5, err = _rkck_substep(f, y, t + done, step)
+        try:
+            y5, err = _rkck_substep(f, y, t + done, step)
+        except StepError as e:  # f numbers the columns still stepping
+            raise StepError(str(e), int(cols[e.row])) from None
         ratio = (np.abs(err) / (np.abs(y) + 1e-10)).max(axis=0) / eps
         ok = ratio <= 1.0
         # a ratio of 0 grows by _GROW_MAX; one that overflowed (inf or NaN) shrinks by _SHRINK_MIN
@@ -565,7 +557,7 @@ class _StepperBase:
         if self._p4[0] is not h_eff:
             p4 = None
             if (h_eff is not None and (lstack is None or self.unraveling is Unraveling.JUMP)
-                    and not any(fns for fns, _ in h_eff.groups)):
+                    and not h_eff.timed):
                 p4 = h_eff.taylor(self.dt, 4)
                 if p4.n_bands > 4 * h_eff.n_bands:
                     p4 = None
@@ -646,10 +638,7 @@ class JumpStepper(_StepperBase):
         self._level = None  # (B,) per-trajectory level, drawn at the first step
 
     def _jump_probabilities(self, y, freedoms, t):
-        """(m, B) jump rates, (m, N, B) L_j y and, for orthojump, (m, B) <L_j>.
-
-        t is a scalar or a (B,) array of per-trajectory times.
-        """
+        """(m, B) jump rates, (m, N, B) L_j y and, for orthojump, (m, B) <L_j>."""
         _, lstack = self.model.compiled(freedoms)
         rates, ly, lexp = _rates(y, lstack, t, self._orthogonal)
         negative = (rates < P_NEGATIVE).any(axis=0)
@@ -693,8 +682,8 @@ class JumpStepper(_StepperBase):
             y0, y1, lv = y[:, cols], out[:, cols], level[cols]
             t0, h = np.full(cols.size, float(t)), np.full(cols.size, self.dt)
             while cols.size:
-                tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
                 try:
+                    tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
                     y_tau, _ = self._advance_det(y0, freedoms, t0, tau, cols)
                     t0, h = t0 + tau, h - tau
                     u = np.array([sources[c].uniforms(2) for c in cols])

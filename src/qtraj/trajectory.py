@@ -40,7 +40,7 @@ An ensemble is cut into W contiguous parts of its trajectory indices, W the
 smaller of the usable CPUs and the number of trajectories, and each part is
 chunked as the whole ensemble would be.  Part 0 runs in this process and
 the other parts in forked workers, which inherit the model instead of
-receiving it pickled (model-file time functions are closures).  Every part
+receiving it pickled (Python time functions may be lambdas).  Every part
 returns its chunks' samples, and one loop folds them in index order, so
 the worker count changes no bit.  If any part fails, or no worker ran it,
 this process runs the whole ensemble itself, so an ensemble fails with the
@@ -287,8 +287,6 @@ def _run(psi0, model, cfg, outspec, streams):
             observe(k, t)
     except StepError as err:
         raise RuntimeError(f"trajectory {streams[err.row]} failed at t={t:.6g}: {err}") from err
-    except OverflowError as err:  # a time function overflowed: every row fails alike
-        raise RuntimeError(f"trajectory {streams[0]} failed at t={t:.6g}: {err}") from err
 
     times = np.array([(i * cfg.numdts) * cfg.dt for i in range(nk + 1)])
     return times, exps, vars_, sizes, subs, jumps
@@ -392,10 +390,10 @@ def _run_parts(job, parts, lockstep):
     """Every part's _run_part pairs, or None if a part failed or no worker ran it.
 
     Part 0 runs in this process and the others in forked workers, which
-    inherit job: model-file time functions are closures, which a spawned
-    worker could not receive pickled.  The pool forks every worker at its
-    first submit, before it starts its own thread.  multiprocessing is
-    imported only here: its import costs tens of milliseconds.
+    inherit job: a time function given in Python may be a lambda, which a
+    spawned worker could not receive pickled.  The pool forks every worker
+    at its first submit, before it starts its own thread.  multiprocessing
+    is imported only here: its import costs tens of milliseconds.
     """
     if len(parts) == 1:
         return None

@@ -3,11 +3,13 @@
     python3 studies/compare_outputs.py PARENT CHANGE [--seeds 1 7]
 
 Runs every command of every workload in `perfbench/workloads.py` (WORKLOADS,
-read from this checkout) in both checkouts, at each seed, each command in a
+read from this checkout), then the EXTRA commands below, which the
+benchmark does not run, in both checkouts, at each seed, each command in a
 fresh process with one BLAS thread and the checkout's own `src/` on the
-path.  For every stdout and output file it prints `identical` when the
-bytes match, and otherwise the largest absolute difference between
-corresponding numbers.  For each ensemble command whose trajectories jump it also
+path.  The output is long; `grep -v identical` shows what moved.  For
+every stdout and output file it prints `identical` when the bytes match,
+and otherwise the largest absolute difference between corresponding
+numbers.  For each ensemble command whose trajectories jump it also
 prints how many of them changed their jump count.  Exits 0 when every file has the
 same shape in both checkouts, 1 otherwise.
 """
@@ -15,6 +17,7 @@ same shape in both checkouts, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -42,19 +45,39 @@ sys.exit(code)
 """
 
 
-def _workloads():
+# (label, model, argv after --model/--seed/--out-dir) of each command of the
+# time-dependent model, whose outputs the benchmark's models (none of which
+# reads t) cannot show.  Both checkouts read the model file of this checkout.
+EXTRA = [(f"driven_atom {sub} {integrator}", "models/driven_atom.qt",
+          [sub, "--integrator", integrator])
+         for sub in ("run", "ensemble") for integrator in ("rk4", "adaptive")]
+
+
+def _extra_argv(subcommand, model, rest, seed, out_dir):
+    return [subcommand, "--model", model, "--seed", str(seed), "--out-dir", out_dir, *rest]
+
+
+def _commands():
+    """(label, argv of (seed, out_dir)) of every benchmark command, then of every EXTRA one."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
-    return WORKLOADS
+    for name, workload in WORKLOADS.items():
+        for i, command in enumerate(workload.commands):
+            label = f"{name}[{i}] {command.subcommand}"
+            if command.unraveling is not None:
+                label += f" {command.unraveling}"
+            yield label, functools.partial(command.argv, workload.model)
+    for label, model, (subcommand, *rest) in EXTRA:
+        yield label, functools.partial(_extra_argv, subcommand, str(ROOT / model), rest)
 
 
-def run_command(checkout, model, command, seed, work):
+def run_command(checkout, argv_of, seed, work):
     """({file name: bytes}, jumps per trajectory or None) of one command in one checkout."""
     out_dir = work / "out"
     out_dir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = command.argv(model, seed, str(out_dir))
+    argv = argv_of(seed, str(out_dir))
     jumps_path = work / "jumps.json"
     proc = subprocess.run([sys.executable, "-c", DRIVER, json.dumps(argv), str(jumps_path)],
                           cwd=checkout, env=env, stdout=subprocess.PIPE,
@@ -92,32 +115,28 @@ def main(argv=None):
     checkouts = [args.parent.resolve(), args.change.resolve()]
     same_shape = True
     for seed in args.seeds:
-        for name, workload in _workloads().items():
-            for i, command in enumerate(workload.commands):
-                label = f"seed {seed} {name}[{i}] {command.subcommand}"
-                if command.unraveling is not None:
-                    label += f" {command.unraveling}"
-                runs = []
-                for checkout in checkouts:
-                    with tempfile.TemporaryDirectory() as tmp:
-                        runs.append(run_command(checkout, workload.model, command, seed,
-                                                Path(tmp)))
-                (files_a, jumps_a), (files_b, jumps_b) = runs
-                for fname in sorted(set(files_a) | set(files_b)):
-                    if fname not in files_a or fname not in files_b:
-                        print(f"{label} {fname}: only in one checkout")
-                        same_shape = False
-                    elif files_a[fname] == files_b[fname]:
-                        print(f"{label} {fname}: identical")
-                    else:
-                        d = largest_difference(files_a[fname], files_b[fname])
-                        same_shape &= d is not None
-                        print(f"{label} {fname}: "
-                              + ("shapes differ" if d is None else f"max |diff| {d:.3g}"))
-                if jumps_a is not None and jumps_b is not None and any(jumps_a + jumps_b):
-                    changed = sum(x != y for x, y in zip(jumps_a, jumps_b))
-                    print(f"{label} jumps: {changed} of {len(jumps_a)} trajectories "
-                          f"changed their count")
+        for label, argv_of in _commands():
+            label = f"seed {seed} {label}"
+            runs = []
+            for checkout in checkouts:
+                with tempfile.TemporaryDirectory() as tmp:
+                    runs.append(run_command(checkout, argv_of, seed, Path(tmp)))
+            (files_a, jumps_a), (files_b, jumps_b) = runs
+            for fname in sorted(set(files_a) | set(files_b)):
+                if fname not in files_a or fname not in files_b:
+                    print(f"{label} {fname}: only in one checkout")
+                    same_shape = False
+                elif files_a[fname] == files_b[fname]:
+                    print(f"{label} {fname}: identical")
+                else:
+                    d = largest_difference(files_a[fname], files_b[fname])
+                    same_shape &= d is not None
+                    print(f"{label} {fname}: "
+                          + ("shapes differ" if d is None else f"max |diff| {d:.3g}"))
+            if jumps_a is not None and jumps_b is not None and any(jumps_a + jumps_b):
+                changed = sum(x != y for x, y in zip(jumps_a, jumps_b))
+                print(f"{label} jumps: {changed} of {len(jumps_a)} trajectories "
+                      f"changed their count")
     return 0 if same_shape else 1
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_oracle_check_passes(atom_model, tmp_path, capsys):
     assert rc == 0
     assert "PASS" in out and "worst" in out
     assert "up.out" in out
+
+
+@pytest.mark.parametrize("unraveling", ["qsd", "jump"])
+def test_oracle_check_passes_on_the_driven_atom(unraveling, tmp_path, capsys):
+    # the shipped model whose Hamiltonian reads t: 500 trajectories, 2 outputs
+    # at 11 times, z set for a false-fail chance of 1e-3 over the 22 points
+    model = pathlib.Path(__file__).resolve().parents[1] / "models" / "driven_atom.qt"
+    z = NormalDist().inv_cdf(1 - 1e-3 / (2 * 22))
+    rc = main(["oracle-check", "--model", str(model), "--out-dir", str(tmp_path),
+               "--unraveling", unraveling, "--seed", "1", "--z", repr(z),
+               "--dt-oracle", "1e-3"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.count("  PASS") == 22 and "all PASS" in out
 
 
 def test_oracle_check_fails_with_bad_statistics(atom_model, tmp_path, capsys):

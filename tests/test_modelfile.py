@@ -1,9 +1,11 @@
 """Model-file grammar: parsing, lowering, validation, canonical echo."""
 
+import io
 import math
 import pathlib
 import re
 import textwrap
+import time
 import tracemalloc
 import warnings
 
@@ -25,13 +27,16 @@ from qtraj import (
     create,
     destroy,
     load_model,
+    number,
     parse_model,
     print_model,
+    run_single,
     sigma_minus,
     sigma_plus,
     to_dense,
 )
 from qtraj.cli import main
+from qtraj.operators import compile_operator
 
 TEMPLATE = """\
 freedoms:
@@ -287,10 +292,10 @@ def test_deep_nesting_is_rejected():
         parse_model(mk("-" * 3000 + "n(m)"))
     with pytest.raises(ModelParseError, match=r"^line 21, col \d+: expression nested too deeply$"):
         parse_model(mk() + "\nparams:\n  kappa = " + "-" * 3000 + "0.1\n")
-    # what the lowering nests is bounded too: time-function closures, and
-    # ScalarMul and Power around an operator; calling or compiling them
-    # used to exceed the recursion limit at build or run
-    for chain in ("t*" * 3000 + "n(m)", "n(m)" + "*2" * 3000, "n(m)" + "^1" * 3000):
+    # what the lowering nests around an operator is bounded too: ScalarMul,
+    # TimeFnMul and Power; compiling them used to exceed the recursion limit
+    # at build or run
+    for chain in ("n(m)" + "*2" * 3000, "n(m)" + "*t" * 3000, "n(m)" + "^1" * 3000):
         with pytest.raises(ModelParseError,
                            match=r"^line 6, col \d+: expression nested too deeply$"):
             parse_model(mk(chain))
@@ -298,6 +303,34 @@ def test_deep_nesting_is_rejected():
     for chain in (" + ".join(["n(m)"] * 3000), "*".join(["n(m)"] * 3000),
                   "*".join(["1"] * 3000) + "*n(m)"):
         parse_model(mk(chain))
+
+
+def tree_depth(node):
+    """Operator nodes on the longest path down node's tree."""
+    kids = (node.child,) if hasattr(node, "child") else getattr(node, "children", ())
+    return 1 + max(map(tree_depth, kids), default=0)
+
+
+@pytest.mark.parametrize("chain", [
+    "t*" * 3000 + "n(m)",
+    "n(m)" + ".hc()" * 3000,
+    "(t*n(m))" + ".hc()" * 3000,
+    "t" + ".hc()" * 3000 + "*n(m)",
+], ids=["time-factors", "adjoints", "timed-adjoints", "time-adjoints"])
+def test_long_time_and_adjoint_chains_parse_build_run_and_echo(chain, tmp_path):
+    # a scalar in t lowers to one flat program and an adjoint flips a flag,
+    # so none of these chains nests, however long it is (each parse takes
+    # well under a second; the bound only catches a gross slowdown)
+    start = time.perf_counter()
+    mf = parse_model(mk(chain))
+    assert time.perf_counter() - start < 10.0
+    assert tree_depth(mf.lowered[0]) <= 2
+    assert parse_model(print_model(mf)) == mf
+    model, psi0, cfg, outspec = build_model(mf, out_dir=str(tmp_path))
+    assert to_dense(model.hamiltonian, (4, 2), t=1.0).tobytes() == \
+        to_dense(number(0), (4, 2)).tobytes()
+    result = run_single(psi0, model, cfg, outspec, stream=io.StringIO())
+    assert len(result.times) == 2 and np.isfinite(result.expectations).all()
 
 
 def nested_sums(n):
@@ -778,6 +811,20 @@ def test_time_function_equals_the_constant_at_each_time(expr):
             continue
         got = fn(t)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+
+def test_time_functions_differing_in_a_zero_sign_stay_apart():
+    # -1*t and (0-1)*t differ only in the sign of a zero, which the branch
+    # cut of sqrt reads: -i*sqrt(t) and +i*sqrt(t), so H is Hermitian; its
+    # two time functions must scale their own terms
+    mf = parse_model(mk("sqrt(-1*t)*a(m) + sqrt((0-1)*t)*adag(m)"))
+    model, psi0, _, _ = build_model(mf)
+    op = compile_operator(model.hamiltonian, psi0.freedoms)
+    for t in (0.37, 1.0, 2.5):
+        got = op.apply(np.eye(op.size, dtype=complex), t)
+        assert np.array_equal(got, to_dense(model.hamiltonian, (4, 2), t=t))
+        assert np.array_equal(got, got.conj().T)
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

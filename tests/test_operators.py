@@ -5,6 +5,7 @@ as an explicit matrix (np.diag / np.kron) and comparing matrix @ vec with
 the application of the compiled offset diagonals.
 """
 
+import cmath
 import math
 import pickle
 import tracemalloc
@@ -37,7 +38,7 @@ from qtraj import (
     to_dense,
     transition,
 )
-from qtraj.hilbert import used_view
+from qtraj.hilbert import StepError, used_view
 from qtraj import operators
 from qtraj.operators import (
     GATHER_BLOCK,
@@ -581,6 +582,55 @@ def test_gathered_rows_come_in_chunks_with_the_bits_of_one_block(monkeypatch):
     # one trajectory per chunk gives the same bits
     monkeypatch.setattr(operators, "GATHER_BLOCK", 1)
     assert op.apply(y, 0.4).tobytes() == got.tobytes()
+
+
+def test_gathered_times_of_their_own_scale_each_chunk(monkeypatch):
+    # 3000 trajectories, each at a time of its own: the time group's
+    # diagonals are scaled chunk by chunk, never as one (bands, 20, 3000)
+    # stack, and each column has the bits it has applied alone
+    expr, frs = _many_band_op()
+    op = compile_operator(expr, frs)
+    y = np.random.default_rng(5).standard_normal((3000, 40)).view(complex).T.copy()
+    t = np.linspace(0.0, 2.0, 3000)
+    tracemalloc.start()
+    try:
+        got = op.apply(y, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 3 * 16 * GATHER_BLOCK + 4 * t.nbytes
+    monkeypatch.setattr(operators, "GATHER_BLOCK", 2 * op._gather[0].size)
+    assert op.apply(y, t).tobytes() == got.tobytes()
+    for j in (0, 1, 1234, 2999):
+        assert op.apply(y[:, j:j + 1], t[j]).tobytes() == got[:, j:j + 1].tobytes()
+
+
+@pytest.mark.parametrize("fn", [lambda t: cmath.exp(400 * t), lambda t: math.inf if t > 1.75 else 1.0],
+                         ids=["raises-overflow", "returns-inf"])
+@pytest.mark.parametrize("kernel", ["sliced", "gathered"])
+def test_a_time_factor_that_overflows_names_its_trajectory(fn, kernel):
+    # only column 2's time is past the overflow; the error names that column
+    # and its time, whether fn raises OverflowError or returns inf
+    if kernel == "sliced":
+        op = compile_operator(fn * number(0), [FreedomSpec(FIELD, 3)])
+    else:
+        expr, frs = _many_band_op()
+        op = compile_operator(expr + fn * number(1), frs)
+    assert op.gathered == (kernel == "gathered")
+    y = np.ones((op.size, 4), dtype=complex)
+    with pytest.raises(StepError, match=r"^a time-dependent factor overflows at t=1\.8$") as err:
+        op.apply(y, np.array([0.0, 1.0, 1.8, 0.5]))
+    assert err.value.row == 2
+    assert np.isfinite(op.apply(y, np.array([0.0, 1.0, 1.7, 0.5]))).all()
+
+
+def test_an_adjoint_time_factor_is_a_flag():
+    # hc() conjugates a time factor by a flag, so adjoints nest nothing
+    expr = (lambda t: (1 + 2j) * t) * destroy(0)
+    assert expr.hc().hc() == expr
+    assert expr.hc().fn is expr.fn and expr.hc().conj
+    got = to_dense(expr.hc(), (3,), t=0.5)
+    assert got.tobytes() == ((0.5 - 1j) * to_dense(create(0), (3,))).tobytes()
 
 
 def test_a_stacked_operator_has_no_single_diagonals():

@@ -1,29 +1,46 @@
 """Dense master-equation integrator and ensemble comparison report."""
 
+import io
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import test_acceptance
 from qtraj import (
+    ATOM,
+    FIELD,
     MAX_ORACLE_DIM,
+    FreedomSpec,
+    IntegratorConfig,
     ModelOperators,
+    OutputSpec,
+    RunConfig,
     SPIN,
+    StateVector,
     TimeFnMul,
+    Unraveling,
     basis_state,
     coherent_state,
     compare_ensemble,
+    create,
     density_from_state,
     dense_model,
     destroy,
     integrate_master,
     lindblad_rhs,
+    momentum,
     number,
     oracle_expectations,
+    position,
     product_state,
+    run_ensemble,
     sigma_minus,
     sigma_plus,
+    sigma_z,
     to_dense,
+    transition,
 )
 
 
@@ -245,3 +262,89 @@ def test_oracle_multi_freedom():
                                dt_oracle=1e-3)
     want = np.exp(-2 * kappa * times)
     assert np.abs(vals[0] - want).max() < 1e-7
+
+
+# --- randomized models against the oracle ---------------------------------------
+
+# One or two freedoms of at most 8 states; every odd-numbered model is driven
+RANDOM_SHAPES = (((FIELD, 4),), ((SPIN, 2), (FIELD, 4)), ((ATOM, 3),),
+                 ((FIELD, 3), (SPIN, 2)), ((SPIN, 2),), ((ATOM, 2), (FIELD, 4)))
+RANDOM_SEED = 1
+ADAPTIVE_MODEL = 1
+RANDOM_GRID = dict(dt=0.01, numdts=25, numsteps=8, n_trajectories=1000)
+# every compared point of the whole set: ensembles x 2 outputs x output times
+RANDOM_POINTS = (3 * len(RANDOM_SHAPES) + 3) * 2 * (RANDOM_GRID["numsteps"] + 1)
+
+
+def _leaves(shape):
+    leaves = []
+    for k, (ptype, dim) in enumerate(shape):
+        if ptype is FIELD:
+            leaves += [create(k), destroy(k), number(k), position(k), momentum(k)]
+        elif ptype is SPIN:
+            leaves += [sigma_plus(k), sigma_minus(k), sigma_z(k)]
+        else:
+            leaves += [transition(k, i, j) for i in range(dim) for j in range(dim) if i != j]
+    return tuple(leaves)
+
+
+def _scaled_tree(rng, shape, depth, scale):
+    """Acceptance 3's random tree over the primaries of shape, its largest element scale.
+
+    A tree that is zero on the truncation, such as sp^2, is drawn again.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(test_acceptance, "_SWEEP_LEAVES", _leaves(shape))
+        while True:
+            expr = test_acceptance._random_tree(rng, depth)
+            peak = np.abs(to_dense(expr, [dim for _, dim in shape])).max()
+            if peak > 0:
+                return (scale / peak) * expr
+
+
+def _random_model(i):
+    """(model, psi0, outputs) of random model i: H = (T + T+)/2, plus a cos drive of D if i is odd.
+
+    The outputs are a random tree and D, which reads what the drive moves.
+    """
+    rng = np.random.default_rng((RANDOM_SEED, i))
+    shape = RANDOM_SHAPES[i]
+    t = _scaled_tree(rng, shape, 2, 1.0)
+    d = _scaled_tree(rng, shape, 1, 1.0)
+    h = 0.5 * (t + t.hc())
+    if i % 2:
+        z, w = complex(*rng.normal(size=2)), float(rng.uniform(0.5, 2.0))
+        drive = (lambda s: z * math.cos(w * s)) * d
+        h = h + drive + drive.hc()
+    lindblads = [_scaled_tree(rng, shape, 1, float(rng.uniform(0.3, 0.7)))
+                 for _ in range(int(rng.integers(1, 3)))]
+    parts = []
+    for ptype, dim in shape:
+        if ptype is FIELD:
+            parts.append(coherent_state(dim, 0.5 * complex(*rng.normal(size=2))))
+        else:
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            parts.append(StateVector([FreedomSpec(ptype, dim)], amps / np.linalg.norm(amps)))
+    outputs = (_scaled_tree(rng, shape, 1, 1.0), d)
+    return ModelOperators(h, lindblads), product_state(parts), outputs
+
+
+@pytest.mark.parametrize("i", range(len(RANDOM_SHAPES)))
+def test_random_models_match_the_oracle(i):
+    # every unraveling with rk4 (and with adaptive on one model) at a z that
+    # keeps the chance of a false failure anywhere in the set at 1e-3; the
+    # floor covers early times, where few trajectories have jumped yet
+    model, psi0, outputs = _random_model(i)
+    z = NormalDist().inv_cdf(1 - 1e-3 / (2 * RANDOM_POINTS))
+    integrators = ("rk4", "adaptive") if i == ADAPTIVE_MODEL else ("rk4",)
+    oracle = None
+    for kind in integrators:
+        for unraveling in Unraveling:
+            cfg = RunConfig(seed=RANDOM_SEED, unraveling=unraveling,
+                            integrator=IntegratorConfig(kind), **RANDOM_GRID)
+            res = run_ensemble(psi0, model, cfg, OutputSpec(outputs), stream=io.StringIO())
+            if oracle is None:
+                oracle = oracle_expectations(psi0, model, outputs, res.times, dt_oracle=5e-3)
+            report = compare_ensemble(res.times, res.mean_expectations, res.se_re, res.se_im,
+                                      oracle, z=z, abs_floor=0.01)
+            assert report.passed, f"{unraveling.value}/{kind}:\n{report}"

@@ -5,6 +5,7 @@ matrices; integrator order is validated against a closed-form Rabi solution.
 """
 
 import dataclasses
+import cmath
 import io
 import math
 import pathlib
@@ -336,6 +337,18 @@ def test_rkck_underflow_names_the_stiff_row():
     assert err.value.row == 1
     out, nacc, _ = rkck_adaptive(f, y[:, :1].copy(), 0.0, 1.0, 1e-10)
     assert out.tobytes() == y[:, :1].copy().tobytes() and nacc == 1
+
+
+def test_rkck_names_the_row_whose_time_factor_overflows():
+    # column 0 (dt = 0) finishes at once, so column 2 is the second column
+    # still stepping; its clock passes the overflow of exp(400 t) at 1.7745
+    op = compile_operator((lambda t: cmath.exp(400 * t)) * number(0), [FreedomSpec(FIELD, 3)])
+    y = np.zeros((3, 3), dtype=complex)
+    y[0] = 1.0  # the vacuum, which n(0) does not move
+    with pytest.raises(StepError, match="overflows at t=1.8") as err:
+        rkck_adaptive(lambda v, s: -1j * op.apply(v, s), y, np.array([0.0, 0.0, 1.7]),
+                      np.array([0.0, 0.1, 0.1]), 1e-8)
+    assert err.value.row == 2
 
 
 def test_rkck_rows_keep_their_own_substeps():
