@@ -37,11 +37,10 @@ compares, and the operators, which build_model uses.  Parse and type
 errors, an out-of-range tr() level among them, raise ModelParseError with a
 line:column location, counted from the start of the line; a syntax error
 anywhere in an expression is reported before any lowering error in it.
-Nesting is bounded by _MAX_DEPTH, in the text (parentheses, arguments and
-unary minus, in the input and in its canonical text, which parenthesizes
-each base of a power chain) and in the lowered operator (ScalarMul,
-TimeFnMul and Power around an operator), so that no echo, build or run
-exceeds the recursion limit; t*t*...*n(m) and n(m).hc()... nest nothing.
+Only the text's nesting is bounded, by _MAX_DEPTH (parentheses, arguments
+and unary minus, in the input and in its canonical text, which
+parenthesizes each base of a power chain), as the parser recurses through
+it; an operator tree may nest to any depth (operators._fold_tree).
 Semantic rejections after a clean parse (a non-Hermitian Hamiltonian, an
 out-of-range initial level, a moving count that reaches past the leading
 field freedoms) raise ModelValidationError.
@@ -229,8 +228,7 @@ class _Val(NamedTuple):
     freedom argument) or "error" (val the ModelParseError its lowering
     raised).  text is the canonical text, prec the precedence of its
     outermost operator, pos the (line, col) its errors point at,
-    literal the token kind ("NUM" or "IMAG") of a bare number literal, and
-    nest how deeply ScalarMul, TimeFnMul and Power nest in an operator val.
+    and literal the token kind ("NUM" or "IMAG") of a bare number literal.
     """
 
     kind: str
@@ -239,7 +237,6 @@ class _Val(NamedTuple):
     prec: int
     pos: tuple
     literal: str = None
-    nest: int = 0
 
 
 def _err(msg, at):
@@ -364,13 +361,8 @@ class _ExprParser:
                  "(write a(...), sp(...), ...)", v)
         _err(f"unknown identifier '{v.text}'", v)
 
-    def lowered(self, fn, operands, text, prec, pos, wraps=True):
-        """fn applied to the operands' values, or the first error on the way.
-
-        Where wraps says so (a ScalarMul, TimeFnMul or Power around an
-        operator), an operator nests one level deeper than its operands;
-        deeper than _MAX_DEPTH is an error, as compiling recurses that deep.
-        """
+    def lowered(self, fn, operands, text, prec, pos):
+        """fn applied to the operands' values, or the first error on the way."""
         try:
             kind, val = fn(*[self.value(v) for v in operands])
             if kind == "c" and not cmath.isfinite(val):  # 1e308*10 overflows silently
@@ -379,11 +371,7 @@ class _ExprParser:
             return _Val("error", err, text, prec, pos)
         except OverflowError:
             return _Val("error", ModelParseError("value overflows", *pos), text, prec, pos)
-        nest = max((v.nest for v in operands), default=0) + wraps if kind == "o" else 0
-        if nest > _MAX_DEPTH:
-            return _Val("error", ModelParseError("expression nested too deeply", *pos),
-                        text, prec, pos)
-        return _Val(kind, val, text, prec, pos, nest=nest)
+        return _Val(kind, val, text, prec, pos)
 
     def parse_expr(self):
         v = self.parse_term()
@@ -402,8 +390,7 @@ class _ExprParser:
         prec = _PREC_MUL if op == "*" else _PREC_ADD
         sep = op if op == "*" else f" {op} "
         return self.lowered(lambda l, r: _combine(op, l, r, optok), (left, right),
-                            _wrap(left, prec) + sep + _wrap(right, prec + 1),
-                            prec, optok.pos, wraps=not left.kind == right.kind == "o")
+                            _wrap(left, prec) + sep + _wrap(right, prec + 1), prec, optok.pos)
 
     def parse_unary(self):
         # each enclosing parenthesis, argument or unary minus is one call deeper
@@ -446,8 +433,7 @@ class _ExprParser:
             # a trailing .hc() after a bare number would lex as part of the
             # literal, so literals get parenthesized too
             child = f"({v.text})" if v.literal else _wrap(v, _PREC_POSTFIX)
-            v = self.lowered(_adjoint, (v,), child + ".hc()", _PREC_POSTFIX, dot.pos,
-                             wraps=False)
+            v = self.lowered(_adjoint, (v,), child + ".hc()", _PREC_POSTFIX, dot.pos)
         return v
 
     def parse_atom(self):

@@ -6,7 +6,8 @@ with a hermitian-conjugate flag, whose `Kind` names the type of freedom it
 acts on.  Interior nodes are sums, ordered products (applied right to
 left), scalar multiples, time-function multiples and small integer powers.
 Nothing is simplified at construction -- the tree a user builds is the tree
-that gets compiled.
+that gets compiled.  A tree may be of any depth: every walk over one
+(`hc`, compiling, `to_dense`) is one loop, `_fold_tree`.
 
 Application goes through one compiled form.  For a given basis (the type,
 used dimension and center of every freedom) a tree becomes offset diagonals
@@ -30,8 +31,9 @@ type and used dimension of every freedom), and binding it to centers
 evaluates the factors, sums each offset's terms, skips the terms of zero
 centers and trims the diagonals.  Trees hold no compiled state.
 `compile_operator`, which `apply`, `apply_in_place` and `psi *= expr` go
-through, compiles afresh on every call; a caller that applies a tree again
-keeps what it compiled, as `steppers.ModelOperators` keeps its forms.
+through, compiles afresh on every call, without the terms of zero centers;
+a caller that applies a tree again keeps what it compiled, as
+`steppers.ModelOperators` keeps its symbolic forms.
 
 A compiled operator applies its diagonals by one of two kernels, chosen by
 its band count when it is bound, never by B (`DiagonalOperator`); the
@@ -139,7 +141,8 @@ class OperatorExpr:
     __slots__ = ()
 
     def hc(self) -> "OperatorExpr":
-        raise NotImplementedError
+        """The hermitian adjoint, as a tree of the same shape."""
+        return _fold_tree(self, _adjoint)
 
     # construction-time concatenation of nested sums/products only; no other
     # algebraic rewriting happens here
@@ -208,9 +211,6 @@ class Primary(OperatorExpr):
     def ptype(self) -> PhysicalType:
         return self.kind.ptype
 
-    def hc(self):
-        return replace(self, conj=not self.conj)
-
     def dense(self, dim: int, center: complex = 0j) -> np.ndarray:
         """Dense matrix of this operator on a dim-level truncation."""
         if self.ptype is SPIN and dim != 2:
@@ -250,9 +250,6 @@ class Sum(OperatorExpr):
         if len(self.children) < 1:
             raise ValueError("empty sum")
 
-    def hc(self):
-        return Sum(tuple(c.hc() for c in self.children))
-
 
 @dataclass(frozen=True, slots=True)
 class Product(OperatorExpr):
@@ -264,9 +261,6 @@ class Product(OperatorExpr):
         if len(self.children) < 1:
             raise ValueError("empty product")
 
-    def hc(self):
-        return Product(tuple(c.hc() for c in reversed(self.children)))
-
 
 @dataclass(frozen=True, slots=True)
 class ScalarMul(OperatorExpr):
@@ -276,9 +270,6 @@ class ScalarMul(OperatorExpr):
     def __post_init__(self):
         object.__setattr__(self, "scalar", complex(self.scalar))
 
-    def hc(self):
-        return ScalarMul(np.conj(self.scalar), self.child.hc())
-
 
 @dataclass(frozen=True, slots=True)
 class TimeFnMul(OperatorExpr):
@@ -287,9 +278,6 @@ class TimeFnMul(OperatorExpr):
     fn: object
     child: OperatorExpr
     conj: bool = False
-
-    def hc(self):
-        return TimeFnMul(self.fn, self.child.hc(), not self.conj)
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,8 +291,45 @@ class Power(OperatorExpr):
         if not 1 <= self.k <= MAX_POWER:
             raise ValueError(f"power exponent must be in 1..{MAX_POWER}")
 
-    def hc(self):
-        return Power(self.child.hc(), self.k)
+
+def _fold_tree(root, visit):
+    """visit(node, [its children's values]) over the tree at root, children first.
+
+    Returns the root's value.  Nothing recurses: the nodes are listed
+    parents first, then visited in reverse over a stack of values, on which
+    each node's children lie in their order.
+    """
+    order, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Sum, Product)):
+            kids = node.children
+        elif isinstance(node, (ScalarMul, TimeFnMul, Power)):
+            kids = (node.child,)
+        elif isinstance(node, Primary):
+            kids = ()
+        else:
+            raise TypeError(f"not an operator expression: {node!r}")
+        order.append((node, len(kids)))
+        todo.extend(kids)
+    values = []
+    for node, n in reversed(order):
+        values[len(values) - n:] = [visit(node, values[len(values) - n:])]
+    return values[0]
+
+
+def _adjoint(node, kids):
+    if isinstance(node, Primary):
+        return replace(node, conj=not node.conj)
+    if isinstance(node, Sum):
+        return Sum(tuple(kids))
+    if isinstance(node, Product):
+        return Product(tuple(reversed(kids)))
+    if isinstance(node, ScalarMul):
+        return ScalarMul(np.conj(node.scalar), kids[0])
+    if isinstance(node, TimeFnMul):
+        return TimeFnMul(node.fn, kids[0], not node.conj)
+    return Power(kids[0], node.k)
 
 
 # -- leaf builders ----------------------------------------------------------
@@ -416,11 +441,12 @@ def _primary_terms(op: Primary, dim: int) -> dict:
     return terms
 
 
-def _add_terms(acc: dict, terms: dict):
+def _add_terms(acc: dict, terms: dict) -> dict:
     for key, bands in terms.items():
         into = acc.setdefault(key, {})
         for o, d in bands.items():
             into[o] = into[o] + d if o in into else d
+    return acc
 
 
 def _mul_bands(a: dict, b: dict, size: int, into: dict) -> dict:
@@ -445,46 +471,39 @@ def _mul_terms(a: dict, b: dict, size: int) -> dict:
 
 
 def _compile_node(node, shape, size) -> dict:
-    if isinstance(node, Primary):
-        k = node.freedom
-        if k >= len(shape):
-            raise ValueError(f"freedom {k} out of range for {len(shape)}-freedom state")
-        ptype, dim = shape[k]
-        if ptype is not node.ptype:
-            raise TypeError(
-                f"{node.kind.name} acts on {node.ptype.value} freedoms, "
-                f"freedom {k} is {ptype.value}")
-        stride = math.prod(b[1] for b in shape[k + 1:])
-        outer = size // (dim * stride)
-        terms = {}
-        for factors, bands in _primary_terms(node, dim).items():
-            terms[(), factors] = {
+    """{(time functions, center factors): {offset: diagonal}} of the tree at node.
+
+    shape holds (type, used dimension) per freedom; a third item fixes the
+    center at 0, and binding would skip the center terms, so none are made.
+    """
+    def visit(node, kids):
+        if isinstance(node, Primary):
+            k = node.freedom
+            if k >= len(shape):
+                raise ValueError(f"freedom {k} out of range for {len(shape)}-freedom state")
+            ptype, dim, *zero = shape[k]
+            if ptype is not node.ptype:
+                raise TypeError(
+                    f"{node.kind.name} acts on {node.ptype.value} freedoms, "
+                    f"freedom {k} is {ptype.value}")
+            stride = math.prod(b[1] for b in shape[k + 1:])
+            outer = size // (dim * stride)
+            return {((), factors): {
                 o * stride: np.broadcast_to(d[None, :, None], (outer, dim, stride)).reshape(size)
                 for o, d in bands.items()}
-        return terms
-    if isinstance(node, Sum):
-        acc = {}
-        for child in node.children:
-            _add_terms(acc, _compile_node(child, shape, size))
-        return acc
-    if isinstance(node, Product):
-        acc = _compile_node(node.children[0], shape, size)
-        for child in node.children[1:]:
-            acc = _mul_terms(acc, _compile_node(child, shape, size), size)
-        return acc
-    if isinstance(node, ScalarMul):
-        z = node.scalar
-        terms = _compile_node(node.child, shape, size)
-        return {key: {o: z * d for o, d in bands.items()} for key, bands in terms.items()}
-    if isinstance(node, TimeFnMul):
-        terms = _compile_node(node.child, shape, size)
-        return {(((node.fn, node.conj),) + fns, f): bands for (fns, f), bands in terms.items()}
-    if isinstance(node, Power):
-        acc = base = _compile_node(node.child, shape, size)
-        for _ in range(node.k - 1):
-            acc = _mul_terms(acc, base, size)
-        return acc
-    raise TypeError(f"not an operator expression: {node!r}")
+                for factors, bands in _primary_terms(node, dim).items()
+                if not (factors and zero)}
+        if isinstance(node, Sum):
+            return reduce(_add_terms, kids, {})
+        if isinstance(node, (Product, Power)):  # a power multiplies k equal factors
+            return reduce(lambda a, b: _mul_terms(a, b, size),
+                          kids * node.k if isinstance(node, Power) else kids)
+        if isinstance(node, ScalarMul):
+            z = node.scalar
+            return {key: {o: z * d for o, d in bands.items()} for key, bands in kids[0].items()}
+        return {(((node.fn, node.conj),) + fns, f): bands for (fns, f), bands in kids[0].items()}
+
+    return _fold_tree(node, visit)
 
 
 def _shape_of(freedoms) -> tuple:
@@ -778,7 +797,8 @@ def compile_operator(expr: OperatorExpr, freedoms) -> DiagonalOperator:
 
     Nothing is cached: hold the result to apply it again on the same basis.
     """
-    return CenteredForm(expr, _shape_of(freedoms)).bind([f.center for f in freedoms])
+    shape = tuple(s if f.center else s + (0,) for s, f in zip(_shape_of(freedoms), freedoms))
+    return CenteredForm(expr, shape).bind([f.center for f in freedoms])
 
 
 def apply_in_place(expr: OperatorExpr, psi: StateVector, t: float = 0.0) -> StateVector:
@@ -805,24 +825,22 @@ def _embed(m: np.ndarray, dims, k: int) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _dense_node(node, dims, centers, t):
+def _dense_node(node, kids, dims, centers, t):
     if isinstance(node, Primary):
         k = node.freedom
         if k >= len(dims):
             raise ValueError(f"freedom {k} out of range")
         return _embed(node.dense(dims[k], centers[k]), dims, k)
     if isinstance(node, Sum):
-        return sum(_dense_node(c, dims, centers, t) for c in node.children)
+        return sum(kids)
     if isinstance(node, Product):
-        return reduce(np.matmul, (_dense_node(c, dims, centers, t) for c in node.children))
+        return reduce(np.matmul, kids)
     if isinstance(node, ScalarMul):
-        return node.scalar * _dense_node(node.child, dims, centers, t)
+        return node.scalar * kids[0]
     if isinstance(node, TimeFnMul):
         z = complex(node.fn(t))
-        return (z.conjugate() if node.conj else z) * _dense_node(node.child, dims, centers, t)
-    if isinstance(node, Power):
-        return np.linalg.matrix_power(_dense_node(node.child, dims, centers, t), node.k)
-    raise TypeError(f"not an operator expression: {node!r}")
+        return (z.conjugate() if node.conj else z) * kids[0]
+    return np.linalg.matrix_power(kids[0], node.k)
 
 
 def to_dense(expr: OperatorExpr, dims, centers=None, t: float = 0.0, cap: int = DENSE_CAP) -> np.ndarray:
@@ -836,4 +854,4 @@ def to_dense(expr: OperatorExpr, dims, centers=None, t: float = 0.0, cap: int = 
     centers = tuple(complex(c) for c in centers)
     if len(centers) != len(dims):
         raise ValueError("one center per freedom required")
-    return _dense_node(expr, dims, centers, t)
+    return _fold_tree(expr, lambda node, kids: _dense_node(node, kids, dims, centers, t))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import StateVector, used_view
-from .operators import Sum, Product, ScalarMul, TimeFnMul, Power, to_dense
+from .operators import TimeFnMul, _fold_tree, to_dense
 
 __all__ = [
     "MAX_ORACLE_DIM",
@@ -49,13 +49,7 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, ls) -> np.ndarray:
 
 
 def _contains_time(expr) -> bool:
-    if isinstance(expr, TimeFnMul):
-        return True
-    if isinstance(expr, (Sum, Product)):
-        return any(_contains_time(c) for c in expr.children)
-    if isinstance(expr, (ScalarMul, Power)):
-        return _contains_time(expr.child)
-    return False
+    return _fold_tree(expr, lambda node, kids: isinstance(node, TimeFnMul) or any(kids))
 
 
 def density_from_state(psi: StateVector) -> np.ndarray:

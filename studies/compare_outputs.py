@@ -1,6 +1,6 @@
 """Compare the outputs of the benchmark commands between two qtraj checkouts.
 
-    python3 studies/compare_outputs.py PARENT CHANGE [--seeds 1 7]
+    python3 studies/compare_outputs.py PARENT CHANGE [--seeds 1 7] [--strict]
 
 Runs every command of every workload in `perfbench/workloads.py` (WORKLOADS,
 read from this checkout), then the EXTRA commands below, which the
@@ -11,7 +11,9 @@ every stdout and output file it prints `identical` when the bytes match,
 and otherwise the largest absolute difference between corresponding
 numbers.  For each ensemble command whose trajectories jump it also
 prints how many of them changed their jump count.  Exits 0 when every file has the
-same shape in both checkouts, 1 otherwise.
+same shape in both checkouts, 1 otherwise.  With --strict, the check for a
+change that must keep every run's bits, it exits 0 only when every stdout
+and output file is byte-identical and no trajectory changed its jump count.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ def main(argv=None):
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
+    p.add_argument("--strict", action="store_true",
+                   help="exit 1 unless every file is byte-identical and no jump count changed")
     args = p.parse_args(argv)
     checkouts = [args.parent.resolve(), args.change.resolve()]
-    same_shape = True
+    same_shape = identical = True
     for seed in args.seeds:
         for label, argv_of in _commands():
             label = f"seed {seed} {label}"
@@ -125,19 +129,21 @@ def main(argv=None):
             for fname in sorted(set(files_a) | set(files_b)):
                 if fname not in files_a or fname not in files_b:
                     print(f"{label} {fname}: only in one checkout")
-                    same_shape = False
+                    same_shape = identical = False
                 elif files_a[fname] == files_b[fname]:
                     print(f"{label} {fname}: identical")
                 else:
+                    identical = False
                     d = largest_difference(files_a[fname], files_b[fname])
                     same_shape &= d is not None
                     print(f"{label} {fname}: "
                           + ("shapes differ" if d is None else f"max |diff| {d:.3g}"))
             if jumps_a is not None and jumps_b is not None and any(jumps_a + jumps_b):
                 changed = sum(x != y for x, y in zip(jumps_a, jumps_b))
+                identical &= not changed and len(jumps_a) == len(jumps_b)
                 print(f"{label} jumps: {changed} of {len(jumps_a)} trajectories "
                       f"changed their count")
-    return 0 if same_shape else 1
+    return 0 if (identical if args.strict else same_shape) else 1
 
 
 if __name__ == "__main__":

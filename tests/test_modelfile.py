@@ -292,13 +292,10 @@ def test_deep_nesting_is_rejected():
         parse_model(mk("-" * 3000 + "n(m)"))
     with pytest.raises(ModelParseError, match=r"^line 21, col \d+: expression nested too deeply$"):
         parse_model(mk() + "\nparams:\n  kappa = " + "-" * 3000 + "0.1\n")
-    # what the lowering nests around an operator is bounded too: ScalarMul,
-    # TimeFnMul and Power; compiling them used to exceed the recursion limit
-    # at build or run
-    for chain in ("n(m)" + "*2" * 3000, "n(m)" + "*t" * 3000, "n(m)" + "^1" * 3000):
-        with pytest.raises(ModelParseError,
-                           match=r"^line 6, col \d+: expression nested too deeply$"):
-            parse_model(mk(chain))
+    # a power chain's echo parenthesizes every base, (n(m)^1)^1, so its
+    # canonical text nests as deeply as the chain is long
+    with pytest.raises(ModelParseError, match=r"^line 6, col \d+: expression nested too deeply$"):
+        parse_model(mk("n(m)" + "^1" * 3000))
     # operator + and * chains flatten into one Sum or Product, and constants fold
     for chain in (" + ".join(["n(m)"] * 3000), "*".join(["n(m)"] * 3000),
                   "*".join(["1"] * 3000) + "*n(m)"):
@@ -307,24 +304,34 @@ def test_deep_nesting_is_rejected():
 
 def tree_depth(node):
     """Operator nodes on the longest path down node's tree."""
-    kids = (node.child,) if hasattr(node, "child") else getattr(node, "children", ())
-    return 1 + max(map(tree_depth, kids), default=0)
+    deepest, todo = 0, [(node, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        kids = (node.child,) if hasattr(node, "child") else getattr(node, "children", ())
+        todo.extend((kid, depth + 1) for kid in kids)
+    return deepest
 
 
-@pytest.mark.parametrize("chain", [
-    "t*" * 3000 + "n(m)",
-    "n(m)" + ".hc()" * 3000,
-    "(t*n(m))" + ".hc()" * 3000,
-    "t" + ".hc()" * 3000 + "*n(m)",
-], ids=["time-factors", "adjoints", "timed-adjoints", "time-adjoints"])
-def test_long_time_and_adjoint_chains_parse_build_run_and_echo(chain, tmp_path):
+@pytest.mark.parametrize("chain, depth", [
+    ("t*" * 3000 + "n(m)", 2),
+    ("n(m)" + ".hc()" * 3000, 1),
+    ("(t*n(m))" + ".hc()" * 3000, 2),
+    ("t" + ".hc()" * 3000 + "*n(m)", 2),
+    ("n(m)" + "*1" * 3000, 3001),
+    ("n(m)" + "*t" * 3000, 3001),
+], ids=["time-factors", "adjoints", "timed-adjoints", "time-adjoints", "scalar-wrappers",
+        "time-wrappers"])
+def test_long_time_and_adjoint_chains_parse_build_run_and_echo(chain, depth, tmp_path):
     # a scalar in t lowers to one flat program and an adjoint flips a flag,
-    # so none of these chains nests, however long it is (each parse takes
-    # well under a second; the bound only catches a gross slowdown)
+    # so the first four chains nest nothing, however long they are; the
+    # last two wrap the operator once per factor, which every walk over the
+    # tree takes in a loop (each parse takes well under a second; the bound
+    # only catches a gross slowdown)
     start = time.perf_counter()
     mf = parse_model(mk(chain))
     assert time.perf_counter() - start < 10.0
-    assert tree_depth(mf.lowered[0]) <= 2
+    assert tree_depth(mf.lowered[0]) == depth
     assert parse_model(print_model(mf)) == mf
     model, psi0, cfg, outspec = build_model(mf, out_dir=str(tmp_path))
     assert to_dense(model.hamiltonian, (4, 2), t=1.0).tobytes() == \

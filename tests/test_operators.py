@@ -6,6 +6,7 @@ the application of the compiled offset diagonals.
 """
 
 import cmath
+import io
 import math
 import pickle
 import tracemalloc
@@ -20,6 +21,9 @@ from qtraj import (
     FIELD,
     SPIN,
     FreedomSpec,
+    ModelOperators,
+    OutputSpec,
+    RunConfig,
     StateVector,
     apply,
     apply_in_place,
@@ -32,6 +36,7 @@ from qtraj import (
     number,
     position,
     product_state,
+    run_single,
     sigma_minus,
     sigma_plus,
     sigma_z,
@@ -39,6 +44,7 @@ from qtraj import (
     transition,
 )
 from qtraj.hilbert import StepError, used_view
+from qtraj.oracle import _contains_time
 from qtraj import operators
 from qtraj.operators import (
     GATHER_BLOCK,
@@ -668,3 +674,94 @@ def test_compiling_and_applying_leave_a_tree_unchanged():
     assert {type(node) for node in nodes} == {Sum, Product, ScalarMul, TimeFnMul, Power,
                                              Primary}
     assert not any(hasattr(node, "__dict__") for node in nodes)
+
+
+# --- trees of any depth -----------------------------------------------------------
+
+
+def _deep_cases():
+    """(tree, its one freedom) of three chains far past the recursion limit.
+
+    Products of field primaries are left out: their center-factor keys grow
+    with the depth, which makes a deep chain of them slow, not wrong.
+    """
+    flips = number(0)
+    for _ in range(3000):
+        flips = -1 * flips
+    timed = TimeFnMul(math.cos, number(0))
+    for _ in range(1500):
+        timed = -1 * (timed + number(0))
+    spins = TimeFnMul(math.cos, sigma_z(0))
+    for _ in range(1500):
+        spins = sigma_z(0) * (spins + sigma_plus(0))
+    return [(flips, FreedomSpec(FIELD, 4)), (timed, FreedomSpec(FIELD, 4)),
+            (spins, FreedomSpec(SPIN, 2))]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["flips", "timed", "spins"])
+def test_trees_of_any_depth_compile_adjoint_and_densify(case):
+    expr, fr = _deep_cases()[case]
+    dims, t = (fr.dim_alloc,), 0.7
+    op = compile_operator(expr, [fr])
+    mat = to_dense(expr, dims, t=t)
+    got = op.diagonals(t)
+    compiled = np.zeros_like(mat)
+    for o, d in got.items():  # d[i] = <i|op|i+o>
+        rows = np.arange(max(0, -o), min(len(d), len(d) - o))
+        compiled[rows, rows + o] = d[rows]
+    assert np.abs(compiled - mat).max() <= 1e-12 * np.abs(mat).max()
+    adjoint = expr.hc()
+    assert np.abs(to_dense(adjoint, dims, t=t) - mat.conj().T).max() <= 1e-12 * np.abs(mat).max()
+    assert np.array_equal(to_dense(adjoint.hc(), dims, t=t), mat)
+    assert _contains_time(expr) == (case != 0)
+    if case == 0:  # 3000 sign flips give back number(0), bit for bit
+        plain = compile_operator(number(0), [fr]).diagonals()
+        assert got.keys() == plain.keys()
+        assert all(got[o].tobytes() == plain[o].tobytes() for o in plain)
+        assert np.array_equal(mat, to_dense(number(0), dims))
+
+
+def test_a_model_with_a_deep_hamiltonian_runs():
+    deep, _ = _deep_cases()[1]
+    psi0 = coherent_state(4, 0.5)
+    cfg = RunConfig(dt=0.01, numdts=2, numsteps=3, n_trajectories=1, seed=2)
+    spec = OutputSpec((number(0),))
+    runs = [run_single(psi0, ModelOperators(h, [0.5 * destroy(0)]), cfg, spec,
+                       stream=io.StringIO())
+            for h in (deep, TimeFnMul(math.cos, number(0)))]
+    # 1500 rounds of -(h + n) give back h up to rounding
+    assert np.isfinite(runs[0].expectations).all()
+    assert np.abs(runs[0].expectations - runs[1].expectations).max() < 1e-9
+
+
+def test_a_foreign_node_is_not_an_operator_expression():
+    expr = Sum((destroy(0), 3))
+    for walk in (lambda: compile_operator(expr, [FreedomSpec(FIELD, 3)]), expr.hc,
+                 lambda: to_dense(expr, (3,))):
+        with pytest.raises(TypeError, match="not an operator expression: 3"):
+            walk()
+
+
+def test_a_one_off_compile_holds_no_terms_of_zero_centers(monkeypatch):
+    # compile_operator knows its centers: a center that is 0 contributes no
+    # terms, and the bound operator has the bits of the symbolic form's
+    expr = (number(0) * position(1) + momentum(0) ** 2 + create(1) * destroy(0)
+            + math.cos * (destroy(1) + create(1)))
+    frs = [FreedomSpec(FIELD, 5, 4, 0.3 - 0.1j), FreedomSpec(FIELD, 3)]
+    keys = []
+    compile_node = operators._compile_node
+
+    def recording(node, shape, size):
+        terms = compile_node(node, shape, size)
+        keys.extend(terms)
+        return terms
+
+    monkeypatch.setattr(operators, "_compile_node", recording)
+    op = compile_operator(expr, frs)
+    assert {k for _, factors in keys for k, _ in factors} == {0}
+    form = CenteredForm(expr, _shape_of(frs)).bind([f.center for f in frs])
+    assert len(op.groups) == len(form.groups)
+    for (fns, bands), (fns2, bands2) in zip(op.groups, form.groups):
+        assert fns == fns2 and len(bands) == len(bands2)
+        for (out, cols, d), (out2, cols2, d2) in zip(bands, bands2):
+            assert (out, cols, d.tobytes()) == (out2, cols2, d2.tobytes())
