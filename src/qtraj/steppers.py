@@ -10,15 +10,18 @@ integrate their drift without its norm-restoring term, so the squared norm
 of the advance is the probability of no jump, and a trajectory jumps where
 that survival falls to a threshold drawn from its own stream.  The crossing
 is located inside the coarse step and the trajectory continues from there
-on its own clock, so a step can hold several jumps.  `jump` advances by the
-linear no-jump evolution y' = h_eff y, which needs no L_j inside the
-integrator's stages.  Where the drift is linear and autonomous -- plain
-jump, or any unraveling of a model without L_j, with no time function in
-h_eff -- and no basis upkeep moves the basis, rk4 still means RK4: its
-coarse step of y' = h_eff y is the polynomial P4(A) = I + A + A^2/2 + A^3/6
-+ A^4/24 of A = dt h_eff, which is built once per bound h_eff from its
-bands and applied as one banded operator by the same kernels, as long as
-it has no more bands than the four h_eff sweeps of the stages it replaces.
+on its own clock, so a step can hold several jumps.  A chunk's noise is one
+NoiseSource: its uniforms step every trajectory's PCG64 stream as (B,)
+uint64 state arrays, and its Wiener increments come from numpy's
+per-stream generators.  `jump` advances by the linear no-jump evolution
+y' = h_eff y, which needs no L_j inside the integrator's stages.  Where the
+drift is linear and autonomous -- plain jump, or any unraveling of a model
+without L_j, with no time function in h_eff -- and no basis upkeep moves
+the basis, rk4 still means RK4: its coarse step of y' = h_eff y is the
+polynomial P4(A) = I + A + A^2/2 + A^3/6 + A^4/24 of A = dt h_eff, which is
+built once per bound h_eff from its bands and applied as one banded
+operator by the same kernels, as long as it has no more bands than the four
+h_eff sweeps of the stages it replaces.
 
 All stepping code operates on (N, B) used blocks -- the amplitudes inside
 every freedom's used dimension, flattened, trajectory b in column b -- so a
@@ -162,29 +165,49 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
+def _seed_pool(seed: int):
+    """numpy's SeedSequence(seed).pool as a (4, 1) uint32 array, and its hashmix.
+
+    The seed's uint32 words, least significant first and padded with zeros
+    to the pool size, are hashed into the pool, every pool word is mixed
+    into every other, and any words past the pool size are mixed into all
+    of them.  The returned hashmix has advanced its constant once per hash,
+    so it goes on where a spawn key's words are mixed in.
+    """
+    words = [seed >> (32 * i) & _MASK32 for i in range(max(1, (seed.bit_length() + 31) // 32))]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = np.array(words, dtype=np.uint32)[:, None]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = np.concatenate([hashmix(word) for word in entropy[:_POOL_SIZE]])[:, None]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, hashmix
+
+
 def _stream_states(seed: int, streams) -> np.ndarray:
     """(len(streams), 4) uint64 PCG64 seed words, row r for stream streams[r].
 
     Row r equals SeedSequence(entropy=seed, spawn_key=(streams[r],))
     .generate_state(4, np.uint64).  The seed is the same in every row, so
-    numpy mixes it once (SeedSequence(seed).pool), having advanced the hash
-    constant 4 times per seed word, counting at least 4 words.  Mixing in
-    the stream index's words and the output hash then run in uint32
-    arithmetic over all streams at once.  The constant advances the same
-    way in every row, so an index with fewer words than another simply
-    stops mixing once its words run out.
+    its pool is mixed once (_seed_pool).  Mixing in the stream index's
+    words and the output hash then run in uint32 arithmetic over all
+    streams at once.  The constant advances the same way in every row, so
+    an index with fewer words than another simply stops mixing once its
+    words run out.
     """
     top = max(streams)
     if seed < 0 or min(streams) < 0:
         raise ValueError("seed and stream indices must be non-negative")
-    from numpy.random import SeedSequence
-
     # indices below 2^32, all an ensemble uses, stay in the hash's own uint32
     k = np.asarray(streams, dtype=object if top >> 32 else np.uint32)
     b = len(k)
-    pool = np.repeat(SeedSequence(seed).pool[:, None], b, axis=1)
-    seed_words = max((int(seed).bit_length() + 31) // 32, _POOL_SIZE)
-    hashmix = _hasher(_INIT_A * pow(_MULT_A, 4 * seed_words, 1 << 32) & _MASK32, _MULT_A)
+    pool, hashmix = _seed_pool(int(seed))
+    pool = np.repeat(pool, b, axis=1)
     for i in range(max(1, (int(top).bit_length() + 31) // 32)):
         part = k >> (32 * i)
         word = (part & _MASK32).astype(np.uint32)
@@ -221,46 +244,116 @@ def _stream_seed_type():
     return StreamSeed
 
 
+# PCG64 (O'Neill's PCG XSL RR 128/64, as numpy steps it): a 128-bit LCG
+# state' = state * multiplier + inc, held as (high, low) uint64 words
+_U64 = np.uint64
+# shift counts and masks as uint64 scalars, which numpy applies fastest
+_L32, _R32, _R58, _R11, _W64, _M63 = (_U64(v) for v in (_MASK32, 32, 58, 11, 64, 63))
+_PCG_MULT_HI, _PCG_MULT_LO = _U64(2549297995355413924), _U64(4865540595714422341)
+_PCG_LO_0, _PCG_LO_1 = _PCG_MULT_LO & _L32, _PCG_MULT_LO >> _R32  # its 32-bit limbs
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """Every stream's next LCG state (hi, lo) modulo 2^128.
+
+    The high word of lo times the multiplier's low word is the high word
+    of a 64 x 64-bit product, built from 32-bit limbs so that no partial
+    product overflows (Warren, Hacker's Delight, mulhu); every other
+    product and sum wraps modulo 2^64.
+    """
+    a0, a1 = lo & _L32, lo >> _R32
+    t = a1 * _PCG_LO_0 + ((a0 * _PCG_LO_0) >> _R32)
+    w = (t & _L32) + a0 * _PCG_LO_1
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = a1 * _PCG_LO_1 + (t >> _R32) + (w >> _R32) + lo * _PCG_MULT_HI \
+        + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)  # a wrapped low sum carries 1
+    return new_hi, new_lo
+
+
+def _pcg_uniform(hi, lo, out):
+    """Into out: the XSL RR output of each state, as numpy's random() maps it onto [0, 1)."""
+    x = hi ^ lo
+    rot = hi >> _R58
+    x = (x >> rot) | (x << ((_W64 - rot) & _M63))
+    np.multiply(x >> _R11, 2.0 ** -53, out=out)
+
+
+def _pcg_seed(words):
+    """(4, B) [state hi, state lo, inc hi, inc lo] of each row's stream, as numpy's pcg64_set_seed.
+
+    Words 0-1 of a row are the initial state and words 2-3 the stream
+    selector, high word first; inc = 2 * selector + 1, and the state is
+    stepped from 0, offset by the initial state and stepped again.
+    """
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc_hi = (i_hi << _U64(1)) | (i_lo >> _M63)
+    inc_lo = (i_lo << _U64(1)) | _U64(1)
+    lo = inc_lo + s_lo  # the first step from 0 leaves inc
+    hi = inc_hi + s_hi + (lo < s_lo)
+    return np.stack(_pcg_step(hi, lo, inc_hi, inc_lo) + (inc_hi, inc_lo))
+
+
 class NoiseSource:
-    """Reproducible per-trajectory random stream.
+    """Reproducible noise of a chunk of trajectories, one PCG64 stream each.
 
     Stream k of seed s is numpy's PCG64 seeded by
     SeedSequence(entropy=s, spawn_key=(k,)), so trajectories can be generated
-    in any order, or in lockstep, with identical results.  The seed words
-    come from _stream_states: numpy mixes the seed once, and the stream
-    indices of many streams are mixed in one vectorized pass, so
-    `for_streams` derives a whole chunk's at once.  Every source, alone or
-    in a chunk, is built by __init__.
+    in any order, or in lockstep, with identical results.  One source
+    serves every stream of a chunk: the seed words of all of them come from
+    one vectorized pass (_stream_states).  Uniforms step every stream's
+    PCG64 state as (B,) uint64 arrays, bit for bit numpy's random().  The
+    complex Wiener increments of qsd need numpy's ziggurat, so `wiener`
+    makes one numpy Generator per stream at its first call, and a jump run
+    never makes one.  A source draws either kind, not both: the two would
+    each start its streams from the beginning.
     """
 
-    def __init__(self, seed: int, stream: int = 0, words: np.ndarray = None):
-        """words: this stream's (4,) uint64 seed words, derived here when None."""
-        if words is None:
-            words = _stream_states(seed, [stream])[0]
-        self._rng = np.random.Generator(np.random.PCG64(_stream_seed_type()(words)))
-
-    @classmethod
-    def for_streams(cls, seed: int, streams) -> list:
-        """One source per stream index, their seed words derived in one pass."""
-        return [cls(seed, k, words) for k, words in zip(streams, _stream_states(seed, streams))]
+    def __init__(self, seed: int, streams):
+        """streams: the noise stream index of each of the chunk's trajectories."""
+        self._words = _stream_states(seed, streams)
+        self._generators = None  # one numpy Generator per stream, made by wiener
+        self._pcg = None  # (4, B) PCG64 states and increments, made by uniforms
 
     def wiener(self, nsteps: int, m: int, dt: float, out: np.ndarray = None) -> np.ndarray:
-        """(nsteps, m) complex increments with M dxi = 0, M dxi_i* dxi_j = delta_ij dt.
+        """(B, nsteps, m) complex increments with M dxi = 0, M dxi_i* dxi_j = delta_ij dt.
 
-        Real and imaginary parts are consecutive standard normals scaled by
-        sqrt(dt/2).  out, if given, is a C-contiguous complex (nsteps, m)
-        array filled in place through its float64 view.
+        Row b is stream b's: real and imaginary parts are its consecutive
+        standard normals scaled by sqrt(dt/2).  out, if given, is a
+        C-contiguous complex (B, nsteps, m) array filled in place through
+        its float64 view.
         """
+        if self._pcg is not None:
+            raise ValueError("this source has drawn uniforms; it draws no normals")
+        if self._generators is None:
+            from numpy.random import PCG64, Generator
+
+            seed_type = _stream_seed_type()
+            self._generators = [Generator(PCG64(seed_type(words))) for words in self._words]
         if out is None:
-            out = np.empty((nsteps, m), dtype=np.complex128)
+            out = np.empty((len(self._words), nsteps, m), dtype=np.complex128)
+        for gen, row in zip(self._generators, out):
+            gen.standard_normal(out=row.view(np.float64))
         g = out.view(np.float64)
-        self._rng.standard_normal(out=g)
         g *= np.sqrt(0.5 * dt)
         return out
 
-    def uniforms(self, nsteps: int) -> np.ndarray:
-        """nsteps uniforms on [0, 1)."""
-        return self._rng.random(nsteps)
+    def uniforms(self, n: int, cols=None) -> np.ndarray:
+        """(n, len(cols)) uniforms on [0, 1): row i is draw i of each stream in cols.
+
+        cols: distinct indices of the chunk's streams, all of them when None.
+        """
+        if self._generators is not None:
+            raise ValueError("this source has drawn normals; it draws no uniforms")
+        if self._pcg is None:
+            self._pcg = _pcg_seed(self._words)
+        sel = slice(None) if cols is None else cols
+        hi, lo, inc_hi, inc_lo = self._pcg[:, sel]
+        out = np.empty((n, len(hi)))
+        for i in range(n):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            _pcg_uniform(hi, lo, out[i])
+        self._pcg[:2, sel] = hi, lo
+        return out
 
 
 @dataclass
@@ -661,12 +754,13 @@ class JumpStepper(_StepperBase):
             jumped -= np.take_along_axis(lexp, channel[None, :], axis=0) * y
         return _normalize_rows(jumped, message="jump produced a zero-norm state")
 
-    def step(self, y, freedoms, t, sources):
+    def step(self, y, freedoms, t, noise):
         """Advance every column by dt, jumping wherever it reaches its level.
 
-        sources: each trajectory's NoiseSource, drawn from only when it
-        needs a threshold or a channel.  Each round of the loop writes its
-        columns' end states, squared norms and levels over the step's own.
+        noise: the chunk's NoiseSource, column b drawing from stream b only
+        when it needs a threshold or a channel.  Each round of the loop
+        writes its columns' end states, squared norms and levels over the
+        step's own.
         """
         out, nsub = self._advance_det(y, freedoms, t)
         n2 = row_norm2(out)
@@ -674,7 +768,7 @@ class JumpStepper(_StepperBase):
         cols = np.zeros(0, dtype=np.intp)  # the columns whose segment reached their level
         if self.model.compiled(freedoms)[1] is not None:  # a model without channels never jumps
             if level is None:
-                level = np.array([src.uniforms(1)[0] for src in sources])
+                level = noise.uniforms(1)[0]
             cols = np.flatnonzero(n2 <= level)
         jumped = [cols]  # each round's columns
         if cols.size:  # the step where no trajectory jumps builds none of this
@@ -686,12 +780,12 @@ class JumpStepper(_StepperBase):
                     tau = _crossing(y0, f(y0, t0), y1, f(y1, t0 + h), h, lv)
                     y_tau, _ = self._advance_det(y0, freedoms, t0, tau, cols)
                     t0, h = t0 + tau, h - tau
-                    u = np.array([sources[c].uniforms(2) for c in cols])
-                    y0 = self._jump(y_tau, freedoms, t0, u[:, 0])
+                    u = noise.uniforms(2, cols)
+                    y0 = self._jump(y_tau, freedoms, t0, u[0])
                     y1, _ = self._advance_det(y0, freedoms, t0, h, cols)
                 except StepError as err:
                     raise StepError(str(err), int(cols[err.row])) from None
-                lv = u[:, 1]
+                lv = u[1]
                 n1 = row_norm2(y1)
                 out[:, cols], n2[cols], level[cols] = y1, n1, lv
                 again = n1 <= lv

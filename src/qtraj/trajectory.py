@@ -23,13 +23,12 @@ the state, recenters and adjusts the cutoff, then gathers the block again;
 it runs after the t = 0 observation and after every step, so the first
 step already runs on the trimmed basis.  Every chunk draws
 from per-trajectory noise streams: stream k is PCG64 seeded by numpy's
-SeedSequence(entropy=seed, spawn_key=(k,)), and the seed words of all of a
-chunk's streams come from one vectorized pass over their indices
-(NoiseSource.for_streams).  For qsd each output interval's Wiener
-increments are drawn into one preallocated block whose row r is filled in
-place by stream r, and each step takes its (m, B) increments from it; the
-jump flavors hand the streams to the stepper, and each trajectory draws
-from its own when it needs a threshold or a channel.
+SeedSequence(entropy=seed, spawn_key=(k,)), and one NoiseSource serves all
+of a chunk's streams.  For qsd each output interval's Wiener increments
+are drawn into one preallocated (B, numdts, m) block whose row r holds
+stream r's, and each step takes its (m, B) increments from it; the jump
+flavors hand the source to the stepper, and each trajectory draws from its
+own stream when it needs a threshold or a channel.
 Ensemble averages keep sums shifted by trajectory 0's sample and fold each
 chunk into them with hilbert.fold, one addition per trajectory in index
 order; the fold is strictly sequential, so every chunking performs the same
@@ -239,7 +238,7 @@ def _run(psi0, model, cfg, outspec, streams):
     y = np.repeat(used_block(psi.as2d(), psi.freedoms), b, axis=1)
     stepper = make_stepper(model, cfg.unraveling, cfg.dt, cfg.integrator,
                            basis_upkeep=cfg.moving is not None)
-    sources = NoiseSource.for_streams(cfg.seed, streams)
+    source = NoiseSource(cfg.seed, streams)
     m = model.n_lindblads
     nk = cfg.numsteps
     n_ops = len(outspec.operators)
@@ -272,12 +271,11 @@ def _run(psi0, model, cfg, outspec, streams):
         step_index = 0
         for k in range(1, nk + 1):
             if qsd:
-                for src, row in zip(sources, noise):
-                    src.wiener(cfg.numdts, m, cfg.dt, out=row)
+                source.wiener(cfg.numdts, m, cfg.dt, out=noise)
             for s in range(cfg.numdts):
                 t = step_index * cfg.dt
                 y, stats = stepper.step(y, psi.freedoms, t,
-                                        noise[:, s].T.copy() if qsd else sources)
+                                        noise[:, s].T.copy() if qsd else source)
                 step_index += 1
                 subs[k] += stats.substeps
                 np.add.at(jumps, stats.jump_rows, 1)

@@ -197,21 +197,22 @@ print(any(m in sys.modules for m in ("multiprocessing", "concurrent.futures.proc
 with contextlib.redirect_stdout(io.StringIO()):
     rc = qtraj.cli.main(["ensemble", "--model", "models/damped_atom.qt", "--trajectories",
                          "200", "--numsteps", "3", "--out-dir", sys.argv[1]])
-print(rc, "numpy.ma" in sys.modules)
+print(rc, "numpy.ma" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 def test_cli_import_and_jump_ensemble_leave_heavy_numpy_modules_unimported(tmp_path):
     # numpy.random and multiprocessing cost the start-up of every run
-    # (setup_s) and numpy.ma (pulled in by np.unique, for one) adds to its
-    # peak RSS; a fresh interpreter shows whether any of them is imported
+    # (setup_s), and numpy.ma (pulled in by np.unique, for one) and
+    # numpy.random, which a jump run's noise does not need, add to its peak
+    # RSS; a fresh interpreter shows whether any of them is imported
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_SCRIPT, str(tmp_path)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "0", "False"], \
+    assert proc.stdout.split() == ["False", "False", "0", "False", "False"], \
         "expected: import qtraj.cli leaves numpy.random, multiprocessing and " \
         "concurrent.futures.process out, the ensemble runs (0) " \
-        f"and leaves numpy.ma out; got {proc.stdout.split()}"
+        f"and leaves numpy.ma and numpy.random out; got {proc.stdout.split()}"
     assert (tmp_path / "updens.out").exists()

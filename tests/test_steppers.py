@@ -87,24 +87,29 @@ def rand_psi(rng, dims, ptypes):
 
 
 class Draws:
-    """A stand-in for a row's NoiseSource: hands out the given uniforms in order.
+    """A stand-in for a chunk's NoiseSource: hands each row its given uniforms in order.
 
-    A jump row draws its first threshold, then a channel uniform and its
-    next threshold per jump; a threshold of 0 is never reached.
+    Draws(*rows): rows[b] lists the uniforms of row b.  A jump row draws
+    its first threshold, then a channel uniform and its next threshold per
+    jump; a threshold of 0 is never reached.
     """
 
-    def __init__(self, *values):
-        self.values = list(values)
+    def __init__(self, *rows):
+        self.rows = [list(values) for values in rows]
 
-    def uniforms(self, n):
-        taken, self.values = self.values[:n], self.values[n:]
-        assert len(taken) == n, "the row drew more uniforms than the test gave it"
-        return np.array(taken)
+    def uniforms(self, n, cols=None):
+        cols = range(len(self.rows)) if cols is None else cols
+        out = np.empty((n, len(cols)))
+        for i, c in enumerate(cols):
+            taken, self.rows[c] = self.rows[c][:n], self.rows[c][n:]
+            assert len(taken) == n, "the row drew more uniforms than the test gave it"
+            out[:, i] = taken
+        return out
 
 
 def never(b):
-    """Sources of b rows that never jump."""
-    return [Draws(0.0) for _ in range(b)]
+    """The noise of b rows that never jump."""
+    return Draws(*[[0.0]] * b)
 
 
 # the largest uniform a stream draws
@@ -162,7 +167,7 @@ def test_no_lindblads_all_unravelings_identical():
         stepper = make_stepper(model, unr, 0.01)
         y = psi.as2d().copy()
         noise = np.zeros((0, 1), dtype=complex) if unr is Unraveling.QSD \
-            else [Draws()]  # no channel: the row draws nothing
+            else Draws([])  # no channel: the row draws nothing
         out, _ = stepper.step(y, psi.freedoms, 0.0, noise)
         outs.append(out.copy())
     assert np.array_equal(outs[0], outs[1])
@@ -174,7 +179,7 @@ def test_no_lindblads_all_unravelings_identical():
 
 def test_wiener_moments():
     dt = 0.01
-    xi = NoiseSource(123, 0).wiener(40000, 2, dt)
+    xi = NoiseSource(123, [0]).wiener(40000, 2, dt)[0]
     assert xi.shape == (40000, 2)
     assert abs(xi.mean()) < 3 * math.sqrt(dt / 40000)
     # M dxi_i dxi_j = 0, M conj(dxi_i) dxi_j = delta_ij dt
@@ -187,13 +192,14 @@ def test_wiener_moments():
 
 
 def test_noise_streams_reproducible_and_independent():
-    a = NoiseSource(9, 0).wiener(100, 1, 0.1)
-    b = NoiseSource(9, 0).wiener(100, 1, 0.1)
-    c = NoiseSource(9, 1).wiener(100, 1, 0.1)
+    a = NoiseSource(9, [0]).wiener(100, 1, 0.1)
+    b = NoiseSource(9, [0]).wiener(100, 1, 0.1)
+    c = NoiseSource(9, [1]).wiener(100, 1, 0.1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    u1 = NoiseSource(9, 0).uniforms(50)
-    u2 = NoiseSource(9, 0).uniforms(50)
+    u1 = NoiseSource(9, [0]).uniforms(50)
+    u2 = NoiseSource(9, [0]).uniforms(50)
+    assert u1.shape == (50, 1)
     assert np.array_equal(u1, u2)
     assert np.all((u1 >= 0) & (u1 < 1))
 
@@ -207,15 +213,19 @@ def test_noise_draws_into_given_buffers_as_fresh_draws():
     g = np.random.Generator(np.random.PCG64(ss)).standard_normal((5, 3, 2))
     want = (g[..., 0] + 1j * g[..., 1]) * np.sqrt(0.5 * dt)
     block = np.zeros((2, 5, 3), dtype=complex)
-    out = NoiseSource(seed, k).wiener(5, 3, dt, out=block[1])
+    out = NoiseSource(seed, [k]).wiener(5, 3, dt, out=block[1:])
     assert np.shares_memory(out, block[1])
     assert block[1].tobytes() == want.tobytes()
-    assert NoiseSource(seed, k).wiener(5, 3, dt).tobytes() == want.tobytes()
+    assert NoiseSource(seed, [k]).wiener(5, 3, dt)[0].tobytes() == want.tobytes()
     assert not block[0].any()
 
 
 def _seed_sequence(seed, k):
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+
+
+def _numpy_stream(seed, k):
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, k)))
 
 
 STREAM_SEEDS = [0, 1, 2**32 + 5, 2**64, 2**128 - 1, 2**200 + 17, 2**128, 2**160 - 1]
@@ -248,19 +258,77 @@ def test_stream_states_equal_numpy_seed_sequence():
 def test_batch_sources_draw_numpy_streams():
     # the determinism contract: stream k of seed s is
     # Generator(PCG64(SeedSequence(entropy=s, spawn_key=(k,)))), bit for bit,
-    # whether its source is made alone or with a whole chunk
+    # whether it is drawn alone or in a whole chunk
     dt = 0.02
     for seed in STREAM_SEEDS:
         streams = [9, 0, 2**32 + 4, 3]
-        for k, src in zip(streams, NoiseSource.for_streams(seed, streams)):
-            g = np.random.Generator(np.random.PCG64(_seed_sequence(seed, k)))
-            normals = g.standard_normal((6, 2, 2))
-            want = (normals[..., 0] + 1j * normals[..., 1]) * np.sqrt(0.5 * dt)
-            assert src.wiener(6, 2, dt).tobytes() == want.tobytes()
-            assert src.uniforms(5).tobytes() == g.random(5).tobytes()
-            alone = NoiseSource(seed, k)
-            g = np.random.Generator(np.random.PCG64(_seed_sequence(seed, k)))
-            assert alone.uniforms(9).tobytes() == g.random(9).tobytes()
+        normals = NoiseSource(seed, streams).wiener(6, 2, dt)
+        uniforms = NoiseSource(seed, streams).uniforms(5)
+        for b, k in enumerate(streams):
+            g = _numpy_stream(seed, k).standard_normal((6, 2, 2))
+            want = (g[..., 0] + 1j * g[..., 1]) * np.sqrt(0.5 * dt)
+            assert normals[b].tobytes() == want.tobytes()
+            assert uniforms[:, b].tobytes() == _numpy_stream(seed, k).random(5).tobytes()
+            alone = NoiseSource(seed, [k]).uniforms(9)[:, 0]
+            assert alone.tobytes() == _numpy_stream(seed, k).random(9).tobytes()
+
+
+def test_chunk_uniforms_over_changing_columns_equal_numpy_streams():
+    # rounds over all columns and over changing subsets in any order: every
+    # stream still hands out its own numpy random() sequence, one draw after
+    # another, with indices of one, two and three uint32 words in one chunk
+    streams = STREAM_INDICES[::2] + [5, 2**64 + 1, 2**97 + 11, 3]
+    rounds = [(1, None), (2, [3, 0, 9]), (3, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]), (2, [10]),
+              (1, None), (4, [8, 2]), (2, np.array([0, 10, 5]))]
+    for seed in STREAM_SEEDS:
+        src = NoiseSource(seed, streams)
+        got = [[] for _ in streams]
+        for n, cols in rounds:
+            u = src.uniforms(n, cols)
+            assert u.shape == (n, len(streams) if cols is None else len(cols))
+            for i, c in enumerate(range(len(streams)) if cols is None else cols):
+                got[c].extend(u[:, i])
+        for b, k in enumerate(streams):
+            want = _numpy_stream(seed, k).random(len(got[b]))
+            assert np.array(got[b]).tobytes() == want.tobytes(), (seed, k)
+
+
+def test_chunk_of_one_stream_draws_as_the_stream_in_a_wide_chunk():
+    streams = list(range(300)) + STREAM_INDICES
+    for seed in STREAM_SEEDS:
+        wide = NoiseSource(seed, streams)
+        first = wide.uniforms(1)
+        for b in (0, 150, 299, 300, len(streams) - 1):
+            alone = NoiseSource(seed, [streams[b]])
+            assert alone.uniforms(1)[0, 0] == first[0, b]
+            assert alone.uniforms(3).tobytes() == wide.uniforms(3, [b]).tobytes()
+        assert (first >= 0.0).all() and (first < 1.0).all()
+
+
+def test_chunk_wiener_equals_numpy_normals():
+    dt = 0.05
+    streams = STREAM_INDICES[1::3] + [6]
+    for seed in STREAM_SEEDS:
+        src = NoiseSource(seed, streams)
+        block = np.empty((len(streams), 4, 3), dtype=complex)
+        rounds = [src.wiener(4, 3, dt, out=block).copy(), src.wiener(4, 3, dt)]
+        for b, k in enumerate(streams):
+            g = _numpy_stream(seed, k).standard_normal((8, 3, 2))
+            want = (g[..., 0] + 1j * g[..., 1]) * np.sqrt(0.5 * dt)
+            got = np.concatenate([r[b] for r in rounds])
+            assert got.tobytes() == want.tobytes(), (seed, k)
+
+
+def test_source_draws_either_normals_or_uniforms():
+    # the two kinds would each start the streams from their beginning
+    src = NoiseSource(3, [0, 1])
+    src.uniforms(2)
+    with pytest.raises(ValueError):
+        src.wiener(1, 1, 0.1)
+    src = NoiseSource(3, [0, 1])
+    src.wiener(1, 1, 0.1)
+    with pytest.raises(ValueError):
+        src.uniforms(1)
 
 
 # --- integrators ------------------------------------------------------------
@@ -397,15 +465,15 @@ def test_step_stats_list_the_rows_that_jumped():
     psi = basis_state(2, 1, SPIN)
     y = np.tile(psi.as2d(), (1, 3))
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
-    sources = [Draws(0.0), Draws(0.9999, 0.5, 0.0), Draws(0.9999, 0.5, 0.0)]
-    _, stats = stepper.step(y.copy(), psi.freedoms, 0.0, sources)
+    noise = Draws([0.0], [0.9999, 0.5, 0.0], [0.9999, 0.5, 0.0])
+    _, stats = stepper.step(y.copy(), psi.freedoms, 0.0, noise)
     assert stats.jump_rows.tolist() == [1, 2]
     assert stats.jumps == 2
     # pumped and decaying at rate 8 over dt = 0.1: a row is listed once per jump
     pumped = ModelOperators(None, [math.sqrt(8.0) * sigma_plus(0), math.sqrt(8.0) * sigma_minus(0)])
-    sources = [Draws(0.99, 0.5, 0.0), Draws(0.99, 0.5, 0.99, 0.5, 0.0), Draws(0.0)]
+    noise = Draws([0.99, 0.5, 0.0], [0.99, 0.5, 0.99, 0.5, 0.0], [0.0])
     _, stats = make_stepper(pumped, Unraveling.JUMP, 0.1).step(y.copy(), psi.freedoms, 0.0,
-                                                               sources)
+                                                               noise)
     assert stats.jump_rows.tolist() == [0, 1, 1]
     assert stats.jumps == 3
     _, stats = make_stepper(model, Unraveling.QSD, 0.001).step(
@@ -445,7 +513,7 @@ def test_jump_fires_and_projects_down():
         # the survival reaches 0.9999 early in the step; after the jump the
         # ground state stays put, and the next threshold is never reached
         out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0,
-                                  [Draws(0.9999, 0.5, 0.0)])
+                                  Draws([0.9999, 0.5, 0.0]))
         assert stats.jumps == 1
         assert abs(out[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert out[1, 0] == 0.0
@@ -456,7 +524,7 @@ def test_ground_state_never_jumps():
     psi = basis_state(2, 0, SPIN)
     stepper = make_stepper(model, Unraveling.JUMP, 0.001)
     # its squared norm stays exactly 1, above the largest threshold
-    out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, [Draws(U_MAX)])
+    out, stats = stepper.step(psi.as2d().copy(), psi.freedoms, 0.0, Draws([U_MAX]))
     assert stats.jumps == 0
 
 
@@ -510,15 +578,14 @@ def test_block_jumps_equal_the_per_row_jump(unr):
 
     # a step in which some rows jump, at different times and channels, and
     # the others do not: each row as it is stepped alone
-    def sources():
-        return [Draws(0.0) if r % 3 == 2 else Draws(1.0 - 1e-6 * (r + 1), r / b, 0.0)
-                for r in range(b)]
+    def rows():
+        return [[0.0] if r % 3 == 2 else [1.0 - 1e-6 * (r + 1), r / b, 0.0] for r in range(b)]
 
-    out, stats = stepper.step(y.copy(), freedoms, 0.0, sources())
+    out, stats = stepper.step(y.copy(), freedoms, 0.0, Draws(*rows()))
     assert stats.jump_rows.tolist() == [r for r in range(b) if r % 3 != 2]
     for r in range(b):
         alone, alone_stats = make_stepper(model, unr, 0.05).step(
-            y[:, r:r + 1].copy(), freedoms, 0.0, sources()[r:r + 1])
+            y[:, r:r + 1].copy(), freedoms, 0.0, Draws(rows()[r]))
         assert out[:, r].tobytes() == alone[:, 0].tobytes()
         assert alone_stats.jumps == (r % 3 != 2)
 
@@ -531,9 +598,9 @@ def test_zero_norm_jump_names_the_lowest_collapsing_row():
     y = np.array([[0.6, 0.8], [1.0, 1e-14], [1.0, 0.0], [1.0, 2e-14]], dtype=complex).T.copy()
     y /= np.sqrt((np.abs(y) ** 2).sum(axis=0))[None, :]
     stepper = make_stepper(model, Unraveling.JUMP, 0.01)
-    sources = [Draws(0.999, 0.5, 0.0), Draws(1.0, 0.5, 0.0), Draws(U_MAX), Draws(1.0, 0.5, 0.0)]
+    noise = Draws([0.999, 0.5, 0.0], [1.0, 0.5, 0.0], [U_MAX], [1.0, 0.5, 0.0])
     with pytest.raises(StepError, match="zero-norm") as err:
-        stepper.step(y, [FreedomSpec(SPIN, 2)], 0.0, sources)
+        stepper.step(y, [FreedomSpec(SPIN, 2)], 0.0, noise)
     assert err.value.row == 1
 
 
@@ -544,7 +611,7 @@ def test_collapsed_qsd_row_names_its_row():
     y = (y / np.linalg.norm(y, axis=1)[:, None]).T.copy()
     y[:, 1] = 0.0
     freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
-    dxi = NoiseSource(3).wiener(3, 2, 1e-3).T.copy()
+    dxi = NoiseSource(3, [0]).wiener(3, 2, 1e-3)[0].T.copy()
     with pytest.raises(StepError, match="state norm collapsed during a step") as err:
         make_stepper(model, Unraveling.QSD, 1e-3).step(y, freedoms, 0.0, dxi)
     assert err.value.row == 1
@@ -589,7 +656,7 @@ def test_nan_row_fails_its_own_row(unr):
     y[3, 1] = np.nan
     freedoms = [FreedomSpec(FIELD, 5), FreedomSpec(SPIN, 2)]
     noise = np.zeros((2, 3), dtype=complex) if unr is Unraveling.QSD \
-        else [Draws(0.5) for _ in range(3)]
+        else Draws(*[[0.5]] * 3)
     with np.errstate(invalid="ignore"):
         with pytest.raises(StepError) as err:
             make_stepper(model, unr, 1e-3).step(y, freedoms, 0.0, noise)
@@ -726,7 +793,7 @@ def test_batched_rows_equal_individual_rows():
         b = ys.shape[1]
 
         # QSD
-        dxi = NoiseSource(3, 0).wiener(b, model.n_lindblads, 0.01).T.copy()
+        dxi = NoiseSource(3, [0]).wiener(b, model.n_lindblads, 0.01)[0].T.copy()
         stepper = make_stepper(model, Unraveling.QSD, 0.01)
         batch, _ = stepper.step(ys.copy(), freedoms, 0.0, dxi)
         for i in range(b):
@@ -735,16 +802,16 @@ def test_batched_rows_equal_individual_rows():
             assert batch[:, i].tobytes() == col[:, 0].tobytes()
 
         # jump flavors, mixed jump/no-jump rows
-        def sources():
-            return [Draws(0.0) if c is None else Draws(0.99999, c, 0.0) for c in channel_u]
+        def rows():
+            return [[0.0] if c is None else [0.99999, c, 0.0] for c in channel_u]
 
         for unr in (Unraveling.JUMP, Unraveling.ORTHO_JUMP):
             stepper = make_stepper(model, unr, 0.01)
-            batch, stats = stepper.step(ys.copy(), freedoms, 0.0, sources())
+            batch, stats = stepper.step(ys.copy(), freedoms, 0.0, Draws(*rows()))
             assert 0 < stats.jumps < b
             for i in range(b):
                 si = make_stepper(model, unr, 0.01)
-                col, _ = si.step(ys[:, i:i + 1].copy(), freedoms, 0.0, sources()[i:i + 1])
+                col, _ = si.step(ys[:, i:i + 1].copy(), freedoms, 0.0, Draws(rows()[i]))
                 assert batch[:, i].tobytes() == col[:, 0].tobytes()
 
 
@@ -813,7 +880,7 @@ def test_qsd_step_does_not_depend_on_the_order_of_the_lindblads():
           math.sqrt(0.2) * number(1)]
     freedoms = [FreedomSpec(SPIN, 2), FreedomSpec(FIELD, 8, 6, 0.6 - 0.3j)]
     ys = rand_cols(np.random.default_rng(12), 4, 12)
-    dxi = NoiseSource(4, 0).wiener(4, 3, 0.01).T.copy()
+    dxi = NoiseSource(4, [0]).wiener(4, 3, 0.01)[0].T.copy()
     want, _ = make_stepper(ModelOperators(h, ls), Unraveling.QSD, 0.01).step(
         ys.copy(), freedoms, 0.0, dxi)
     for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):

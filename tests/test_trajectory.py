@@ -528,9 +528,9 @@ def test_noise_block_rows_equal_per_stream_draws(unr, monkeypatch):
     # qsd: the engine draws each output interval into one (B, numdts, m)
     # block, and row r, handed to the stepper as column r of each step's
     # (m, B) increments, must carry exactly the draws of stream streams[r].
-    # jump: trajectory r draws from stream streams[r] itself, one threshold
-    # at its first step and a channel uniform and a threshold per jump, in
-    # order
+    # jump: trajectory r draws from stream streams[r] through the chunk's
+    # one source, one threshold at its first step and a channel uniform and
+    # a threshold per jump, in order
     model = ModelOperators(number(0), [destroy(0), 0.3 * number(0)])
     psi = basis_state(6, 1)
     seen = []
@@ -547,12 +547,12 @@ def test_noise_block_rows_equal_per_stream_draws(unr, monkeypatch):
         stepper.step = step_and_record
         return stepper
 
-    drawn = {}  # id of a source -> what it drew, in order
+    drawn = []  # (id of the source, its columns, what they drew), in call order
     uniforms = NoiseSource.uniforms
 
-    def recording_uniforms(self, n):
-        u = uniforms(self, n)
-        drawn.setdefault(id(self), []).append(u.copy())
+    def recording_uniforms(self, n, cols=None):
+        u = uniforms(self, n, cols)
+        drawn.append((id(self), range(u.shape[1]) if cols is None else list(cols), u.copy()))
         return u
 
     monkeypatch.setattr(trajectory, "make_stepper", recording)
@@ -563,16 +563,21 @@ def test_noise_block_rows_equal_per_stream_draws(unr, monkeypatch):
     if unr is Unraveling.QSD:
         got = np.stack(seen)  # (numsteps * numdts, m, B)
         for b, k in enumerate(streams):
-            src = NoiseSource(13, k)
-            want = [src.wiener(4, 2, 0.2) for _ in range(3)]
+            src = NoiseSource(13, [k])
+            want = [src.wiener(4, 2, 0.2)[0] for _ in range(3)]
             assert got[..., b].tobytes() == np.concatenate(want).tobytes()
         return
-    assert all(sources is seen[0] for sources in seen)
+    assert all(source is seen[0] for source in seen)
+    assert {who for who, _, _ in drawn} == {id(seen[0])}
     assert jumps.sum() > 0
-    for src, k, n in zip(seen[0], streams, jumps):
-        got = np.concatenate(drawn[id(src)])
+    per_row = [[] for _ in streams]
+    for _, cols, u in drawn:
+        for i, c in enumerate(cols):
+            per_row[c].extend(u[:, i])
+    for got, k, n in zip(per_row, streams, jumps):
         assert len(got) == 1 + 2 * n
-        assert got.tobytes() == uniforms(NoiseSource(13, k), len(got)).tobytes()
+        want = uniforms(NoiseSource(13, [k]), len(got))[:, 0]
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_jump_ensemble_tracks_exponential_decay():
