@@ -480,11 +480,14 @@ _SHRINK_MIN = 0.1
 _UNDERFLOW = 1e-12
 
 
-def _rkck_substep(f, y, t, h):
-    """Every trajectory's Cash-Karp substep from its time t[b] by h[b]: (5th-order result, error)."""
+def _rkck_substep(f, y, t, h, k1):
+    """Every trajectory's Cash-Karp substep from its time t[b] by h[b]: (5th-order result, error).
+
+    k1 is f(y, t), the first stage.
+    """
     hc = h[None, :]
     ts = t + _CK_A * h  # (stages, B): each stage's time of every trajectory
-    ks = [f(y, t)]
+    ks = [k1]
     for i in range(1, 6):
         acc = _CK_B[i][0] * ks[0]
         for b, k in zip(_CK_B[i][1:], ks[1:]):
@@ -507,7 +510,9 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
     satisfy |err| <= eps * (|y| + 1e-10), so its error ratio is the max over
     its column.  f(v, s) is called on the columns still stepping, s their
     (b,) times (for a 1-D y, on 1-D states at scalar times).  A trajectory
-    with dt = 0 comes back unchanged, its substep size untouched.  Returns
+    with dt = 0 comes back unchanged, its substep size untouched.  A
+    substep that every column rejects leaves y and the clocks as they
+    were, so the retry reuses its first stage f(y, t).  Returns
     (y_new, accepted substeps summed over trajectories, each one's
     suggested next substep size); the size is a float for a 1-D y.
     """
@@ -527,6 +532,7 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
     cols = np.arange(b)  # the columns still stepping; the arrays below hold only them
     done = np.zeros(b)
     nacc = 0
+    k1 = None  # f(y, t + done), kept while every column rejects its substep
     while True:
         left = dt - done
         finished = left <= dt * 1e-15
@@ -543,7 +549,9 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
             raise StepError("adaptive step underflow; the problem looks stiff",
                             int(cols[_first_row(small)]))
         try:
-            y5, err = _rkck_substep(f, y, t + done, step)
+            if k1 is None:
+                k1 = f(y, t + done)
+            y5, err = _rkck_substep(f, y, t + done, step, k1)
         except StepError as e:  # f numbers the columns still stepping
             raise StepError(str(e), int(cols[e.row])) from None
         ratio = (np.abs(err) / (np.abs(y) + 1e-10)).max(axis=0) / eps
@@ -552,9 +560,12 @@ def rkck_adaptive(f, y, t, dt, eps, h_start=None):
         with np.errstate(divide="ignore"):
             scale = _SAFETY * ratio ** np.where(ok, -0.2, -0.25)
         h = step * np.fmin(np.fmax(scale, _SHRINK_MIN), _GROW_MAX)
-        y = np.where(ok[None, :], y5, y)
-        done = done + np.where(ok, step, 0.0)
-        nacc += int(np.count_nonzero(ok))
+        accepted = int(np.count_nonzero(ok))
+        if accepted:  # y and the clocks move; a substep all columns rejected keeps k1
+            y = np.where(ok[None, :], y5, y)
+            done = done + np.where(ok, step, 0.0)
+            nacc += accepted
+            k1 = None
 
 
 INTEGRATOR_KINDS = ("rk4", "adaptive")

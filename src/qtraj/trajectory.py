@@ -12,23 +12,31 @@ time: t, four pipe-selected values, the product of used dimensions, and the
 deterministic substeps accepted since the last output.
 
 One engine steps every run: it advances a chunk of B trajectories together
-on one (N, B) used block, trajectory b in column b, so its arithmetic scales
-with the used dimensions rather than the allocated ones.  A single run is a chunk of one.  An
-ensemble is either one chunk of all its trajectories (lockstep, what mode
-'auto' picks without a moving basis, because the cutoff upkeep is per
-trajectory) or one chunk per trajectory (mode 'serial', or any run with
-basis upkeep).  The adaptive integrator keeps a clock and a substep size
-per trajectory, so it runs in lockstep too.  Basis upkeep scatters the block into
-the state, recenters and adjusts the cutoff, then gathers the block again;
-it runs after the t = 0 observation and after every step, so the first
-step already runs on the trimmed basis.  Every chunk draws
-from per-trajectory noise streams: stream k is PCG64 seeded by numpy's
-SeedSequence(entropy=seed, spawn_key=(k,)), and one NoiseSource serves all
-of a chunk's streams.  For qsd each output interval's Wiener increments
-are drawn into one preallocated (B, numdts, m) block whose row r holds
-stream r's, and each step takes its (m, B) increments from it; the jump
-flavors hand the source to the stepper, and each trajectory draws from its
-own stream when it needs a threshold or a channel.
+on one (N, B) used block, trajectory b in column b, so its arithmetic
+scales with the used dimensions rather than the allocated ones.  A single
+run is a chunk of one.  An ensemble is either one chunk of all its
+trajectories (lockstep, what mode 'auto' picks without a moving basis,
+because the cutoff upkeep is per trajectory) or one chunk per trajectory
+(mode 'serial', or any run with basis upkeep).  The adaptive integrator
+keeps a clock and a substep size per trajectory, so it runs in lockstep
+too.  Basis upkeep scatters the block into the state, recenters and
+adjusts the cutoff, then gathers the block again; it runs after the t = 0
+observation and after every step, so the first step already runs on the
+trimmed basis.  A run without basis upkeep whose h_eff, L_j and output
+operators are static is trimmed once, after the t = 0 observation: its
+field and atom freedoms shrink to the smallest box that holds every
+amplitude h_eff and the L_j can make nonzero from the initial state, and
+what the output operators read from those, so it steps only amplitudes
+that can move.  The rows it drops would hold zeros for the whole run.
+
+Every chunk draws from per-trajectory noise streams: stream k is PCG64
+seeded by numpy's SeedSequence(entropy=seed, spawn_key=(k,)), and one
+NoiseSource serves all of a chunk's streams.  For qsd each output
+interval's Wiener increments are drawn into one preallocated
+(B, numdts, m) block whose row r holds stream r's, and each step takes its
+(m, B) increments from it; the jump flavors hand the source to the
+stepper, and each trajectory draws from its own stream when it needs a
+threshold or a channel.
 Ensemble averages keep sums shifted by trajectory 0's sample and fold each
 chunk into them with hilbert.fold, one addition per trajectory in index
 order; the fold is strictly sequential, so every chunking performs the same
@@ -48,6 +56,7 @@ error a run in one process raises.  A single run never forks.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -221,6 +230,111 @@ def _maintain_basis(psi, moving):
             adjust_cutoff(psi, k, moving.cutoff_epsilon, moving.pad_size)
 
 
+def _image(mask, op):
+    """The rows that the bands of the bound operator op fill from the rows in mask."""
+    out = np.zeros_like(mask)
+    for _, bands in op.groups:
+        for ix_out, ix_in, d in bands:
+            out[ix_out[-1]] |= mask[ix_in] & (d[:, 0] != 0)
+    return out
+
+
+def _extent(mask, dims):
+    """Per freedom, one past the highest level that a row in mask occupies."""
+    m = mask.reshape(dims)
+    axes = range(len(dims))
+    return [int(np.flatnonzero(m.any(axis=tuple(j for j in axes if j != k)))[-1]) + 1
+            for k in axes]
+
+
+def _entries(op, index, pairs):
+    """{(channel, row, column): value} of op's nonzero entries.
+
+    index maps op's rows to rows of a block, and an entry is kept when, for
+    one (rows, cols) pair of masks over that block, rows holds its row and
+    cols its column.
+    """
+    entries = {}
+    for _, bands in op.groups:
+        for ix_out, ix_in, d in bands:
+            r, c, v = index[ix_out[-1]], index[ix_in], d[:, 0]
+            keep = v != 0
+            keep &= np.logical_or.reduce([rows[r] & cols[c] for rows, cols in pairs])
+            channel = ix_out[0] if len(ix_out) == 2 else 0
+            entries.update(((channel, i, j), z) for i, j, z in
+                           zip(r[keep].tolist(), c[keep].tolist(), v[keep].tolist()))
+    return entries
+
+
+def _trim_to_reach(psi, model, ops):
+    """Shrink psi's field and atom freedoms to the box its dynamics can reach; whether it shrank.
+
+    Only for a static model: h_eff, the L_j and the output operators ops
+    have no time group.  R is the support of psi closed under one
+    application of the bound h_eff and of every L_j, so no band leads from
+    R to a row outside it, and rows outside R stay zero for the whole run.
+    The box is the smallest product of used dimensions that holds R and
+    its image under each output operator, which _observe applies twice.
+    Compiled on the box, a product can lose a path through a level above
+    it (a a+ at the box's top level), so each trimmable freedom grows one
+    level at a time until the box's forms equal the allocation's, entry
+    for entry and bit for bit, where the run reads them: on the box's rows
+    and R's columns, and for an output also on R's rows and its image's
+    columns.  Then each row of a trimmed application adds the same nonzero
+    terms in the same order as on the allocation, less additions of zero,
+    and the run keeps its bits, unless the smaller size switches a choice
+    made on size and band count: the kernel of a DiagonalOperator (the
+    gathered sweep rounds its complex products differently from the slice
+    loop) or the stepper's P4 propagator, which moves the run at round-off.
+    The closure stops as soon as every trimmable freedom fills its used
+    dimension.
+    """
+    trim = [k for k, f in enumerate(psi.freedoms) if f.ptype in (FIELD, ATOM)]
+    if not trim:
+        return False
+    dynamics = [op for op in model.compiled(psi.freedoms) if op is not None]
+    outputs = [compile_operator(op, psi.freedoms) for op in ops]
+    if any(op.timed for op in dynamics + outputs):
+        return False
+    dims = list(psi.used_dims())
+    n = math.prod(dims)
+    reach = used_block(psi.as2d(), psi.freedoms)[:, 0] != 0
+    while True:
+        grown = reach.copy()
+        for op in dynamics:
+            grown |= _image(reach, op)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+        extent = _extent(reach, dims)
+        if all(extent[k] == dims[k] for k in trim):
+            return False
+    seen = reach.copy()
+    for op in outputs:
+        seen |= _image(reach, op)
+    extent = _extent(seen, dims)
+    box = [extent[k] if k in trim else d for k, d in enumerate(dims)]
+    full = np.arange(n)
+    while box != dims:
+        index = full.reshape(dims)[tuple(slice(0, u) for u in box)].ravel()
+        in_box = np.zeros(n, dtype=bool)
+        in_box[index] = True
+        freedoms = [f.copy() for f in psi.freedoms]
+        for f, u in zip(freedoms, box):
+            f.dim_used = u
+        bound = ([op for op in model.compiled(freedoms) if op is not None]
+                 + [compile_operator(op, freedoms) for op in ops])
+        same = True
+        for i, (want, got) in enumerate(zip(dynamics + outputs, bound)):
+            pairs = ((in_box, reach),) if i < len(dynamics) else ((in_box, reach), (reach, seen))
+            same &= _entries(want, full, pairs) == _entries(got, index, pairs)
+        if same:
+            psi.freedoms = freedoms
+            return True
+        box = [min(u + 1, d) if k in trim else d for k, (u, d) in enumerate(zip(box, dims))]
+    return False
+
+
 def _run(psi0, model, cfg, outspec, streams):
     """Trajectories `streams` (noise stream indices) stepped together on one block.
 
@@ -229,7 +343,11 @@ def _run(psi0, model, cfg, outspec, streams):
     jumps of each trajectory.  Basis upkeep (cfg.moving) needs B = 1: it
     scatters the block into psi, maintains the basis and gathers the block
     again, once after the t = 0 observation and after every step, so every
-    step runs on a trimmed basis while row 0 reports the allocated one.
+    step runs on a trimmed basis while row 0 reports the allocated one.  A
+    run without upkeep whose operators are static is trimmed once, after
+    the t = 0 observation, to the box its dynamics can reach
+    (_trim_to_reach); every trajectory of the chunk gets the same box, and
+    row 0 still reports the allocation.
     """
     _check_normalized(psi0)
     _validate_moving(cfg.moving, psi0.freedoms)
@@ -268,6 +386,8 @@ def _run(psi0, model, cfg, outspec, streams):
         observe(0, t)
         if cfg.moving is not None:
             y = maintained(y)  # the first step runs on the trimmed basis
+        elif _trim_to_reach(psi, model, outspec.operators):
+            y = np.repeat(used_block(psi.as2d(), psi.freedoms), b, axis=1)
         step_index = 0
         for k in range(1, nk + 1):
             if qsd:

@@ -6,14 +6,18 @@ Runs every command of every workload in `perfbench/workloads.py` (WORKLOADS,
 read from this checkout), then the EXTRA commands below, which the
 benchmark does not run, in both checkouts, at each seed, each command in a
 fresh process with one BLAS thread and the checkout's own `src/` on the
-path.  The output is long; `grep -v identical` shows what moved.  For
+path.  The output is long; `grep -v ': identical'` shows what moved.  For
 every stdout and output file it prints `identical` when the bytes match,
-and otherwise the largest absolute difference between corresponding
-numbers.  For each ensemble command whose trajectories jump it also
-prints how many of them changed their jump count.  Exits 0 when every file has the
-same shape in both checkouts, 1 otherwise.  With --strict, the check for a
-change that must keep every run's bits, it exits 0 only when every stdout
-and output file is byte-identical and no trajectory changed its jump count.
+and otherwise, for each column (numbered from 1) that differs, the largest
+absolute difference between corresponding numbers, then the columns that
+are identical, as in `column 6 max |diff| 12; columns 1-5, 7 identical`;
+so a designed change to one column, such as stdout's basis size, is told
+apart from a change in values.  For each ensemble command whose
+trajectories jump it also prints how many of them changed their jump
+count.  Exits 0 when every file has the same shape in both checkouts, 1
+otherwise.  With --strict, the check for a change that must keep every
+run's bits, it exits 0 only when every stdout and output file is
+byte-identical and no trajectory changed its jump count.
 """
 
 from __future__ import annotations
@@ -93,19 +97,45 @@ def run_command(checkout, argv_of, seed, work):
     return files, (jumps[0] if jumps else None)
 
 
-def largest_difference(a: bytes, b: bytes):
-    """Largest |x - y| over corresponding numbers of two outputs; None if their shapes differ."""
+def column_differences(a: bytes, b: bytes):
+    """({column: largest |x - y|} of the columns that differ, column count); None if shapes differ.
+
+    Columns are numbered from 1; a column differs where any of its numbers
+    differs in bytes.
+    """
     rows_a, rows_b = a.decode().split("\n"), b.decode().split("\n")
     if len(rows_a) != len(rows_b):
         return None
-    worst = 0.0
+    worst, n_cols = {}, 0
     for ra, rb in zip(rows_a, rows_b):
         xa, xb = ra.split(), rb.split()
         if len(xa) != len(xb):
             return None
-        for u, v in zip(xa, xb):
-            worst = max(worst, abs(float(u) - float(v)))
-    return worst
+        n_cols = max(n_cols, len(xa))
+        for col, (u, v) in enumerate(zip(xa, xb), 1):
+            if u != v:
+                worst[col] = max(worst.get(col, 0.0), abs(float(u) - float(v)))
+    return worst, n_cols
+
+
+def _spans(cols):
+    """Sorted column numbers as runs, e.g. [1, 2, 3, 4, 5, 7] -> '1-5, 7'."""
+    runs = []
+    for c in cols:
+        if runs and runs[-1][1] == c - 1:
+            runs[-1][1] = c
+        else:
+            runs.append([c, c])
+    return ", ".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in runs)
+
+
+def describe(worst, n_cols):
+    """'column 6 max |diff| 12; columns 1-5, 7 identical' for column_differences' result."""
+    parts = [f"column {c} max |diff| {d:.3g}" for c, d in sorted(worst.items())]
+    same = [c for c in range(1, n_cols + 1) if c not in worst]
+    if same:
+        parts.append(f"column{'s' if len(same) > 1 else ''} {_spans(same)} identical")
+    return "; ".join(parts)
 
 
 def main(argv=None):
@@ -134,10 +164,10 @@ def main(argv=None):
                     print(f"{label} {fname}: identical")
                 else:
                     identical = False
-                    d = largest_difference(files_a[fname], files_b[fname])
+                    d = column_differences(files_a[fname], files_b[fname])
                     same_shape &= d is not None
                     print(f"{label} {fname}: "
-                          + ("shapes differ" if d is None else f"max |diff| {d:.3g}"))
+                          + ("shapes differ" if d is None else describe(*d)))
             if jumps_a is not None and jumps_b is not None and any(jumps_a + jumps_b):
                 changed = sum(x != y for x, y in zip(jumps_a, jumps_b))
                 identical &= not changed and len(jumps_a) == len(jumps_b)

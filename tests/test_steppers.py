@@ -441,6 +441,23 @@ def test_rkck_rows_keep_their_own_substeps():
     assert isinstance(h1, float) and h1 == alone[0][2][0]
 
 
+def test_rkck_retries_a_rejected_substep_from_the_first_stage_it_has():
+    # a first try of the whole interval is rejected by every column: y and
+    # the clocks stay, so f is never called twice with the same arguments
+    calls = []
+
+    def f(v, s):
+        calls.append((v.tobytes(), s.tobytes()))
+        return -40j * v
+
+    y = np.array([[1.0], [0.5j]], dtype=complex)
+    out, nacc, _ = rkck_adaptive(f, y, 0.0, 1.0, 1e-8)
+    assert len(calls) > 6 * nacc  # rejected substeps were tried
+    assert len(set(calls)) == len(calls)
+    expect = np.exp(-40j) * y
+    assert np.abs(out - expect).max() < 1e-5
+
+
 @pytest.mark.parametrize("unr", list(Unraveling))
 def test_unstable_deterministic_advance_fails_its_row(unr):
     # H = n: row 0 (vacuum) does not move, row 1 (a coherent state with

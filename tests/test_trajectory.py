@@ -35,6 +35,7 @@ from qtraj import (
     sigma_minus,
     sigma_plus,
     sigma_z,
+    to_dense,
     transition,
     variance,
 )
@@ -864,3 +865,114 @@ def test_lockstep_equals_serial_with_a_time_dependent_drive(unr, kind):
     assert lock.stdout_lines == serial.stdout_lines
     if unr is not Unraveling.QSD:
         assert 0 < lock.jumps_per_trajectory.sum()
+
+
+# --- static runs step the box their dynamics can reach ------------------------
+
+
+def jc_model(lindblads=True):
+    """Acceptance 2's Jaynes-Cummings model: atom (spin 0) and field (1)."""
+    h = 0.5 * (sigma_plus(0) * destroy(1) + sigma_minus(0) * create(1))
+    return ModelOperators(h, [math.sqrt(0.5) * destroy(1)] if lindblads else [])
+
+
+def jc_state(levels):
+    return product_state([basis_state(2, 1, SPIN), basis_state(levels, 0)])
+
+
+@pytest.mark.parametrize("unr", list(Unraveling), ids=lambda u: u.value)
+def test_static_ensemble_steps_its_reachable_box_with_the_same_bits(unr):
+    # from |up,0>, H conserves the excitation number and a lowers it: only
+    # field levels 0 and 1 are ever occupied, so 8 levels step as 2 do
+    spec = OutputSpec((number(1), sigma_plus(0) * sigma_minus(0)))
+    cfg = RunConfig(dt=0.01, numdts=100, numsteps=3, n_trajectories=40, seed=11,
+                    unraveling=unr)
+    wide = run_ensemble(jc_state(8), jc_model(), cfg, spec, **quiet())
+    narrow = run_ensemble(jc_state(2), jc_model(), cfg, spec, **quiet())
+    assert wide.basis_sizes.tolist() == [16, 4, 4, 4]
+    assert narrow.basis_sizes.tolist() == [4, 4, 4, 4]
+    for name in ("mean_expectations", "mean_variances", "se_re", "se_im", "substeps",
+                 "jumps_per_trajectory"):
+        assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes(), name
+    if unr is not Unraveling.QSD:
+        assert 0 < wide.jumps_per_trajectory.sum()
+
+
+def dense_rk4(h, ops, psi0, cfg):
+    """(n_ops, numsteps+1) expectations and variances of RK4 steps of y' = -iHy, renormalized.
+
+    The qsd stepper of a model without L_j takes exactly these steps, so a
+    run must match them to round-off.
+    """
+    dims = tuple(f.dim_used for f in psi0.freedoms)
+    a = -1j * cfg.dt * to_dense(h, dims)
+    p4 = np.eye(len(a)) + a @ (np.eye(len(a)) + a / 2 @ (np.eye(len(a)) + a / 3 @ (
+        np.eye(len(a)) + a / 4)))
+    mats = [to_dense(op, dims) for op in ops]
+    y = psi0.amps.copy()
+    exps = np.zeros((len(ops), cfg.numsteps + 1), dtype=complex)
+    vars_ = np.zeros_like(exps)
+    for k in range(cfg.numsteps + 1):
+        for _ in range(cfg.numdts if k else 0):
+            y = p4 @ y
+            y /= np.linalg.norm(y)
+        for i, m in enumerate(mats):
+            exps[i, k] = y.conj() @ m @ y
+            vars_[i, k] = y.conj() @ m @ m @ y - exps[i, k] ** 2
+    return exps, vars_
+
+
+def test_an_output_operator_widens_the_box_to_what_its_variance_reads():
+    # without L_j the state stays in |up,0> and |down,1>, but (a + a+)^2
+    # reads field level 2 through |down,1>: only the variance shows it
+    model = jc_model(lindblads=False)
+    x = destroy(1) + create(1)
+    cfg = RunConfig(dt=0.01, numdts=30, numsteps=4)
+    res = run_single(jc_state(8), model, cfg, OutputSpec((x,)), **quiet())
+    assert res.basis_sizes.tolist() == [16, 6, 6, 6, 6]
+    exps, vars_ = dense_rk4(model.hamiltonian, (x,), jc_state(8), cfg)
+    assert np.abs(res.expectations - exps).max() < 1e-12
+    assert np.abs(res.variances - vars_).max() < 1e-12
+    assert vars_[0, -1].real > 1.1  # level 2 carries weight
+
+
+def test_a_product_through_a_level_above_the_box_widens_it():
+    # a a+ takes |1> through |2>: compiled on two levels its top entry would
+    # read 0, not 2, and turn the phase the other way, so the box takes
+    # level 2 although the state never occupies it
+    h = destroy(0) * create(0)
+    psi0 = (basis_state(8, 0) + basis_state(8, 1)) * (1 / math.sqrt(2))
+    cfg = RunConfig(dt=0.01, numdts=30, numsteps=4)
+    res = run_single(psi0, ModelOperators(h), cfg, OutputSpec((destroy(0),)), **quiet())
+    assert res.basis_sizes.tolist() == [8, 3, 3, 3, 3]
+    exps, vars_ = dense_rk4(h, (destroy(0),), psi0, cfg)
+    assert np.abs(res.expectations - exps).max() < 1e-12
+    assert np.abs(res.variances - vars_).max() < 1e-12
+
+
+def driven_mode(levels):
+    h = 2j * (create(0) - destroy(0))
+    return ModelOperators(h, [math.sqrt(2.0) * destroy(0)]), basis_state(levels, 0)
+
+
+def test_runs_the_box_does_not_apply_to_keep_their_allocation():
+    cfg = RunConfig(dt=1e-3, numdts=5, numsteps=2, seed=5)
+    spec = OutputSpec((number(0),))
+    # acceptance 5's driven mode reaches every level of its 200
+    model, psi0 = driven_mode(200)
+    assert run_single(psi0, model, cfg, spec, **quiet()).basis_sizes.tolist() == [200] * 3
+    # a time group anywhere, in h_eff or in an output, keeps the allocation
+    drive = lambda t: math.cos(t)
+    timed = ModelOperators(drive * number(0), [destroy(0)])
+    res = run_single(basis_state(6, 1), timed, cfg, spec, **quiet())
+    assert res.basis_sizes.tolist() == [6] * 3
+    static = ModelOperators(number(0), [destroy(0)])
+    res = run_single(basis_state(6, 1), static, cfg, OutputSpec((drive * number(0),)), **quiet())
+    assert res.basis_sizes.tolist() == [6] * 3
+    assert run_single(basis_state(6, 1), static, cfg, spec,
+                      **quiet()).basis_sizes.tolist() == [6, 2, 2]
+    # a moving basis keeps its own cutoff, padded past the box
+    moving = dataclasses.replace(cfg, moving=MovingBasisParams(
+        n_moving=1, cutoff_epsilon=1e-10, pad_size=2, shift_accuracy=1e-8))
+    res = run_single(basis_state(20, 0), ModelOperators(number(0)), moving, spec, **quiet())
+    assert res.basis_sizes.tolist() == [20, 3, 3]
